@@ -19,6 +19,7 @@ from .functional_system import (
     check_tphi,
     even_floor,
     gamma_coeff,
+    k0_closed_form_residual,
     m_coeff,
     n_coeff,
     omega_coeff,
@@ -26,7 +27,6 @@ from .functional_system import (
     transfer_eigenstates,
     v_coeff,
 )
-from .numkit import kron_chain
 from .prefix_oracle import (
     oracle_gamma,
     oracle_m,
@@ -48,17 +48,21 @@ from .roots_of_unity import (
 )
 from .vertex_core import (
     ModelParams,
+    action_residual,
+    full_product_residuals,
     generic_points,
     hamiltonian,
     is_generic,
+    log_derivative_residual,
     monodromy,
-    monodromy_full,
     r_matrix,
     reference_states,
+    rll_residual,
     sample_mu,
     transfer,
     twist_matrix,
     weights,
+    ybe_residual,
 )
 from .zeros import (
     SpectralData,
@@ -66,7 +70,6 @@ from .zeros import (
     check_zero_coincidence,
     extract_zeros,
     wronskian_coeffs,
-    wronskian_scale,
 )
 
 SUITES = ("structural", "dwbc", "functional", "theorem", "zeros", "rou")
@@ -96,6 +99,7 @@ DEFAULT_TOLS = {
     "dwbc.underflow_string": 1e-12,
     "functional.tphi": 1e-9,
     "functional.fl": 1e-8,
+    "functional.k0_defined": 1e-8,
     "functional.oracle": 1e-12,
     "theorem.expansion": 1e-8,
     "theorem.k0_closed_form": 1e-8,
@@ -205,16 +209,18 @@ class _Runner:
         self._spectral = None
 
     def tol(self, name: str) -> float:
+        """Longest matching override prefix, else the default of the check
+        family (the first two dotted parts of the name)."""
         best = None
         for key, val in self.config.tol_overrides.items():
             if name.startswith(key) and (best is None or len(key) > len(best[0])):
                 best = (key, val)
         if best:
             return float(best[1])
-        for key, val in DEFAULT_TOLS.items():
-            if name.startswith(key) and (best is None or len(key) > len(best[0])):
-                best = (key, val)
-        return float(best[1]) if best else 1e-8
+        family = ".".join(name.split(".")[:2])
+        if family not in DEFAULT_TOLS:
+            raise KeyError(f"no default tolerance for check family {family!r}")
+        return DEFAULT_TOLS[family]
 
     def add(self, name: str, anchor: str, residual: float, *,
             conjecture: bool = False, state_index: int | None = None):
@@ -277,7 +283,7 @@ class _Runner:
         worst_ybe = worst_tw = worst_uni = 0.0
         for _ in range(self.config.draws):
             lam, mu_ = generic_points(2, rng)
-            worst_ybe = max(worst_ybe, _ybe_residual(lam, mu_, p))
+            worst_ybe = max(worst_ybe, ybe_residual(lam, mu_, p))
             r = r_matrix(lam, p)
             worst_tw = max(worst_tw, np.linalg.norm(r @ gg - gg @ r))
             prod = r_matrix(lam, p) @ r_matrix(-lam, p)
@@ -289,21 +295,12 @@ class _Runner:
         self.add("structural.unitarity", "rmat", worst_uni)
 
         lam = generic_points(1, rng, avoid=p.mu)[0]
-        blocks = monodromy(lam, p)
-        full = monodromy_full(lam, p)
-        self.add("structural.block_assembly", "abcd",
-                 np.linalg.norm(blocks.assemble() - full)
-                 / max(np.linalg.norm(full), 1e-300))
-        self.add("structural.rll", "yba", _rll_residual(p, rng))
-        self.add("structural.action", "action", _action_residual(lam, p))
-        d = p.dim
-        tr = np.trace(
-            (np.kron(twist_matrix(), np.eye(d)) @ full).reshape(2, d, 2, d),
-            axis1=0, axis2=2,
-        )
-        tmat = transfer(lam, p)
-        self.add("structural.trace_form", "tmat",
-                 np.linalg.norm(tr - tmat) / max(np.linalg.norm(tmat), 1e-300))
+        full = full_product_residuals(lam, p)
+        self.add("structural.block_assembly", "abcd", full["block_assembly"])
+        lam1, lam2 = generic_points(2, rng, avoid=p.mu)
+        self.add("structural.rll", "yba", rll_residual(lam1, lam2, p))
+        self.add("structural.action", "action", action_residual(lam, p))
+        self.add("structural.trace_form", "tmat", full["trace_form"])
 
         worst_comm = worst_b = 0.0
         for _ in range(self.config.draws):
@@ -332,7 +329,7 @@ class _Runner:
                 / max(np.linalg.norm(h) * np.linalg.norm(t), 1e-300),
             )
             self.add("structural.log_derivative_fit", "ham",
-                     _logderiv_residual(p))
+                     log_derivative_residual(p))
 
     def run_dwbc(self):
         p = self.params
@@ -355,8 +352,7 @@ class _Runner:
             shifted = ModelParams(p.L, p.gamma, tuple(m + s for m in p.mu))
             zs = z_bproduct([x + s for x in lams], shifted)
             worst_shift = max(worst_shift, abs(zs - z) / max(abs(z), 1e-300))
-            off, coeff = check_highest_weight(lams, p)
-            worst_hw = max(worst_hw, off, coeff)
+            worst_hw = max(worst_hw, check_highest_weight(lams, p))
             over = generic_points(p.L + 1, rng, avoid=p.mu)
             vec = b_product_state(over, p)
             scale = np.prod([np.linalg.norm(monodromy(x, p).b_op, 2)
@@ -456,14 +452,9 @@ class _Runner:
                  abs(rhs - rhs_swapped) / max(abs(rhs), 1e-300))
         if p.L == 2:
             worst = 0.0
-            c = np.sinh(p.gamma)
-            denom = (c ** 2 * np.sinh(p.mu[0] - p.mu[1] + p.gamma)
-                     * np.sinh(p.mu[1] - p.mu[0] + p.gamma))
             for s in self.states:
-                if not s.k0_defined:
-                    continue
-                k0f = s.lam(p.mu[0]) * s.lam(p.mu[1]) / denom
-                worst = max(worst, abs(s.k0 - k0f) / max(abs(k0f), 1e-300))
+                if s.k0_defined:
+                    worst = max(worst, k0_closed_form_residual(s, p))
             self.add("theorem.k0_closed_form", "LL2", worst)
         if p.L in (3, 4):
             vars_ = generic_points(p.L, rng, avoid=p.mu)
@@ -478,6 +469,15 @@ class _Runner:
         rng = self.rng
         if p.L < 2:
             return
+
+        def wronskian(data):
+            coeffs, scale = wronskian_coeffs(data, p)
+            return max(abs(c) for c in coeffs) / scale
+
+        def sharpness(kicked):
+            coeffs, scale = wronskian_coeffs(kicked, p)
+            return 1e-3 * scale / max(abs(c) for c in coeffs)
+
         for data in self.spectral_data():
             st = data.state
             probe = generic_points(1, rng, avoid=p.mu)[0]
@@ -515,8 +515,7 @@ class _Runner:
             )
             self.guarded(
                 f"zeros.wronskian.state{st.index}", "CK",
-                lambda d=data: max(abs(c) for c in wronskian_coeffs(d, p))
-                / wronskian_scale(d, p),
+                lambda d=data: wronskian(d),
                 state_index=st.index,
             )
             kick = data.zeros[0] + 1e-2
@@ -524,8 +523,7 @@ class _Runner:
                                   (kick,) + data.zeros[1:], data.k0)
             self.guarded(
                 f"zeros.wronskian_sharpness.state{st.index}", "CK",
-                lambda d=kicked: 1e-3 * wronskian_scale(d, p)
-                / max(abs(c) for c in wronskian_coeffs(d, p)),
+                lambda d=kicked: sharpness(d),
                 state_index=st.index,
             )
 
@@ -614,78 +612,6 @@ class _Runner:
         return 1 if failed else 0
 
 
-def _ybe_residual(lam, mu_, params) -> float:
-    r12 = kron_chain(r_matrix(lam - mu_, params), np.eye(2))
-    r23 = kron_chain(np.eye(2), r_matrix(mu_, params))
-    r13 = _embed_13(r_matrix(lam, params))
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
-
-
-def _embed_13(r4: np.ndarray) -> np.ndarray:
-    r = r4.reshape(2, 2, 2, 2)
-    out = np.zeros((8, 8), dtype=complex)
-    for i1 in range(2):
-        for i3 in range(2):
-            for j1 in range(2):
-                for j3 in range(2):
-                    for k in range(2):
-                        out[4 * i1 + 2 * k + i3, 4 * j1 + 2 * k + j3] += \
-                            r[i1, i3, j1, j3]
-    return out
-
-
-def _rll_residual(params, rng) -> float:
-    lam1, lam2 = generic_points(2, rng, avoid=params.mu)
-    d = params.dim
-    t1 = monodromy_full(lam1, params).reshape(2, d, 2, d)
-    t2 = monodromy_full(lam2, params).reshape(2, d, 2, d)
-    e1 = np.zeros((4 * d, 4 * d), dtype=complex)
-    e2 = np.zeros((4 * d, 4 * d), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[a, b] = 1.0
-            e1 += kron_chain(e, np.eye(2), t1[a, :, b, :])
-            e2 += kron_chain(np.eye(2), e, t2[a, :, b, :])
-    r12 = kron_chain(r_matrix(lam1 - lam2, params), np.eye(d))
-    lhs = r12 @ e1 @ e2
-    rhs = e2 @ e1 @ r12
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300))
-
-
-def _action_residual(lam, params) -> float:
-    blocks = monodromy(lam, params)
-    up, down = reference_states(params.L)
-    g = params.gamma
-    aprod = np.prod([np.sinh(lam - m + g) for m in params.mu])
-    bprod = np.prod([np.sinh(lam - m) for m in params.mu])
-    scale = max(abs(aprod), abs(bprod), 1.0)
-    residuals = [
-        np.linalg.norm(blocks.a_op @ up - aprod * up),
-        np.linalg.norm(blocks.d_op @ up - bprod * up),
-        np.linalg.norm(blocks.a_op @ down - bprod * down),
-        np.linalg.norm(blocks.d_op @ down - aprod * down),
-        np.linalg.norm(blocks.b_op @ down),
-        np.linalg.norm(blocks.c_op @ up),
-    ]
-    return float(max(residuals) / scale)
-
-
-def _logderiv_residual(params) -> float:
-    h = 1e-5
-    t0 = transfer(0j, params)
-    dlog = (transfer(h, params) - transfer(-h, params)) / (2 * h) \
-        @ np.linalg.inv(t0)
-    ham = hamiltonian(params)
-    basis = np.stack([ham.ravel(), np.eye(params.dim, dtype=complex).ravel()],
-                     axis=1)
-    coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)
-    fit = (basis @ coefs).reshape(params.dim, params.dim)
-    return float(np.linalg.norm(dlog - fit) / max(np.linalg.norm(dlog), 1e-300))
-
-
 def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, reports)."""
     runner = _Runner(config)
@@ -759,11 +685,9 @@ def build_config(argv) -> RunConfig:
         gamma_mode, root_k, root_l = "explicit", 1, 2
         gamma = _parse_gamma(args.gamma) if args.gamma else complex(0.6, 0.25)
     mu_mode, mu_values = _parse_mu(args.mu)
+    suites = None
     if args.suite:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-    else:
-        suites = tuple(s for s in SUITES if s != "rou") \
-            if gamma_mode == "explicit" else SUITES
     tols = {}
     for item in args.tol:
         if "=" not in item:

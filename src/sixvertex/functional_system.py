@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dwbc import b_product_state, z_bproduct
 from .errors import DegenerateSpectrum, K0Undefined, PoleEncountered
 from .numkit import eig_general
 from .vertex_core import (
@@ -203,14 +204,9 @@ def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
 def f_n(lams, state: EigenState, params: ModelParams) -> complex:
     """Scalar realization of an n-fold creation-operator string."""
     lams = list(lams)
-    n = len(lams)
-    if n < 0 or n > params.L:
+    if len(lams) > params.L:
         return 0j
-    up, _ = reference_states(params.L)
-    v = up
-    for lam in reversed(lams):
-        v = b_operator(lam, params) @ v
-    return complex(state.left @ v)
+    return complex(state.left @ b_product_state(lams, params))
 
 
 def b_string(lams, params: ModelParams) -> np.ndarray:
@@ -366,8 +362,6 @@ def check_theorem(state: EigenState, vars_, params: ModelParams,
     `z_of` lets callers reuse a partition-function value shared between
     eigenstates of the same draw.
     """
-    from .dwbc import z_bproduct
-
     v = tuple(vars_)
     if len(v) != params.L:
         raise ValueError("need exactly L spectral parameters")
@@ -375,6 +369,19 @@ def check_theorem(state: EigenState, vars_, params: ModelParams,
     lhs = z * state.k0
     rhs = theorem_rhs(v, state.lam, params)
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+def k0_closed_form_residual(state: EigenState, params: ModelParams) -> float:
+    """Residual of the L = 2 closed form
+    k0 = Lambda(mu_1) Lambda(mu_2) / (c^2 sinh(mu_1 - mu_2 + g) sinh(mu_2 - mu_1 + g)),
+    relative to the closed-form value."""
+    if params.L != 2:
+        raise ValueError("the k0 closed form is stated for L = 2")
+    mu, g = params.mu, params.gamma
+    denom = (np.sinh(g) ** 2 * np.sinh(mu[0] - mu[1] + g)
+             * np.sinh(mu[1] - mu[0] + g))
+    ref = state.lam(mu[0]) * state.lam(mu[1]) / denom
+    return abs(state.k0 - ref) / max(abs(ref), 1e-300)
 
 
 def check_appendix(L: int, vars_, params: ModelParams) -> dict:

@@ -54,10 +54,6 @@ class EigenTriple:
     left: np.ndarray  # transpose-sense: left @ m == value * left
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def kron_chain(*ops) -> np.ndarray:
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
@@ -154,7 +150,3 @@ def poly_roots(p: CPoly) -> list[complex]:
     roots = np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
 
-
-def from_roots(roots, leading: complex = 1.0) -> CPoly:
-    coeffs = np.polynomial.polynomial.polyfromroots(np.asarray(roots, dtype=complex))
-    return CPoly(tuple(coeffs * leading))

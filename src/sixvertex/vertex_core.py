@@ -225,3 +225,90 @@ def reference_states(L: int):
     down = np.zeros(2**L, dtype=complex)
     down[-1] = 1.0
     return up, down
+
+
+# ---------------------------------------------------------------------------
+# Residuals of the structural identities, shared by the command-line suite
+# and the tests.  Each is relative to the size of the terms it compares.
+
+
+def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-300))
+
+
+def _embed_13(op: np.ndarray, d: int) -> np.ndarray:
+    """Lift an operator on C^2 x C^d to C^2 x C^2 x C^d, acting as the
+    identity on the middle factor."""
+    return np.einsum("aqbr,cs->acqbsr", op.reshape(2, d, 2, d),
+                     np.eye(2)).reshape(4 * d, 4 * d)
+
+
+def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
+    """Yang-Baxter equation R12(lam-mu) R13(lam) R23(mu) = R23 R13 R12."""
+    r12 = np.kron(r_matrix(lam - mu, params), ID2)
+    r13 = _embed_13(r_matrix(lam, params), 2)
+    r23 = np.kron(ID2, r_matrix(mu, params))
+    lhs = r12 @ r13 @ r23
+    return _rel(lhs - r23 @ r13 @ r12, lhs)
+
+
+def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
+    """Exchange relation R(lam1-lam2) T1(lam1) T2(lam2) = T2 T1 R of the
+    full monodromy operators on two auxiliary spaces."""
+    t1 = _embed_13(monodromy_full(lam1, params), params.dim)
+    t2 = np.kron(ID2, monodromy_full(lam2, params))
+    r12 = np.kron(r_matrix(lam1 - lam2, params), np.eye(params.dim))
+    lhs = r12 @ t1 @ t2
+    return _rel(lhs - t2 @ t1 @ r12, lhs)
+
+
+def action_residual(lam: complex, params: ModelParams) -> float:
+    """Action of A, B, C, D on the all-up and all-down reference states,
+    relative to the largest vacuum eigenvalue (and at least 1)."""
+    blocks = monodromy(lam, params)
+    up, down = reference_states(params.L)
+    g = params.gamma
+    aprod = np.prod([np.sinh(lam - m + g) for m in params.mu])
+    bprod = np.prod([np.sinh(lam - m) for m in params.mu])
+    scale = max(abs(aprod), abs(bprod), 1.0)
+    residuals = [
+        np.linalg.norm(blocks.a_op @ up - aprod * up),
+        np.linalg.norm(blocks.d_op @ up - bprod * up),
+        np.linalg.norm(blocks.a_op @ down - bprod * down),
+        np.linalg.norm(blocks.d_op @ down - aprod * down),
+        np.linalg.norm(blocks.b_op @ down),
+        np.linalg.norm(blocks.c_op @ up),
+    ]
+    return float(max(residuals) / scale)
+
+
+def full_product_residuals(lam: complex, params: ModelParams) -> dict:
+    """Blocks and transfer matrix against the independent full product.
+
+    ``block_assembly`` compares the A/B/C/D blocks with
+    :func:`monodromy_full`; ``trace_form`` compares :func:`transfer` with
+    the auxiliary-space trace of G times that full product.
+    """
+    d = params.dim
+    full = monodromy_full(lam, params)
+    twisted = (np.kron(twist_matrix(), np.eye(d)) @ full).reshape(2, d, 2, d)
+    tmat = transfer(lam, params)
+    return {
+        "block_assembly": _rel(monodromy(lam, params).assemble() - full, full),
+        "trace_form": _rel(np.trace(twisted, axis1=0, axis2=2) - tmat, tmat),
+    }
+
+
+def log_derivative_residual(params: ModelParams) -> float:
+    """Distance of T'(0) T(0)^-1 from the span of {H, 1}, by central
+    differences; homogeneous chains only."""
+    h = 1e-5
+    t0 = transfer(0j, params)
+    dlog = (transfer(h, params) - transfer(-h, params)) / (2 * h) \
+        @ np.linalg.inv(t0)
+    ham = hamiltonian(params)
+    basis = np.stack([ham.ravel(), np.eye(params.dim, dtype=complex).ravel()],
+                     axis=1)
+    coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)
+    fit = (basis @ coefs).reshape(params.dim, params.dim)
+    return _rel(dlog - fit, dlog)

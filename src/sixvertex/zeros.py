@@ -213,8 +213,14 @@ def check_zero_coincidence(data: SpectralData, params: ModelParams,
 
 
 def wronskian_coeffs(data: SpectralData, params: ModelParams,
-                     radius: float = 1.0) -> list:
-    """Coefficients C_0..C_[L] of the Wronskian Z F' - F Z' in x."""
+                     radius: float = 1.0) -> tuple[list, float]:
+    """Coefficients C_0..C_[L] of the Wronskian Z F' - F Z' in x, and their
+    magnitude scale for relative vanishing tests.
+
+    Both come from one fit of Z and F.  The Wronskian is bilinear in the two
+    fitted polynomials, so the scale is the product of their largest
+    coefficient magnitudes.
+    """
     zpol, fpol = _fit_pair(data, params, radius)
     zc = np.asarray(zpol.coeffs)
     fc = np.asarray(fpol.coeffs)
@@ -225,17 +231,5 @@ def wronskian_coeffs(data: SpectralData, params: ModelParams,
     top = even_floor(params.L)
     padded = np.zeros(top + 1, dtype=complex)
     padded[: min(len(wron), top + 1)] = wron[: top + 1]
-    return [complex(c) for c in padded]
-
-
-def wronskian_scale(data: SpectralData, params: ModelParams,
-                    radius: float = 1.0) -> float:
-    """Magnitude scale of the Wronskian terms, for relative vanishing tests.
-
-    The Wronskian is bilinear in the two fitted polynomials, so their
-    coefficient scales multiply.
-    """
-    zpol, fpol = _fit_pair(data, params, radius)
-    zc = np.abs(np.asarray(zpol.coeffs))
-    fc = np.abs(np.asarray(fpol.coeffs))
-    return float(max(zc.max() * fc.max(), 1e-300))
+    scale = float(max(np.abs(zc).max() * np.abs(fc).max(), 1e-300))
+    return [complex(c) for c in padded], scale

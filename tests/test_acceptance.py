@@ -24,13 +24,13 @@ from sixvertex.functional_system import (
     check_tphi,
     even_floor,
     gamma_coeff,
+    k0_closed_form_residual,
     m_coeff,
     n_coeff,
     omega_coeff,
     transfer_eigenstates,
     v_coeff,
 )
-from sixvertex.numkit import kron_chain
 from sixvertex.prefix_oracle import (
     oracle_gamma,
     oracle_m,
@@ -49,15 +49,16 @@ from sixvertex.roots_of_unity import (
 )
 from sixvertex.vertex_core import (
     ModelParams,
+    action_residual,
+    full_product_residuals,
     generic_points,
-    monodromy,
-    monodromy_full,
     r_matrix,
-    reference_states,
+    rll_residual,
     sample_mu,
     transfer,
     twist_matrix,
     weights,
+    ybe_residual,
 )
 from sixvertex.zeros import (
     SpectralData,
@@ -65,7 +66,6 @@ from sixvertex.zeros import (
     check_zero_coincidence,
     extract_zeros,
     wronskian_coeffs,
-    wronskian_scale,
 )
 
 GAMMA = complex(0.6, 0.25)
@@ -103,19 +103,6 @@ def report(name, ok, detail):
 
 
 # ---------------------------------------------------------------- criterion 1
-def _embed_13(r4):
-    r = r4.reshape(2, 2, 2, 2)
-    out = np.zeros((8, 8), dtype=complex)
-    for i1 in range(2):
-        for i3 in range(2):
-            for j1 in range(2):
-                for j3 in range(2):
-                    for k in range(2):
-                        out[4 * i1 + 2 * k + i3, 4 * j1 + 2 * k + j3] += \
-                            r[i1, i3, j1, j3]
-    return out
-
-
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
 def test_criterion1_structural(L):
     p = params_for(L)
@@ -123,36 +110,14 @@ def test_criterion1_structural(L):
     gg = np.kron(twist_matrix(), twist_matrix())
     worst = {"ybe": 0.0, "twist": 0.0, "rll": 0.0, "commuting": 0.0,
              "action": 0.0, "exact": 0.0}
-    d = p.dim
     for _ in range(DRAWS):
         lam, mu_ = generic_points(2, rng, avoid=p.mu)
-        r12 = np.kron(r_matrix(lam - mu_, p), np.eye(2))
-        r13 = _embed_13(r_matrix(lam, p))
-        r23 = np.kron(np.eye(2), r_matrix(mu_, p))
-        lhs = r12 @ r13 @ r23
-        worst["ybe"] = max(worst["ybe"],
-                           np.linalg.norm(lhs - r23 @ r13 @ r12)
-                           / np.linalg.norm(lhs))
+        worst["ybe"] = max(worst["ybe"], ybe_residual(lam, mu_, p))
         r = r_matrix(lam, p)
         worst["twist"] = max(worst["twist"],
                              np.linalg.norm(r @ gg - gg @ r)
                              / np.linalg.norm(r))
-
-        t1 = monodromy_full(lam, p).reshape(2, d, 2, d)
-        t2 = monodromy_full(mu_, p).reshape(2, d, 2, d)
-        e1 = np.zeros((4 * d, 4 * d), dtype=complex)
-        e2 = np.zeros((4 * d, 4 * d), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = 1.0
-                e1 += kron_chain(e, np.eye(2), t1[a, :, b, :])
-                e2 += kron_chain(np.eye(2), e, t2[a, :, b, :])
-        rr = kron_chain(r_matrix(lam - mu_, p), np.eye(d))
-        lhs = rr @ e1 @ e2
-        worst["rll"] = max(worst["rll"],
-                           np.linalg.norm(lhs - e2 @ e1 @ rr)
-                           / np.linalg.norm(lhs))
+        worst["rll"] = max(worst["rll"], rll_residual(lam, mu_, p))
 
         tx, ty = transfer(lam, p), transfer(mu_, p)
         worst["commuting"] = max(
@@ -160,31 +125,9 @@ def test_criterion1_structural(L):
             np.linalg.norm(tx @ ty - ty @ tx)
             / (np.linalg.norm(tx) * np.linalg.norm(ty)),
         )
-
-        blocks = monodromy(lam, p)
-        up, down = reference_states(L)
-        aprod = np.prod([np.sinh(lam - m + p.gamma) for m in p.mu])
-        bprod = np.prod([np.sinh(lam - m) for m in p.mu])
-        scale = max(abs(aprod), abs(bprod), 1.0)
-        worst["action"] = max(
-            worst["action"],
-            max(
-                np.linalg.norm(blocks.a_op @ up - aprod * up),
-                np.linalg.norm(blocks.d_op @ up - bprod * up),
-                np.linalg.norm(blocks.a_op @ down - bprod * down),
-                np.linalg.norm(blocks.d_op @ down - aprod * down),
-                np.linalg.norm(blocks.b_op @ down),
-                np.linalg.norm(blocks.c_op @ up),
-            ) / scale,
-        )
-        t_sum = blocks.b_op + blocks.c_op
-        tr = np.trace(
-            (np.kron(twist_matrix(), np.eye(d)) @ blocks.assemble())
-            .reshape(2, d, 2, d), axis1=0, axis2=2,
-        )
+        worst["action"] = max(worst["action"], action_residual(lam, p))
         worst["exact"] = max(worst["exact"],
-                             np.linalg.norm(tr - t_sum)
-                             / max(np.linalg.norm(t_sum), 1e-300))
+                             full_product_residuals(lam, p)["trace_form"])
     a0, b0, _ = weights(0j, p.gamma)
     worst["exact"] = max(worst["exact"], abs(b0),
                          np.linalg.norm(twist_matrix() @ twist_matrix()
@@ -304,13 +247,9 @@ def test_criterion5_partition_from_eigenvalues(L):
 def test_criterion5_k0_closed_form():
     p = params_for(2)
     states = states_for(p, 6002)
-    c = np.sinh(p.gamma)
-    denom = c ** 2 * np.sinh(p.mu[0] - p.mu[1] + p.gamma) * np.sinh(
-        p.mu[1] - p.mu[0] + p.gamma)
     worst = 0.0
     for st in states:
-        ref = st.lam(p.mu[0]) * st.lam(p.mu[1]) / denom
-        worst = max(worst, abs(st.k0 - ref) / abs(ref))
+        worst = max(worst, k0_closed_form_residual(st, p))
     assert report("5.k0_closed_form", worst < 1e-8, f"worst={worst:.2e}")
 
 
@@ -400,19 +339,16 @@ def test_criterion7_wronskian(L):
     worst = 0.0
     weakest_kick = np.inf
     for data in specs:
-        scale = wronskian_scale(data, p)
-        worst = max(worst,
-                    max(abs(c) for c in wronskian_coeffs(data, p)) / scale)
+        coeffs, scale = wronskian_coeffs(data, p)
+        worst = max(worst, max(abs(c) for c in coeffs) / scale)
         for j in range(len(data.zeros)):
             kicked_zeros = list(data.zeros)
             kicked_zeros[j] += 1e-2
             kicked = SpectralData(data.state, data.lambda0_value,
                                   tuple(kicked_zeros), data.k0)
-            kscale = wronskian_scale(kicked, p)
-            weakest_kick = min(
-                weakest_kick,
-                max(abs(c) for c in wronskian_coeffs(kicked, p)) / kscale,
-            )
+            kcoeffs, kscale = wronskian_coeffs(kicked, p)
+            weakest_kick = min(weakest_kick,
+                               max(abs(c) for c in kcoeffs) / kscale)
     ok = worst < 1e-6 and weakest_kick > 1e-3
     assert report(f"7.wronskian[L={L}]", ok,
                   f"worst={worst:.2e}, weakest perturbation response "

@@ -2,13 +2,29 @@ import re
 
 import pytest
 
-from sixvertex.cli import RunConfig, build_config, main, run, sample_params
+from sixvertex.cli import (
+    DEFAULT_TOLS,
+    RunConfig,
+    _Runner,
+    build_config,
+    main,
+    run,
+    sample_params,
+)
 from sixvertex.errors import ConfigError
+from sixvertex.report import CheckReport
 
 LINE_RE = re.compile(
-    r"^check=[\w.]+ anchor=[\w]+ residual=[0-9.e+-]+|inf tol=[0-9.e+-]+ "
+    r"^check=[\w.]+ anchor=\w+ residual=(?:[0-9.e+-]+|inf) tol=[0-9.e+-]+ "
     r"verdict=(pass|fail|conjecture_evidence) params_digest=[0-9a-f]{12}$"
 )
+
+
+def test_line_pattern_accepts_inf_and_rejects_trailing_garbage():
+    inf_line = CheckReport("zeros.wronskian.state0", "CK", float("inf"), 1e-6,
+                           "fail", "0123456789ab").line()
+    assert LINE_RE.match(inf_line), inf_line
+    assert not LINE_RE.match("check=a anchor=b residual=1e-3 GARBAGE")
 
 
 def test_size_cap_rejected():
@@ -68,6 +84,36 @@ def test_report_reproducible_bit_for_bit(tmp_path):
                         output_path=str(out))
         run(cfg)
     assert out1.read_text() == out2.read_text()
+
+
+def test_every_record_has_a_default_tolerance(tmp_path):
+    # structural + hamiltonian records (mu zero), the L = 2 closed form,
+    # the L = 3 appendix identities, and the rou records of l = 2..5
+    out = str(tmp_path / "r.txt")
+    explicit = dict(gamma_mode="explicit", gamma=0.6 + 0.25j, seed=1,
+                    output_path=out)
+    configs = [
+        RunConfig(L=2, mu_mode="zero", **explicit),
+        RunConfig(L=3, suites=("theorem",), **explicit),
+    ] + [
+        RunConfig(L=2, gamma_mode="root_of_unity", root_l=l, seed=1,
+                  output_path=out)
+        for l in (2, 3, 4, 5)
+    ]
+    families = set()
+    for cfg in configs:
+        _, reports = run(cfg)
+        families |= {".".join(r.name.split(".")[:2]) for r in reports}
+    assert {f.split(".")[0] for f in families} == {
+        "structural", "dwbc", "functional", "theorem", "zeros", "rou"}
+    assert families <= set(DEFAULT_TOLS), families - set(DEFAULT_TOLS)
+
+
+def test_unknown_check_family_has_no_default_tolerance():
+    runner = _Runner(RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j))
+    assert runner.tol("functional.fl.state3.n2") == DEFAULT_TOLS["functional.fl"]
+    with pytest.raises(KeyError):
+        runner.tol("functional.renamed_check")
 
 
 def test_tolerance_override_changes_verdict(tmp_path):

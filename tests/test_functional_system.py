@@ -10,6 +10,7 @@ from sixvertex.functional_system import (
     check_tphi,
     f_n,
     gamma_coeff,
+    k0_closed_form_residual,
     m_coeff,
     n_coeff,
     omega_coeff,
@@ -17,7 +18,8 @@ from sixvertex.functional_system import (
     transfer_eigenstates,
     v_coeff,
 )
-from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
+from sixvertex import vertex_core
+from sixvertex.vertex_core import ModelParams, generic_points, sample_mu, weights
 
 GAMMA = complex(0.43, 0.21)
 
@@ -286,12 +288,21 @@ def test_partition_function_from_eigenvalues(L):
 def test_k0_closed_form_size_two():
     p = params_for(2, seed=140)
     states = states_for(p, seed=141)
-    c = np.sinh(GAMMA)
-    denom = c ** 2 * np.sinh(p.mu[0] - p.mu[1] + GAMMA) * np.sinh(
-        p.mu[1] - p.mu[0] + GAMMA)
     for st in states:
-        ref = st.lam(p.mu[0]) * st.lam(p.mu[1]) / denom
-        assert abs(st.k0 - ref) < 1e-8 * abs(ref)
+        assert k0_closed_form_residual(st, p) < 1e-8
+
+
+def test_k0_closed_form_detects_rescaled_weight(monkeypatch):
+    # with c scaled by 1.1 in the model, the closed form (which uses the
+    # unscaled c) must miss by far more than any tolerance
+    def scaled_c(lam, gamma):
+        a, b, c = weights(lam, gamma)
+        return a, b, 1.1 * c
+
+    monkeypatch.setattr(vertex_core, "weights", scaled_c)
+    p = params_for(2, seed=140)
+    for st in states_for(p, seed=141):
+        assert k0_closed_form_residual(st, p) > 1e-3
 
 
 def test_k0_closed_form_homogeneous():

@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
 
+from sixvertex import vertex_core
 from sixvertex.numkit import kron_chain
 from sixvertex.vertex_core import (
     SX,
     ModelParams,
+    action_residual,
+    full_product_residuals,
     generic_points,
     hamiltonian,
     is_generic,
+    log_derivative_residual,
     monodromy,
-    monodromy_full,
     r_matrix,
-    reference_states,
+    rll_residual,
     sample_mu,
     site_op,
     transfer,
     twist_matrix,
     weights,
+    ybe_residual,
 )
 
 GAMMA = complex(0.43, 0.21)
@@ -52,28 +56,12 @@ def test_r_at_origin_is_swap():
     assert np.linalg.norm(r_matrix(0j, p) - np.sinh(GAMMA) * swap) < 1e-15
 
 
-def _embed_13(r4):
-    r = r4.reshape(2, 2, 2, 2)
-    out = np.zeros((8, 8), dtype=complex)
-    for i1 in range(2):
-        for i3 in range(2):
-            for j1 in range(2):
-                for j3 in range(2):
-                    for k in range(2):
-                        out[4 * i1 + 2 * k + i3, 4 * j1 + 2 * k + j3] += \
-                            r[i1, i3, j1, j3]
-    return out
-
-
 def test_yang_baxter_equation():
     p = params_for(1)
     rng = np.random.default_rng(11)
     for _ in range(100):
         lam, mu_ = generic_points(2, rng)
-        r12 = np.kron(r_matrix(lam - mu_, p), np.eye(2))
-        r13 = _embed_13(r_matrix(lam, p))
-        r23 = np.kron(np.eye(2), r_matrix(mu_, p))
-        assert np.linalg.norm(r12 @ r13 @ r23 - r23 @ r13 @ r12) < 1e-10
+        assert ybe_residual(lam, mu_, p) < 1e-10
 
 
 def test_r_unitarity():
@@ -116,47 +104,21 @@ def test_action_on_reference_states(L):
     p = params_for(L)
     rng = np.random.default_rng(L)
     lam = generic_points(1, rng, avoid=p.mu)[0]
-    blocks = monodromy(lam, p)
-    up, down = reference_states(L)
-    aprod = np.prod([np.sinh(lam - m + GAMMA) for m in p.mu])
-    bprod = np.prod([np.sinh(lam - m) for m in p.mu])
-    scale = max(abs(aprod), abs(bprod), 1.0)
-    assert np.linalg.norm(blocks.a_op @ up - aprod * up) < 1e-10 * scale
-    assert np.linalg.norm(blocks.d_op @ up - bprod * up) < 1e-10 * scale
-    assert np.linalg.norm(blocks.a_op @ down - bprod * down) < 1e-10 * scale
-    assert np.linalg.norm(blocks.d_op @ down - aprod * down) < 1e-10 * scale
-    assert np.linalg.norm(blocks.b_op @ down) < 1e-10 * scale
-    assert np.linalg.norm(blocks.c_op @ up) < 1e-10 * scale
+    assert action_residual(lam, p) < 1e-10
 
 
 def test_block_reassembly_matches_full_product():
     p = params_for(3)
     lam = -0.21 + 0.64j
-    blocks = monodromy(lam, p)
-    full = monodromy_full(lam, p)
-    assert np.linalg.norm(blocks.assemble() - full) < 1e-12 * np.linalg.norm(full)
+    assert full_product_residuals(lam, p)["block_assembly"] < 1e-12
 
 
 def test_rll_exchange_relation():
     p = params_for(3)
     rng = np.random.default_rng(17)
-    d = p.dim
     for _ in range(5):
         lam1, lam2 = generic_points(2, rng, avoid=p.mu)
-        t1 = monodromy_full(lam1, p).reshape(2, d, 2, d)
-        t2 = monodromy_full(lam2, p).reshape(2, d, 2, d)
-        e1 = np.zeros((4 * d, 4 * d), dtype=complex)
-        e2 = np.zeros((4 * d, 4 * d), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = 1.0
-                e1 += kron_chain(e, np.eye(2), t1[a, :, b, :])
-                e2 += kron_chain(np.eye(2), e, t2[a, :, b, :])
-        r12 = kron_chain(r_matrix(lam1 - lam2, p), np.eye(d))
-        lhs = r12 @ e1 @ e2
-        rhs = e2 @ e1 @ r12
-        assert np.linalg.norm(lhs - rhs) < 1e-9 * np.linalg.norm(lhs)
+        assert rll_residual(lam1, lam2, p) < 1e-9
 
 
 def test_transfer_single_site():
@@ -175,11 +137,7 @@ def test_transfer_is_block_sum_and_trace():
     blocks = monodromy(lam, p)
     t = transfer(lam, p)
     assert np.array_equal(t, blocks.b_op + blocks.c_op)
-    d = p.dim
-    full = monodromy_full(lam, p)
-    tr = np.trace((np.kron(twist_matrix(), np.eye(d)) @ full).reshape(2, d, 2, d),
-                  axis1=0, axis2=2)
-    assert np.linalg.norm(tr - t) < 1e-12 * np.linalg.norm(t)
+    assert full_product_residuals(lam, p)["trace_form"] < 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
@@ -229,14 +187,7 @@ def test_hamiltonian_commutes_with_transfer(L):
 
 def test_transfer_log_derivative_is_affine_in_hamiltonian():
     p = ModelParams(3, GAMMA, (0, 0, 0))
-    h = 1e-5
-    t0 = transfer(0j, p)
-    dlog = (transfer(h, p) - transfer(-h, p)) / (2 * h) @ np.linalg.inv(t0)
-    ham = hamiltonian(p)
-    basis = np.stack([ham.ravel(), np.eye(p.dim, dtype=complex).ravel()], axis=1)
-    coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)
-    fit = (basis @ coefs).reshape(p.dim, p.dim)
-    assert np.linalg.norm(dlog - fit) / np.linalg.norm(dlog) < 1e-6
+    assert log_derivative_residual(p) < 1e-6
 
 
 def test_site_op_embedding():
@@ -252,3 +203,41 @@ def test_genericity_filter_and_determinism():
     assert mu1 == mu2
     assert is_generic(ModelParams(4, GAMMA, mu1))
     assert not is_generic(ModelParams(2, GAMMA, (0.3, 0.3)))
+
+
+def _scaled_c(lam, gamma):
+    a, b, c = weights(lam, gamma)
+    return a, b, 1.1 * c
+
+
+def _swapped_ab(lam, gamma):
+    a, b, c = weights(lam, gamma)
+    return b, a, c
+
+
+LAM, MU = 0.31 + 0.15j, -0.2 + 0.4j
+
+# check -> (vertex_core attribute, replacement that breaks the identity,
+# residual at a fixed point of a 3-site chain)
+BREAKS = {
+    "ybe": ("weights", _scaled_c, lambda p: ybe_residual(LAM, MU, p)),
+    "rll": ("weights", _scaled_c, lambda p: rll_residual(LAM, MU, p)),
+    "action": ("weights", _swapped_ab, lambda p: action_residual(LAM, p)),
+    "block_assembly": (
+        "kron_chain", lambda *ops: kron_chain(*reversed(ops)),
+        lambda p: full_product_residuals(LAM, p)["block_assembly"]),
+    "trace_form": (
+        "twist_matrix", lambda: np.eye(2, dtype=complex),
+        lambda p: full_product_residuals(LAM, p)["trace_form"]),
+    "log_derivative": (
+        "weights", _scaled_c,
+        lambda p: log_derivative_residual(ModelParams(p.L, p.gamma, (0,) * p.L))),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BREAKS))
+def test_residual_reads_large_on_broken_identity(check, monkeypatch):
+    attr, broken, residual = BREAKS[check]
+    p = params_for(3)
+    monkeypatch.setattr(vertex_core, attr, broken)
+    assert residual(p) > 1e-3

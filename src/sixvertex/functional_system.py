@@ -6,7 +6,7 @@ theorem, cross-check identities)."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,13 +103,49 @@ def n_coeff(j: int, i: int, vars_, params: ModelParams) -> complex:
     )
 
 
+class _Spectrum:
+    """The eigenvectors of one diagonalization, shared by its states.
+
+    Work that does not depend on the state is done once per spectral point:
+    ``values(x)`` builds ``transfer(x)`` once and sandwiches it for every
+    state with the single-state arithmetic ``left @ t @ right / norm``,
+    kept as one complex128 vector; ``b_op(x)`` keeps ``B(x)`` for
+    the fixed abscissae at which every state's fits sample.  Both memos
+    live as long as the states that share them, i.e. one run.
+    """
+
+    def __init__(self, params: ModelParams, trips, norms):
+        self.params = params
+        self._pairs = [(tr.left, tr.right, norm) for tr, norm in zip(trips, norms)]
+        self._values = {}
+        self._b_ops = {}
+
+    def values(self, x: complex) -> np.ndarray:
+        vals = self._values.get(x)
+        if vals is None:
+            t = transfer(x, self.params)
+            vals = np.array([left @ t @ right / norm
+                             for left, right, norm in self._pairs],
+                            dtype=complex)
+            self._values[x] = vals
+        return vals
+
+    def b_op(self, x: complex) -> np.ndarray:
+        bop = self._b_ops.get(x)
+        if bop is None:
+            bop = self._b_ops[x] = b_operator(x, self.params)
+        return bop
+
+
 @dataclass(frozen=True)
 class EigenState:
     """One transfer-matrix eigenstate with its overlap data.
 
     The left vector is transpose-sense; `lam` evaluates the eigenvalue
     function at any spectral parameter through the sandwiched transfer
-    matrix, valid because the family commutes.
+    matrix, valid because the family commutes.  The states of one
+    `transfer_eigenstates` call share one `_Spectrum`, so a point costs
+    one transfer-matrix build for all of them.
     """
 
     index: int
@@ -121,6 +157,7 @@ class EigenState:
     f0: complex
     f0bar: complex
     params: ModelParams
+    _spectrum: _Spectrum = field(repr=False, compare=False)
 
     @property
     def k0(self) -> complex:
@@ -133,8 +170,7 @@ class EigenState:
         return abs(self.f0) >= EPS_GENERIC * np.linalg.norm(self.left)
 
     def lam(self, x: complex) -> complex:
-        t = transfer(x, self.params)
-        return complex(self.left @ t @ self.right / self.norm)
+        return complex(self._spectrum.values(x)[self.index])
 
 
 def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
@@ -160,28 +196,26 @@ def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
             for i in range(len(vals))
             for j in range(i + 1, len(vals))
         )
-        states = []
-        for idx, tr in enumerate(trips):
-            norm = complex(tr.left @ tr.right)
-            if abs(norm) < 1e-10:
-                states = None
-                break
-            states.append(
-                EigenState(
-                    index=idx,
-                    sample_point=sample,
-                    value_at_sample=complex(tr.value),
-                    right=tr.right,
-                    left=tr.left,
-                    norm=norm,
-                    f0=complex(tr.left @ up),
-                    f0bar=complex(tr.left @ down),
-                    params=params,
-                )
-            )
-        if states is None:
+        norms = [complex(tr.left @ tr.right) for tr in trips]
+        if any(abs(norm) < 1e-10 for norm in norms):
             last_exc = DegenerateSpectrum("vanishing left/right overlap")
             continue
+        spectrum = _Spectrum(params, trips, norms)
+        states = [
+            EigenState(
+                index=idx,
+                sample_point=sample,
+                value_at_sample=complex(tr.value),
+                right=tr.right,
+                left=tr.left,
+                norm=norm,
+                f0=complex(tr.left @ up),
+                f0bar=complex(tr.left @ down),
+                params=params,
+                _spectrum=spectrum,
+            )
+            for idx, (tr, norm) in enumerate(zip(trips, norms))
+        ]
         if spacing_ok:
             return states
         # near-degenerate at the sample point: keep only if the family is
@@ -259,21 +293,36 @@ def check_fl(n: int, state: EigenState, vars_, params: ModelParams) -> float:
     v = tuple(vars_)
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
+    up, _ = reference_states(params.L)
+    bops = {}
+
+    def f_slots(slots):
+        # f_n over the given slots of v, applied in b_product_state's order,
+        # with each B(v_t) built once per call
+        if len(slots) > params.L:
+            return 0j
+        vec = up
+        for t in reversed(slots):
+            if t not in bops:
+                bops[t] = b_operator(v[t], params)
+            vec = bops[t] @ vec
+        return complex(state.left @ vec)
+
     terms = []
-    lhs = state.lam(v[0]) * f_n(v[1:], state, params)
+    lhs = state.lam(v[0]) * f_slots(range(1, n + 1))
     terms.append(lhs)
-    t_next = f_n(v, state, params) if n + 1 <= params.L else 0j
+    t_next = f_slots(range(n + 1)) if n + 1 <= params.L else 0j
     terms.append(t_next)
     acc = t_next
     for i in range(1, n + 1):
-        rest = [v[t] for t in range(1, n + 1) if t != i]
-        term = m_coeff(i, v, params) * f_n(rest, state, params)
+        rest = [t for t in range(1, n + 1) if t != i]
+        term = m_coeff(i, v, params) * f_slots(rest)
         terms.append(term)
         acc += term
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            rest = [v[t] for t in range(0, n + 1) if t not in (i, j)]
-            term = n_coeff(j, i, v, params) * f_n(rest, state, params)
+            rest = [t for t in range(0, n + 1) if t not in (i, j)]
+            term = n_coeff(j, i, v, params) * f_slots(rest)
             terms.append(term)
             acc += term
     scale = max(abs(t) for t in terms)
@@ -300,12 +349,14 @@ def v_coeff(m: int, indices, vars_, params: ModelParams) -> complex:
     g = params.gamma
     comp = [v[t] for t in range(len(v)) if t not in idx]
     c = np.sinh(g)
+    # each removed slot enters many (j, k) assignments; its site products once
+    sites = {t: _site_products(v[t], params) for t in idx}
     total = 0j
     for jset in itertools.combinations(idx, m):
         kpool = [t for t in idx if t not in jset]
         jfac = 1.0 + 0j
         for jl in jset:
-            ap, _ = _site_products(v[jl], params)
+            ap, _ = sites[jl]
             jfac *= ap
             for lam in comp:
                 jfac *= _a(lam - v[jl], g) / _b(lam - v[jl])
@@ -313,7 +364,7 @@ def v_coeff(m: int, indices, vars_, params: ModelParams) -> complex:
         for kperm in itertools.permutations(kpool, m):
             kfac = 1.0 + 0j
             for jl, kl in zip(jset, kperm):
-                _, bp = _site_products(v[kl], params)
+                _, bp = sites[kl]
                 kfac *= bp * c / _b(v[jl] - v[kl])
                 for lam in comp:
                     kfac *= _a(v[kl] - lam, g) / _b(v[kl] - lam)
@@ -334,40 +385,57 @@ def even_floor(x: int) -> int:
     return x if x % 2 == 0 else x - 1
 
 
-def theorem_terms(vars_, lam_of, params: ModelParams):
-    """Individual summands of the eigenvalue expansion over `vars_`."""
+def expansion_coeffs(vars_, params: ModelParams) -> list:
+    """(removed slots, V coefficient) for every summand of the eigenvalue
+    expansion over `vars_`, in summation order.  They do not depend on the
+    eigenstate, so one list serves every state at the same variables."""
     v = tuple(vars_)
     nvar = len(v)
+    return [
+        (idx, v_coeff(m, idx, v, params))
+        for m in range(even_floor(nvar) // 2 + 1)
+        for idx in itertools.combinations(range(nvar), 2 * m)
+    ]
+
+
+def theorem_terms(vars_, lam_of, params: ModelParams, coeffs=None):
+    """Individual summands of the eigenvalue expansion over `vars_`.
+
+    `coeffs` is ``expansion_coeffs(vars_, params)``, computed here when
+    not given.
+    """
+    v = tuple(vars_)
+    if coeffs is None:
+        coeffs = expansion_coeffs(v, params)
     out = []
-    for m in range(even_floor(nvar) // 2 + 1):
-        for idx in itertools.combinations(range(nvar), 2 * m):
-            coeff = v_coeff(m, idx, v, params)
-            prod = 1.0 + 0j
-            for t in range(nvar):
-                if t not in idx:
-                    prod *= lam_of(v[t])
-            out.append(coeff * prod)
+    for idx, coeff in coeffs:
+        prod = 1.0 + 0j
+        for t in range(len(v)):
+            if t not in idx:
+                prod *= lam_of(v[t])
+        out.append(coeff * prod)
     return out
 
 
-def theorem_rhs(vars_, lam_of, params: ModelParams) -> complex:
+def theorem_rhs(vars_, lam_of, params: ModelParams, coeffs=None) -> complex:
     """Eigenvalue-side of the partition-function expansion over `vars_`."""
-    return sum(theorem_terms(vars_, lam_of, params))
+    return sum(theorem_terms(vars_, lam_of, params, coeffs))
 
 
 def check_theorem(state: EigenState, vars_, params: ModelParams,
-                  z_of=None) -> float:
+                  z_of=None, coeffs=None) -> float:
     """Residual of Z * k0 against the eigenvalue expansion, relative to |Z k0|.
 
-    `z_of` lets callers reuse a partition-function value shared between
-    eigenstates of the same draw.
+    `z_of` and `coeffs` (see `theorem_terms`) let callers reuse the
+    partition function and the expansion coefficients, which eigenstates
+    of the same draw share.
     """
     v = tuple(vars_)
     if len(v) != params.L:
         raise ValueError("need exactly L spectral parameters")
     z = z_bproduct(v, params) if z_of is None else z_of(v)
     lhs = z * state.k0
-    rhs = theorem_rhs(v, state.lam, params)
+    rhs = theorem_rhs(v, state.lam, params, coeffs)
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 

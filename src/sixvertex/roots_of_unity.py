@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleEncountered
-from .functional_system import EigenState, m_coeff, n_coeff, theorem_terms
+from .functional_system import (
+    EigenState,
+    expansion_coeffs,
+    m_coeff,
+    n_coeff,
+    theorem_terms,
+)
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator
 from .zeros import SpectralData
 
@@ -265,13 +271,18 @@ def check_l3_relation(state: EigenState, params: ModelParams,
     return {"explicit_residual": worst_explicit, "form_agreement": worst_agree}
 
 
-def truncated_expansion_residual(state: EigenState, spec: RootOfUnitySpec,
+def truncated_expansion_residual(states, spec: RootOfUnitySpec,
                                  params: ModelParams, lam: complex) -> float:
     """Residual of the truncated eigenvalue expansion: the full expansion
-    sum over the l-fold shifted string must vanish."""
+    sum over the l-fold shifted string must vanish.  Worst over `states`,
+    which share the expansion coefficients of the string."""
     g = spec.gamma
     vars_ = tuple(lam - j * g for j in range(spec.l))
-    terms = theorem_terms(vars_, state.lam, params)
-    total = sum(terms)
-    scale = max(max(abs(t) for t in terms), 1e-300)
-    return float(abs(total) / scale)
+    coeffs = expansion_coeffs(vars_, params)
+    worst = 0.0
+    for state in states:
+        terms = theorem_terms(vars_, state.lam, params, coeffs)
+        total = sum(terms)
+        scale = max(max(abs(t) for t in terms), 1e-300)
+        worst = max(worst, float(abs(total) / scale))
+    return worst

@@ -243,6 +243,43 @@ def _embed_13(op: np.ndarray, d: int) -> np.ndarray:
                      np.eye(2)).reshape(4 * d, 4 * d)
 
 
+def _commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """Norm of [a, b] relative to ||a|| ||b||."""
+    return float(np.linalg.norm(a @ b - b @ a)
+                 / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300))
+
+
+def twist_symmetry_residual(lam: complex, params: ModelParams) -> float:
+    """Norm of [R(lam), G x G].  Absolute: G x G only permutes the entries
+    of R, so the commutator is exactly zero in floating point."""
+    gg = np.kron(twist_matrix(), twist_matrix())
+    r = r_matrix(lam, params)
+    return float(np.linalg.norm(r @ gg - gg @ r))
+
+
+def unitarity_residual(lam: complex, params: ModelParams) -> float:
+    """Unitarity R(lam) R(-lam) = a(lam) a(-lam) 1, relative to |a a|."""
+    prod = r_matrix(lam, params) @ r_matrix(-lam, params)
+    aa = weights(lam, params.gamma)[0] * weights(-lam, params.gamma)[0]
+    return float(np.linalg.norm(prod - aa * np.eye(4)) / abs(aa))
+
+
+def commuting_residual(x: complex, y: complex, params: ModelParams) -> float:
+    """Commutator of the transfer matrices at x and y."""
+    return _commutator(transfer(x, params), transfer(y, params))
+
+
+def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
+    """Commutator of the creation operators B(x) and B(y)."""
+    return _commutator(monodromy(x, params).b_op, monodromy(y, params).b_op)
+
+
+def hamiltonian_commute_residual(lam: complex, params: ModelParams) -> float:
+    """Commutator of the Hamiltonian with the transfer matrix at lam;
+    homogeneous chains only."""
+    return _commutator(hamiltonian(params), transfer(lam, params))
+
+
 def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
     """Yang-Baxter equation R12(lam-mu) R13(lam) R23(mu) = R23 R13 R12."""
     r12 = np.kron(r_matrix(lam - mu, params), ID2)

@@ -4,12 +4,12 @@ coincidence, and the Wronskian conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dwbc import b_product_state, z_bproduct
+from .dwbc import b_product_state
 from .errors import PoleEncountered, ReconstructionFailure
 from .functional_system import EigenState, even_floor, v_coeff
 from .numkit import CPoly, fit_poly, poly_roots
@@ -19,12 +19,16 @@ from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalue function data: value at the origin, its zeroes, and the
-    reference-state overlap ratio."""
+    reference-state overlap ratio.  The polynomial fits of Z(., w) and
+    F(., w) are kept with it, so every check on the same zero set uses
+    one fit."""
 
     state: EigenState
     lambda0_value: complex
     zeros: tuple
     k0: complex
+    _fits: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def L(self) -> int:
@@ -120,11 +124,14 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     deviation from +1.
     """
     L = params.L
+    # Z(lam0, w) = <down| B(lam0) phi, with phi the zero-set B-string on |up>
+    phi = b_product_state(data.zeros, params)
+    _, down = reference_states(L)
     ratios = []
     for lam0 in lambda0_draws:
         if any(abs(np.sinh(lam0 - w)) < EPS_GENERIC for w in data.zeros):
             raise PoleEncountered("lambda0 draw collides with a zero")
-        z = z_bproduct((lam0,) + data.zeros, params)
+        z = complex(down @ (b_operator(lam0, params) @ phi))
         denom = top_v(lam0, data, params)
         if abs(denom) < 1e-300:
             raise PoleEncountered("vanishing expansion coefficient")
@@ -157,13 +164,20 @@ def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> comple
 def _fit_pair(data: SpectralData, params: ModelParams, radius: float = 1.0,
               fit_tol: float = 1e-8):
     """Fit Z(., w) and F(., w) as degree L-1 polynomials in x, validating
-    the fit at held-out abscissae."""
+    the fit at held-out abscissae.  Fitted once per zero set and
+    (radius, tolerance); `params` are those of the eigenstate."""
+    key = (radius, fit_tol)
+    if key in data._fits:
+        return data._fits[key]
     L = params.L
     phi = b_product_state(data.zeros, params)
     _, down = reference_states(L)
+    # the sample abscissae are the same for every state of the draw, so the
+    # B operators there are built once per draw
+    b_at = data.state._spectrum.b_op
 
     def z_of(lam0):
-        return complex(down @ (b_operator(lam0, params) @ phi))
+        return complex(down @ (b_at(lam0) @ phi))
 
     def f_of(lam0):
         return build_F(lam0, data, params)
@@ -180,6 +194,7 @@ def _fit_pair(data: SpectralData, params: ModelParams, radius: float = 1.0,
                 raise ReconstructionFailure(
                     "sampled function is not a degree L-1 polynomial in x"
                 )
+    data._fits[key] = zpol, fpol
     return zpol, fpol
 
 

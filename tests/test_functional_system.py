@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sixvertex import dwbc, functional_system
 from sixvertex.dwbc import z_bproduct
 from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (
@@ -8,6 +9,7 @@ from sixvertex.functional_system import (
     check_fl,
     check_theorem,
     check_tphi,
+    expansion_coeffs,
     f_n,
     gamma_coeff,
     k0_closed_form_residual,
@@ -19,7 +21,13 @@ from sixvertex.functional_system import (
     v_coeff,
 )
 from sixvertex import vertex_core
-from sixvertex.vertex_core import ModelParams, generic_points, sample_mu, weights
+from sixvertex.vertex_core import (
+    ModelParams,
+    generic_points,
+    sample_mu,
+    transfer,
+    weights,
+)
 
 GAMMA = complex(0.43, 0.21)
 
@@ -137,6 +145,57 @@ def test_functional_hierarchy_all_states(L):
         for n in range(0, L + 2):
             v = generic_points(n + 1, rng, avoid=p.mu)
             assert check_fl(n, st, v, p) < 1e-8
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls made through `module.name`."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_all_states_at_one_point_share_one_transfer_build(monkeypatch):
+    p = params_for(4, seed=170)
+    states = states_for(p, seed=171)
+    x = 0.23 - 0.41j
+    t = transfer(x, p)
+    builds = counting(monkeypatch, functional_system, "transfer")
+    values = [st.lam(x) for st in states]
+    values += [st.lam(x) for st in states]
+    assert len(builds) == 1
+    direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
+    assert values == direct + direct
+
+
+def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):
+    # the same parameters and seed give the same vectors, so a memo shared
+    # between the two sets would answer the second from the first
+    p = params_for(3, seed=172)
+    first, second = states_for(p, seed=173), states_for(p, seed=173)
+    builds = counting(monkeypatch, functional_system, "transfer")
+    x = 0.37 + 0.19j
+    assert [st.lam(x) for st in first] == [st.lam(x) for st in second]
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
+    p = params_for(L, seed=174)
+    st = states_for(p, seed=175)[1]
+    rng = np.random.default_rng(176)
+    for n in range(0, L + 2):
+        v = generic_points(n + 1, rng, avoid=p.mu)
+        builds = (counting(monkeypatch, functional_system, "b_operator"),
+                  counting(monkeypatch, dwbc, "b_operator"))
+        check_fl(n, st, v, p)
+        monkeypatch.undo()
+        assert sum(map(len, builds)) <= n + 1
 
 
 def test_size_two_system_as_printed():
@@ -279,10 +338,14 @@ def test_partition_function_from_eigenvalues(L):
     rng = np.random.default_rng(130 + L)
     v = generic_points(L, rng, avoid=p.mu)
     z = z_bproduct(v, p)
+    coeffs = expansion_coeffs(v, p)
     for st in states:
         if not st.k0_defined:
             continue
-        assert check_theorem(st, v, p, z_of=lambda _: z) < 1e-8
+        res = check_theorem(st, v, p, z_of=lambda _: z)
+        assert res < 1e-8
+        # coefficients shared between states give the same residual
+        assert check_theorem(st, v, p, z_of=lambda _: z, coeffs=coeffs) == res
 
 
 def test_k0_closed_form_size_two():

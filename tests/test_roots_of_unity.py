@@ -204,8 +204,7 @@ def test_truncated_expansion_vanishes(l):
     spec, p, rng = setup_case(l, 3, seed=250 + l)
     states = transfer_eigenstates(p, rng)
     lam = generic_points(1, rng, avoid=p.mu)[0]
-    for st in states:
-        assert truncated_expansion_residual(st, spec, p, lam) < 1e-8
+    assert truncated_expansion_residual(states, spec, p, lam) < 1e-8
 
 
 def test_conjecture_regime_is_recorded_not_asserted():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sixvertex import zeros
 from sixvertex.functional_system import transfer_eigenstates, v_coeff
 from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
 from sixvertex.zeros import (
@@ -165,3 +166,23 @@ def test_wronskian_detects_perturbed_zero(L):
                               tuple(kicked_zeros), data.k0)
         coeffs, scale = wronskian_coeffs(kicked, p)
         assert max(abs(c) for c in coeffs) / scale > 1e-3
+
+
+def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
+    p, specs = spectral_for(3, seed=60)
+    data = specs[0]
+    fits = []
+    original = zeros.poly_in_x
+
+    def counted(*args):
+        fits.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(zeros, "poly_in_x", counted)
+    check_zero_coincidence(data, p)
+    wronskian_coeffs(data, p)
+    # one fit each of Z(., w) and F(., w)
+    assert len(fits) == 2
+    # another sampling radius is another fit
+    check_zero_coincidence(data, p, radius=1.3)
+    assert len(fits) == 4

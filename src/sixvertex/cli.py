@@ -131,6 +131,13 @@ DEFAULT_TOLS = {
 }
 
 
+def _covers(key: str, name: str) -> bool:
+    """A tolerance key covers a dotted check name when it is the name or
+    one of its leading dotted parts, so ``rou.bethe`` covers
+    ``rou.bethe.state3`` but not ``rou.bethe_l2.state3``."""
+    return name == key or name.startswith(key + ".")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration of one verification run."""
@@ -173,6 +180,13 @@ class RunConfig:
             raise ConfigError("the rou suite requires --root-of-unity")
         if self.draws < 1:
             raise ConfigError("draws must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        unknown = [key for key in self.tol_overrides
+                   if not any(_covers(key, fam) or _covers(fam, key)
+                              for fam in DEFAULT_TOLS)]
+        if unknown:
+            raise ConfigError(f"tolerance overrides match no check: {unknown}")
 
     def resolved_gamma(self) -> complex:
         if self.gamma_mode == "root_of_unity":
@@ -213,11 +227,11 @@ class _Runner:
         self._spectral = None
 
     def tol(self, name: str) -> float:
-        """Longest matching override prefix, else the default of the check
-        family (the first two dotted parts of the name)."""
+        """The longest override key covering the name, else the default of
+        the check family (the first two dotted parts of the name)."""
         best = None
         for key, val in self.config.tol_overrides.items():
-            if name.startswith(key) and (best is None or len(key) > len(best[0])):
+            if _covers(key, name) and (best is None or len(key) > len(best[0])):
                 best = (key, val)
         if best:
             return float(best[1])
@@ -339,7 +353,7 @@ class _Runner:
             worst_hw = max(worst_hw, check_highest_weight(lams, p))
             over = generic_points(p.L + 1, rng, avoid=p.mu)
             vec = b_product_state(over, p)
-            scale = np.prod([np.linalg.norm(monodromy(x, p).b_op, 2)
+            scale = np.prod([np.linalg.norm(monodromy(x, p)[0, 1], 2)
                              for x in over])
             worst_over = max(worst_over,
                              np.linalg.norm(vec) / max(scale, 1e-300))

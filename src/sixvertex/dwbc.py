@@ -27,7 +27,7 @@ def z_bproduct(lams, params: ModelParams) -> complex:
     return complex(down @ b_product_state(lams, params))
 
 
-def z_izergin(lams, params: ModelParams, eps: float = EPS_GENERIC) -> complex:
+def z_izergin(lams, params: ModelParams) -> complex:
     """Determinant oracle for the partition function.
 
     Convention factor calibrated once against the B-product at L = 1, 2
@@ -48,7 +48,7 @@ def z_izergin(lams, params: ModelParams, eps: float = EPS_GENERIC) -> complex:
         for j in range(i + 1, n):
             dl = np.sinh(lams[i] - lams[j])
             dm = np.sinh(mu[j] - mu[i])
-            if abs(dl) < eps or abs(dm) < eps:
+            if abs(dl) < EPS_GENERIC or abs(dm) < EPS_GENERIC:
                 raise SingularDenominator(
                     "coinciding spectral parameters in determinant formula"
                 )

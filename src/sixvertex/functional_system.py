@@ -28,9 +28,9 @@ def _a(x, gamma):
     return np.sinh(x + gamma)
 
 
-def _b(x, eps=EPS_GENERIC):
+def _b(x):
     v = np.sinh(x)
-    if abs(v) < eps:
+    if abs(v) < EPS_GENERIC:
         raise PoleEncountered(f"sinh({x}) below genericity threshold")
     return v
 
@@ -149,8 +149,6 @@ class EigenState:
     """
 
     index: int
-    sample_point: complex
-    value_at_sample: complex
     right: np.ndarray
     left: np.ndarray
     norm: complex
@@ -173,18 +171,18 @@ class EigenState:
         return complex(self._spectrum.values(x)[self.index])
 
 
-def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
-                         max_tries: int = 12) -> list[EigenState]:
+def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
     """Diagonalize the transfer matrix at a generic sample point.
 
-    The sample point is re-drawn when the spectrum is too closely spaced
-    there; a surviving near-degeneracy is accepted only if each paired
-    eigenvector still behaves as a common eigenvector of the family,
-    which is validated at an independent probe point.
+    The sample point is re-drawn, up to 12 times, when two eigenvalues
+    there are closer than 1e-6 of the spectral scale; a surviving
+    near-degeneracy is accepted only if each paired eigenvector still
+    behaves as a common eigenvector of the family, which is validated at
+    an independent probe point.
     """
     up, down = reference_states(params.L)
     last_exc = None
-    for attempt in range(max_tries):
+    for _ in range(12):
         pts = generic_points(2, rng, avoid=params.mu)
         sample, probe = pts
         t = transfer(sample, params)
@@ -192,7 +190,7 @@ def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
         vals = np.array([tr.value for tr in trips])
         scale = max(np.max(np.abs(vals)), 1.0)
         spacing_ok = all(
-            abs(vals[i] - vals[j]) > spacing_tol * scale
+            abs(vals[i] - vals[j]) > 1e-6 * scale
             for i in range(len(vals))
             for j in range(i + 1, len(vals))
         )
@@ -204,8 +202,6 @@ def transfer_eigenstates(params: ModelParams, rng, *, spacing_tol: float = 1e-6,
         states = [
             EigenState(
                 index=idx,
-                sample_point=sample,
-                value_at_sample=complex(tr.value),
                 right=tr.right,
                 left=tr.left,
                 norm=norm,
@@ -264,25 +260,24 @@ def check_tphi(n: int, vars_, params: ModelParams) -> float:
     # the pass-through annihilator term [X^{1,n}] C(v_0) is required for the
     # identity to close on the full space; it dies on |up> in the scalar
     # realization
-    rhs = b_string(v, params) + b_string(v[1:], params) @ monodromy(v[0], params).c_op
+    rhs = b_string(v, params) + b_string(v[1:], params) @ monodromy(v[0], params)[1, 0]
     for i in range(1, n + 1):
         rest = [v[t] for t in range(1, n + 1) if t != i]
-        blocks_0 = monodromy(v[0], params)
-        blocks_i = monodromy(v[i], params)
+        (a_0, _), (_, d_0) = monodromy(v[0], params)
+        (a_i, _), (_, d_i) = monodromy(v[i], params)
         coeff_0i = gamma_coeff(i, 0, i, v, params)
         coeff_i0 = gamma_coeff(i, i, 0, v, params)
         rhs = rhs + b_string(rest, params) @ (
-            coeff_0i * blocks_0.a_op @ blocks_i.d_op
-            + coeff_i0 * blocks_i.a_op @ blocks_0.d_op
+            coeff_0i * a_0 @ d_i + coeff_i0 * a_i @ d_0
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rest = [v[t] for t in range(0, n + 1) if t not in (i, j)]
-            blocks_i = monodromy(v[i], params)
-            blocks_j = monodromy(v[j], params)
+            (a_i, _), (_, d_i) = monodromy(v[i], params)
+            (a_j, _), (_, d_j) = monodromy(v[j], params)
             rhs = rhs + b_string(rest, params) @ (
-                omega_coeff(i, j, v, params) * blocks_i.a_op @ blocks_j.d_op
-                + omega_coeff(j, i, v, params) * blocks_j.a_op @ blocks_i.d_op
+                omega_coeff(i, j, v, params) * a_i @ d_j
+                + omega_coeff(j, i, v, params) * a_j @ d_i
             )
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
 

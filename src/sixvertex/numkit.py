@@ -31,18 +31,14 @@ class CPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def deriv(self) -> "CPoly":
-        der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-        return CPoly(tuple(der))
-
-    def normalized(self, rtol: float = 1e-12) -> "CPoly":
-        """Trim trailing coefficients smaller than rtol * max|c_k|."""
+    def normalized(self) -> "CPoly":
+        """Trim trailing coefficients smaller than 1e-12 * max|c_k|."""
         c = np.asarray(self.coeffs)
         scale = np.max(np.abs(c))
         if scale == 0.0:
             return CPoly((0j,))
         keep = len(c)
-        while keep > 1 and abs(c[keep - 1]) < rtol * scale:
+        while keep > 1 and abs(c[keep - 1]) < 1e-12 * scale:
             keep -= 1
         return CPoly(tuple(c[:keep]))
 

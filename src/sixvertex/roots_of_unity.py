@@ -78,21 +78,21 @@ def check_inversion_l2(state: EigenState, params: ModelParams,
     return worst
 
 
-def bethe_lhs(w: complex, params: ModelParams, eps: float = EPS_GENERIC) -> complex:
+def bethe_lhs(w: complex, params: ModelParams) -> complex:
     """Site product of the Bethe-type equation at one zero."""
     g = params.gamma
     out = 1.0 + 0j
     for m in params.mu:
         den1 = np.sinh(w - m + 2 * g)
         den2 = np.sinh(w - m)
-        if abs(den1) < eps or abs(den2) < eps:
+        if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
             raise PoleEncountered("zero collides with an inhomogeneity shift")
         out *= np.sinh(w - m + g) * np.sinh(w - m - g) / (den1 * den2)
     return complex(out)
 
 
 def bethe_residual(data: SpectralData, spec: RootOfUnitySpec,
-                   params: ModelParams, eps: float = EPS_GENERIC) -> list:
+                   params: ModelParams) -> list:
     """Per-zero residuals of the Bethe-type equation.
 
     The interaction product runs over every zero, including the self
@@ -107,19 +107,18 @@ def bethe_residual(data: SpectralData, spec: RootOfUnitySpec,
     out = []
     g = params.gamma
     for i, wi in enumerate(data.zeros):
-        lhs = bethe_lhs(wi, params, eps)
+        lhs = bethe_lhs(wi, params)
         prod = 1.0 + 0j
         for wj in data.zeros:
             den = np.sinh(wj - wi - g)
-            if abs(den) < eps:
+            if abs(den) < EPS_GENERIC:
                 raise PoleEncountered("colliding zeroes in interaction product")
             prod *= np.sinh(wj - wi + g) / den
         out.append(complex(lhs + prod))
     return out
 
 
-def bethe_residual_l2(data: SpectralData, params: ModelParams,
-                      eps: float = EPS_GENERIC) -> list:
+def bethe_residual_l2(data: SpectralData, params: ModelParams) -> list:
     """Per-zero residuals of the l = 2 site-product equation (no
     interaction term); reported alongside the general form."""
     g = params.gamma
@@ -128,7 +127,7 @@ def bethe_residual_l2(data: SpectralData, params: ModelParams,
         prod = 1.0 + 0j
         for m in params.mu:
             den = np.sinh(wi - m) ** 2
-            if abs(den) < eps**2:
+            if abs(den) < EPS_GENERIC**2:
                 raise PoleEncountered("zero collides with an inhomogeneity")
             prod *= np.sinh(wi - m + g) * np.sinh(wi - m - g) / den
         out.append(complex(prod - 1.0))

@@ -25,6 +25,8 @@ SPLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 EPS_GENERIC = 1e-4
+# draws before a sampler gives up on finding a generic point set
+_MAX_DRAWS = 1000
 
 
 def weights(lam: complex, gamma: complex):
@@ -54,41 +56,40 @@ class ModelParams:
         return 2**self.L
 
 
-def is_generic(params: ModelParams, eps: float = EPS_GENERIC) -> bool:
-    """Pairwise inhomogeneity differences stay off the sinh zeros."""
+def is_generic(params: ModelParams) -> bool:
+    """Pairwise inhomogeneity differences stay EPS_GENERIC off the sinh
+    zeros."""
     mu, g = params.mu, params.gamma
     for i in range(params.L):
         for j in range(i + 1, params.L):
             d = mu[i] - mu[j]
             if min(
                 abs(np.sinh(d)), abs(np.sinh(d + g)), abs(np.sinh(d - g))
-            ) <= eps:
+            ) <= EPS_GENERIC:
                 return False
     return True
 
 
-def sample_mu(L: int, gamma: complex, rng, eps: float = EPS_GENERIC,
-              max_tries: int = 1000) -> tuple:
+def sample_mu(L: int, gamma: complex, rng) -> tuple:
     """Draw generic inhomogeneities uniformly from [-1,1] + i[-1,1]."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         mu = tuple(
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(L)
         )
-        if is_generic(ModelParams(L, gamma, mu), eps):
+        if is_generic(ModelParams(L, gamma, mu)):
             return mu
     raise GenericityExhausted("no generic inhomogeneity draw found")
 
 
-def generic_points(n: int, rng, avoid=(), eps: float = 0.02,
-                   max_tries: int = 1000) -> tuple:
-    """Draw n spectral parameters with pairwise-generic sinh differences,
-    also keeping sinh distance eps from every point in `avoid`."""
-    for _ in range(max_tries):
+def generic_points(n: int, rng, avoid=()) -> tuple:
+    """Draw n spectral parameters whose pairwise sinh differences exceed
+    0.02, also keeping that sinh distance from every point in `avoid`."""
+    for _ in range(_MAX_DRAWS):
         pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
         ok = True
         for i, p in enumerate(pts):
             others = pts[:i] + list(avoid)
-            if any(abs(np.sinh(p - q)) <= eps for q in others):
+            if any(abs(np.sinh(p - q)) <= 0.02 for q in others):
                 ok = False
                 break
         if ok:
@@ -125,38 +126,30 @@ def _local_blocks(lam: complex, gamma: complex):
     return a_loc, b_loc, c_loc, d_loc
 
 
-@dataclass(frozen=True)
-class MonodromyBlocks:
-    """The four 2^L operators (A, B, C, D) at one spectral parameter."""
-
-    a_op: np.ndarray
-    b_op: np.ndarray
-    c_op: np.ndarray
-    d_op: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        """Full operator on the auxiliary x quantum space."""
-        return np.block(
-            [[self.a_op, self.b_op], [self.c_op, self.d_op]]
-        )
-
-
-def monodromy(lam: complex, params: ModelParams) -> MonodromyBlocks:
-    """Ordered product over sites of the local R-matrices, as A/B/C/D blocks."""
-    a_op, b_op, c_op, d_op = _local_blocks(lam - params.mu[0], params.gamma)
-    for j in range(1, params.L):
-        aj, bj, cj, dj = _local_blocks(lam - params.mu[j], params.gamma)
-        a_op, b_op, c_op, d_op = (
-            np.kron(a_op, aj) + np.kron(b_op, cj),
-            np.kron(a_op, bj) + np.kron(b_op, dj),
-            np.kron(c_op, aj) + np.kron(d_op, cj),
-            np.kron(c_op, bj) + np.kron(d_op, dj),
-        )
-    return MonodromyBlocks(a_op, b_op, c_op, d_op)
+def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
+    """Ordered product over sites of the R-matrices, as an operator-valued
+    2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
+    operator in auxiliary row a and column b, so
+    ``(A, B), (C, D) = monodromy(lam, params)``."""
+    # site tensor r[a, b, k, l] = R[(a, k), (b, l)]
+    sites = [r_matrix(lam - mu, params).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+             for mu in params.mu]
+    m = sites[0]
+    for r in sites[1:]:
+        d = m.shape[-1]
+        # m'[a, c] = m[a, 0] (x) r[0, c] + m[a, 1] (x) r[1, c]; two broadcast
+        # products, so each entry is two products and one sum, bit for bit
+        # the arithmetic of np.kron (einsum reorders it)
+        m = (m[:, 0, None, :, None, :, None] * r[None, 0, :, None, :, None, :]
+             + m[:, 1, None, :, None, :, None] * r[None, 1, :, None, :, None, :]
+             ).reshape(2, 2, 2 * d, 2 * d)
+    return m
 
 
 def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
-    """Same product built directly on the auxiliary x quantum space."""
+    """Same product built directly on the auxiliary x quantum space, from
+    a transcription of the weights (`_local_blocks`) independent of
+    `r_matrix`; the oracle for `monodromy`."""
     L = params.L
     factors = []
     for j in range(L):
@@ -179,13 +172,15 @@ def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
-    return monodromy(lam, params).b_op
+    """Creation operator B(lam), the auxiliary (0, 1) entry of the monodromy.
+    A copy, so that a kept B does not hold the other three blocks alive."""
+    return monodromy(lam, params)[0, 1].copy()
 
 
 def transfer(lam: complex, params: ModelParams) -> np.ndarray:
     """Twisted transfer matrix: trace of G times the monodromy, i.e. B + C."""
-    blocks = monodromy(lam, params)
-    return blocks.b_op + blocks.c_op
+    m = monodromy(lam, params)
+    return m[0, 1] + m[1, 0]
 
 
 def site_op(op: np.ndarray, i: int, L: int) -> np.ndarray:
@@ -271,7 +266,7 @@ def commuting_residual(x: complex, y: complex, params: ModelParams) -> float:
 
 def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
     """Commutator of the creation operators B(x) and B(y)."""
-    return _commutator(monodromy(x, params).b_op, monodromy(y, params).b_op)
+    return _commutator(monodromy(x, params)[0, 1], monodromy(y, params)[0, 1])
 
 
 def hamiltonian_commute_residual(lam: complex, params: ModelParams) -> float:
@@ -302,19 +297,19 @@ def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
 def action_residual(lam: complex, params: ModelParams) -> float:
     """Action of A, B, C, D on the all-up and all-down reference states,
     relative to the largest vacuum eigenvalue (and at least 1)."""
-    blocks = monodromy(lam, params)
+    (a_op, b_op), (c_op, d_op) = monodromy(lam, params)
     up, down = reference_states(params.L)
     g = params.gamma
     aprod = np.prod([np.sinh(lam - m + g) for m in params.mu])
     bprod = np.prod([np.sinh(lam - m) for m in params.mu])
     scale = max(abs(aprod), abs(bprod), 1.0)
     residuals = [
-        np.linalg.norm(blocks.a_op @ up - aprod * up),
-        np.linalg.norm(blocks.d_op @ up - bprod * up),
-        np.linalg.norm(blocks.a_op @ down - bprod * down),
-        np.linalg.norm(blocks.d_op @ down - aprod * down),
-        np.linalg.norm(blocks.b_op @ down),
-        np.linalg.norm(blocks.c_op @ up),
+        np.linalg.norm(a_op @ up - aprod * up),
+        np.linalg.norm(d_op @ up - bprod * up),
+        np.linalg.norm(a_op @ down - bprod * down),
+        np.linalg.norm(d_op @ down - aprod * down),
+        np.linalg.norm(b_op @ down),
+        np.linalg.norm(c_op @ up),
     ]
     return float(max(residuals) / scale)
 
@@ -322,7 +317,8 @@ def action_residual(lam: complex, params: ModelParams) -> float:
 def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     """Blocks and transfer matrix against the independent full product.
 
-    ``block_assembly`` compares the A/B/C/D blocks with
+    ``block_assembly`` compares the A/B/C/D blocks of :func:`monodromy`,
+    laid out on the auxiliary x quantum space, with
     :func:`monodromy_full`; ``trace_form`` compares :func:`transfer` with
     the auxiliary-space trace of G times that full product.
     """
@@ -330,8 +326,9 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     full = monodromy_full(lam, params)
     twisted = (np.kron(twist_matrix(), np.eye(d)) @ full).reshape(2, d, 2, d)
     tmat = transfer(lam, params)
+    blocks = monodromy(lam, params).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
     return {
-        "block_assembly": _rel(monodromy(lam, params).assemble() - full, full),
+        "block_assembly": _rel(blocks - full, full),
         "trace_form": _rel(np.trace(twisted, axis1=0, axis2=2) - tmat, tmat),
     }
 

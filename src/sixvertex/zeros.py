@@ -27,12 +27,8 @@ class SpectralData:
     lambda0_value: complex
     zeros: tuple
     k0: complex
-    _fits: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-
-    @property
-    def L(self) -> int:
-        return self.state.params.L
+    _fit: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def lam_from_zeros(self, x: complex) -> complex:
         """Eigenvalue reconstructed from its zero set."""
@@ -50,30 +46,31 @@ def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
     return xs, lams
 
 
-def poly_in_x(func, L: int, radius: float = 1.0) -> CPoly:
-    """Fit e^((L-1) lam) * func(lam) as a degree L-1 polynomial in e^(2 lam)."""
+def poly_in_x(func, L: int) -> CPoly:
+    """Fit e^((L-1) lam) * func(lam) as a degree L-1 polynomial in e^(2 lam),
+    sampled on the unit circle."""
     degree = L - 1
-    xs, lams = _circle_samples(degree, radius)
+    xs, lams = _circle_samples(degree)
     samples = [
         (x, np.exp(degree * lam) * func(lam)) for x, lam in zip(xs, lams)
     ]
     return fit_poly(samples, degree)
 
 
-def extract_zeros(state: EigenState, params: ModelParams, *,
-                  radius: float = 1.0, tol: float = 1e-7) -> SpectralData:
+def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
     """Recover the L-1 zeroes of an eigenvalue function.
 
     Samples the eigenvalue on a circle in the x = e^(2 lam) plane, strips
     the exponential prefactor, fits the degree-(L-1) polynomial, and maps
     its roots back with the principal branch.  The multiplicative
-    reconstruction from the zero set is validated at held-out points.
+    reconstruction from the zero set is validated to 1e-7 at held-out
+    points.
     """
     L = params.L
     lam0 = state.lam(0.0)
     if L == 1:
         return SpectralData(state, lam0, (), state.k0)
-    poly = poly_in_x(state.lam, L, radius)
+    poly = poly_in_x(state.lam, L)
     xroots = poly_roots(poly)
     if len(xroots) != L - 1:
         raise ReconstructionFailure(
@@ -86,7 +83,7 @@ def extract_zeros(state: EigenState, params: ModelParams, *,
         probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         ref = state.lam(probe)
         rec = data.lam_from_zeros(probe)
-        if abs(ref - rec) > tol * max(abs(ref), 1e-300):
+        if abs(ref - rec) > 1e-7 * max(abs(ref), 1e-300):
             raise ReconstructionFailure(
                 f"zero-set reconstruction off by {abs(ref - rec) / abs(ref):.3e}"
             )
@@ -161,14 +158,12 @@ def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> comple
     return complex(val)
 
 
-def _fit_pair(data: SpectralData, params: ModelParams, radius: float = 1.0,
-              fit_tol: float = 1e-8):
+def _fit_pair(data: SpectralData, params: ModelParams):
     """Fit Z(., w) and F(., w) as degree L-1 polynomials in x, validating
-    the fit at held-out abscissae.  Fitted once per zero set and
-    (radius, tolerance); `params` are those of the eigenstate."""
-    key = (radius, fit_tol)
-    if key in data._fits:
-        return data._fits[key]
+    the fit to 1e-8 at held-out abscissae.  Fitted once per zero set;
+    `params` are those of the eigenstate."""
+    if data._fit is not None:
+        return data._fit
     L = params.L
     phi = b_product_state(data.zeros, params)
     _, down = reference_states(L)
@@ -182,30 +177,29 @@ def _fit_pair(data: SpectralData, params: ModelParams, radius: float = 1.0,
     def f_of(lam0):
         return build_F(lam0, data, params)
 
-    zpol = poly_in_x(z_of, L, radius)
-    fpol = poly_in_x(f_of, L, radius)
+    zpol = poly_in_x(z_of, L)
+    fpol = poly_in_x(f_of, L)
     degree = L - 1
-    xs, lams = _circle_samples(degree, radius * 1.37, phase=0.11)
+    xs, lams = _circle_samples(degree, 1.37, phase=0.11)
     for x, lam in zip(xs, lams):
         for pol, fn in ((zpol, z_of), (fpol, f_of)):
             ref = np.exp(degree * lam) * fn(lam)
             got = pol(x)
-            if abs(ref - got) > fit_tol * max(abs(ref), 1.0):
+            if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
                 raise ReconstructionFailure(
                     "sampled function is not a degree L-1 polynomial in x"
                 )
-    data._fits[key] = zpol, fpol
+    object.__setattr__(data, "_fit", (zpol, fpol))
     return zpol, fpol
 
 
-def check_zero_coincidence(data: SpectralData, params: ModelParams,
-                           radius: float = 1.0) -> dict:
+def check_zero_coincidence(data: SpectralData, params: ModelParams) -> dict:
     """Match the zero multisets of Z(., w) and F(., w) in the x plane.
 
     Returns the matched distances (measured as |log (x_Z / x_F)|) under a
     minimal-cost bijection.
     """
-    zpol, fpol = _fit_pair(data, params, radius)
+    zpol, fpol = _fit_pair(data, params)
     zroots = poly_roots(zpol)
     froots = poly_roots(fpol)
     nz, nf = len(zroots), len(froots)
@@ -227,8 +221,8 @@ def check_zero_coincidence(data: SpectralData, params: ModelParams,
     }
 
 
-def wronskian_coeffs(data: SpectralData, params: ModelParams,
-                     radius: float = 1.0) -> tuple[list, float]:
+def wronskian_coeffs(data: SpectralData,
+                     params: ModelParams) -> tuple[list, float]:
     """Coefficients C_0..C_[L] of the Wronskian Z F' - F Z' in x, and their
     magnitude scale for relative vanishing tests.
 
@@ -236,7 +230,7 @@ def wronskian_coeffs(data: SpectralData, params: ModelParams,
     fitted polynomials, so the scale is the product of their largest
     coefficient magnitudes.
     """
-    zpol, fpol = _fit_pair(data, params, radius)
+    zpol, fpol = _fit_pair(data, params)
     zc = np.asarray(zpol.coeffs)
     fc = np.asarray(fpol.coeffs)
     mul = np.polynomial.polynomial.polymul

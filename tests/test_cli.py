@@ -127,6 +127,34 @@ def test_tolerance_override_changes_verdict(tmp_path):
     assert bad and bad[0].verdict == "fail"
 
 
+def test_tolerance_override_does_not_leak_into_longer_names():
+    overrides = {"zeros.wronskian": 1e-3, "rou.bethe": 1e-2}
+    runner = _Runner(RunConfig(L=3, gamma_mode="explicit", gamma=0.6 + 0.25j,
+                               seed=1, tol_overrides=overrides))
+    assert runner.tol("zeros.wronskian.state0") == 1e-3
+    assert runner.tol("zeros.wronskian_sharpness.state0") == \
+        DEFAULT_TOLS["zeros.wronskian_sharpness"]
+    assert runner.tol("rou.bethe.state2") == 1e-2
+    assert runner.tol("rou.bethe_l2.state2") == DEFAULT_TOLS["rou.bethe_l2"]
+
+
+def test_tolerance_override_for_unknown_check_rejected():
+    with pytest.raises(ConfigError):
+        build_config(["--tol", "structral.ybe=1"])
+    assert main(["--size", "2", "--suite", "structural",
+                 "--tol", "structural.yb=1"]) == 2
+    # a suite, a family and a single record are all known keys
+    cfg = build_config(["--tol", "zeros=1", "--tol", "structural.ybe=1",
+                        "--tol", "zeros.wronskian.state0=1"])
+    assert len(cfg.tol_overrides) == 3
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError):
+        RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j, seed=-1)
+    assert main(["--size", "2", "--seed", "-1"]) == 2
+
+
 def test_conjecture_records_do_not_fail(tmp_path):
     out = tmp_path / "r.txt"
     cfg = RunConfig(L=2, gamma_mode="root_of_unity", root_k=1, root_l=5,

@@ -92,11 +92,11 @@ def test_monodromy_single_site_blocks():
     p = params_for(1)
     lam = 0.37 + 0.49j
     a, b, c = weights(lam - p.mu[0], GAMMA)
-    blocks = monodromy(lam, p)
-    assert np.allclose(blocks.a_op, np.diag([a, b]))
-    assert np.allclose(blocks.d_op, np.diag([b, a]))
-    assert np.allclose(blocks.b_op, c * np.array([[0, 0], [1, 0]]))
-    assert np.allclose(blocks.c_op, c * np.array([[0, 1], [0, 0]]))
+    (a_op, b_op), (c_op, d_op) = monodromy(lam, p)
+    assert np.allclose(a_op, np.diag([a, b]))
+    assert np.allclose(d_op, np.diag([b, a]))
+    assert np.allclose(b_op, c * np.array([[0, 0], [1, 0]]))
+    assert np.allclose(c_op, c * np.array([[0, 1], [0, 0]]))
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
@@ -134,9 +134,9 @@ def test_transfer_single_site():
 def test_transfer_is_block_sum_and_trace():
     p = params_for(3)
     lam = 0.31 + 0.15j
-    blocks = monodromy(lam, p)
+    (_, b_op), (c_op, _) = monodromy(lam, p)
     t = transfer(lam, p)
-    assert np.array_equal(t, blocks.b_op + blocks.c_op)
+    assert np.array_equal(t, b_op + c_op)
     assert full_product_residuals(lam, p)["trace_form"] < 1e-12
 
 
@@ -201,6 +201,12 @@ def _scaled_c(lam, gamma):
     return a, b, 1.1 * c
 
 
+def _r_scaled_c(lam, params):
+    r = r_matrix(lam, params)
+    r[[1, 2], [2, 1]] *= 1.1
+    return r
+
+
 def _swapped_ab(lam, gamma):
     a, b, c = weights(lam, gamma)
     return b, a, c
@@ -216,6 +222,10 @@ BREAKS = {
     "action": ("weights", _swapped_ab, lambda p: action_residual(LAM, p)),
     "block_assembly": (
         "kron_chain", lambda *ops: kron_chain(*reversed(ops)),
+        lambda p: full_product_residuals(LAM, p)["block_assembly"]),
+    # the blocks come from r_matrix, the full product from its own weights
+    "block_assembly_r_matrix": (
+        "r_matrix", _r_scaled_c,
         lambda p: full_product_residuals(LAM, p)["block_assembly"]),
     "trace_form": (
         "twist_matrix", lambda: np.eye(2, dtype=complex),

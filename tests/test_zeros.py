@@ -183,6 +183,3 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
     wronskian_coeffs(data, p)
     # one fit each of Z(., w) and F(., w)
     assert len(fits) == 2
-    # another sampling radius is another fit
-    check_zero_coincidence(data, p, radius=1.3)
-    assert len(fits) == 4

@@ -363,12 +363,11 @@ class _Runner:
         self.add("dwbc.shift_invariance", "pf", worst_shift)
         self.add("dwbc.highest_weight", "high", worst_hw)
         self.add("dwbc.overflow_string", "high", worst_over)
-        if p.L >= 1:
-            _, down = reference_states(p.L)
-            under = generic_points(max(p.L - 1, 0), rng, avoid=p.mu)
-            vec = b_product_state(under, p)
-            self.add("dwbc.underflow_string", "pf",
-                     abs(down @ vec) / max(np.linalg.norm(vec), 1e-300))
+        _, down = reference_states(p.L)
+        under = generic_points(p.L - 1, rng, avoid=p.mu)
+        vec = b_product_state(under, p)
+        self.add("dwbc.underflow_string", "pf",
+                 abs(down @ vec) / max(np.linalg.norm(vec), 1e-300))
 
     def run_functional(self):
         p = self.params
@@ -444,7 +443,7 @@ class _Runner:
                 self.guarded(
                     f"theorem.expansion.state{st.index}", "Lgen",
                     lambda st=st, v=vars_, z=z, c=coeffs: check_theorem(
-                        st, v, p, z_of=lambda _: z, coeffs=c),
+                        st, v, p, z=z, coeffs=c),
                     state_index=st.index,
                 )
         st = next(s for s in self.states if s.k0_defined)

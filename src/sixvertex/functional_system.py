@@ -5,6 +5,7 @@ theorem, cross-check identities)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -24,19 +25,37 @@ from .vertex_core import (
 )
 
 
-def _a(x, gamma):
-    return np.sinh(x + gamma)
+class _PairTable:
+    """The ratios a(v_s - v_t)/b(v_s - v_t) ("a_b"), a(v_s - v_t + g) /
+    b(v_s - v_t) ("ag_b") and c/b(v_s - v_t) ("c_b") over the slot pairs of
+    one variable tuple, and each slot's site products prod_k a(v_s - mu_k)
+    and prod_k b(v_s - mu_k).  A ratio read raises `PoleEncountered` when
+    its b(v_s - v_t) is below EPS_GENERIC; pairs that are never read, such
+    as two kept slots of `v_coeff`, do not raise."""
 
+    def __init__(self, vars_, params: ModelParams):
+        v = np.asarray(vars_, dtype=complex)
+        g = params.gamma
+        self.n = len(v)
+        d = v[:, None] - v[None, :]
+        b = np.sinh(d)
+        self._pole = np.abs(b) < EPS_GENERIC
+        b[self._pole] = 1.0
+        # the diagonal, sinh(0) = 0, is never read
+        np.fill_diagonal(self._pole, False)
+        self._any_pole = self._pole.any()
+        self._ratios = {"a_b": np.sinh(d + g) / b,
+                        "ag_b": np.sinh(d + g + g) / b,
+                        "c_b": np.sinh(g) / b}
+        x = v[:, None] - np.asarray(params.mu)
+        self.a_site = np.prod(np.sinh(x + g), axis=1)
+        self.b_site = np.prod(np.sinh(x), axis=1)
 
-def _b(x):
-    v = np.sinh(x)
-    if abs(v) < EPS_GENERIC:
-        raise PoleEncountered(f"sinh({x}) below genericity threshold")
-    return v
-
-
-def _bnum(x):
-    return np.sinh(x)
+    def read(self, name: str, s, t):
+        """Ratio `name` at [s, t], for scalar or array indices."""
+        if self._any_pole and self._pole[s, t].any():
+            raise PoleEncountered("slot difference below genericity threshold")
+        return self._ratios[name][s, t]
 
 
 def gamma_coeff(i: int, j: int, k: int, vars_, params: ModelParams) -> complex:
@@ -44,14 +63,16 @@ def gamma_coeff(i: int, j: int, k: int, vars_, params: ModelParams) -> complex:
 
     `vars_` is the ordered tuple (v_0, ..., v_n); i, j, k index slots.
     """
-    v = vars_
-    g = params.gamma
-    out = np.sinh(g) / _b(v[k] - v[j])
-    for t in range(1, len(v)):
+    return _gamma(_PairTable(vars_, params), i, j, k)
+
+
+def _gamma(tab: _PairTable, i: int, j: int, k: int) -> complex:
+    out = tab.read("c_b", k, j)
+    for t in range(1, tab.n):
         if t == i:
             continue
-        out *= _a(v[k] - v[t], g) / _b(v[k] - v[t])
-        out *= _a(v[t] - v[j], g) / _b(v[t] - v[j])
+        out *= tab.read("a_b", k, t)
+        out *= tab.read("a_b", t, j)
     return complex(out)
 
 
@@ -62,44 +83,37 @@ def omega_coeff(i: int, j: int, vars_, params: ModelParams) -> complex:
     cancels the a-function denominators of the prefactor exactly, leaving
     only sinh-difference denominators.
     """
-    v = vars_
-    g = params.gamma
-    c = np.sinh(g)
-    out = (c / _b(v[j] - v[0])) * (c / _b(v[0] - v[i]))
-    out *= _a(v[j] - v[i], g) / _b(v[j] - v[i])
-    for t in range(1, len(v)):
+    return _omega(_PairTable(vars_, params), i, j)
+
+
+def _omega(tab: _PairTable, i: int, j: int) -> complex:
+    out = tab.read("c_b", j, 0) * tab.read("c_b", 0, i)
+    out *= tab.read("a_b", j, i)
+    for t in range(1, tab.n):
         if t == i or t == j:
             continue
-        out *= _a(v[j] - v[t], g) / _b(v[j] - v[t])
-        out *= _a(v[t] - v[i], g) / _b(v[t] - v[i])
+        out *= tab.read("a_b", j, t)
+        out *= tab.read("a_b", t, i)
     return complex(out)
-
-
-def _site_products(x, params: ModelParams):
-    """(prod_k a(x - mu_k), prod_k b(x - mu_k)) over the L sites."""
-    g = params.gamma
-    ap = complex(np.prod([_a(x - m, g) for m in params.mu]))
-    bp = complex(np.prod([_bnum(x - m) for m in params.mu]))
-    return ap, bp
 
 
 def m_coeff(i: int, vars_, params: ModelParams) -> complex:
     """Coefficient of the single-removal term in the functional hierarchy."""
-    a0, b0 = _site_products(vars_[0], params)
-    ai, bi = _site_products(vars_[i], params)
-    return (
-        gamma_coeff(i, 0, i, vars_, params) * a0 * bi
-        + gamma_coeff(i, i, 0, vars_, params) * ai * b0
+    tab = _PairTable(vars_, params)
+    a, b = tab.a_site, tab.b_site
+    return complex(
+        _gamma(tab, i, 0, i) * a[0] * b[i]
+        + _gamma(tab, i, i, 0) * a[i] * b[0]
     )
 
 
 def n_coeff(j: int, i: int, vars_, params: ModelParams) -> complex:
     """Coefficient of the double-removal term in the functional hierarchy."""
-    ai, bi = _site_products(vars_[i], params)
-    aj, bj = _site_products(vars_[j], params)
-    return (
-        omega_coeff(i, j, vars_, params) * ai * bj
-        + omega_coeff(j, i, vars_, params) * aj * bi
+    tab = _PairTable(vars_, params)
+    a, b = tab.a_site, tab.b_site
+    return complex(
+        _omega(tab, i, j) * a[i] * b[j]
+        + _omega(tab, j, i) * a[j] * b[i]
     )
 
 
@@ -239,15 +253,6 @@ def f_n(lams, state: EigenState, params: ModelParams) -> complex:
     return complex(state.left @ b_product_state(lams, params))
 
 
-def b_string(lams, params: ModelParams) -> np.ndarray:
-    """Matrix of the ordered product of B operators."""
-    dim = params.dim
-    out = np.eye(dim, dtype=complex)
-    for lam in lams:
-        out = out @ b_operator(lam, params)
-    return out
-
-
 def check_tphi(n: int, vars_, params: ModelParams) -> float:
     """Operator-identity residual of the order-(n+1) exchange relation.
 
@@ -256,28 +261,32 @@ def check_tphi(n: int, vars_, params: ModelParams) -> float:
     v = tuple(vars_)
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
-    lhs = transfer(v[0], params) @ b_string(v[1:], params)
+    mono = [monodromy(x, params) for x in v]
+    a, b, d = [[m[r, c] for m in mono] for r, c in ((0, 0), (0, 1), (1, 1))]
+    c0 = mono[0][1, 0]
+
+    def b_string(slots):
+        # the ordered product of the B(v_t) over the slots
+        return functools.reduce(np.matmul, (b[t] for t in slots),
+                                np.eye(params.dim, dtype=complex))
+
+    lhs = (b[0] + c0) @ b_string(range(1, n + 1))
     # the pass-through annihilator term [X^{1,n}] C(v_0) is required for the
     # identity to close on the full space; it dies on |up> in the scalar
     # realization
-    rhs = b_string(v, params) + b_string(v[1:], params) @ monodromy(v[0], params)[1, 0]
+    rhs = b_string(range(n + 1)) + b_string(range(1, n + 1)) @ c0
     for i in range(1, n + 1):
-        rest = [v[t] for t in range(1, n + 1) if t != i]
-        (a_0, _), (_, d_0) = monodromy(v[0], params)
-        (a_i, _), (_, d_i) = monodromy(v[i], params)
-        coeff_0i = gamma_coeff(i, 0, i, v, params)
-        coeff_i0 = gamma_coeff(i, i, 0, v, params)
-        rhs = rhs + b_string(rest, params) @ (
-            coeff_0i * a_0 @ d_i + coeff_i0 * a_i @ d_0
+        rest = [t for t in range(1, n + 1) if t != i]
+        rhs = rhs + b_string(rest) @ (
+            gamma_coeff(i, 0, i, v, params) * a[0] @ d[i]
+            + gamma_coeff(i, i, 0, v, params) * a[i] @ d[0]
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            rest = [v[t] for t in range(0, n + 1) if t not in (i, j)]
-            (a_i, _), (_, d_i) = monodromy(v[i], params)
-            (a_j, _), (_, d_j) = monodromy(v[j], params)
-            rhs = rhs + b_string(rest, params) @ (
-                omega_coeff(i, j, v, params) * a_i @ d_j
-                + omega_coeff(j, i, v, params) * a_j @ d_i
+            rest = [t for t in range(0, n + 1) if t not in (i, j)]
+            rhs = rhs + b_string(rest) @ (
+                omega_coeff(i, j, v, params) * a[i] @ d[j]
+                + omega_coeff(j, i, v, params) * a[j] @ d[i]
             )
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
 
@@ -326,6 +335,17 @@ def check_fl(n: int, state: EigenState, vars_, params: ModelParams) -> float:
     return abs(lhs - acc) / scale
 
 
+@functools.cache
+def _assignments(m: int):
+    """The (j, k) assignments of 2m removed slots, as positions in their
+    list: J (nJ, m) holds each choice j_1 < ... < j_m, K (nJ, m!, m) every
+    ordering of the positions J leaves; and the pairs r < s of 0..m-1."""
+    J = np.array(list(itertools.combinations(range(2 * m), m)))
+    rest = np.array([[q for q in range(2 * m) if q not in row] for row in J])
+    K = rest[:, np.array(list(itertools.permutations(range(m))))]
+    return J, K, np.triu_indices(m, 1)
+
+
 def v_coeff(m: int, indices, vars_, params: ModelParams) -> complex:
     """Summed coefficient attached to 2m removed slots in the eigenvalue
     expansion of the partition function.
@@ -340,39 +360,20 @@ def v_coeff(m: int, indices, vars_, params: ModelParams) -> complex:
     idx = tuple(indices)
     if len(idx) != 2 * m or list(idx) != sorted(set(idx)):
         raise ValueError("indices must be 2m strictly increasing slots")
-    v = tuple(vars_)
-    g = params.gamma
-    comp = [v[t] for t in range(len(v)) if t not in idx]
-    c = np.sinh(g)
-    # each removed slot enters many (j, k) assignments; its site products once
-    sites = {t: _site_products(v[t], params) for t in idx}
-    total = 0j
-    for jset in itertools.combinations(idx, m):
-        kpool = [t for t in idx if t not in jset]
-        jfac = 1.0 + 0j
-        for jl in jset:
-            ap, _ = sites[jl]
-            jfac *= ap
-            for lam in comp:
-                jfac *= _a(lam - v[jl], g) / _b(lam - v[jl])
-        ksum = 0j
-        for kperm in itertools.permutations(kpool, m):
-            kfac = 1.0 + 0j
-            for jl, kl in zip(jset, kperm):
-                _, bp = sites[kl]
-                kfac *= bp * c / _b(v[jl] - v[kl])
-                for lam in comp:
-                    kfac *= _a(v[kl] - lam, g) / _b(v[kl] - lam)
-            for r in range(m):
-                for s in range(r + 1, m):
-                    kr, ks = kperm[r], kperm[s]
-                    jr, js = jset[r], jset[s]
-                    kfac *= _a(v[kr] - v[ks], g) / _b(v[kr] - v[ks])
-                    kfac *= _a(v[kr] - v[js], g) / _b(v[kr] - v[js])
-                    kfac *= _a(v[ks] - v[jr] + g, g) / _b(v[ks] - v[jr])
-            ksum += kfac
-        total += jfac * ksum
-    return complex(total)
+    tab = _PairTable(vars_, params)
+    idx = np.array(idx)
+    kept = np.delete(np.arange(tab.n), idx)
+    # per removed slot, its site product and its ratios to every kept slot
+    jf = tab.a_site[idx] * np.prod(tab.read("a_b", kept[:, None], idx), axis=0)
+    kf = tab.b_site[idx] * np.prod(tab.read("a_b", idx[:, None], kept), axis=1)
+    J, K, (r, s) = _assignments(m)
+    sj, sk = idx[J][:, None, :], idx[K]
+    kfac = (np.prod(kf[K] * tab.read("c_b", sj, sk), axis=2)
+            * np.prod(tab.read("a_b", sk[..., r], sk[..., s])
+                      * tab.read("a_b", sk[..., r], sj[..., s])
+                      * tab.read("ag_b", sk[..., s], sj[..., r]), axis=2))
+    jfac = np.prod(jf[J], axis=1)
+    return complex(np.sum(jfac * np.sum(kfac, axis=1)))
 
 
 def even_floor(x: int) -> int:
@@ -418,17 +419,18 @@ def theorem_rhs(vars_, lam_of, params: ModelParams, coeffs=None) -> complex:
 
 
 def check_theorem(state: EigenState, vars_, params: ModelParams,
-                  z_of=None, coeffs=None) -> float:
+                  z=None, coeffs=None) -> float:
     """Residual of Z * k0 against the eigenvalue expansion, relative to |Z k0|.
 
-    `z_of` and `coeffs` (see `theorem_terms`) let callers reuse the
-    partition function and the expansion coefficients, which eigenstates
-    of the same draw share.
+    `z` (the partition function at `vars_`) and `coeffs` (see
+    `theorem_terms`) let callers reuse values that eigenstates of the same
+    draw share.
     """
     v = tuple(vars_)
     if len(v) != params.L:
         raise ValueError("need exactly L spectral parameters")
-    z = z_bproduct(v, params) if z_of is None else z_of(v)
+    if z is None:
+        z = z_bproduct(v, params)
     lhs = z * state.k0
     rhs = theorem_rhs(v, state.lam, params, coeffs)
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)

@@ -4,7 +4,8 @@ coincidence, and the Wronskian conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,16 +20,14 @@ from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalue function data: value at the origin, its zeroes, and the
-    reference-state overlap ratio.  The polynomial fits of Z(., w) and
-    F(., w) are kept with it, so every check on the same zero set uses
-    one fit."""
+    reference-state overlap ratio.  The zero-set B-string and the
+    polynomial fits of Z(., w) and F(., w) are kept with it, so every
+    check on the same zero set uses one of each."""
 
     state: EigenState
     lambda0_value: complex
     zeros: tuple
     k0: complex
-    _fit: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def lam_from_zeros(self, x: complex) -> complex:
         """Eigenvalue reconstructed from its zero set."""
@@ -36,6 +35,41 @@ class SpectralData:
         for w in self.zeros:
             out *= np.sinh(w - x) / np.sinh(w)
         return complex(out)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """The zero-set B-string on |up>: Z(lam0, w) = <down| B(lam0) phi."""
+        return b_product_state(self.zeros, self.state.params)
+
+    @functools.cached_property
+    def fit(self) -> tuple[CPoly, CPoly]:
+        """Z(., w) and F(., w) fitted as degree L-1 polynomials in x, the
+        fit validated to 1e-8 at held-out abscissae."""
+        params = self.state.params
+        _, down = reference_states(params.L)
+        # the sample abscissae are the same for every state of the draw, so
+        # the B operators there are built once per draw
+        b_at = self.state._spectrum.b_op
+
+        def z_of(lam0):
+            return complex(down @ (b_at(lam0) @ self.phi))
+
+        def f_of(lam0):
+            return build_F(lam0, self, params)
+
+        zpol = poly_in_x(z_of, params.L)
+        fpol = poly_in_x(f_of, params.L)
+        degree = params.L - 1
+        xs, lams = _circle_samples(degree, 1.37, phase=0.11)
+        for x, lam in zip(xs, lams):
+            for pol, fn in ((zpol, z_of), (fpol, f_of)):
+                ref = np.exp(degree * lam) * fn(lam)
+                got = pol(x)
+                if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
+                    raise ReconstructionFailure(
+                        "sampled function is not a degree L-1 polynomial in x"
+                    )
+        return zpol, fpol
 
 
 def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
@@ -121,14 +155,12 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     deviation from +1.
     """
     L = params.L
-    # Z(lam0, w) = <down| B(lam0) phi, with phi the zero-set B-string on |up>
-    phi = b_product_state(data.zeros, params)
     _, down = reference_states(L)
     ratios = []
     for lam0 in lambda0_draws:
         if any(abs(np.sinh(lam0 - w)) < EPS_GENERIC for w in data.zeros):
             raise PoleEncountered("lambda0 draw collides with a zero")
-        z = complex(down @ (b_operator(lam0, params) @ phi))
+        z = complex(down @ (b_operator(lam0, params) @ data.phi))
         denom = top_v(lam0, data, params)
         if abs(denom) < 1e-300:
             raise PoleEncountered("vanishing expansion coefficient")
@@ -158,48 +190,13 @@ def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> comple
     return complex(val)
 
 
-def _fit_pair(data: SpectralData, params: ModelParams):
-    """Fit Z(., w) and F(., w) as degree L-1 polynomials in x, validating
-    the fit to 1e-8 at held-out abscissae.  Fitted once per zero set;
-    `params` are those of the eigenstate."""
-    if data._fit is not None:
-        return data._fit
-    L = params.L
-    phi = b_product_state(data.zeros, params)
-    _, down = reference_states(L)
-    # the sample abscissae are the same for every state of the draw, so the
-    # B operators there are built once per draw
-    b_at = data.state._spectrum.b_op
-
-    def z_of(lam0):
-        return complex(down @ (b_at(lam0) @ phi))
-
-    def f_of(lam0):
-        return build_F(lam0, data, params)
-
-    zpol = poly_in_x(z_of, L)
-    fpol = poly_in_x(f_of, L)
-    degree = L - 1
-    xs, lams = _circle_samples(degree, 1.37, phase=0.11)
-    for x, lam in zip(xs, lams):
-        for pol, fn in ((zpol, z_of), (fpol, f_of)):
-            ref = np.exp(degree * lam) * fn(lam)
-            got = pol(x)
-            if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
-                raise ReconstructionFailure(
-                    "sampled function is not a degree L-1 polynomial in x"
-                )
-    object.__setattr__(data, "_fit", (zpol, fpol))
-    return zpol, fpol
-
-
 def check_zero_coincidence(data: SpectralData, params: ModelParams) -> dict:
     """Match the zero multisets of Z(., w) and F(., w) in the x plane.
 
     Returns the matched distances (measured as |log (x_Z / x_F)|) under a
     minimal-cost bijection.
     """
-    zpol, fpol = _fit_pair(data, params)
+    zpol, fpol = data.fit
     zroots = poly_roots(zpol)
     froots = poly_roots(fpol)
     nz, nf = len(zroots), len(froots)
@@ -230,7 +227,7 @@ def wronskian_coeffs(data: SpectralData,
     fitted polynomials, so the scale is the product of their largest
     coefficient magnitudes.
     """
-    zpol, fpol = _fit_pair(data, params)
+    zpol, fpol = data.fit
     zc = np.asarray(zpol.coeffs)
     fc = np.asarray(fpol.coeffs)
     mul = np.polynomial.polynomial.polymul

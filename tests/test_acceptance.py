@@ -230,7 +230,7 @@ def test_criterion5_partition_from_eigenvalues(L):
         for st in states:
             if not st.k0_defined:
                 continue
-            worst = max(worst, check_theorem(st, v, p, z_of=lambda _: z))
+            worst = max(worst, check_theorem(st, v, p, z=z))
             nchecked += 1
     assert report(f"5.partition_from_eigenvalues[L={L}]", worst < 1e-8,
                   f"worst={worst:.2e} over {nchecked} checks")

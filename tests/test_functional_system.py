@@ -73,6 +73,24 @@ def test_omega_pole_raises():
         omega_coeff(1, 2, v, p)
 
 
+def test_v_coeff_pole_guard_reads_only_removed_slot_pairs():
+    # the expansion coefficient divides by sinh(v_s - v_t) only for pairs
+    # with a removed slot, so two kept slots may nearly coincide
+    p = params_for(3)
+    v = list(generic_points(6, np.random.default_rng(3), avoid=p.mu))
+    removed = (0, 1, 2, 3)
+
+    def near(s, t):
+        w = list(v)
+        w[t] = w[s] + 1e-9
+        return tuple(w)
+
+    assert np.isfinite(v_coeff(2, removed, near(4, 5), p))
+    for s, t in ((1, 5), (2, 3)):
+        with pytest.raises(PoleEncountered):
+            v_coeff(2, removed, near(s, t), p)
+
+
 def test_m_coefficient_matches_expansion_coefficient():
     p = params_for(2)
     rng = np.random.default_rng(1)
@@ -342,10 +360,10 @@ def test_partition_function_from_eigenvalues(L):
     for st in states:
         if not st.k0_defined:
             continue
-        res = check_theorem(st, v, p, z_of=lambda _: z)
+        res = check_theorem(st, v, p, z=z)
         assert res < 1e-8
         # coefficients shared between states give the same residual
-        assert check_theorem(st, v, p, z_of=lambda _: z, coeffs=coeffs) == res
+        assert check_theorem(st, v, p, z=z, coeffs=coeffs) == res
 
 
 def test_k0_closed_form_size_two():

@@ -83,14 +83,25 @@ def test_oracle_agreement_100_instances(which):
             alt = oracle_n(j, i, v, p)
         else:
             nv = int(rng.integers(2, 6))
-            vv = generic_points(nv, rng)
             mm = int(rng.integers(1, even_floor(nv) // 2 + 1))
-            idx = tuple(sorted(rng.choice(nv, size=2 * mm,
-                                          replace=False).tolist()))
-            ref = v_coeff(mm, idx, vv, p)
-            alt = oracle_v(mm, idx, vv, p)
+            ref, alt = _v_pair(rng, p, nv, mm)
         assert abs(ref - alt) <= 1e-12 * max(abs(ref), 1e-30)
         done += 1
+    if which == "v":
+        # the draws above reach m <= 2; the zeros suite evaluates m = 3 and
+        # 4 at L = 6..8
+        rng = np.random.default_rng(68)
+        for nv in (6, 6, 7, 7, 8):
+            ref, alt = _v_pair(rng, _random_instance(rng), nv, nv // 2)
+            assert abs(ref - alt) <= 1e-12 * max(abs(ref), 1e-30)
+
+
+def _v_pair(rng, p, nv, mm):
+    """v_coeff and oracle_v of order mm at nv drawn variables and 2 mm
+    drawn removed slots."""
+    vv = generic_points(nv, rng)
+    idx = tuple(sorted(rng.choice(nv, size=2 * mm, replace=False).tolist()))
+    return v_coeff(mm, idx, vv, p), oracle_v(mm, idx, vv, p)
 
 
 def test_oracle_v_trivial_order():

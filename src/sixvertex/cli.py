@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dwbc import b_product_state, check_highest_weight, z_bproduct, z_izergin
+from .dwbc import draw_residuals, underflow_residual, z_bproduct
 from .errors import ConfigError, SixVertexError
 from .functional_system import (
     check_appendix,
@@ -24,7 +24,7 @@ from .functional_system import (
     m_coeff,
     n_coeff,
     omega_coeff,
-    theorem_rhs,
+    theorem_permutation_residual,
     transfer_eigenstates,
     v_coeff,
 )
@@ -55,25 +55,22 @@ from .vertex_core import (
     full_product_residuals,
     generic_points,
     hamiltonian_commute_residual,
-    is_generic,
     log_derivative_residual,
-    monodromy,
-    r_matrix,
-    reference_states,
     rll_residual,
     sample_mu,
-    twist_matrix,
+    special_value_residuals,
     twist_symmetry_residual,
     unitarity_residual,
-    weights,
     ybe_residual,
 )
 from .zeros import (
-    SpectralData,
+    at_zero_residual,
     check_lz01,
     check_zero_coincidence,
     extract_zeros,
-    wronskian_coeffs,
+    reconstruction_residual,
+    wronskian_residual,
+    wronskian_sharpness,
 )
 
 SUITES = ("structural", "dwbc", "functional", "theorem", "zeros", "rou")
@@ -285,17 +282,9 @@ class _Runner:
     # ------------------------------------------------------------------
     def run_structural(self):
         p = self.params
-        g = p.gamma
         rng = self.rng
-        a0, b0, c0 = weights(0j, g)
-        self.add("structural.weights", "rmat",
-                 max(abs(b0), abs(a0 - c0), abs(weights(-g, g)[0])))
-        swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
-                         [0, 0, 0, 1]], dtype=complex)
-        self.add("structural.r_at_origin", "rmat",
-                 np.linalg.norm(r_matrix(0j, p) - np.sinh(g) * swap))
-        self.add("structural.twist_square", "rmat",
-                 np.linalg.norm(twist_matrix() @ twist_matrix() - np.eye(2)))
+        for name, val in special_value_residuals(p).items():
+            self.add(f"structural.{name}", "rmat", val)
 
         worst_ybe = worst_tw = worst_uni = 0.0
         for _ in range(self.config.draws):
@@ -332,42 +321,20 @@ class _Runner:
     def run_dwbc(self):
         p = self.params
         rng = self.rng
-        mu_generic = is_generic(p)
-        worst_perm = worst_shift = worst_hw = worst_over = 0.0
-        worst_oracle = 0.0
+        worst = {}
         for _ in range(self.config.draws):
             lams = generic_points(p.L, rng, avoid=p.mu)
-            z = z_bproduct(lams, p)
             perm = list(lams)
             rng.shuffle(perm)
-            worst_perm = max(worst_perm,
-                             abs(z_bproduct(perm, p) - z) / max(abs(z), 1e-300))
-            if mu_generic and p.L >= 2:
-                zi = z_izergin(lams, p)
-                worst_oracle = max(worst_oracle,
-                                   abs(z - zi) / max(abs(zi), 1e-300))
             s = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
-            shifted = ModelParams(p.L, p.gamma, tuple(m + s for m in p.mu))
-            zs = z_bproduct([x + s for x in lams], shifted)
-            worst_shift = max(worst_shift, abs(zs - z) / max(abs(z), 1e-300))
-            worst_hw = max(worst_hw, check_highest_weight(lams, p))
             over = generic_points(p.L + 1, rng, avoid=p.mu)
-            vec = b_product_state(over, p)
-            scale = np.prod([np.linalg.norm(monodromy(x, p)[0, 1], 2)
-                             for x in over])
-            worst_over = max(worst_over,
-                             np.linalg.norm(vec) / max(scale, 1e-300))
-        self.add("dwbc.permutation", "pf", worst_perm)
-        if mu_generic and p.L >= 2:
-            self.add("dwbc.oracle_agreement", "pf", worst_oracle)
-        self.add("dwbc.shift_invariance", "pf", worst_shift)
-        self.add("dwbc.highest_weight", "high", worst_hw)
-        self.add("dwbc.overflow_string", "high", worst_over)
-        _, down = reference_states(p.L)
+            for key, val in draw_residuals(lams, perm, s, over, p).items():
+                worst[key] = max(worst.get(key, 0.0), val)
+        for key, val in worst.items():
+            anchor = "high" if key in ("highest_weight", "overflow_string") else "pf"
+            self.add(f"dwbc.{key}", anchor, val)
         under = generic_points(p.L - 1, rng, avoid=p.mu)
-        vec = b_product_state(under, p)
-        self.add("dwbc.underflow_string", "pf",
-                 abs(down @ vec) / max(np.linalg.norm(vec), 1e-300))
+        self.add("dwbc.underflow_string", "pf", underflow_residual(under, p))
 
     def run_functional(self):
         p = self.params
@@ -393,36 +360,29 @@ class _Runner:
         p = self.params
         rng = self.rng
         worst = {"gamma": 0.0, "omega": 0.0, "m": 0.0, "n": 0.0, "v": 0.0}
+
+        def gate(key, ref, alt):
+            worst[key] = max(worst[key], abs(ref - alt) / max(abs(ref), 1e-300))
+
         for _ in range(self.config.draws):
             n = int(rng.integers(1, 5))
             v = generic_points(n + 1, rng)
             i = int(rng.integers(1, n + 1))
             pair = ((0, i), (i, 0))[int(rng.integers(0, 2))]
-            ref = gamma_coeff(i, pair[0], pair[1], v, p)
-            alt = oracle_gamma(i, pair[0], pair[1], v, p)
-            worst["gamma"] = max(worst["gamma"],
-                                 abs(ref - alt) / max(abs(ref), 1e-300))
-            ref = m_coeff(i, v, p)
-            alt = oracle_m(i, v, p)
-            worst["m"] = max(worst["m"], abs(ref - alt) / max(abs(ref), 1e-300))
+            gate("gamma", gamma_coeff(i, pair[0], pair[1], v, p),
+                 oracle_gamma(i, pair[0], pair[1], v, p))
+            gate("m", m_coeff(i, v, p), oracle_m(i, v, p))
             if n >= 2:
                 i2 = int(rng.integers(1, n))
                 j2 = int(rng.integers(i2 + 1, n + 1))
-                ref = omega_coeff(i2, j2, v, p)
-                alt = oracle_omega(i2, j2, v, p)
-                worst["omega"] = max(worst["omega"],
-                                     abs(ref - alt) / max(abs(ref), 1e-300))
-                ref = n_coeff(j2, i2, v, p)
-                alt = oracle_n(j2, i2, v, p)
-                worst["n"] = max(worst["n"],
-                                 abs(ref - alt) / max(abs(ref), 1e-300))
+                gate("omega", omega_coeff(i2, j2, v, p),
+                     oracle_omega(i2, j2, v, p))
+                gate("n", n_coeff(j2, i2, v, p), oracle_n(j2, i2, v, p))
             nv = int(rng.integers(2, 6))
             vv = generic_points(nv, rng)
             mm = int(rng.integers(1, even_floor(nv) // 2 + 1))
             idx = tuple(sorted(rng.choice(nv, size=2 * mm, replace=False).tolist()))
-            ref = v_coeff(mm, idx, vv, p)
-            alt = oracle_v(mm, idx, vv, p)
-            worst["v"] = max(worst["v"], abs(ref - alt) / max(abs(ref), 1e-300))
+            gate("v", v_coeff(mm, idx, vv, p), oracle_v(mm, idx, vv, p))
         for key, val in worst.items():
             self.add(f"functional.oracle.{key}", "mn" if key in ("gamma", "omega")
                      else ("coeff" if key in ("m", "n") else "VV"), val)
@@ -448,11 +408,8 @@ class _Runner:
                 )
         st = next(s for s in self.states if s.k0_defined)
         vars_ = generic_points(p.L, rng, avoid=p.mu)
-        swapped = (vars_[1], vars_[0]) + vars_[2:] if p.L >= 2 else vars_
-        rhs = theorem_rhs(vars_, st.lam, p)
-        rhs_swapped = theorem_rhs(swapped, st.lam, p)
         self.add("theorem.permutation", "Lgen",
-                 abs(rhs - rhs_swapped) / max(abs(rhs), 1e-300))
+                 theorem_permutation_residual(vars_, st.lam, p))
         if p.L == 2:
             worst = 0.0
             for s in self.states:
@@ -472,32 +429,14 @@ class _Runner:
         rng = self.rng
         if p.L < 2:
             return
-
-        def wronskian(data):
-            coeffs, scale = wronskian_coeffs(data, p)
-            return max(abs(c) for c in coeffs) / scale
-
-        def sharpness(kicked):
-            coeffs, scale = wronskian_coeffs(kicked, p)
-            return 1e-3 * scale / max(abs(c) for c in coeffs)
-
         for data in self.spectral_data():
             st = data.state
             probe = generic_points(1, rng, avoid=p.mu)[0]
-            ref = st.lam(probe)
-            self.add(
-                f"zeros.reconstruction.state{st.index}", "wj",
-                abs(ref - data.lam_from_zeros(probe)) / max(abs(ref), 1e-300),
-                state_index=st.index,
-            )
-            lam_scale = max(abs(st.lam(x))
-                            for x in generic_points(5, rng, avoid=p.mu))
-            self.add(
-                f"zeros.at_zero.state{st.index}", "wj",
-                max((abs(st.lam(w)) for w in data.zeros), default=0.0)
-                / max(lam_scale, 1e-300),
-                state_index=st.index,
-            )
+            self.add(f"zeros.reconstruction.state{st.index}", "wj",
+                     reconstruction_residual(data, probe), state_index=st.index)
+            scale_points = generic_points(5, rng, avoid=p.mu)
+            self.add(f"zeros.at_zero.state{st.index}", "wj",
+                     at_zero_residual(data, scale_points), state_index=st.index)
             draws = generic_points(max(5, self.config.draws), rng,
                                    avoid=list(data.zeros) + list(p.mu))
             try:
@@ -518,15 +457,12 @@ class _Runner:
             )
             self.guarded(
                 f"zeros.wronskian.state{st.index}", "CK",
-                lambda d=data: wronskian(d),
+                lambda d=data: wronskian_residual(d, p),
                 state_index=st.index,
             )
-            kick = data.zeros[0] + 1e-2
-            kicked = SpectralData(data.state, data.lambda0_value,
-                                  (kick,) + data.zeros[1:], data.k0)
             self.guarded(
                 f"zeros.wronskian_sharpness.state{st.index}", "CK",
-                lambda d=kicked: sharpness(d),
+                lambda d=data: wronskian_sharpness(d, p),
                 state_index=st.index,
             )
 

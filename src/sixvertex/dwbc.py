@@ -1,20 +1,30 @@
-"""Domain-wall partition function: creation-operator product definition and
-an independent determinant oracle."""
+"""Domain-wall partition function: creation-operator product definition, an
+independent determinant oracle, and the residuals of the dwbc checks."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import SingularDenominator
-from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
+from .vertex_core import (
+    EPS_GENERIC,
+    ModelParams,
+    b_operator,
+    is_generic,
+    reference_states,
+)
 
 
 def b_product_state(lams, params: ModelParams) -> np.ndarray:
     """Apply the ordered product of B operators to the all-up state."""
-    up, _ = reference_states(params.L)
-    v = up
+    return _b_string(lams, lambda lam: b_operator(lam, params), params.L)
+
+
+def _b_string(lams, b_of, L: int) -> np.ndarray:
+    """The ordered product of the operators b_of(lam) on the all-up state."""
+    v, _ = reference_states(L)
     for lam in reversed(list(lams)):
-        v = b_operator(lam, params) @ v
+        v = b_of(lam) @ v
     return v
 
 
@@ -66,8 +76,67 @@ def check_highest_weight(lams, params: ModelParams) -> float:
     lams = list(lams)
     if len(lams) != params.L:
         raise ValueError("need exactly L spectral parameters")
-    v = b_product_state(lams, params)
     _, down = reference_states(params.L)
+    return _off_down_ray(b_product_state(lams, params), down)
+
+
+def _off_down_ray(v: np.ndarray, down: np.ndarray) -> float:
     off = v - complex(down @ v) * down
     scale = np.linalg.norm(v)
     return np.linalg.norm(off) / scale if scale > 0 else np.inf
+
+
+def draw_residuals(lams, perm, shift: complex, over,
+                   params: ModelParams) -> dict:
+    """Residuals of one draw of the domain-wall checks, building each B(x)
+    once and reusing it wherever x recurs.
+
+    `lams` holds L points and `perm` the same points reordered; `shift`
+    moves points and inhomogeneities together; `over` holds L + 1 points.
+    With Z = Z(lams):
+
+    * ``permutation``: |Z(perm) - Z| / |Z|;
+    * ``oracle_agreement``, for generic inhomogeneities and L >= 2 only:
+      |Z - Z_det| / |Z_det| against the determinant `z_izergin`;
+    * ``shift_invariance``: |Z(lams + shift; mu + shift) - Z| / |Z|;
+    * ``highest_weight``: the part of B(lams)|up> off the |down> ray,
+      relative to its norm;
+    * ``overflow_string``: ||B(over)|up>|| / prod_x ||B(x)||_2, as L + 1
+      creation operators annihilate |up>.
+    """
+    L = params.L
+    if len(lams) != L:
+        raise ValueError("need exactly L spectral parameters")
+    _, down = reference_states(L)
+    bops = {x: b_operator(x, params) for x in lams}
+    vec = _b_string(lams, bops.__getitem__, L)
+    z = complex(down @ vec)
+    zperm = complex(down @ _b_string(perm, bops.__getitem__, L))
+    del bops
+    out = {"permutation": abs(zperm - z) / max(abs(z), 1e-300)}
+    if is_generic(params) and L >= 2:
+        zi = z_izergin(lams, params)
+        out["oracle_agreement"] = abs(z - zi) / max(abs(zi), 1e-300)
+    shifted = ModelParams(L, params.gamma, tuple(m + shift for m in params.mu))
+    zs = z_bproduct([x + shift for x in lams], shifted)
+    out["shift_invariance"] = abs(zs - z) / max(abs(z), 1e-300)
+    out["highest_weight"] = _off_down_ray(vec, down)
+    norms = {}
+
+    def b_over(x):
+        bop = b_operator(x, params)
+        norms[x] = np.linalg.norm(bop, 2)
+        return bop
+
+    vec = _b_string(over, b_over, L)
+    scale = np.prod([norms[x] for x in over])
+    out["overflow_string"] = np.linalg.norm(vec) / max(scale, 1e-300)
+    return out
+
+
+def underflow_residual(lams, params: ModelParams) -> float:
+    """|down> component of fewer than L creation operators on |up>,
+    relative to the norm of the image; it vanishes by spin counting."""
+    _, down = reference_states(params.L)
+    vec = b_product_state(lams, params)
+    return abs(down @ vec) / max(np.linalg.norm(vec), 1e-300)

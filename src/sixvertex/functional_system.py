@@ -99,7 +99,10 @@ def _omega(tab: _PairTable, i: int, j: int) -> complex:
 
 def m_coeff(i: int, vars_, params: ModelParams) -> complex:
     """Coefficient of the single-removal term in the functional hierarchy."""
-    tab = _PairTable(vars_, params)
+    return _m(_PairTable(vars_, params), i)
+
+
+def _m(tab: _PairTable, i: int) -> complex:
     a, b = tab.a_site, tab.b_site
     return complex(
         _gamma(tab, i, 0, i) * a[0] * b[i]
@@ -109,7 +112,10 @@ def m_coeff(i: int, vars_, params: ModelParams) -> complex:
 
 def n_coeff(j: int, i: int, vars_, params: ModelParams) -> complex:
     """Coefficient of the double-removal term in the functional hierarchy."""
-    tab = _PairTable(vars_, params)
+    return _n(_PairTable(vars_, params), j, i)
+
+
+def _n(tab: _PairTable, j: int, i: int) -> complex:
     a, b = tab.a_site, tab.b_site
     return complex(
         _omega(tab, i, j) * a[i] * b[j]
@@ -298,6 +304,7 @@ def check_fl(n: int, state: EigenState, vars_, params: ModelParams) -> float:
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
     up, _ = reference_states(params.L)
+    tab = _PairTable(v, params)
     bops = {}
 
     def f_slots(slots):
@@ -320,13 +327,13 @@ def check_fl(n: int, state: EigenState, vars_, params: ModelParams) -> float:
     acc = t_next
     for i in range(1, n + 1):
         rest = [t for t in range(1, n + 1) if t != i]
-        term = m_coeff(i, v, params) * f_slots(rest)
+        term = _m(tab, i) * f_slots(rest)
         terms.append(term)
         acc += term
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rest = [t for t in range(0, n + 1) if t not in (i, j)]
-            term = n_coeff(j, i, v, params) * f_slots(rest)
+            term = _n(tab, j, i) * f_slots(rest)
             terms.append(term)
             acc += term
     scale = max(abs(t) for t in terms)
@@ -353,14 +360,15 @@ def v_coeff(m: int, indices, vars_, params: ModelParams) -> complex:
     `indices` lists the removed slots i_1 < ... < i_2m within `vars_`
     (the full ordered variable vector); m = 0 returns 1.
     """
-    if m == 0:
-        if indices:
-            raise ValueError("m = 0 takes no indices")
-        return 1.0 + 0j
     idx = tuple(indices)
     if len(idx) != 2 * m or list(idx) != sorted(set(idx)):
         raise ValueError("indices must be 2m strictly increasing slots")
-    tab = _PairTable(vars_, params)
+    return _v(_PairTable(vars_, params), m, idx)
+
+
+def _v(tab: _PairTable, m: int, idx: tuple) -> complex:
+    if m == 0:
+        return 1.0 + 0j
     idx = np.array(idx)
     kept = np.delete(np.arange(tab.n), idx)
     # per removed slot, its site product and its ratios to every kept slot
@@ -385,12 +393,11 @@ def expansion_coeffs(vars_, params: ModelParams) -> list:
     """(removed slots, V coefficient) for every summand of the eigenvalue
     expansion over `vars_`, in summation order.  They do not depend on the
     eigenstate, so one list serves every state at the same variables."""
-    v = tuple(vars_)
-    nvar = len(v)
+    tab = _PairTable(vars_, params)
     return [
-        (idx, v_coeff(m, idx, v, params))
-        for m in range(even_floor(nvar) // 2 + 1)
-        for idx in itertools.combinations(range(nvar), 2 * m)
+        (idx, _v(tab, m, idx))
+        for m in range(even_floor(tab.n) // 2 + 1)
+        for idx in itertools.combinations(range(tab.n), 2 * m)
     ]
 
 
@@ -416,6 +423,17 @@ def theorem_terms(vars_, lam_of, params: ModelParams, coeffs=None):
 def theorem_rhs(vars_, lam_of, params: ModelParams, coeffs=None) -> complex:
     """Eigenvalue-side of the partition-function expansion over `vars_`."""
     return sum(theorem_terms(vars_, lam_of, params, coeffs))
+
+
+def theorem_permutation_residual(vars_, lam_of, params: ModelParams) -> float:
+    """Change of the eigenvalue side of the expansion when the first two
+    variables swap, relative to its value; Z is symmetric, so it must not
+    change.  It stays symmetric for any function in place of the
+    eigenvalue, so the residual tests the expansion coefficients."""
+    v = tuple(vars_)
+    swapped = (v[1], v[0]) + v[2:] if len(v) >= 2 else v
+    rhs = theorem_rhs(v, lam_of, params)
+    return abs(rhs - theorem_rhs(swapped, lam_of, params)) / max(abs(rhs), 1e-300)
 
 
 def check_theorem(state: EigenState, vars_, params: ModelParams,

@@ -126,15 +126,14 @@ def _local_blocks(lam: complex, gamma: complex):
     return a_loc, b_loc, c_loc, d_loc
 
 
-def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
-    """Ordered product over sites of the R-matrices, as an operator-valued
-    2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
-    operator in auxiliary row a and column b, so
-    ``(A, B), (C, D) = monodromy(lam, params)``."""
+def _contract(lam: complex, params: ModelParams, rows: slice) -> np.ndarray:
+    """Auxiliary rows `rows` of the monodromy, shape (rows, 2, 2^L, 2^L).
+    Row a of each partial product reads only row a of the one before, so
+    the rows left out are never computed."""
     # site tensor r[a, b, k, l] = R[(a, k), (b, l)]
     sites = [r_matrix(lam - mu, params).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
              for mu in params.mu]
-    m = sites[0]
+    m = sites[0][rows]
     for r in sites[1:]:
         d = m.shape[-1]
         # m'[a, c] = m[a, 0] (x) r[0, c] + m[a, 1] (x) r[1, c]; two broadcast
@@ -142,8 +141,16 @@ def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
         # the arithmetic of np.kron (einsum reorders it)
         m = (m[:, 0, None, :, None, :, None] * r[None, 0, :, None, :, None, :]
              + m[:, 1, None, :, None, :, None] * r[None, 1, :, None, :, None, :]
-             ).reshape(2, 2, 2 * d, 2 * d)
+             ).reshape(len(m), 2, 2 * d, 2 * d)
     return m
+
+
+def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
+    """Ordered product over sites of the R-matrices, as an operator-valued
+    2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
+    operator in auxiliary row a and column b, so
+    ``(A, B), (C, D) = monodromy(lam, params)``."""
+    return _contract(lam, params, slice(None))
 
 
 def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
@@ -172,9 +179,10 @@ def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
-    """Creation operator B(lam), the auxiliary (0, 1) entry of the monodromy.
-    A copy, so that a kept B does not hold the other three blocks alive."""
-    return monodromy(lam, params)[0, 1].copy()
+    """Creation operator B(lam), the auxiliary (0, 1) entry of the monodromy,
+    contracted from auxiliary row 0 alone.  A copy, so that a kept B does
+    not hold the A block alive."""
+    return _contract(lam, params, slice(0, 1))[0, 1].copy()
 
 
 def transfer(lam: complex, params: ModelParams) -> np.ndarray:
@@ -244,6 +252,24 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> float:
                  / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300))
 
 
+def special_value_residuals(params: ModelParams) -> dict:
+    """Identities at fixed points, each an absolute residual.
+
+    ``weights``: b(0) = 0, a(0) = c and a(-gamma) = 0; ``r_at_origin``:
+    R(0) is c times the swap of the two spaces; ``twist_square``: G^2 = 1.
+    """
+    g = params.gamma
+    a0, b0, c0 = weights(0j, g)
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                     [0, 0, 0, 1]], dtype=complex)
+    return {
+        "weights": max(abs(b0), abs(a0 - c0), abs(weights(-g, g)[0])),
+        "r_at_origin": np.linalg.norm(r_matrix(0j, params) - np.sinh(g) * swap),
+        "twist_square": np.linalg.norm(twist_matrix() @ twist_matrix()
+                                       - np.eye(2)),
+    }
+
+
 def twist_symmetry_residual(lam: complex, params: ModelParams) -> float:
     """Norm of [R(lam), G x G].  Absolute: G x G only permutes the entries
     of R, so the commutator is exactly zero in floating point."""
@@ -266,7 +292,7 @@ def commuting_residual(x: complex, y: complex, params: ModelParams) -> float:
 
 def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
     """Commutator of the creation operators B(x) and B(y)."""
-    return _commutator(monodromy(x, params)[0, 1], monodromy(y, params)[0, 1])
+    return _commutator(b_operator(x, params), b_operator(y, params))
 
 
 def hamiltonian_commute_residual(lam: complex, params: ModelParams) -> float:

@@ -16,6 +16,9 @@ from .functional_system import EigenState, even_floor, v_coeff
 from .numkit import CPoly, fit_poly, poly_roots
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
 
+# shift of one zero that the Wronskian conditions must detect
+ZERO_KICK = 1e-2
+
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -122,6 +125,29 @@ def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
                 f"zero-set reconstruction off by {abs(ref - rec) / abs(ref):.3e}"
             )
     return data
+
+
+def kick_zero(data: SpectralData, j: int) -> SpectralData:
+    """The same data with zero j moved by ZERO_KICK."""
+    zeros = list(data.zeros)
+    zeros[j] += ZERO_KICK
+    return SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
+
+
+def reconstruction_residual(data: SpectralData, probe: complex) -> float:
+    """The eigenvalue at `probe` against its reconstruction from the zero
+    set, relative to the eigenvalue."""
+    ref = data.state.lam(probe)
+    return abs(ref - data.lam_from_zeros(probe)) / max(abs(ref), 1e-300)
+
+
+def at_zero_residual(data: SpectralData, scale_points) -> float:
+    """Largest |eigenvalue| at the zeros, relative to its largest modulus
+    at `scale_points`."""
+    lam = data.state.lam
+    scale = max(abs(lam(x)) for x in scale_points)
+    return (max((abs(lam(w)) for w in data.zeros), default=0.0)
+            / max(scale, 1e-300))
 
 
 def _top_v_indices(L: int):
@@ -239,3 +265,17 @@ def wronskian_coeffs(data: SpectralData,
     padded[: min(len(wron), top + 1)] = wron[: top + 1]
     scale = float(max(np.abs(zc).max() * np.abs(fc).max(), 1e-300))
     return [complex(c) for c in padded], scale
+
+
+def wronskian_residual(data: SpectralData, params: ModelParams) -> float:
+    """Largest Wronskian coefficient relative to their scale; it vanishes
+    on the true zeros."""
+    coeffs, scale = wronskian_coeffs(data, params)
+    return max(abs(c) for c in coeffs) / scale
+
+
+def wronskian_sharpness(data: SpectralData, params: ModelParams) -> float:
+    """1e-3 over the Wronskian residual once the first zero is kicked, so
+    it reads below 1 while the Wronskian detects the kick."""
+    coeffs, scale = wronskian_coeffs(kick_zero(data, 0), params)
+    return 1e-3 * scale / max(abs(c) for c in coeffs)

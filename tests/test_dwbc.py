@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from sixvertex import cli, dwbc, vertex_core
 from sixvertex.dwbc import (
-    b_product_state,
     check_highest_weight,
+    draw_residuals,
+    underflow_residual,
     z_bproduct,
     z_izergin,
 )
@@ -14,6 +18,7 @@ from sixvertex.vertex_core import (
     generic_points,
     reference_states,
     sample_mu,
+    weights,
 )
 
 GAMMA = complex(0.39, 0.27)
@@ -22,6 +27,17 @@ GAMMA = complex(0.39, 0.27)
 def params_for(L, seed=7):
     rng = np.random.default_rng(seed)
     return ModelParams(L, GAMMA, sample_mu(L, GAMMA, rng))
+
+
+def draw(p, lams=None, perm=None, shift=0j, over=None):
+    """`draw_residuals` with the inputs a test does not vary drawn from a
+    fixed generator of their own."""
+    filler = np.random.default_rng(0)
+    if lams is None:
+        lams = generic_points(p.L, filler, avoid=p.mu)
+    if over is None:
+        over = generic_points(p.L + 1, filler, avoid=p.mu)
+    return draw_residuals(lams, lams if perm is None else perm, shift, over, p)
 
 
 def test_single_site_partition_function():
@@ -33,10 +49,10 @@ def test_single_site_partition_function():
 def test_permutation_invariance():
     p = params_for(4)
     rng = np.random.default_rng(1)
-    lams = list(generic_points(4, rng, avoid=p.mu))
-    z = z_bproduct(lams, p)
-    rng.shuffle(lams)
-    assert abs(z_bproduct(lams, p) - z) / abs(z) < 1e-10
+    lams = generic_points(4, rng, avoid=p.mu)
+    perm = list(lams)
+    rng.shuffle(perm)
+    assert draw(p, lams, perm)["permutation"] < 1e-10
 
 
 def test_determinant_anchor_single_site():
@@ -51,9 +67,7 @@ def test_determinant_matches_product(L):
     rng = np.random.default_rng(40 + L)
     for _ in range(5):
         lams = generic_points(L, rng, avoid=p.mu)
-        zb = z_bproduct(lams, p)
-        zi = z_izergin(lams, p)
-        assert abs(zb - zi) / abs(zi) < 1e-9
+        assert draw(p, lams)["oracle_agreement"] < 1e-9
 
 
 def test_determinant_symmetric_in_lambdas():
@@ -75,11 +89,7 @@ def test_shift_invariance():
     p = params_for(3)
     rng = np.random.default_rng(3)
     lams = generic_points(3, rng, avoid=p.mu)
-    z = z_bproduct(lams, p)
-    s = 0.17 - 0.08j
-    shifted = ModelParams(p.L, p.gamma, tuple(m + s for m in p.mu))
-    zs = z_bproduct([x + s for x in lams], shifted)
-    assert abs(zs - z) / abs(z) < 1e-10
+    assert draw(p, lams, shift=0.17 - 0.08j)["shift_invariance"] < 1e-10
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -102,15 +112,72 @@ def test_overlong_string_annihilates():
     p = params_for(3)
     rng = np.random.default_rng(4)
     lams = generic_points(4, rng, avoid=p.mu)
-    vec = b_product_state(lams, p)
-    scale = np.prod([np.linalg.norm(b_operator(x, p), 2) for x in lams])
-    assert np.linalg.norm(vec) / scale < 1e-10
+    assert draw(p, over=lams)["overflow_string"] < 1e-10
 
 
 def test_short_string_has_no_down_component():
     p = params_for(3)
     rng = np.random.default_rng(5)
     lams = generic_points(2, rng, avoid=p.mu)
-    vec = b_product_state(lams, p)
-    _, down = reference_states(3)
-    assert abs(down @ vec) / np.linalg.norm(vec) < 1e-12
+    assert underflow_residual(lams, p) < 1e-12
+
+
+def _scaled_c(lam, gamma):
+    a, b, c = weights(lam, gamma)
+    return a, b, 1.1 * c
+
+
+def _b_times_exp(lam, params):
+    # a factor e^lam depends on the point itself, not on its difference
+    # from the inhomogeneities
+    return np.exp(lam) * b_operator(lam, params)
+
+
+def _b_plus_ones(lam, params):
+    # connects every pair of basis states, whatever their magnetization
+    bop = b_operator(lam, params)
+    return bop + 0.1 * np.abs(bop).max() * np.ones_like(bop)
+
+
+# check -> (module, attribute, replacement that breaks the identity)
+BREAKS = {
+    # with c scaled the B(x) no longer commute, and Z leaves the determinant
+    "permutation": (vertex_core, "weights", _scaled_c),
+    "oracle_agreement": (vertex_core, "weights", _scaled_c),
+    "shift_invariance": (dwbc, "b_operator", _b_times_exp),
+    "highest_weight": (dwbc, "b_operator", _b_plus_ones),
+    "overflow_string": (dwbc, "b_operator", _b_plus_ones),
+    "underflow_string": (dwbc, "b_operator", _b_plus_ones),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BREAKS))
+def test_residual_reads_large_on_broken_identity(check, monkeypatch):
+    p = params_for(3)
+    rng = np.random.default_rng(6)
+    lams = generic_points(3, rng, avoid=p.mu)
+    owner, attr, broken = BREAKS[check]
+    monkeypatch.setattr(owner, attr, broken)
+    if check == "underflow_string":
+        residual = underflow_residual(lams[:2], p)
+    else:
+        residual = draw(p, lams, lams[::-1], 0.17 - 0.08j)[check]
+    assert residual > 1e-3
+
+
+def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):
+    builds = Counter()
+
+    def counted(lam, params):
+        builds[lam, params.mu] += 1
+        return b_operator(lam, params)
+
+    monkeypatch.setattr(dwbc, "b_operator", counted)
+    config = cli.RunConfig(L=3, gamma_mode="explicit", gamma=GAMMA, seed=2,
+                           suites=("dwbc",), draws=1,
+                           output_path=str(tmp_path / "r.txt"))
+    assert cli.run(config)[0] == 0
+    # 3 points, their 3 shifted copies and 4 overflow points, then the 2
+    # points of the underflow string
+    assert max(builds.values()) == 1
+    assert sum(builds.values()) == 12

@@ -16,6 +16,7 @@ from sixvertex.functional_system import (
     m_coeff,
     n_coeff,
     omega_coeff,
+    theorem_permutation_residual,
     theorem_rhs,
     transfer_eigenstates,
     v_coeff,
@@ -400,9 +401,20 @@ def test_expansion_rhs_symmetric_under_argument_swap():
     st = states_for(p, seed=151)[0]
     rng = np.random.default_rng(152)
     v = generic_points(3, rng, avoid=p.mu)
-    rhs = theorem_rhs(v, st.lam, p)
-    swapped = (v[1], v[0], v[2])
-    assert abs(theorem_rhs(swapped, st.lam, p) - rhs) < 1e-9 * abs(rhs)
+    assert theorem_permutation_residual(v, st.lam, p) < 1e-9
+
+
+def test_expansion_rhs_symmetry_detects_broken_coefficient(monkeypatch):
+    # the eigenvalue side is symmetric for any function in place of the
+    # eigenvalue, so the break goes into the coefficients: scale those
+    # that remove slot 0
+    v_of = functional_system._v
+    monkeypatch.setattr(functional_system, "_v", lambda tab, m, idx: (
+        1.1 if 0 in idx else 1.0) * v_of(tab, m, idx))
+    p = params_for(3, seed=150)
+    st = states_for(p, seed=151)[0]
+    v = generic_points(3, np.random.default_rng(152), avoid=p.mu)
+    assert theorem_permutation_residual(v, st.lam, p) > 1e-3
 
 
 def test_appendix_identities_size_three():

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,8 @@ def _random_instance(rng):
 
 @pytest.mark.parametrize("which", ["gamma", "omega", "m", "n", "v"])
 def test_oracle_agreement_100_instances(which):
-    rng = np.random.default_rng(hash(which) % 2**32)
+    # str hashes are salted per process; crc32 gives every run the same draws
+    rng = np.random.default_rng(zlib.crc32(which.encode()))
     done = 0
     while done < 100:
         p = _random_instance(rng)

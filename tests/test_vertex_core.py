@@ -20,6 +20,7 @@ from sixvertex.vertex_core import (
     rll_residual,
     sample_mu,
     site_op,
+    special_value_residuals,
     transfer,
     twist_matrix,
     twist_symmetry_residual,
@@ -55,10 +56,7 @@ def test_weights_free_fermion_point():
 
 
 def test_r_at_origin_is_swap():
-    p = params_for(1)
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                    dtype=complex)
-    assert np.linalg.norm(r_matrix(0j, p) - np.sinh(GAMMA) * swap) < 1e-15
+    assert special_value_residuals(params_for(1))["r_at_origin"] < 1e-15
 
 
 def test_yang_baxter_equation():
@@ -241,6 +239,13 @@ BREAKS = {
         "weights", _scaled_c, lambda p: commuting_residual(LAM, MU, p)),
     "b_commute": (
         "weights", _scaled_c, lambda p: b_commute_residual(LAM, MU, p)),
+    "weights": ("weights", _scaled_c,
+                lambda p: special_value_residuals(p)["weights"]),
+    "r_at_origin": ("r_matrix", _r_scaled_c,
+                    lambda p: special_value_residuals(p)["r_at_origin"]),
+    "twist_square": (
+        "twist_matrix", lambda: np.array([[1, 1], [0, 1]], dtype=complex),
+        lambda p: special_value_residuals(p)["twist_square"]),
     "hamiltonian_commutes": (
         "weights", _scaled_c,
         lambda p: hamiltonian_commute_residual(

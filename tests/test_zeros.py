@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from sixvertex import zeros
-from sixvertex.functional_system import transfer_eigenstates, v_coeff
+from sixvertex.functional_system import (
+    EigenState,
+    transfer_eigenstates,
+    v_coeff,
+)
 from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
 from sixvertex.zeros import (
     SpectralData,
+    at_zero_residual,
     build_F,
     check_lz01,
     check_zero_coincidence,
     extract_zeros,
+    kick_zero,
+    reconstruction_residual,
     top_v,
     wronskian_coeffs,
+    wronskian_residual,
+    wronskian_sharpness,
 )
 
 GAMMA = complex(0.39, 0.27)
@@ -46,8 +55,7 @@ def test_zero_count_and_reconstruction(L):
         assert len(data.zeros) == L - 1
         for _ in range(3):
             probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            ref = data.state.lam(probe)
-            assert abs(ref - data.lam_from_zeros(probe)) < 1e-7 * abs(ref)
+            assert reconstruction_residual(data, probe) < 1e-7
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -150,9 +158,9 @@ def test_wronskian_vanishes_on_true_zeros(L):
     p, specs = spectral_for(L, seed=50 + L)
     expected_count = (L if L % 2 == 0 else L - 1) + 1
     for data in specs:
-        coeffs, scale = wronskian_coeffs(data, p)
+        coeffs, _ = wronskian_coeffs(data, p)
         assert len(coeffs) == expected_count
-        assert max(abs(c) for c in coeffs) / scale < 1e-6
+        assert wronskian_residual(data, p) < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -160,12 +168,7 @@ def test_wronskian_detects_perturbed_zero(L):
     p, specs = spectral_for(L, seed=55 + L)
     data = specs[0]
     for j in range(len(data.zeros)):
-        kicked_zeros = list(data.zeros)
-        kicked_zeros[j] += 1e-2
-        kicked = SpectralData(data.state, data.lambda0_value,
-                              tuple(kicked_zeros), data.k0)
-        coeffs, scale = wronskian_coeffs(kicked, p)
-        assert max(abs(c) for c in coeffs) / scale > 1e-3
+        assert wronskian_residual(kick_zero(data, j), p) > 1e-3
 
 
 def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
@@ -183,3 +186,39 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
     wronskian_coeffs(data, p)
     # one fit each of Z(., w) and F(., w)
     assert len(fits) == 2
+
+
+def _scaled_eigenvalue(monkeypatch, data, p):
+    lam = EigenState.lam
+    monkeypatch.setattr(EigenState, "lam", lambda st, x: 1.01 * lam(st, x))
+    return reconstruction_residual(data, 0.21 - 0.55j)
+
+
+def _moved_zero(monkeypatch, data, p):
+    points = generic_points(5, np.random.default_rng(1), avoid=p.mu)
+    return at_zero_residual(kick_zero(data, 0), points)
+
+
+def _unkicked_probe(monkeypatch, data, p):
+    # the kick leaves the zero in place, so the Wronskian does not respond
+    # and the sharpness reads far above its tolerance 1
+    monkeypatch.setattr(zeros, "ZERO_KICK", 0.0)
+    return wronskian_sharpness(data, p)
+
+
+# check -> (break returning the residual, the value it must exceed)
+BREAKS = {
+    "reconstruction": (_scaled_eigenvalue, 1e-3),
+    "at_zero": (_moved_zero, 1e-3),
+    "wronskian": (lambda mp, data, p: wronskian_residual(kick_zero(data, 0), p),
+                  1e-3),
+    "wronskian_sharpness": (_unkicked_probe, 1.0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BREAKS))
+@pytest.mark.parametrize("L", [2, 3])
+def test_residual_reads_large_on_broken_identity(L, check, monkeypatch):
+    p, specs = spectral_for(L, seed=65 + L)
+    broken, bound = BREAKS[check]
+    assert broken(monkeypatch, specs[0], p) > bound

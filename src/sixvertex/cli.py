@@ -19,21 +19,10 @@ from .functional_system import (
     check_tphi,
     even_floor,
     expansion_coeffs,
-    gamma_coeff,
     k0_closed_form_residual,
-    m_coeff,
-    n_coeff,
-    omega_coeff,
+    oracle_residuals,
     theorem_permutation_residual,
     transfer_eigenstates,
-    v_coeff,
-)
-from .prefix_oracle import (
-    oracle_gamma,
-    oracle_m,
-    oracle_n,
-    oracle_omega,
-    oracle_v,
 )
 from .report import CONJECTURE, FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
@@ -360,29 +349,23 @@ class _Runner:
         p = self.params
         rng = self.rng
         worst = {"gamma": 0.0, "omega": 0.0, "m": 0.0, "n": 0.0, "v": 0.0}
-
-        def gate(key, ref, alt):
-            worst[key] = max(worst[key], abs(ref - alt) / max(abs(ref), 1e-300))
-
         for _ in range(self.config.draws):
             n = int(rng.integers(1, 5))
             v = generic_points(n + 1, rng)
             i = int(rng.integers(1, n + 1))
             pair = ((0, i), (i, 0))[int(rng.integers(0, 2))]
-            gate("gamma", gamma_coeff(i, pair[0], pair[1], v, p),
-                 oracle_gamma(i, pair[0], pair[1], v, p))
-            gate("m", m_coeff(i, v, p), oracle_m(i, v, p))
+            i2 = j2 = None
             if n >= 2:
                 i2 = int(rng.integers(1, n))
                 j2 = int(rng.integers(i2 + 1, n + 1))
-                gate("omega", omega_coeff(i2, j2, v, p),
-                     oracle_omega(i2, j2, v, p))
-                gate("n", n_coeff(j2, i2, v, p), oracle_n(j2, i2, v, p))
             nv = int(rng.integers(2, 6))
             vv = generic_points(nv, rng)
             mm = int(rng.integers(1, even_floor(nv) // 2 + 1))
             idx = tuple(sorted(rng.choice(nv, size=2 * mm, replace=False).tolist()))
-            gate("v", v_coeff(mm, idx, vv, p), oracle_v(mm, idx, vv, p))
+            res = oracle_residuals(p, v, i=i, pair=pair, i2=i2, j2=j2,
+                                   vv=vv, mm=mm, idx=idx)
+            for key, val in res.items():
+                worst[key] = max(worst[key], val)
         for key, val in worst.items():
             self.add(f"functional.oracle.{key}", "mn" if key in ("gamma", "omega")
                      else ("coeff" if key in ("m", "n") else "VV"), val)

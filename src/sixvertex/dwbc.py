@@ -102,7 +102,8 @@ def draw_residuals(lams, perm, shift: complex, over,
     * ``highest_weight``: the part of B(lams)|up> off the |down> ray,
       relative to its norm;
     * ``overflow_string``: ||B(over)|up>|| / prod_x ||B(x)||_2, as L + 1
-      creation operators annihilate |up>.
+      creation operators annihilate |up>; for a nonzero string the B(x)
+      of the scale are built a second time.
     """
     L = params.L
     if len(lams) != L:
@@ -121,16 +122,14 @@ def draw_residuals(lams, perm, shift: complex, over,
     zs = z_bproduct([x + shift for x in lams], shifted)
     out["shift_invariance"] = abs(zs - z) / max(abs(z), 1e-300)
     out["highest_weight"] = _off_down_ray(vec, down)
-    norms = {}
-
-    def b_over(x):
-        bop = b_operator(x, params)
-        norms[x] = np.linalg.norm(bop, 2)
-        return bop
-
-    vec = _b_string(over, b_over, L)
-    scale = np.prod([norms[x] for x in over])
-    out["overflow_string"] = np.linalg.norm(vec) / max(scale, 1e-300)
+    # the string is exactly zero while the B(x) keep the magnetization
+    # sectors apart, and then reads 0.0 whatever the scale: the 2-norms,
+    # an SVD each, are taken only for a nonzero string
+    over_norm = np.linalg.norm(_b_string(over, lambda x: b_operator(x, params), L))
+    if over_norm != 0.0:
+        scale = np.prod([np.linalg.norm(b_operator(x, params), 2) for x in over])
+        over_norm = over_norm / max(scale, 1e-300)
+    out["overflow_string"] = over_norm
     return out
 
 

@@ -14,6 +14,13 @@ import numpy as np
 from .dwbc import b_product_state, z_bproduct
 from .errors import DegenerateSpectrum, K0Undefined, PoleEncountered
 from .numkit import eig_general
+from .prefix_oracle import (
+    oracle_gamma,
+    oracle_m,
+    oracle_n,
+    oracle_omega,
+    oracle_v,
+)
 from .vertex_core import (
     EPS_GENERIC,
     ModelParams,
@@ -126,29 +133,55 @@ def _n(tab: _PairTable, j: int, i: int) -> complex:
 class _Spectrum:
     """The eigenvectors of one diagonalization, shared by its states.
 
-    Work that does not depend on the state is done once per spectral point:
-    ``values(x)`` builds ``transfer(x)`` once and sandwiches it for every
-    state with the single-state arithmetic ``left @ t @ right / norm``,
-    kept as one complex128 vector; ``b_op(x)`` keeps ``B(x)`` for
-    the fixed abscissae at which every state's fits sample.  Both memos
-    live as long as the states that share them, i.e. one run.
+    Work that does not depend on the state is done once per spectral point,
+    and a state's value ``left @ t @ right / norm`` is computed only when
+    asked for.  The first state to ask at a point ``x`` gets its own value
+    from ``transfer(x)``, and only that value is kept, with the transfer
+    matrix of the last such point.  When a second state asks at ``x``,
+    every state's value there is kept as one complex128 vector, from the
+    kept matrix if ``x`` is its point and from a rebuild otherwise.  Each
+    value is thus the same sandwich of the same ``transfer(x)`` whatever
+    the order of the calls, and a point only one state asks for (such as
+    a shift of that state's zeros) costs one build and one sandwich.
+    ``b_op(x)`` keeps ``B(x)`` for the fixed abscissae at which every
+    state's fits sample.  The memos live as long as the states that share
+    them, i.e. one run.
     """
 
     def __init__(self, params: ModelParams, trips, norms):
         self.params = params
         self._pairs = [(tr.left, tr.right, norm) for tr, norm in zip(trips, norms)]
         self._values = {}
+        self._first = {}
+        self._kept = (None, None)
         self._b_ops = {}
 
-    def values(self, x: complex) -> np.ndarray:
+    def value(self, x: complex, index: int) -> complex:
+        """The eigenvalue of state `index` at `x`."""
         vals = self._values.get(x)
-        if vals is None:
+        if vals is not None:
+            return complex(vals[index])
+        first = self._first.get(x)
+        if first is None:
             t = transfer(x, self.params)
-            vals = np.array([left @ t @ right / norm
-                             for left, right, norm in self._pairs],
-                            dtype=complex)
-            self._values[x] = vals
-        return vals
+            self._kept = (x, t)
+            val = self._sandwich(t, index)
+            self._first[x] = (index, val)
+            return val
+        if first[0] == index:
+            return first[1]
+        kept_x, t = self._kept
+        if kept_x != x:
+            t = transfer(x, self.params)
+        del self._first[x]
+        vals = self._values[x] = np.array(
+            [self._sandwich(t, i) for i in range(len(self._pairs))],
+            dtype=complex)
+        return complex(vals[index])
+
+    def _sandwich(self, t: np.ndarray, index: int) -> complex:
+        left, right, norm = self._pairs[index]
+        return complex(left @ t @ right / norm)
 
     def b_op(self, x: complex) -> np.ndarray:
         bop = self._b_ops.get(x)
@@ -164,8 +197,8 @@ class EigenState:
     The left vector is transpose-sense; `lam` evaluates the eigenvalue
     function at any spectral parameter through the sandwiched transfer
     matrix, valid because the family commutes.  The states of one
-    `transfer_eigenstates` call share one `_Spectrum`, so a point costs
-    one transfer-matrix build for all of them.
+    `transfer_eigenstates` call share one `_Spectrum`, so the transfer
+    matrix at a point is not built once per state.
     """
 
     index: int
@@ -188,7 +221,7 @@ class EigenState:
         return abs(self.f0) >= EPS_GENERIC * np.linalg.norm(self.left)
 
     def lam(self, x: complex) -> complex:
-        return complex(self._spectrum.values(x)[self.index])
+        return self._spectrum.value(x, self.index)
 
 
 def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
@@ -382,6 +415,37 @@ def _v(tab: _PairTable, m: int, idx: tuple) -> complex:
                       * tab.read("ag_b", sk[..., s], sj[..., r]), axis=2))
     jfac = np.prod(jf[J], axis=1)
     return complex(np.sum(jfac * np.sum(kfac, axis=1)))
+
+
+def oracle_residuals(params: ModelParams, v=None, *, i=None, pair=None,
+                     i2=None, j2=None, vv=None, mm=None, idx=None) -> dict:
+    """Relative errors |ref - alt| / |ref| of the coefficient functions
+    against their second transcriptions in `prefix_oracle`, at one draw of
+    variables and slots.  `v` holds the n + 1 variables of the exchange and
+    hierarchy coefficients, `vv` those of the expansion coefficient; a
+    coefficient whose slots are not given is left out:
+
+    * ``gamma``: ``gamma_coeff(i, *pair)`` at `v`; ``m``: ``m_coeff(i)``;
+    * ``omega``: ``omega_coeff(i2, j2)`` and ``n``: ``n_coeff(j2, i2)``;
+    * ``v``: ``v_coeff(mm, idx)`` at `vv`.
+    """
+    out = {}
+
+    def rel(key, ref, alt):
+        out[key] = abs(ref - alt) / max(abs(ref), 1e-300)
+
+    if pair is not None:
+        rel("gamma", gamma_coeff(i, pair[0], pair[1], v, params),
+            oracle_gamma(i, pair[0], pair[1], v, params))
+    if i is not None:
+        rel("m", m_coeff(i, v, params), oracle_m(i, v, params))
+    if j2 is not None:
+        rel("omega", omega_coeff(i2, j2, v, params),
+            oracle_omega(i2, j2, v, params))
+        rel("n", n_coeff(j2, i2, v, params), oracle_n(j2, i2, v, params))
+    if idx is not None:
+        rel("v", v_coeff(mm, idx, vv, params), oracle_v(mm, idx, vv, params))
+    return out
 
 
 def even_floor(x: int) -> int:

@@ -126,22 +126,35 @@ def _local_blocks(lam: complex, gamma: complex):
     return a_loc, b_loc, c_loc, d_loc
 
 
+# Ice rule: the site tensor r[b, c, s, t] may be nonzero only where
+# b + s = c + t, as a vertex conserves the up arrows.
+_ICE = np.fromfunction(lambda b, c, s, t: b + s == c + t, (2, 2, 2, 2), dtype=int)
+
+
 def _contract(lam: complex, params: ModelParams, rows: slice) -> np.ndarray:
     """Auxiliary rows `rows` of the monodromy, shape (rows, 2, 2^L, 2^L).
     Row a of each partial product reads only row a of the one before, so
     the rows left out are never computed."""
-    # site tensor r[a, b, k, l] = R[(a, k), (b, l)]
-    sites = [r_matrix(lam - mu, params).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-             for mu in params.mu]
+    # site tensor r[b, c, s, t] = R[(b, s), (c, t)]
+    sites = np.array([r_matrix(lam - mu, params).reshape(2, 2, 2, 2)
+                      .transpose(0, 2, 1, 3) for mu in params.mu])
+    if sites[:, ~_ICE].any():
+        raise ValueError("site tensor has an entry that breaks the ice rule")
+    # per site, the weights r[c, c, s, s] as [c, s]
+    diag = np.diagonal(np.diagonal(sites, axis1=1, axis2=2), axis1=1, axis2=2)
     m = sites[0][rows]
-    for r in sites[1:]:
-        d = m.shape[-1]
-        # m'[a, c] = m[a, 0] (x) r[0, c] + m[a, 1] (x) r[1, c]; two broadcast
-        # products, so each entry is two products and one sum, bit for bit
-        # the arithmetic of np.kron (einsum reorders it)
-        m = (m[:, 0, None, :, None, :, None] * r[None, 0, :, None, :, None, :]
-             + m[:, 1, None, :, None, :, None] * r[None, 1, :, None, :, None, :]
-             ).reshape(len(m), 2, 2 * d, 2 * d)
+    for k in range(1, len(sites)):
+        n, d = m.shape[0], m.shape[-1]
+        # m'[a, c, i, s, j, t] = m[a, 0, i, j] r[0, c, s, t]
+        #                      + m[a, 1, i, j] r[1, c, s, t],
+        # where only b = c + t - s can be nonzero: each entry is that one
+        # product, bit for bit the broadcast sum, which adds an exact zero
+        out = np.zeros((n, 2, d, 2, d, 2), dtype=complex)
+        for s in (0, 1):
+            out[:, :, :, s, :, s] = m * diag[k, :, s, None, None]
+        out[:, 0, :, 0, :, 1] = m[:, 1] * sites[k, 1, 0, 0, 1]
+        out[:, 1, :, 1, :, 0] = m[:, 0] * sites[k, 0, 1, 1, 0]
+        m = out.reshape(n, 2, 2 * d, 2 * d)
     return m
 
 

@@ -23,20 +23,11 @@ from sixvertex.functional_system import (
     check_theorem,
     check_tphi,
     even_floor,
-    gamma_coeff,
     k0_closed_form_residual,
     m_coeff,
     n_coeff,
-    omega_coeff,
+    oracle_residuals,
     transfer_eigenstates,
-    v_coeff,
-)
-from sixvertex.prefix_oracle import (
-    oracle_gamma,
-    oracle_m,
-    oracle_n,
-    oracle_omega,
-    oracle_v,
 )
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
@@ -470,27 +461,16 @@ def test_criterion9_duplicate_implementation_gate():
         v = generic_points(n + 1, rng)
         i = int(rng.integers(1, n + 1))
         jk = ((0, i), (i, 0))[int(rng.integers(0, 2))]
-        ref = gamma_coeff(i, jk[0], jk[1], v, p)
-        worst["gamma"] = max(worst["gamma"],
-                             abs(ref - oracle_gamma(i, jk[0], jk[1], v, p))
-                             / abs(ref))
-        ref = m_coeff(i, v, p)
-        worst["m"] = max(worst["m"], abs(ref - oracle_m(i, v, p)) / abs(ref))
         i2 = int(rng.integers(1, n))
         j2 = int(rng.integers(i2 + 1, n + 1))
-        ref = omega_coeff(i2, j2, v, p)
-        worst["omega"] = max(worst["omega"],
-                             abs(ref - oracle_omega(i2, j2, v, p)) / abs(ref))
-        ref = n_coeff(j2, i2, v, p)
-        worst["n"] = max(worst["n"],
-                         abs(ref - oracle_n(j2, i2, v, p)) / abs(ref))
         nv = int(rng.integers(2, 6))
         vv = generic_points(nv, rng)
         mm = int(rng.integers(1, even_floor(nv) // 2 + 1))
         idx = tuple(sorted(rng.choice(nv, size=2 * mm, replace=False).tolist()))
-        ref = v_coeff(mm, idx, vv, p)
-        worst["v"] = max(worst["v"], abs(ref - oracle_v(mm, idx, vv, p))
-                         / abs(ref))
+        res = oracle_residuals(p, v, i=i, pair=jk, i2=i2, j2=j2,
+                               vv=vv, mm=mm, idx=idx)
+        for key, val in res.items():
+            worst[key] = max(worst[key], val)
     ok = max(worst.values()) < 1e-12
     assert report("9.duplicate_implementation", ok,
                   ", ".join(f"{k}={x:.2e}" for k, x in worst.items()))

@@ -165,6 +165,34 @@ def test_residual_reads_large_on_broken_identity(check, monkeypatch):
     assert residual > 1e-3
 
 
+def _count_two_norms(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+def test_overflow_scale_is_taken_only_for_a_nonzero_string(monkeypatch):
+    p = params_for(3)
+    rng = np.random.default_rng(7)
+    lams = generic_points(3, rng, avoid=p.mu)
+    over = generic_points(4, rng, avoid=p.mu)
+    calls = _count_two_norms(monkeypatch)
+    assert draw(p, lams, over=over)["overflow_string"] == 0.0
+    assert calls == []
+    # a B that mixes the magnetization sectors leaves a nonzero string,
+    # scaled by the 2-norm of each of its operators
+    monkeypatch.setattr(dwbc, "b_operator", _b_plus_ones)
+    assert draw(p, lams, over=over)["overflow_string"] > 1e-3
+    assert calls == [(8, 8)] * 4
+
+
 def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):
     builds = Counter()
 

@@ -203,6 +203,48 @@ def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):
     assert len(builds) == 2
 
 
+def test_point_asked_by_one_state_sandwiches_that_state_only(monkeypatch):
+    p = params_for(4, seed=177)
+    states = states_for(p, seed=178)
+    spectrum = states[0]._spectrum
+    x = -0.29 + 0.33j
+    t = transfer(x, p)
+    builds = counting(monkeypatch, functional_system, "transfer")
+    lam = states[2].lam(x)
+    assert states[2].lam(x) == lam
+    assert len(builds) == 1
+    assert x not in spectrum._values
+    # a second state at the kept point fills every state's value from it
+    lam5 = states[5].lam(x)
+    assert len(builds) == 1
+    assert x in spectrum._values
+    direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
+    assert (lam, lam5) == (direct[2], direct[5])
+    assert [st.lam(x) for st in states] == direct
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_values_do_not_depend_on_call_order(order, monkeypatch):
+    # state a asks at x, then at y, which replaces the kept matrix; state b
+    # then asks at x, which needs a rebuild of T(x)
+    p = params_for(3, seed=179)
+    states = states_for(p, seed=180)
+    xs = (0.41 - 0.12j, -0.17 + 0.52j)
+    direct = {x: [complex(st.left @ transfer(x, p) @ st.right / st.norm)
+                  for st in states] for x in xs}
+    builds = counting(monkeypatch, functional_system, "transfer")
+    a, b, c = (states[k] for k in order)
+    got = [a.lam(xs[0]), a.lam(xs[1]), b.lam(xs[0]), c.lam(xs[1]),
+           c.lam(xs[0])]
+    assert got == [direct[xs[0]][a.index], direct[xs[1]][a.index],
+                   direct[xs[0]][b.index], direct[xs[1]][c.index],
+                   direct[xs[0]][c.index]]
+    assert len(builds) == 3
+    assert [st.lam(x) for x in xs for st in states] == direct[xs[0]] + direct[xs[1]]
+    assert len(builds) == 3
+
+
 @pytest.mark.parametrize("L", [2, 3])
 def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
     p = params_for(L, seed=174)

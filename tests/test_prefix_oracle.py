@@ -3,23 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
-from sixvertex.functional_system import (
-    even_floor,
-    gamma_coeff,
-    m_coeff,
-    n_coeff,
-    omega_coeff,
-    v_coeff,
-)
-from sixvertex.prefix_oracle import (
-    Interp,
-    oracle_gamma,
-    oracle_m,
-    oracle_n,
-    oracle_omega,
-    oracle_v,
-    read,
-)
+from sixvertex.functional_system import even_floor, oracle_residuals
+from sixvertex.prefix_oracle import Interp, oracle_v, read
 from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
 
 
@@ -68,43 +53,35 @@ def test_oracle_agreement_100_instances(which):
         if which == "gamma":
             i = int(rng.integers(1, n + 1))
             j, k = ((0, i), (i, 0))[int(rng.integers(0, 2))]
-            ref = gamma_coeff(i, j, k, v, p)
-            alt = oracle_gamma(i, j, k, v, p)
-        elif which == "omega":
+            res = oracle_residuals(p, v, i=i, pair=(j, k))
+        elif which in ("omega", "n"):
             i = int(rng.integers(1, n))
             j = int(rng.integers(i + 1, n + 1))
-            ref = omega_coeff(i, j, v, p)
-            alt = oracle_omega(i, j, v, p)
+            res = oracle_residuals(p, v, i2=i, j2=j)
         elif which == "m":
             i = int(rng.integers(1, n + 1))
-            ref = m_coeff(i, v, p)
-            alt = oracle_m(i, v, p)
-        elif which == "n":
-            i = int(rng.integers(1, n))
-            j = int(rng.integers(i + 1, n + 1))
-            ref = n_coeff(j, i, v, p)
-            alt = oracle_n(j, i, v, p)
+            res = oracle_residuals(p, v, i=i)
         else:
             nv = int(rng.integers(2, 6))
             mm = int(rng.integers(1, even_floor(nv) // 2 + 1))
-            ref, alt = _v_pair(rng, p, nv, mm)
-        assert abs(ref - alt) <= 1e-12 * max(abs(ref), 1e-30)
+            res = _v_residuals(rng, p, nv, mm)
+        assert res[which] <= 1e-12
         done += 1
     if which == "v":
         # the draws above reach m <= 2; the zeros suite evaluates m = 3 and
         # 4 at L = 6..8
         rng = np.random.default_rng(68)
         for nv in (6, 6, 7, 7, 8):
-            ref, alt = _v_pair(rng, _random_instance(rng), nv, nv // 2)
-            assert abs(ref - alt) <= 1e-12 * max(abs(ref), 1e-30)
+            res = _v_residuals(rng, _random_instance(rng), nv, nv // 2)
+            assert res["v"] <= 1e-12
 
 
-def _v_pair(rng, p, nv, mm):
-    """v_coeff and oracle_v of order mm at nv drawn variables and 2 mm
-    drawn removed slots."""
+def _v_residuals(rng, p, nv, mm):
+    """The oracle residuals of v_coeff of order mm at nv drawn variables
+    and 2 mm drawn removed slots."""
     vv = generic_points(nv, rng)
     idx = tuple(sorted(rng.choice(nv, size=2 * mm, replace=False).tolist()))
-    return v_coeff(mm, idx, vv, p), oracle_v(mm, idx, vv, p)
+    return oracle_residuals(p, vv=vv, mm=mm, idx=idx)
 
 
 def test_oracle_v_trivial_order():

@@ -8,6 +8,7 @@ from sixvertex.vertex_core import (
     ModelParams,
     action_residual,
     b_commute_residual,
+    b_operator,
     commuting_residual,
     full_product_residuals,
     generic_points,
@@ -109,6 +110,49 @@ def test_block_reassembly_matches_full_product():
     p = params_for(3)
     lam = -0.21 + 0.64j
     assert full_product_residuals(lam, p)["block_assembly"] < 1e-12
+
+
+def _broadcast_contraction(lam, params, rows):
+    """The two-product recurrence m'[a, c] = m[a, 0] (x) r[0, c]
+    + m[a, 1] (x) r[1, c] over the site tensors of r_matrix, written with
+    broadcasts and no use of the ice rule."""
+    sites = [r_matrix(lam - mu, params).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+             for mu in params.mu]
+    m = sites[0][rows]
+    for r in sites[1:]:
+        d = m.shape[-1]
+        m = (m[:, 0, None, :, None, :, None] * r[None, 0, :, None, :, None, :]
+             + m[:, 1, None, :, None, :, None] * r[None, 1, :, None, :, None, :]
+             ).reshape(len(m), 2, 2 * d, 2 * d)
+    return m
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_ice_rule_contraction_is_the_broadcast_recurrence(L):
+    p = params_for(L, seed=30 + L)
+    rng = np.random.default_rng(40 + L)
+    # at mu_1 and mu_1 - gamma a weight of site 1 is exactly zero
+    for lam in generic_points(3, rng) + (p.mu[0], p.mu[0] - GAMMA):
+        full = monodromy(lam, p)
+        assert np.array_equal(full, _broadcast_contraction(lam, p, slice(None)))
+        assert np.array_equal(b_operator(lam, p),
+                              _broadcast_contraction(lam, p, slice(0, 1))[0, 1])
+
+
+def _r_with_forbidden_entry(lam, params):
+    # R[(0, up), (0, down)] would flip one arrow at a vertex
+    r = r_matrix(lam, params)
+    r[0, 1] = 1e-3
+    return r
+
+
+def test_site_tensor_breaking_the_ice_rule_raises(monkeypatch):
+    p = params_for(3)
+    monkeypatch.setattr(vertex_core, "r_matrix", _r_with_forbidden_entry)
+    with pytest.raises(ValueError, match="ice rule"):
+        monodromy(LAM, p)
+    with pytest.raises(ValueError, match="ice rule"):
+        b_operator(LAM, p)
 
 
 def test_rll_exchange_relation():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .functional_system import (
     theorem_permutation_residual,
     transfer_eigenstates,
 )
-from .report import CONJECTURE, FAIL, CheckReport, digest_of, make_report
+from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
     RootOfUnitySpec,
     bethe_residual,
@@ -151,10 +150,11 @@ class RunConfig:
         if self.gamma_mode not in ("explicit", "root_of_unity"):
             raise ConfigError(f"unknown gamma mode {self.gamma_mode!r}")
         if self.gamma_mode == "root_of_unity":
-            if self.root_l < 2:
-                raise ConfigError("root-of-unity order l must be >= 2")
-            if math.gcd(self.root_k, self.root_l) != 1:
-                raise ConfigError("root-of-unity k and l must be coprime")
+            try:
+                RootOfUnitySpec(self.root_l, self.root_k)
+            except ValueError as exc:
+                raise ConfigError(f"root of unity {self.root_k}/{self.root_l}: "
+                                  f"{exc}") from exc
         if self.mu_mode not in ("zero", "random", "explicit"):
             raise ConfigError(f"unknown mu mode {self.mu_mode!r}")
         if self.mu_mode == "explicit" and len(self.mu_values) != self.L:
@@ -237,12 +237,9 @@ class _Runner:
                 state_index: int | None = None):
         try:
             residual = fn()
-        except SixVertexError as exc:
-            self.reports.append(
-                CheckReport(name, anchor, float("inf"), self.tol(name),
-                            CONJECTURE if conjecture else FAIL,
-                            self.digest, state_index)
-            )
+        except SixVertexError:
+            self.add(name, anchor, float("inf"), conjecture=conjecture,
+                     state_index=state_index)
             return None
         self.add(name, anchor, residual, conjecture=conjecture,
                  state_index=state_index)

@@ -67,19 +67,6 @@ def z_izergin(lams, params: ModelParams) -> complex:
     return complex(numerator / denom * np.linalg.det(kernel))
 
 
-def check_highest_weight(lams, params: ModelParams) -> float:
-    """Verify that L creation operators send |up> onto the |down> ray.
-
-    Returns the norm of the component off that ray, relative to the norm
-    of the image.
-    """
-    lams = list(lams)
-    if len(lams) != params.L:
-        raise ValueError("need exactly L spectral parameters")
-    _, down = reference_states(params.L)
-    return _off_down_ray(b_product_state(lams, params), down)
-
-
 def _off_down_ray(v: np.ndarray, down: np.ndarray) -> float:
     off = v - complex(down @ v) * down
     scale = np.linalg.norm(v)

@@ -212,7 +212,7 @@ class EigenState:
 
     @property
     def k0(self) -> complex:
-        if abs(self.f0) < EPS_GENERIC * np.linalg.norm(self.left):
+        if not self.k0_defined:
             raise K0Undefined(f"state {self.index} has no overlap with |up>")
         return self.f0bar / self.f0
 

@@ -2,7 +2,8 @@
 polynomial interpolation and root extraction.
 
 Matrices are plain ``numpy.ndarray`` of complex128 in row-major order.
-Polynomials are :class:`CPoly`, coefficients stored lowest order first.
+Polynomials are plain complex ``numpy.ndarray`` coefficient arrays,
+lowest order first.
 """
 
 from __future__ import annotations
@@ -19,31 +20,6 @@ COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
-class CPoly:
-    """Polynomial c_0 + c_1 x + ... + c_d x^d with complex coefficients."""
-
-    coeffs: tuple
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def normalized(self) -> "CPoly":
-        """Trim trailing coefficients smaller than 1e-12 * max|c_k|."""
-        c = np.asarray(self.coeffs)
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return CPoly((0j,))
-        keep = len(c)
-        while keep > 1 and abs(c[keep - 1]) < 1e-12 * scale:
-            keep -= 1
-        return CPoly(tuple(c[:keep]))
-
-
-@dataclass(frozen=True)
 class EigenTriple:
     value: complex
     right: np.ndarray
@@ -57,7 +33,7 @@ def kron_chain(*ops) -> np.ndarray:
     return out
 
 
-def eig_general(m: np.ndarray, dim_cap: int = DIM_CAP) -> list[EigenTriple]:
+def eig_general(m: np.ndarray) -> list[EigenTriple]:
     """Eigendecomposition of a general (non-Hermitian) complex matrix.
 
     Returns biorthogonally matched (value, right, left) triples sorted
@@ -70,8 +46,8 @@ def eig_general(m: np.ndarray, dim_cap: int = DIM_CAP) -> list[EigenTriple]:
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("eig_general expects a square matrix")
-    if n > dim_cap:
-        raise ValueError(f"dimension {n} exceeds cap {dim_cap}")
+    if n > DIM_CAP:
+        raise ValueError(f"dimension {n} exceeds cap {DIM_CAP}")
     try:
         vals, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -114,35 +90,33 @@ def _cluster(vals, tol):
     return blocks
 
 
-def fit_poly(samples, degree: int) -> CPoly:
-    """Interpolate a degree-`degree` polynomial through d+1 samples (x, y).
+def fit_poly(samples, degree: int) -> np.ndarray:
+    """Interpolate a degree-`degree` polynomial through exactly d+1
+    samples (x, y); returns its coefficients, lowest order first.
 
-    Uses an exact Vandermonde solve on the first d+1 samples; raises
-    SingularSystem when the abscissae are too close for a reliable
-    solution.  Any extra samples must be consistent with the fit.
+    Uses an exact Vandermonde solve; raises SingularSystem when the
+    abscissae are too close for a reliable solution.
     """
     samples = list(samples)
-    if len(samples) < degree + 1:
-        raise ValueError(f"need {degree + 1} samples for degree {degree}")
-    xs = np.array([s[0] for s in samples[: degree + 1]], dtype=complex)
-    ys = np.array([s[1] for s in samples[: degree + 1]], dtype=complex)
+    if len(samples) != degree + 1:
+        raise ValueError(f"need exactly {degree + 1} samples for degree {degree}")
+    xs = np.array([s[0] for s in samples], dtype=complex)
+    ys = np.array([s[1] for s in samples], dtype=complex)
     vand = np.vander(xs, degree + 1, increasing=True)
     if degree >= 1 and np.linalg.cond(vand) > COND_CAP:
         raise SingularSystem("interpolation abscissae nearly coincide")
-    coeffs = np.linalg.solve(vand, ys)
-    poly = CPoly(tuple(coeffs))
-    scale = max(np.max(np.abs(ys)), 1e-300)
-    for x, y in samples[degree + 1:]:
-        if abs(poly(x) - y) > 1e-9 * max(abs(y), scale):
-            raise ValueError("held-out samples inconsistent with degree")
-    return poly
+    return np.linalg.solve(vand, ys)
 
 
-def poly_roots(p: CPoly) -> list[complex]:
-    """Roots of the monic-normalized polynomial via companion-matrix eigenvalues."""
-    q = p.normalized()
-    if q.degree < 1:
+def poly_roots(coeffs: np.ndarray) -> list[complex]:
+    """Roots via companion-matrix eigenvalues, once trailing coefficients
+    below 1e-12 of the largest are trimmed."""
+    c = np.asarray(coeffs)
+    scale = np.max(np.abs(c))
+    keep = len(c)
+    while keep > 1 and abs(c[keep - 1]) < 1e-12 * scale:
+        keep -= 1
+    if keep < 2 or scale == 0.0:
         raise DegreeZero("cannot extract roots of a constant polynomial")
-    roots = np.polynomial.polynomial.polyroots(np.asarray(q.coeffs))
+    roots = np.polynomial.polynomial.polyroots(c[:keep])
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
-

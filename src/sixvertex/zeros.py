@@ -5,15 +5,16 @@ coincidence, and the Wronskian conditions."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from numpy.polynomial.polynomial import polyval
 
 from .dwbc import b_product_state
 from .errors import PoleEncountered, ReconstructionFailure
 from .functional_system import EigenState, even_floor, v_coeff
-from .numkit import CPoly, fit_poly, poly_roots
+from .numkit import fit_poly, poly_roots
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
 
 # shift of one zero that the Wronskian conditions must detect
@@ -45,9 +46,9 @@ class SpectralData:
         return b_product_state(self.zeros, self.state.params)
 
     @functools.cached_property
-    def fit(self) -> tuple[CPoly, CPoly]:
-        """Z(., w) and F(., w) fitted as degree L-1 polynomials in x, the
-        fit validated to 1e-8 at held-out abscissae."""
+    def fit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of Z(., w) and F(., w) fitted as degree L-1
+        polynomials in x, the fit validated to 1e-8 at held-out abscissae."""
         params = self.state.params
         _, down = reference_states(params.L)
         # the sample abscissae are the same for every state of the draw, so
@@ -67,7 +68,7 @@ class SpectralData:
         for x, lam in zip(xs, lams):
             for pol, fn in ((zpol, z_of), (fpol, f_of)):
                 ref = np.exp(degree * lam) * fn(lam)
-                got = pol(x)
+                got = polyval(x, pol)
                 if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
                     raise ReconstructionFailure(
                         "sampled function is not a degree L-1 polynomial in x"
@@ -83,9 +84,9 @@ def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
     return xs, lams
 
 
-def poly_in_x(func, L: int) -> CPoly:
-    """Fit e^((L-1) lam) * func(lam) as a degree L-1 polynomial in e^(2 lam),
-    sampled on the unit circle."""
+def poly_in_x(func, L: int) -> np.ndarray:
+    """Coefficients of e^((L-1) lam) * func(lam) fitted as a degree L-1
+    polynomial in e^(2 lam), sampled on the unit circle."""
     degree = L - 1
     xs, lams = _circle_samples(degree)
     samples = [
@@ -216,6 +217,19 @@ def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> comple
     return complex(val)
 
 
+@functools.cache
+def _bijections(n: int) -> np.ndarray:
+    """Every bijection of range(n), one per row of an (n!, n) array."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
+def _min_cost_bijection(cost: np.ndarray) -> np.ndarray:
+    """The column matched to each row under the bijection of least total
+    cost, found by trying all n!: at most 7! for L <= 8."""
+    perms = _bijections(len(cost))
+    return perms[np.argmin(cost[np.arange(len(cost)), perms].sum(axis=1))]
+
+
 def check_zero_coincidence(data: SpectralData, params: ModelParams) -> dict:
     """Match the zero multisets of Z(., w) and F(., w) in the x plane.
 
@@ -234,8 +248,8 @@ def check_zero_coincidence(data: SpectralData, params: ModelParams) -> dict:
     for a, xz in enumerate(zroots):
         for b, xf in enumerate(froots):
             cost[a, b] = abs(np.log(xz / xf))
-    rows, cols = linear_sum_assignment(cost)
-    dists = cost[rows, cols]
+    cols = _min_cost_bijection(cost)
+    dists = cost[np.arange(nz), cols]
     return {
         "z_roots": zroots,
         "f_roots": [froots[c] for c in cols],
@@ -253,9 +267,7 @@ def wronskian_coeffs(data: SpectralData,
     fitted polynomials, so the scale is the product of their largest
     coefficient magnitudes.
     """
-    zpol, fpol = data.fit
-    zc = np.asarray(zpol.coeffs)
-    fc = np.asarray(fpol.coeffs)
+    zc, fc = data.fit
     mul = np.polynomial.polynomial.polymul
     wron = mul(zc, np.polynomial.polynomial.polyder(fc)) - mul(
         fc, np.polynomial.polynomial.polyder(zc)

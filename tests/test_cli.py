@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sixvertex
 from sixvertex.cli import (
     DEFAULT_TOLS,
     RunConfig,
@@ -194,3 +199,11 @@ def test_cli_explicit_mu_parsing():
     cfg = build_config(["--size", "2", "--mu", "0.1+0.2j,-0.3j"])
     assert cfg.mu_mode == "explicit"
     assert cfg.mu_values == (0.1 + 0.2j, -0.3j)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(sixvertex.__file__).parents[1]))
+    code = ("import sys, sixvertex.cli; "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)

@@ -5,7 +5,6 @@ import pytest
 
 from sixvertex import cli, dwbc, vertex_core
 from sixvertex.dwbc import (
-    check_highest_weight,
     draw_residuals,
     underflow_residual,
     z_bproduct,
@@ -97,7 +96,7 @@ def test_highest_weight_property(L):
     p = params_for(L, seed=10 + L)
     rng = np.random.default_rng(20 + L)
     lams = generic_points(L, rng, avoid=p.mu)
-    assert check_highest_weight(lams, p) < 1e-10
+    assert draw(p, lams)["highest_weight"] < 1e-10
 
 
 def test_single_site_creation_maps_up_to_down():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyfromroots
+from numpy.polynomial.polynomial import polyfromroots, polyval
 
 from sixvertex.errors import DegreeZero, SingularSystem
 from sixvertex.numkit import (
-    CPoly,
+    DIM_CAP,
     eig_general,
     fit_poly,
     kron_chain,
@@ -86,23 +86,23 @@ def test_eig_degenerate_block_pairing():
 
 def test_fit_poly_square():
     poly = fit_poly([(0, 0), (1, 1), (2, 4)], 2)
-    assert np.allclose(poly.coeffs, [0, 0, 1], atol=1e-12)
+    assert np.allclose(poly, [0, 0, 1], atol=1e-12)
 
 
 def test_fit_poly_constant():
     poly = fit_poly([(0.3 + 0.1j, 5.0)], 0)
-    assert poly.degree == 0
-    assert poly(17.0) == pytest.approx(5.0)
+    assert poly.shape == (1,)
+    assert polyval(17.0, poly) == pytest.approx(5.0)
 
 
 def test_fit_poly_round_trip():
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    ref = CPoly(tuple(coeffs))
     xs = np.exp(2j * np.pi * np.arange(6) / 6) * 1.1
-    fitted = fit_poly([(x, ref(x)) for x in xs], 5)
+    fitted = fit_poly([(x, polyval(x, coeffs)) for x in xs], 5)
     probe = 0.37 - 0.82j
-    assert abs(fitted(probe) - ref(probe)) / abs(ref(probe)) < 1e-9
+    ref = polyval(probe, coeffs)
+    assert abs(polyval(probe, fitted) - ref) / abs(ref) < 1e-9
 
 
 def test_fit_poly_singular():
@@ -111,13 +111,13 @@ def test_fit_poly_singular():
 
 
 def test_poly_roots_quadratic():
-    roots = poly_roots(CPoly((-1.0, 0.0, 1.0)))
+    roots = poly_roots(np.array([-1.0, 0.0, 1.0]))
     assert np.allclose(sorted(r.real for r in roots), [-1, 1], atol=1e-12)
 
 
 def test_poly_roots_linear():
     c = 0.3 - 2.2j
-    roots = poly_roots(CPoly((-c, 1.0)))
+    roots = poly_roots(np.array([-c, 1.0]))
     assert abs(roots[0] - c) < 1e-12
 
 
@@ -127,14 +127,14 @@ def test_poly_roots_from_known_roots():
         (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)),
         key=lambda z: (z.real, z.imag),
     )
-    poly = CPoly(tuple(polyfromroots(true) * (1.7 - 0.4j)))
+    poly = polyfromroots(true) * (1.7 - 0.4j)
     got = poly_roots(poly)
     assert max(abs(a - b) for a, b in zip(true, got)) < 1e-8
 
 
 def test_poly_roots_degree_zero():
     with pytest.raises(DegreeZero):
-        poly_roots(CPoly((3.0,)))
+        poly_roots(np.array([3.0]))
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6, 8])
@@ -144,22 +144,16 @@ def test_roots_round_trip_degrees(degree):
         (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree)),
         key=lambda z: (z.real, z.imag),
     )
-    got = poly_roots(CPoly(tuple(polyfromroots(true))))
+    got = poly_roots(polyfromroots(true))
     assert max(abs(a - b) for a, b in zip(true, got)) < 1e-8
 
 
-def test_fit_poly_validates_extra_samples():
-    ref = CPoly((1.0, 2.0, 3.0))
-    xs = [0.5, 1.5, -0.7, 2.0]
-    samples = [(x, ref(x)) for x in xs]
-    fitted = fit_poly(samples, 2)
-    assert abs(fitted(2.0) - ref(2.0)) < 1e-10
-    samples[-1] = (2.0, ref(2.0) + 1.0)
+def test_fit_poly_rejects_extra_samples():
+    samples = [(x, polyval(x, [1.0, 2.0, 3.0])) for x in (0.5, 1.5, -0.7, 2.0)]
     with pytest.raises(ValueError):
         fit_poly(samples, 2)
 
 
 def test_eig_dimension_cap_configurable():
-    m = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
-        eig_general(m, dim_cap=2)
+        eig_general(np.eye(DIM_CAP + 1, dtype=complex))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from sixvertex import zeros
 from sixvertex.functional_system import (
@@ -127,6 +128,21 @@ def test_zero_multisets_coincide(L):
         out = check_zero_coincidence(data, p)
         assert len(out["z_roots"]) == L - 1
         assert out["max_distance"] < 1e-6
+
+
+def test_min_cost_bijection_hand_built():
+    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
+    # 1 + 2 + 2 = 5; every other bijection costs 6 or more
+    assert list(zeros._min_cost_bijection(cost)) == [1, 0, 2]
+
+
+def test_min_cost_bijection_matches_hungarian_solver():
+    rng = np.random.default_rng(9)
+    for n in range(1, 8):
+        for _ in range(150):
+            cost = rng.uniform(0.0, 1.0, size=(n, n))
+            _, cols = linear_sum_assignment(cost)
+            assert np.array_equal(zeros._min_cost_bijection(cost), cols)
 
 
 def test_build_F_reduces_to_pair_coefficient_at_size_two():

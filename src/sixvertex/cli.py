@@ -265,6 +265,19 @@ class _Runner:
             self._spectral = out
         return self._spectral
 
+    def _share_repeated(self, points_of):
+        """Evaluate every state at once at each point that `points_of`
+        gives for two or more zero sets.  Paired states can have bitwise
+        equal zeros; asked state by state, such a point would be built
+        again for the second state."""
+        seen, repeated = set(), []
+        for data in self.spectral_data():
+            for x in set(points_of(data)):
+                if x in seen:
+                    repeated.append(x)
+                seen.add(x)
+        self.states[0].share(repeated)
+
     # ------------------------------------------------------------------
     def run_structural(self):
         p = self.params
@@ -377,6 +390,7 @@ class _Runner:
             # poles of the coefficients
             z = z_bproduct(vars_, p)
             coeffs = expansion_coeffs(vars_, p)
+            self.states[0].share(vars_)
             for st in self.states:
                 if not st.k0_defined:
                     continue
@@ -409,6 +423,7 @@ class _Runner:
         rng = self.rng
         if p.L < 2:
             return
+        self._share_repeated(lambda d: d.zeros)
         for data in self.spectral_data():
             st = data.state
             probe = generic_points(1, rng, avoid=p.mu)[0]
@@ -472,6 +487,10 @@ class _Runner:
                 worst_agree = max(worst_agree, res["form_agreement"])
             self.add("rou.l3_relation", "rs3", worst_rel)
             self.add("rou.l3_form_agreement", "r3", worst_agree)
+        if spec.l == 4:
+            g = p.gamma
+            self._share_repeated(lambda d: [x for w in d.zeros
+                                           for x in (w - g, w + g, w - 2 * g)])
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5

@@ -143,6 +143,10 @@ class _Spectrum:
     value is thus the same sandwich of the same ``transfer(x)`` whatever
     the order of the calls, and a point only one state asks for (such as
     a shift of that state's zeros) costs one build and one sandwich.
+    ``fill(xs)`` keeps every state's value at each of ``xs`` at once:
+    callers use it for points that several states will ask for one after
+    another, which would otherwise be built once for the first state and
+    again for the second, after other points replaced the kept matrix.
     ``b_op(x)`` keeps ``B(x)`` for the fixed abscissae at which every
     state's fits sample.  The memos live as long as the states that share
     them, i.e. one run.
@@ -170,14 +174,23 @@ class _Spectrum:
             return val
         if first[0] == index:
             return first[1]
+        return complex(self._fill_one(x)[index])
+
+    def fill(self, xs) -> None:
+        """Keep every state's value at each of `xs`, one build per point."""
+        for x in xs:
+            if x not in self._values:
+                self._fill_one(x)
+
+    def _fill_one(self, x: complex) -> np.ndarray:
         kept_x, t = self._kept
         if kept_x != x:
             t = transfer(x, self.params)
-        del self._first[x]
+        self._first.pop(x, None)
         vals = self._values[x] = np.array(
             [self._sandwich(t, i) for i in range(len(self._pairs))],
             dtype=complex)
-        return complex(vals[index])
+        return vals
 
     def _sandwich(self, t: np.ndarray, index: int) -> complex:
         left, right, norm = self._pairs[index]
@@ -222,6 +235,12 @@ class EigenState:
 
     def lam(self, x: complex) -> complex:
         return self._spectrum.value(x, self.index)
+
+    def share(self, xs) -> None:
+        """Evaluate every state of this diagonalization at each of `xs`
+        now, from one transfer build per point: for points that the other
+        states will ask for too."""
+        self._spectrum.fill(xs)
 
 
 def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
@@ -525,6 +544,7 @@ def k0_closed_form_residual(state: EigenState, params: ModelParams) -> float:
     if params.L != 2:
         raise ValueError("the k0 closed form is stated for L = 2")
     mu, g = params.mu, params.gamma
+    state.share(mu)
     denom = (np.sinh(g) ** 2 * np.sinh(mu[0] - mu[1] + g)
              * np.sinh(mu[1] - mu[0] + g))
     ref = state.lam(mu[0]) * state.lam(mu[1]) / denom

@@ -69,6 +69,8 @@ def check_inversion_l2(state: EigenState, params: ModelParams,
                        lam_draws) -> float:
     """Residual of the two-fold inversion relation at l = 2."""
     g = params.gamma
+    # every state reads these points
+    state.share(lam - j * g for lam in lam_draws for j in range(2))
     worst = 0.0
     for lam in lam_draws:
         lhs = state.lam(lam) * state.lam(lam - g)
@@ -165,6 +167,8 @@ def check_l4_relation(state: EigenState, data: SpectralData,
     worst_rel = 0.0
     worst_q = 0.0
     worst_shift = 0.0
+    # every state reads these points
+    state.share(lam - j * g for lam in lam_draws for j in range(4))
     for lam in lam_draws:
         lams = [state.lam(lam - j * g) for j in range(4)]
         lhs = lams[0] * lams[1] * lams[2] * lams[3]
@@ -248,6 +252,8 @@ def check_l3_relation(state: EigenState, params: ModelParams,
     g = params.gamma
     worst_explicit = 0.0
     worst_agree = 0.0
+    # every state reads these points
+    state.share(lam - j * g for lam in lam_draws for j in range(3))
     for lam in lam_draws:
         lams = [state.lam(lam - j * g) for j in range(3)]
         lhs = lams[0] * lams[1] * lams[2]
@@ -278,6 +284,7 @@ def truncated_expansion_residual(states, spec: RootOfUnitySpec,
     g = spec.gamma
     vars_ = tuple(lam - j * g for j in range(spec.l))
     coeffs = expansion_coeffs(vars_, params)
+    states[0].share(vars_)
     worst = 0.0
     for state in states:
         terms = theorem_terms(vars_, state.lam, params, coeffs)

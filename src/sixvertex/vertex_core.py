@@ -10,7 +10,6 @@ auxiliary x quantum space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -169,26 +168,21 @@ def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
 def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
     """Same product built directly on the auxiliary x quantum space, from
     a transcription of the weights (`_local_blocks`) independent of
-    `r_matrix`; the oracle for `monodromy`."""
+    `r_matrix`; the oracle for `monodromy`.
+
+    The identity on the ``2^(L+1)``-dim space, viewed as a tensor with one
+    leg per auxiliary and site space plus the column index, is multiplied
+    from the left by the site factors, last site first.  Each factor acts
+    on the auxiliary leg and its site's leg only, as the local tensor
+    ``loc[p, s, q, t] = blk_pq[s, t]``."""
     L = params.L
-    factors = []
-    for j in range(L):
-        blocks = _local_blocks(lam - params.mu[j], params.gamma)
-        pre = np.eye(2 ** j, dtype=complex)
-        post = np.eye(2 ** (L - 1 - j), dtype=complex)
-        unit = {
-            (0, 0): blocks[0],
-            (0, 1): blocks[1],
-            (1, 0): blocks[2],
-            (1, 1): blocks[3],
-        }
-        emb = np.zeros((2 ** (L + 1), 2 ** (L + 1)), dtype=complex)
-        for (p, q), blk in unit.items():
-            e = np.zeros((2, 2), dtype=complex)
-            e[p, q] = 1.0
-            emb += kron_chain(e, pre, blk, post)
-        factors.append(emb)
-    return reduce(np.matmul, factors)
+    dim = 2 ** (L + 1)
+    m = np.eye(dim, dtype=complex).reshape((2,) * (L + 1) + (dim,))
+    for j in reversed(range(L)):
+        a_loc, b_loc, c_loc, d_loc = _local_blocks(lam - params.mu[j], params.gamma)
+        loc = np.array([[a_loc, b_loc], [c_loc, d_loc]]).transpose(0, 2, 1, 3)
+        m = np.moveaxis(np.tensordot(loc, m, axes=([2, 3], [0, j + 1])), 1, j + 1)
+    return m.reshape(dim, dim)
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
@@ -220,17 +214,18 @@ def hamiltonian(params: ModelParams) -> np.ndarray:
     L = params.L
     h = np.zeros((2**L, 2**L), dtype=complex)
     cg = np.cosh(params.gamma)
-    for i in range(1, L + 1):
-        if i < L:
-            nxt = i + 1
-            signs = (1.0, 1.0, 1.0)
-        else:
-            # anti-periodic closure: sx_{L+1} = sx_1, sy/sz pick up a sign
-            nxt = 1
-            signs = (1.0, -1.0, -1.0)
-        h += signs[0] * site_op(SX, i, L) @ site_op(SX, nxt, L)
-        h += signs[1] * site_op(SY, i, L) @ site_op(SY, nxt, L)
-        h += cg * signs[2] * site_op(SZ, i, L) @ site_op(SZ, nxt, L)
+    for i in range(1, L):
+        # the bond (i, i + 1) acts on two adjacent sites
+        pre = np.eye(2 ** (i - 1), dtype=complex)
+        post = np.eye(2 ** (L - i - 1), dtype=complex)
+        h += kron_chain(pre, np.kron(SX, SX), post)
+        h += kron_chain(pre, np.kron(SY, SY), post)
+        h += cg * kron_chain(pre, np.kron(SZ, SZ), post)
+    # anti-periodic closure (L, 1): sx_{L+1} = sx_1, sy/sz pick up a sign
+    mid = np.eye(2 ** (L - 2), dtype=complex)
+    h += kron_chain(SX, mid, SX)
+    h -= kron_chain(SY, mid, SY)
+    h -= cg * kron_chain(SZ, mid, SZ)
     return h
 
 
@@ -325,12 +320,22 @@ def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
 
 def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
     """Exchange relation R(lam1-lam2) T1(lam1) T2(lam2) = T2 T1 R of the
-    full monodromy operators on two auxiliary spaces."""
-    t1 = _embed_13(monodromy_full(lam1, params), params.dim)
-    t2 = np.kron(ID2, monodromy_full(lam2, params))
-    r12 = np.kron(r_matrix(lam1 - lam2, params), np.eye(params.dim))
-    lhs = r12 @ t1 @ t2
-    return _rel(lhs - t2 @ t1 @ r12, lhs)
+    full monodromy operators on two auxiliary spaces.
+
+    T1 acts as the identity on the second auxiliary space and T2 on the
+    first, so the (a1 a2, b1 b2) block of T1 T2 is ``M1[a1, b1] @
+    M2[a2, b2]`` and that of T2 T1 is ``M2[a2, b2] @ M1[a1, b1]``, with M
+    the (auxiliary row, column) blocks of `monodromy_full`; R acts on the
+    auxiliary index of these blocks alone."""
+    d = params.dim
+    m1, m2 = (monodromy_full(lam, params).reshape(2, d, 2, d).transpose(0, 2, 1, 3)
+              for lam in (lam1, lam2))
+    t1t2 = m1[:, None, :, None] @ m2[None, :, None, :]
+    t2t1 = m2[None, :, None, :] @ m1[:, None, :, None]
+    r = r_matrix(lam1 - lam2, params).reshape(2, 2, 2, 2)
+    lhs = np.einsum("abce,cefgij->abfgij", r, t1t2, optimize=True)
+    rhs = np.einsum("abceij,cefg->abfgij", t2t1, r, optimize=True)
+    return _rel(lhs - rhs, lhs)
 
 
 def action_residual(lam: complex, params: ModelParams) -> float:
@@ -363,7 +368,8 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     """
     d = params.dim
     full = monodromy_full(lam, params)
-    twisted = (np.kron(twist_matrix(), np.eye(d)) @ full).reshape(2, d, 2, d)
+    # G x 1 acts on the auxiliary row leg alone
+    twisted = np.einsum("ab,bicj->aicj", twist_matrix(), full.reshape(2, d, 2, d))
     tmat = transfer(lam, params)
     blocks = monodromy(lam, params).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
     return {

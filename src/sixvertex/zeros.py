@@ -108,6 +108,10 @@ def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
     lam0 = state.lam(0.0)
     if L == 1:
         return SpectralData(state, lam0, (), state.k0)
+    rng = np.random.default_rng(2357)
+    probes = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
+    # every state samples at these points
+    state.share([0.0, *_circle_samples(L - 1)[1], *probes])
     poly = poly_in_x(state.lam, L)
     xroots = poly_roots(poly)
     if len(xroots) != L - 1:
@@ -116,9 +120,7 @@ def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
         )
     ws = tuple(0.5 * np.log(x) for x in xroots)
     data = SpectralData(state, lam0, ws, state.k0)
-    rng = np.random.default_rng(2357)
-    for _ in range(10):
-        probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    for probe in probes:
         ref = state.lam(probe)
         rec = data.lam_from_zeros(probe)
         if abs(ref - rec) > 1e-7 * max(abs(ref), 1e-300):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sixvertex import dwbc, functional_system
+from sixvertex import cli, dwbc, functional_system
 from sixvertex.dwbc import z_bproduct
 from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (
@@ -190,6 +190,37 @@ def test_all_states_at_one_point_share_one_transfer_build(monkeypatch):
     assert len(builds) == 1
     direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
     assert values == direct + direct
+
+
+def test_shared_points_are_built_once_for_every_state(monkeypatch):
+    p = params_for(4, seed=174)
+    states = states_for(p, seed=175)
+    xs = (0.13 + 0.27j, -0.38 - 0.05j, 0.52 - 0.44j)
+    direct = {x: [complex(st.left @ transfer(x, p) @ st.right / st.norm)
+                  for st in states] for x in xs}
+    builds = counting(monkeypatch, functional_system, "transfer")
+    # one state asks first and keeps T(xs[0]); sharing reuses it
+    first = states[3].lam(xs[0])
+    states[0].share(xs)
+    assert len(builds) == 3
+    # asked state by state, the points need no further build
+    got = [[st.lam(x) for x in xs] for st in states]
+    states[1].share(xs)
+    assert len(builds) == 3
+    assert first == direct[xs[0]][3]
+    assert got == [[direct[x][st.index] for x in xs] for st in states]
+
+
+@pytest.mark.parametrize("argv", [["--size", "4"],
+                                  ["--size", "4", "--root-of-unity", "1/4",
+                                   "--suite", "rou"]])
+def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
+    builds = counting(monkeypatch, functional_system, "transfer")
+    config = cli.build_config(argv + ["--seed", "1",
+                                      "--out", str(tmp_path / "r.txt")])
+    cli.run(config)
+    points = [args[0] for args in builds]
+    assert len(points) == len(set(points))
 
 
 def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from sixvertex import vertex_core
 from sixvertex.numkit import kron_chain
 from sixvertex.vertex_core import (
     SX,
+    SY,
+    SZ,
     ModelParams,
+    _local_blocks,
     action_residual,
     b_commute_residual,
     b_operator,
@@ -17,6 +22,7 @@ from sixvertex.vertex_core import (
     is_generic,
     log_derivative_residual,
     monodromy,
+    monodromy_full,
     r_matrix,
     rll_residual,
     sample_mu,
@@ -112,6 +118,34 @@ def test_block_reassembly_matches_full_product():
     assert full_product_residuals(lam, p)["block_assembly"] < 1e-12
 
 
+def _kron_chain_monodromy(lam, params):
+    """The full product as the ordered matmul of its site factors, each
+    embedded on the auxiliary x quantum space by Kronecker products."""
+    L = params.L
+    factors = []
+    for j in range(L):
+        blocks = _local_blocks(lam - params.mu[j], params.gamma)
+        pre = np.eye(2 ** j, dtype=complex)
+        post = np.eye(2 ** (L - 1 - j), dtype=complex)
+        emb = np.zeros((2 ** (L + 1), 2 ** (L + 1)), dtype=complex)
+        for (p, q), blk in zip([(0, 0), (0, 1), (1, 0), (1, 1)], blocks):
+            e = np.zeros((2, 2), dtype=complex)
+            e[p, q] = 1.0
+            emb += kron_chain(e, pre, blk, post)
+        factors.append(emb)
+    return reduce(np.matmul, factors)
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_full_product_is_the_kron_chain_product(L):
+    p = params_for(L, seed=50 + L)
+    rng = np.random.default_rng(60 + L)
+    for lam in generic_points(2, rng, avoid=p.mu):
+        ref = _kron_chain_monodromy(lam, p)
+        got = monodromy_full(lam, p)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def _broadcast_contraction(lam, params, rows):
     """The two-product recurrence m'[a, c] = m[a, 0] (x) r[0, c]
     + m[a, 1] (x) r[1, c] over the site tensors of r_matrix, written with
@@ -153,6 +187,30 @@ def test_site_tensor_breaking_the_ice_rule_raises(monkeypatch):
         monodromy(LAM, p)
     with pytest.raises(ValueError, match="ice rule"):
         b_operator(LAM, p)
+
+
+def _dense_rll_residual(lam1, lam2, params):
+    """The exchange relation with T1, T2 and R embedded as dense operators
+    on the two auxiliary spaces x the quantum space."""
+    d = params.dim
+    t1 = vertex_core._embed_13(monodromy_full(lam1, params), d)
+    t2 = np.kron(np.eye(2), monodromy_full(lam2, params))
+    r12 = np.kron(r_matrix(lam1 - lam2, params), np.eye(d))
+    lhs = r12 @ t1 @ t2
+    return np.linalg.norm(lhs - t2 @ t1 @ r12) / np.linalg.norm(lhs)
+
+
+@pytest.mark.parametrize("L", range(1, 6))
+def test_block_rll_agrees_with_the_dense_relation(L, monkeypatch):
+    p = params_for(L, seed=70 + L)
+    rng = np.random.default_rng(80 + L)
+    for _ in range(5):
+        lam1, lam2 = generic_points(2, rng, avoid=p.mu)
+        assert rll_residual(lam1, lam2, p) < 1e-9
+        assert _dense_rll_residual(lam1, lam2, p) < 1e-9
+    monkeypatch.setattr(vertex_core, "weights", _scaled_c)
+    assert rll_residual(LAM, MU, p) > 1e-3
+    assert _dense_rll_residual(LAM, MU, p) > 1e-3
 
 
 def test_rll_exchange_relation():
@@ -205,6 +263,25 @@ def test_hamiltonian_real_symmetric_for_real_gamma():
     assert np.linalg.norm(h - h.T) < 1e-14
 
 
+def _site_product_hamiltonian(params):
+    """Each bond as the product of two embedded single-site operators."""
+    L = params.L
+    h = np.zeros((2**L, 2**L), dtype=complex)
+    cg = np.cosh(params.gamma)
+    for i in range(1, L + 1):
+        nxt, signs = (i + 1, (1.0, 1.0, 1.0)) if i < L else (1, (1.0, -1.0, -1.0))
+        h += signs[0] * site_op(SX, i, L) @ site_op(SX, nxt, L)
+        h += signs[1] * site_op(SY, i, L) @ site_op(SY, nxt, L)
+        h += cg * signs[2] * site_op(SZ, i, L) @ site_op(SZ, nxt, L)
+    return h
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_hamiltonian_is_the_site_product_construction(L):
+    p = ModelParams(L, GAMMA, (0,) * L)
+    assert np.array_equal(hamiltonian(p), _site_product_hamiltonian(p))
+
+
 def test_hamiltonian_requires_homogeneous():
     with pytest.raises(ValueError):
         hamiltonian(ModelParams(2, GAMMA, (0.1, 0)))
@@ -254,6 +331,11 @@ def _swapped_ab(lam, gamma):
     return b, a, c
 
 
+def _transposed_blocks(lam, gamma):
+    # a layout break of the full product: B and C trade places
+    return tuple(blk.T for blk in _local_blocks(lam, gamma))
+
+
 LAM, MU = 0.31 + 0.15j, -0.2 + 0.4j
 
 # check -> (vertex_core attribute, replacement that breaks the identity,
@@ -263,7 +345,7 @@ BREAKS = {
     "rll": ("weights", _scaled_c, lambda p: rll_residual(LAM, MU, p)),
     "action": ("weights", _swapped_ab, lambda p: action_residual(LAM, p)),
     "block_assembly": (
-        "kron_chain", lambda *ops: kron_chain(*reversed(ops)),
+        "_local_blocks", _transposed_blocks,
         lambda p: full_product_residuals(LAM, p)["block_assembly"]),
     # the blocks come from r_matrix, the full product from its own weights
     "block_assembly_r_matrix": (

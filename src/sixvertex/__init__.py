@@ -2,110 +2,3 @@
 six-vertex transfer matrix and the domain-wall partition function."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    DegenerateSpectrum,
-    DegreeZero,
-    GenericityExhausted,
-    K0Undefined,
-    NonConvergence,
-    PoleEncountered,
-    ReconstructionFailure,
-    SingularDenominator,
-    SingularSystem,
-    SixVertexError,
-)
-from .vertex_core import (
-    ModelParams,
-    hamiltonian,
-    monodromy,
-    r_matrix,
-    transfer,
-    twist_matrix,
-    weights,
-)
-from .dwbc import z_bproduct, z_izergin
-from .functional_system import (
-    EigenState,
-    check_appendix,
-    check_fl,
-    check_theorem,
-    check_tphi,
-    f_n,
-    gamma_coeff,
-    m_coeff,
-    n_coeff,
-    omega_coeff,
-    transfer_eigenstates,
-    v_coeff,
-)
-from .zeros import (
-    SpectralData,
-    build_F,
-    check_lz01,
-    check_zero_coincidence,
-    extract_zeros,
-    wronskian_coeffs,
-)
-from .roots_of_unity import (
-    RootOfUnitySpec,
-    bethe_residual,
-    check_inversion_l2,
-    check_l3_relation,
-    check_l4_relation,
-    check_truncation,
-)
-from .report import CheckReport
-from .numkit import eig_general, fit_poly, poly_roots
-
-__all__ = [
-    "CheckReport",
-    "ConfigError",
-    "DegenerateSpectrum",
-    "DegreeZero",
-    "EigenState",
-    "GenericityExhausted",
-    "K0Undefined",
-    "ModelParams",
-    "NonConvergence",
-    "PoleEncountered",
-    "ReconstructionFailure",
-    "RootOfUnitySpec",
-    "SingularDenominator",
-    "SingularSystem",
-    "SixVertexError",
-    "SpectralData",
-    "bethe_residual",
-    "build_F",
-    "check_appendix",
-    "check_fl",
-    "check_inversion_l2",
-    "check_l3_relation",
-    "check_l4_relation",
-    "check_lz01",
-    "check_theorem",
-    "check_tphi",
-    "check_truncation",
-    "check_zero_coincidence",
-    "eig_general",
-    "extract_zeros",
-    "f_n",
-    "fit_poly",
-    "gamma_coeff",
-    "hamiltonian",
-    "m_coeff",
-    "monodromy",
-    "n_coeff",
-    "omega_coeff",
-    "poly_roots",
-    "r_matrix",
-    "transfer",
-    "transfer_eigenstates",
-    "twist_matrix",
-    "v_coeff",
-    "weights",
-    "wronskian_coeffs",
-    "z_bproduct",
-    "z_izergin",
-]

@@ -227,23 +227,18 @@ class _Runner:
         return DEFAULT_TOLS[family]
 
     def add(self, name: str, anchor: str, residual: float, *,
-            conjecture: bool = False, state_index: int | None = None):
+            conjecture: bool = False):
         self.reports.append(
             make_report(name, anchor, residual, self.tol(name), self.digest,
-                        conjecture=conjecture, state_index=state_index)
+                        conjecture=conjecture)
         )
 
-    def guarded(self, name: str, anchor: str, fn, *, conjecture: bool = False,
-                state_index: int | None = None):
+    def guarded(self, name: str, anchor: str, fn, *, conjecture: bool = False):
         try:
             residual = fn()
         except SixVertexError:
-            self.add(name, anchor, float("inf"), conjecture=conjecture,
-                     state_index=state_index)
-            return None
-        self.add(name, anchor, residual, conjecture=conjecture,
-                 state_index=state_index)
-        return residual
+            residual = float("inf")
+        self.add(name, anchor, residual, conjecture=conjecture)
 
     @property
     def states(self):
@@ -261,22 +256,9 @@ class _Runner:
                     out.append(extract_zeros(st, self.params))
                 except SixVertexError:
                     self.add(f"zeros.reconstruction.state{st.index}", "wj",
-                             float("inf"), state_index=st.index)
+                             float("inf"))
             self._spectral = out
         return self._spectral
-
-    def _share_repeated(self, points_of):
-        """Evaluate every state at once at each point that `points_of`
-        gives for two or more zero sets.  Paired states can have bitwise
-        equal zeros; asked state by state, such a point would be built
-        again for the second state."""
-        seen, repeated = set(), []
-        for data in self.spectral_data():
-            for x in set(points_of(data)):
-                if x in seen:
-                    repeated.append(x)
-                seen.add(x)
-        self.states[0].share(repeated)
 
     # ------------------------------------------------------------------
     def run_structural(self):
@@ -348,7 +330,6 @@ class _Runner:
                 self.guarded(
                     f"functional.fl.state{st.index}.n{n}", "FL",
                     lambda st=st, n=n, v=vars_: check_fl(n, st, v, p),
-                    state_index=st.index,
                 )
         self.add("functional.k0_defined", "pir",
                  sum(0 if st.k0_defined else 1 for st in self.states)
@@ -398,7 +379,6 @@ class _Runner:
                     f"theorem.expansion.state{st.index}", "Lgen",
                     lambda st=st, v=vars_, z=z, c=coeffs: check_theorem(
                         st, v, p, z=z, coeffs=c),
-                    state_index=st.index,
                 )
         st = next(s for s in self.states if s.k0_defined)
         vars_ = generic_points(p.L, rng, avoid=p.mu)
@@ -423,42 +403,38 @@ class _Runner:
         rng = self.rng
         if p.L < 2:
             return
-        self._share_repeated(lambda d: d.zeros)
         for data in self.spectral_data():
             st = data.state
             probe = generic_points(1, rng, avoid=p.mu)[0]
             self.add(f"zeros.reconstruction.state{st.index}", "wj",
-                     reconstruction_residual(data, probe), state_index=st.index)
+                     reconstruction_residual(data, probe))
             scale_points = generic_points(5, rng, avoid=p.mu)
             self.add(f"zeros.at_zero.state{st.index}", "wj",
-                     at_zero_residual(data, scale_points), state_index=st.index)
+                     at_zero_residual(data, scale_points))
             draws = generic_points(max(5, self.config.draws), rng,
                                    avoid=list(data.zeros) + list(p.mu))
             try:
                 lz = check_lz01(data, draws, p)
             except SixVertexError:
                 self.add(f"zeros.lz01_constancy.state{st.index}", "LZ01",
-                         float("inf"), state_index=st.index)
+                         float("inf"))
                 continue
             self.add(f"zeros.lz01_constancy.state{st.index}", "LZ01",
-                     lz["spread"], state_index=st.index)
+                     lz["spread"])
             if p.L % 2 == 0:
                 self.add(f"zeros.lz01_even_constant.state{st.index}", "LZ01",
-                         lz["constant_residual"], state_index=st.index)
+                         lz["constant_residual"])
             self.guarded(
                 f"zeros.coincidence.state{st.index}", "BAeven",
                 lambda d=data: check_zero_coincidence(d, p)["max_distance"],
-                state_index=st.index,
             )
             self.guarded(
                 f"zeros.wronskian.state{st.index}", "CK",
                 lambda d=data: wronskian_residual(d, p),
-                state_index=st.index,
             )
             self.guarded(
                 f"zeros.wronskian_sharpness.state{st.index}", "CK",
                 lambda d=data: wronskian_sharpness(d, p),
-                state_index=st.index,
             )
 
     def run_rou(self):
@@ -487,10 +463,6 @@ class _Runner:
                 worst_agree = max(worst_agree, res["form_agreement"])
             self.add("rou.l3_relation", "rs3", worst_rel)
             self.add("rou.l3_form_agreement", "r3", worst_agree)
-        if spec.l == 4:
-            g = p.gamma
-            self._share_repeated(lambda d: [x for w in d.zeros
-                                           for x in (w - g, w + g, w - 2 * g)])
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5
@@ -498,36 +470,33 @@ class _Runner:
                 f"rou.bethe.state{st.index}", "BAl3",
                 lambda d=data: max((abs(x) for x in
                                     bethe_residual(d, spec, p)), default=0.0),
-                conjecture=conj, state_index=st.index,
+                conjecture=conj,
             )
             if spec.l == 2:
                 self.guarded(
                     f"rou.bethe_l2.state{st.index}", "BAl2",
                     lambda d=data: max((abs(x) for x in
                                         bethe_residual_l2(d, p)), default=0.0),
-                    state_index=st.index,
                 )
             if spec.l == 4:
                 try:
                     res = check_l4_relation(st, data, p, draws[:6])
                 except SixVertexError:
                     self.add(f"rou.l4_relation.state{st.index}", "l4ex",
-                             float("inf"), state_index=st.index)
+                             float("inf"))
                     continue
                 self.add(f"rou.l4_relation.state{st.index}", "l4ex",
-                         res["relation_residual"], state_index=st.index)
+                         res["relation_residual"])
                 self.add(f"rou.q_periodicity.state{st.index}", "QQ",
-                         res["q_periodicity"], state_index=st.index)
+                         res["q_periodicity"])
                 self.add(
                     f"rou.l4_ratio.state{st.index}", "BAl4",
                     max((abs(x) for x in res["ratio_residuals"]), default=0.0),
-                    state_index=st.index,
                 )
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}", "l4ex",
                     lambda s=st, d=data: max(
                         l4_specialized_residuals(s, d, p), default=0.0),
-                    state_index=st.index,
                 )
 
     # ------------------------------------------------------------------

@@ -133,68 +133,44 @@ def _n(tab: _PairTable, j: int, i: int) -> complex:
 class _Spectrum:
     """The eigenvectors of one diagonalization, shared by its states.
 
-    Work that does not depend on the state is done once per spectral point,
-    and a state's value ``left @ t @ right / norm`` is computed only when
-    asked for.  The first state to ask at a point ``x`` gets its own value
-    from ``transfer(x)``, and only that value is kept, with the transfer
-    matrix of the last such point.  When a second state asks at ``x``,
-    every state's value there is kept as one complex128 vector, from the
-    kept matrix if ``x`` is its point and from a rebuild otherwise.  Each
-    value is thus the same sandwich of the same ``transfer(x)`` whatever
-    the order of the calls, and a point only one state asks for (such as
-    a shift of that state's zeros) costs one build and one sandwich.
-    ``fill(xs)`` keeps every state's value at each of ``xs`` at once:
-    callers use it for points that several states will ask for one after
-    another, which would otherwise be built once for the first state and
-    again for the second, after other points replaced the kept matrix.
-    ``b_op(x)`` keeps ``B(x)`` for the fixed abscissae at which every
-    state's fits sample.  The memos live as long as the states that share
-    them, i.e. one run.
+    A state's value ``left @ T(x) @ right / norm`` is computed once, when
+    first asked for, from the transfer matrix of the last build if that
+    was at ``x`` and from a new ``transfer(x)`` otherwise.  ``fill(xs)``
+    computes every state's value at points that every state reads, one
+    build per point.  ``b_op(x)`` keeps ``B(x)`` for the fixed abscissae
+    of every state's fits.  The memos last as long as the states, i.e.
+    one run.
     """
 
     def __init__(self, params: ModelParams, trips, norms):
         self.params = params
         self._pairs = [(tr.left, tr.right, norm) for tr, norm in zip(trips, norms)]
         self._values = {}
-        self._first = {}
+        self._filled = set()
         self._kept = (None, None)
         self._b_ops = {}
 
     def value(self, x: complex, index: int) -> complex:
         """The eigenvalue of state `index` at `x`."""
-        vals = self._values.get(x)
-        if vals is not None:
-            return complex(vals[index])
-        first = self._first.get(x)
-        if first is None:
-            t = transfer(x, self.params)
-            self._kept = (x, t)
-            val = self._sandwich(t, index)
-            self._first[x] = (index, val)
-            return val
-        if first[0] == index:
-            return first[1]
-        return complex(self._fill_one(x)[index])
+        val = self._values.get((x, index))
+        if val is None:
+            left, right, norm = self._pairs[index]
+            val = self._values[x, index] = complex(
+                left @ self._transfer(x) @ right / norm)
+        return val
 
     def fill(self, xs) -> None:
-        """Keep every state's value at each of `xs`, one build per point."""
+        """Compute every state's value at each of `xs`, one build per point."""
         for x in xs:
-            if x not in self._values:
-                self._fill_one(x)
+            if x not in self._filled:
+                self._filled.add(x)
+                for index in range(len(self._pairs)):
+                    self.value(x, index)
 
-    def _fill_one(self, x: complex) -> np.ndarray:
-        kept_x, t = self._kept
-        if kept_x != x:
-            t = transfer(x, self.params)
-        self._first.pop(x, None)
-        vals = self._values[x] = np.array(
-            [self._sandwich(t, i) for i in range(len(self._pairs))],
-            dtype=complex)
-        return vals
-
-    def _sandwich(self, t: np.ndarray, index: int) -> complex:
-        left, right, norm = self._pairs[index]
-        return complex(left @ t @ right / norm)
+    def _transfer(self, x: complex) -> np.ndarray:
+        if self._kept[0] != x:
+            self._kept = (x, transfer(x, self.params))
+        return self._kept[1]
 
     def b_op(self, x: complex) -> np.ndarray:
         bop = self._b_ops.get(x)

@@ -24,7 +24,6 @@ class CheckReport:
     tolerance: float
     verdict: str
     params_digest: str
-    state_index: int | None = None
 
     def line(self) -> str:
         return (
@@ -35,15 +34,14 @@ class CheckReport:
 
 
 def make_report(name: str, anchor: str, residual: float, tolerance: float,
-                digest: str, *, conjecture: bool = False,
-                state_index: int | None = None) -> CheckReport:
+                digest: str, *, conjecture: bool = False) -> CheckReport:
     residual = float(residual)
     if conjecture:
         verdict = CONJECTURE
     else:
         verdict = PASS if residual < tolerance else FAIL
     return CheckReport(name, anchor, residual, float(tolerance), verdict,
-                       digest, state_index)
+                       digest)
 
 
 def digest_of(*parts) -> str:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -215,12 +217,22 @@ def test_shared_points_are_built_once_for_every_state(monkeypatch):
                                   ["--size", "4", "--root-of-unity", "1/4",
                                    "--suite", "rou"]])
 def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
+    # a point is built again only when it is a zero (at l = 4, a zero or a
+    # shift of one) that paired states share, once for each such state
     builds = counting(monkeypatch, functional_system, "transfer")
-    config = cli.build_config(argv + ["--seed", "1",
-                                      "--out", str(tmp_path / "r.txt")])
-    cli.run(config)
-    points = [args[0] for args in builds]
-    assert len(points) == len(set(points))
+    runner = cli._Runner(cli.build_config(
+        argv + ["--seed", "1", "--out", str(tmp_path / "r.txt")]))
+    runner.run()
+    g = runner.params.gamma
+    point_sets = [
+        {x for w in data.zeros
+         for x in ((w, w - g, w + g, w - 2 * g) if "rou" in argv else (w,))}
+        for data in runner.spectral_data()]
+    counts = Counter(args[0] for args in builds)
+    for x, n in counts.items():
+        if n > 1:
+            sharers = sum(x in points for points in point_sets)
+            assert 2 <= sharers and n <= sharers
 
 
 def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):
@@ -237,18 +249,15 @@ def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):
 def test_point_asked_by_one_state_sandwiches_that_state_only(monkeypatch):
     p = params_for(4, seed=177)
     states = states_for(p, seed=178)
-    spectrum = states[0]._spectrum
     x = -0.29 + 0.33j
     t = transfer(x, p)
     builds = counting(monkeypatch, functional_system, "transfer")
     lam = states[2].lam(x)
     assert states[2].lam(x) == lam
     assert len(builds) == 1
-    assert x not in spectrum._values
-    # a second state at the kept point fills every state's value from it
+    # a second state at the kept point reads it without a rebuild
     lam5 = states[5].lam(x)
     assert len(builds) == 1
-    assert x in spectrum._values
     direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
     assert (lam, lam5) == (direct[2], direct[5])
     assert [st.lam(x) for st in states] == direct
@@ -257,8 +266,8 @@ def test_point_asked_by_one_state_sandwiches_that_state_only(monkeypatch):
 
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
 def test_values_do_not_depend_on_call_order(order, monkeypatch):
-    # state a asks at x, then at y, which replaces the kept matrix; state b
-    # then asks at x, which needs a rebuild of T(x)
+    # state a asks at x, then at y, which replaces the kept matrix; each
+    # later ask at a point other than the kept one rebuilds T there
     p = params_for(3, seed=179)
     states = states_for(p, seed=180)
     xs = (0.41 - 0.12j, -0.17 + 0.52j)
@@ -271,9 +280,10 @@ def test_values_do_not_depend_on_call_order(order, monkeypatch):
     assert got == [direct[xs[0]][a.index], direct[xs[1]][a.index],
                    direct[xs[0]][b.index], direct[xs[1]][c.index],
                    direct[xs[0]][c.index]]
-    assert len(builds) == 3
+    assert len(builds) == 5
+    # only b has no value at y yet
     assert [st.lam(x) for x in xs for st in states] == direct[xs[0]] + direct[xs[1]]
-    assert len(builds) == 3
+    assert len(builds) == 6
 
 
 @pytest.mark.parametrize("L", [2, 3])

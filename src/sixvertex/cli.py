@@ -33,11 +33,11 @@ from .roots_of_unity import (
     check_l4_relation,
     check_truncation,
     l4_specialized_residuals,
+    l4_terms,
     truncated_expansion_residual,
 )
 from .vertex_core import (
     ModelParams,
-    action_residual,
     b_commute_residual,
     commuting_residual,
     full_product_residuals,
@@ -282,7 +282,7 @@ class _Runner:
         self.add("structural.block_assembly", "abcd", full["block_assembly"])
         lam1, lam2 = generic_points(2, rng, avoid=p.mu)
         self.add("structural.rll", "yba", rll_residual(lam1, lam2, p))
-        self.add("structural.action", "action", action_residual(lam, p))
+        self.add("structural.action", "action", full["action"])
         self.add("structural.trace_form", "tmat", full["trace_form"])
 
         worst_comm = worst_b = 0.0
@@ -463,6 +463,8 @@ class _Runner:
                 worst_agree = max(worst_agree, res["form_agreement"])
             self.add("rou.l3_relation", "rs3", worst_rel)
             self.add("rou.l3_form_agreement", "r3", worst_agree)
+        if spec.l == 4:
+            terms = l4_terms(draws[:6], p)
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5
@@ -480,7 +482,7 @@ class _Runner:
                 )
             if spec.l == 4:
                 try:
-                    res = check_l4_relation(st, data, p, draws[:6])
+                    res = check_l4_relation(st, data, p, terms)
                 except SixVertexError:
                     self.add(f"rou.l4_relation.state{st.index}", "l4ex",
                              float("inf"))

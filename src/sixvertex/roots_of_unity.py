@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,10 +154,35 @@ def q_function(lam: complex, params: ModelParams) -> complex:
     return complex(t1 - t2 - t3)
 
 
+class L4Terms(NamedTuple):
+    """The state-independent terms of the four-fold relation at one draw."""
+
+    lam: complex
+    p_0_m2g: complex  # _mu_product(lam, (0, -2g))
+    p_g_mg: complex  # _mu_product(lam, (g, -g))
+    p_mg_m3g: complex  # _mu_product(lam, (-g, -3g))
+    q: complex  # q_function(lam)
+    q_shifted: complex  # q_function(lam + g)
+
+
+def l4_terms(lam_draws, params: ModelParams) -> list:
+    """The driving terms of the four-fold relation at each draw, computed
+    once for every state that `check_l4_relation` reads them for."""
+    g = params.gamma
+    return [
+        L4Terms(lam, _mu_product(lam, (0, -2 * g), params),
+                _mu_product(lam, (g, -g), params),
+                _mu_product(lam, (-g, -3 * g), params),
+                q_function(lam, params), q_function(lam + g, params))
+        for lam in lam_draws
+    ]
+
+
 def check_l4_relation(state: EigenState, data: SpectralData,
-                      params: ModelParams, lam_draws) -> dict:
+                      params: ModelParams, terms) -> dict:
     """The four-fold functional relation at l = 4, the shift behaviour of
-    its driving term, and the eigenvalue-ratio equation at each zero.
+    its driving term, and the eigenvalue-ratio equation at each zero, at
+    the draws of `terms` (from `l4_terms`).
 
     ``q_periodicity`` measures the source's claim Q(lam + g) = Q(lam), which
     holds only at odd L; ``q_shift_law`` measures the law that holds at
@@ -168,22 +194,20 @@ def check_l4_relation(state: EigenState, data: SpectralData,
     worst_q = 0.0
     worst_shift = 0.0
     # every state reads these points
-    state.share(lam - j * g for lam in lam_draws for j in range(4))
-    for lam in lam_draws:
-        lams = [state.lam(lam - j * g) for j in range(4)]
+    state.share(t.lam - j * g for t in terms for j in range(4))
+    for t in terms:
+        lams = [state.lam(t.lam - j * g) for j in range(4)]
         lhs = lams[0] * lams[1] * lams[2] * lams[3]
         rhs = (
-            lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g))
-            * _mu_product(lam, (0, -2 * g), params)
-            - lams[2] * lams[3] * _mu_product(lam, (g, -g), params)
-            - lams[0] * lams[1] * _mu_product(lam, (-g, -3 * g), params)
-            - lams[0] * lams[3] * _mu_product(lam, (0, -2 * g), params)
-            + q_function(lam, params)
+            lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * t.p_0_m2g
+            - lams[2] * lams[3] * t.p_g_mg
+            - lams[0] * lams[1] * t.p_mg_m3g
+            - lams[0] * lams[3] * t.p_0_m2g
+            + t.q
         )
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst_rel = max(worst_rel, abs(lhs - rhs) / scale)
-        q0 = q_function(lam, params)
-        q1 = q_function(lam + g, params)
+        q0, q1 = t.q, t.q_shifted
         worst_q = max(worst_q, abs(q1 - q0) / max(abs(q0), 1e-300))
         worst_shift = max(worst_shift,
                           abs(q1 - shift_sign * q0) / max(abs(q0), 1e-300))

@@ -9,6 +9,7 @@ auxiliary x quantum space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +97,15 @@ def generic_points(n: int, rng, avoid=()) -> tuple:
     raise GenericityExhausted("no generic spectral-point draw found")
 
 
-def r_matrix(lam: complex, params: ModelParams) -> np.ndarray:
-    """4x4 six-vertex R-matrix acting on a pair of spin-1/2 spaces."""
+def r_matrix(lam, params: ModelParams) -> np.ndarray:
+    """4x4 six-vertex R-matrix acting on a pair of spin-1/2 spaces; for an
+    array of points, one R-matrix per point, shape ``lam.shape + (4, 4)``."""
     a, b, c = weights(lam, params.gamma)
-    return np.array(
-        [
-            [a, 0, 0, 0],
-            [0, b, c, 0],
-            [0, c, b, 0],
-            [0, 0, 0, a],
-        ],
-        dtype=complex,
-    )
+    r = np.zeros(np.shape(lam) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 3, 3] = a
+    r[..., 1, 1] = r[..., 2, 2] = b
+    r[..., 1, 2] = r[..., 2, 1] = c
+    return r
 
 
 def twist_matrix() -> np.ndarray:
@@ -130,31 +128,71 @@ def _local_blocks(lam: complex, gamma: complex):
 _ICE = np.fromfunction(lambda b, c, s, t: b + s == c + t, (2, 2, 2, 2), dtype=int)
 
 
-def _contract(lam: complex, params: ModelParams, rows: slice) -> np.ndarray:
-    """Auxiliary rows `rows` of the monodromy, shape (rows, 2, 2^L, 2^L).
-    Row a of each partial product reads only row a of the one before, so
-    the rows left out are never computed."""
-    # site tensor r[b, c, s, t] = R[(b, s), (c, t)]
-    sites = np.array([r_matrix(lam - mu, params).reshape(2, 2, 2, 2)
-                      .transpose(0, 2, 1, 3) for mu in params.mu])
+@functools.lru_cache(maxsize=None)
+def _paths(L: int):
+    """Ice-rule pattern of the monodromy on L sites, independent of lam.
+
+    Entry (a, c, i, j) of the monodromy sums over auxiliary paths
+    b_0 = a, ..., b_L = c the products of the site tensors
+    r_k[b_k, b_{k+1}, s_k, t_k], with s_k and t_k the bits of i and j.
+    The ice rule fixes b_{k+1} = b_k + s_k - t_k, so each (a, i, j) has
+    at most one path and each nonzero entry is one product of L weights.
+    Returns ``(rows, cols, idx, bounds)``: per entry its quantum row and
+    column (int32) and, per site, the flat index ``b*8 + c*4 + s*2 + t``
+    into that site tensor (uint8, shape (L, n)); the entries are ordered by
+    auxiliary block k = 2a + c, i.e. (0, 0), (0, 1), (1, 0), (1, 1), and
+    block k is ``bounds[k]:bounds[k + 1]``."""
+    s = np.array([0, 0, 1, 1])
+    t = np.array([0, 1, 0, 1])
+    start = np.array([0, 1])
+    b = start
+    rows = cols = np.zeros(2, dtype=np.int32)
+    idx = np.zeros((0, 2), dtype=np.uint8)
+    for _ in range(L):
+        nxt = b[:, None] + s - t
+        path, step = np.nonzero((nxt >= 0) & (nxt <= 1))
+        b_next = nxt[path, step]
+        flat = b[path] * 8 + b_next * 4 + s[step] * 2 + t[step]
+        idx = np.vstack([idx[:, path], flat.astype(np.uint8)])
+        rows = 2 * rows[path] + s[step].astype(np.int32)
+        cols = 2 * cols[path] + t[step].astype(np.int32)
+        start, b = start[path], b_next
+    block = 2 * start + b
+    order = np.argsort(block, kind="stable")
+    bounds = tuple(int(x) for x in np.searchsorted(block[order], range(5)))
+    pattern = rows[order], cols[order], idx[:, order]
+    for arr in pattern:
+        arr.flags.writeable = False  # shared by every caller
+    return (*pattern, bounds)
+
+
+def _gather(lam: complex, params: ModelParams, first: int, stop: int):
+    """Quantum rows, columns and values of the nonzero entries of the
+    auxiliary blocks k = 2a + c in ``range(first, stop)``, each value the
+    product of its path's site weights taken left to right, site 1 first."""
+    L = params.L
+    # site tensor r[b, c, s, t] = R[(b, s), (c, t)], one per site
+    sites = (r_matrix(lam - np.array(params.mu), params)
+             .reshape(L, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
     if sites[:, ~_ICE].any():
         raise ValueError("site tensor has an entry that breaks the ice rule")
-    # per site, the weights r[c, c, s, s] as [c, s]
-    diag = np.diagonal(np.diagonal(sites, axis1=1, axis2=2), axis1=1, axis2=2)
-    m = sites[0][rows]
-    for k in range(1, len(sites)):
-        n, d = m.shape[0], m.shape[-1]
-        # m'[a, c, i, s, j, t] = m[a, 0, i, j] r[0, c, s, t]
-        #                      + m[a, 1, i, j] r[1, c, s, t],
-        # where only b = c + t - s can be nonzero: each entry is that one
-        # product, bit for bit the broadcast sum, which adds an exact zero
-        out = np.zeros((n, 2, d, 2, d, 2), dtype=complex)
-        for s in (0, 1):
-            out[:, :, :, s, :, s] = m * diag[k, :, s, None, None]
-        out[:, 0, :, 0, :, 1] = m[:, 1] * sites[k, 1, 0, 0, 1]
-        out[:, 1, :, 1, :, 0] = m[:, 0] * sites[k, 0, 1, 1, 0]
-        m = out.reshape(n, 2, 2 * d, 2 * d)
-    return m
+    w = sites.reshape(L, 16)
+    rows, cols, idx, bounds = _paths(L)
+    sl = slice(bounds[first], bounds[stop])
+    # an explicit loop: a product reduction need not multiply in this order
+    vals = w[0].take(idx[0, sl])
+    for k in range(1, L):
+        vals = vals * w[k].take(idx[k, sl])
+    return rows[sl], cols[sl], vals
+
+
+def _block_sum(lam: complex, params: ModelParams, first: int, stop: int):
+    """Sum of the auxiliary blocks k in ``range(first, stop)`` as one
+    2^L x 2^L array; only blocks with disjoint supports are summed."""
+    rows, cols, vals = _gather(lam, params, first, stop)
+    out = np.zeros((params.dim, params.dim), dtype=complex)
+    out[rows, cols] = vals
+    return out
 
 
 def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
@@ -162,7 +200,14 @@ def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
     2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
     operator in auxiliary row a and column b, so
     ``(A, B), (C, D) = monodromy(lam, params)``."""
-    return _contract(lam, params, slice(None))
+    d = params.dim
+    rows, cols, vals = _gather(lam, params, 0, 4)
+    bounds = _paths(params.L)[3]
+    m = np.zeros((4, d, d), dtype=complex)
+    for k in range(4):
+        sl = slice(bounds[k], bounds[k + 1])
+        m[k, rows[sl], cols[sl]] = vals[sl]
+    return m.reshape(2, 2, d, d)
 
 
 def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
@@ -186,16 +231,17 @@ def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
-    """Creation operator B(lam), the auxiliary (0, 1) entry of the monodromy,
-    contracted from auxiliary row 0 alone.  A copy, so that a kept B does
-    not hold the A block alive."""
-    return _contract(lam, params, slice(0, 1))[0, 1].copy()
+    """Creation operator B(lam), the auxiliary (0, 1) entry of the
+    monodromy, gathered from that block's paths alone."""
+    return _block_sum(lam, params, 1, 2)
 
 
 def transfer(lam: complex, params: ModelParams) -> np.ndarray:
-    """Twisted transfer matrix: trace of G times the monodromy, i.e. B + C."""
-    m = monodromy(lam, params)
-    return m[0, 1] + m[1, 0]
+    """Twisted transfer matrix: trace of G times the monodromy, i.e. B + C.
+    B raises the number of up spins by one and C lowers it by one, so
+    their supports are disjoint and their entries are gathered into one
+    array."""
+    return _block_sum(lam, params, 1, 3)
 
 
 def site_op(op: np.ndarray, i: int, L: int) -> np.ndarray:
@@ -330,18 +376,21 @@ def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
     d = params.dim
     m1, m2 = (monodromy_full(lam, params).reshape(2, d, 2, d).transpose(0, 2, 1, 3)
               for lam in (lam1, lam2))
-    t1t2 = m1[:, None, :, None] @ m2[None, :, None, :]
-    t2t1 = m2[None, :, None, :] @ m1[:, None, :, None]
     r = r_matrix(lam1 - lam2, params).reshape(2, 2, 2, 2)
-    lhs = np.einsum("abce,cefgij->abfgij", r, t1t2, optimize=True)
-    rhs = np.einsum("abceij,cefg->abfgij", t2t1, r, optimize=True)
-    return _rel(lhs - rhs, lhs)
+    # one side at a time, so that its block product is freed before the
+    # other side is built
+    lhs = np.einsum("abce,cefgij->abfgij", r,
+                    m1[:, None, :, None] @ m2[None, :, None, :], optimize=True)
+    scale = max(np.linalg.norm(lhs), 1e-300)
+    lhs -= np.einsum("abceij,cefg->abfgij",
+                     m2[None, :, None, :] @ m1[:, None, :, None], r,
+                     optimize=True)
+    return float(np.linalg.norm(lhs) / scale)
 
 
-def action_residual(lam: complex, params: ModelParams) -> float:
-    """Action of A, B, C, D on the all-up and all-down reference states,
-    relative to the largest vacuum eigenvalue (and at least 1)."""
-    (a_op, b_op), (c_op, d_op) = monodromy(lam, params)
+def _action(mono: np.ndarray, lam: complex, params: ModelParams) -> float:
+    """`action_residual` on the monodromy `mono` built at lam."""
+    (a_op, b_op), (c_op, d_op) = mono
     up, down = reference_states(params.L)
     g = params.gamma
     aprod = np.prod([np.sinh(lam - m + g) for m in params.mu])
@@ -358,23 +407,33 @@ def action_residual(lam: complex, params: ModelParams) -> float:
     return float(max(residuals) / scale)
 
 
+def action_residual(lam: complex, params: ModelParams) -> float:
+    """Action of A, B, C, D on the all-up and all-down reference states,
+    relative to the largest vacuum eigenvalue (and at least 1)."""
+    return _action(monodromy(lam, params), lam, params)
+
+
 def full_product_residuals(lam: complex, params: ModelParams) -> dict:
-    """Blocks and transfer matrix against the independent full product.
+    """Blocks and transfer matrix against the independent full product,
+    and the action on the reference states, from one monodromy at lam.
 
     ``block_assembly`` compares the A/B/C/D blocks of :func:`monodromy`,
     laid out on the auxiliary x quantum space, with
-    :func:`monodromy_full`; ``trace_form`` compares :func:`transfer` with
-    the auxiliary-space trace of G times that full product.
+    :func:`monodromy_full`; ``trace_form`` compares :func:`transfer`, built
+    on its own, with the auxiliary-space trace of G times that full
+    product; ``action`` is :func:`action_residual` on the same monodromy.
     """
     d = params.dim
     full = monodromy_full(lam, params)
     # G x 1 acts on the auxiliary row leg alone
     twisted = np.einsum("ab,bicj->aicj", twist_matrix(), full.reshape(2, d, 2, d))
     tmat = transfer(lam, params)
-    blocks = monodromy(lam, params).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
+    mono = monodromy(lam, params)
+    blocks = mono.transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
     return {
         "block_assembly": _rel(blocks - full, full),
         "trace_form": _rel(np.trace(twisted, axis1=0, axis2=2) - tmat, tmat),
+        "action": _action(mono, lam, params),
     }
 
 

@@ -37,6 +37,7 @@ from sixvertex.roots_of_unity import (
     check_l3_relation,
     check_l4_relation,
     check_truncation,
+    l4_terms,
 )
 from sixvertex.vertex_core import (
     ModelParams,
@@ -377,13 +378,13 @@ def test_criterion8_four_fold_relation(L):
     p = params_for(L, gamma=spec.gamma, seed=9800 + L)
     states = states_for(p, 9900 + L)
     rng = np.random.default_rng(10000 + L)
-    draws = generic_points(6, rng, avoid=p.mu)
+    terms = l4_terms(generic_points(6, rng, avoid=p.mu), p)
     worst = 0.0
     for st in states:
         if not st.k0_defined:
             continue
         data = extract_zeros(st, p)
-        out = check_l4_relation(st, data, p, draws)
+        out = check_l4_relation(st, data, p, terms)
         worst = max(worst, out["relation_residual"])
     assert report(f"8.four_fold_relation[L={L}]", worst < 1e-8,
                   f"worst={worst:.2e}")
@@ -401,7 +402,7 @@ def test_criterion8_q_periodicity(L):
     draws = generic_points(6, rng, avoid=p.mu)
     st = states[0]
     data = extract_zeros(st, p)
-    out = check_l4_relation(st, data, p, draws)
+    out = check_l4_relation(st, data, p, l4_terms(draws, p))
     ok = out["q_shift_law"] < 1e-9
     assert report(f"8.q_periodicity[L={L}]", ok,
                   f"shift-law residual {out['q_shift_law']:.2e}, "

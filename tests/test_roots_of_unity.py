@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sixvertex import cli, roots_of_unity
 from sixvertex.functional_system import transfer_eigenstates
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
@@ -12,6 +13,7 @@ from sixvertex.roots_of_unity import (
     check_l4_relation,
     check_truncation,
     l4_specialized_residuals,
+    l4_terms,
     q_function,
     truncated_expansion_residual,
 )
@@ -155,9 +157,10 @@ def test_four_fold_relation_and_q_sign(L):
     spec, p, rng = setup_case(4, L, seed=230 + L)
     states = transfer_eigenstates(p, rng)
     draws = generic_points(6, rng, avoid=p.mu)
+    terms = l4_terms(draws, p)
     for st in states[:4]:
         data = extract_zeros(st, p)
-        out = check_l4_relation(st, data, p, draws)
+        out = check_l4_relation(st, data, p, terms)
         assert out["relation_residual"] < 1e-8
         assert out["q_shift_law"] < 1e-9
     # measured behaviour of the driving term under a unit shift: periodic
@@ -167,6 +170,43 @@ def test_four_fold_relation_and_q_sign(L):
     q1 = q_function(lam + spec.gamma, p)
     sign = (-1.0) ** (L + 1)
     assert abs(q1 - sign * q0) < 1e-10 * abs(q0)
+
+
+def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
+    seen = {"l4_terms": 0, "check": 0, "driving_in_check": 0}
+    inside = []
+    real_terms = roots_of_unity.l4_terms
+    real_check = roots_of_unity.check_l4_relation
+
+    def l4_terms(*args):
+        seen["l4_terms"] += 1
+        return real_terms(*args)
+
+    def check_l4_relation(*args):
+        seen["check"] += 1
+        inside.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            inside.pop()
+
+    def counted(fn):
+        def wrapper(*args):
+            seen["driving_in_check"] += bool(inside)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "l4_terms", l4_terms)
+    monkeypatch.setattr(cli, "check_l4_relation", check_l4_relation)
+    for name in ("q_function", "_mu_product"):
+        monkeypatch.setattr(roots_of_unity, name,
+                            counted(getattr(roots_of_unity, name)))
+    cli.run(cli.build_config(["--size", "4", "--root-of-unity", "1/4",
+                              "--suite", "rou", "--out",
+                              str(tmp_path / "r.txt")]))
+    assert seen["l4_terms"] == 1
+    assert seen["check"] > 1
+    assert seen["driving_in_check"] == 0
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -189,7 +229,8 @@ def test_four_fold_ratio_equation_matches_general_form():
     states = transfer_eigenstates(p, rng)
     for st in states[:4]:
         data = extract_zeros(st, p)
-        out = check_l4_relation(st, data, p, generic_points(3, rng, avoid=p.mu))
+        out = check_l4_relation(
+            st, data, p, l4_terms(generic_points(3, rng, avoid=p.mu), p))
         general = bethe_residual(data, spec, p)
         pair = zip(out["ratio_residuals"], general)
         for r_ratio, r_gen in pair:

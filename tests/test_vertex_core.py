@@ -167,26 +167,49 @@ def test_ice_rule_contraction_is_the_broadcast_recurrence(L):
     rng = np.random.default_rng(40 + L)
     # at mu_1 and mu_1 - gamma a weight of site 1 is exactly zero
     for lam in generic_points(3, rng) + (p.mu[0], p.mu[0] - GAMMA):
-        full = monodromy(lam, p)
-        assert np.array_equal(full, _broadcast_contraction(lam, p, slice(None)))
+        ref = _broadcast_contraction(lam, p, slice(None))
+        assert np.array_equal(monodromy(lam, p), ref)
+        assert np.array_equal(transfer(lam, p), ref[0, 1] + ref[1, 0])
         assert np.array_equal(b_operator(lam, p),
                               _broadcast_contraction(lam, p, slice(0, 1))[0, 1])
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_gathered_operators_have_one_entry_per_ice_rule_path(L):
+    p = params_for(L, seed=90 + L)
+    lam = generic_points(1, np.random.default_rng(L), avoid=p.mu)[0]
+    mono = monodromy(lam, p)
+    assert np.count_nonzero(b_operator(lam, p)) == (3**L - 1) // 2
+    assert np.count_nonzero(transfer(lam, p)) == 3**L - 1
+    assert np.count_nonzero(mono) == 2 * 3**L
+    # B raises the number of up spins by one and C lowers it by one
+    assert not np.any((mono[0, 1] != 0) & (mono[1, 0] != 0))
+
+
+def test_r_matrix_at_an_array_of_points_is_the_stack_of_scalar_calls():
+    p = params_for(4)
+    # a generic point, and points where b or a vanishes at some site
+    for lam in (0.31 + 0.15j, p.mu[2], p.mu[0] - GAMMA):
+        pts = lam - np.array(p.mu)
+        stacked = np.array([r_matrix(x, p) for x in pts])
+        got = r_matrix(pts, p)
+        assert got.shape == (4, 4, 4)
+        assert np.array_equal(got.view(np.uint64), stacked.view(np.uint64))
 
 
 def _r_with_forbidden_entry(lam, params):
     # R[(0, up), (0, down)] would flip one arrow at a vertex
     r = r_matrix(lam, params)
-    r[0, 1] = 1e-3
+    r[..., 0, 1] = 1e-3
     return r
 
 
 def test_site_tensor_breaking_the_ice_rule_raises(monkeypatch):
     p = params_for(3)
     monkeypatch.setattr(vertex_core, "r_matrix", _r_with_forbidden_entry)
-    with pytest.raises(ValueError, match="ice rule"):
-        monodromy(LAM, p)
-    with pytest.raises(ValueError, match="ice rule"):
-        b_operator(LAM, p)
+    for build in (monodromy, transfer, b_operator):
+        with pytest.raises(ValueError, match="ice rule"):
+            build(LAM, p)
 
 
 def _dense_rll_residual(lam1, lam2, params):
@@ -322,7 +345,7 @@ def _scaled_c(lam, gamma):
 
 def _r_scaled_c(lam, params):
     r = r_matrix(lam, params)
-    r[[1, 2], [2, 1]] *= 1.1
+    r[..., [1, 2], [2, 1]] *= 1.1
     return r
 
 

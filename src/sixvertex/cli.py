@@ -34,6 +34,7 @@ from .roots_of_unity import (
     check_truncation,
     l4_specialized_residuals,
     l4_terms,
+    l4_zero_terms,
     truncated_expansion_residual,
 )
 from .vertex_core import (
@@ -465,6 +466,8 @@ class _Runner:
             self.add("rou.l3_form_agreement", "r3", worst_agree)
         if spec.l == 4:
             terms = l4_terms(draws[:6], p)
+            zero_terms = l4_zero_terms(
+                (w for data in self.spectral_data() for w in data.zeros), p)
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5
@@ -498,7 +501,8 @@ class _Runner:
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}", "l4ex",
                     lambda s=st, d=data: max(
-                        l4_specialized_residuals(s, d, p), default=0.0),
+                        l4_specialized_residuals(s, d, p, zero_terms),
+                        default=0.0),
                 )
 
     # ------------------------------------------------------------------

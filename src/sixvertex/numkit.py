@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegreeZero, NonConvergence, SingularSystem
 
@@ -48,6 +47,10 @@ def eig_general(m: np.ndarray) -> list[EigenTriple]:
         raise ValueError("eig_general expects a square matrix")
     if n > DIM_CAP:
         raise ValueError(f"dimension {n} exceeds cap {DIM_CAP}")
+    # Imported here: ~0.3 s and ~28 MiB that structural and dwbc runs,
+    # which never diagonalize, do not need.
+    import scipy.linalg
+
     try:
         vals, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

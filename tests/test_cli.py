@@ -201,9 +201,25 @@ def test_cli_explicit_mu_parsing():
     assert cfg.mu_values == (0.1 + 0.2j, -0.3j)
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    """Importing the CLI and running the structural and dwbc suites, which
+    never diagonalize, loads no scipy module at all; the first
+    diagonalization loads scipy.linalg."""
     env = dict(os.environ, PYTHONPATH=str(Path(sixvertex.__file__).parents[1]))
-    code = ("import sys, sixvertex.cli; "
-            "assert 'scipy.optimize' not in sys.modules")
+    code = f"""
+import sys
+from sixvertex import cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+out = {str(tmp_path / "r.txt")!r}
+cli.run(cli.build_config(["--size", "2", "--suite", "structural,dwbc",
+                          "--out", out]))
+assert scipy_modules() == [], scipy_modules()
+cli.run(cli.build_config(["--size", "2", "--suite", "functional",
+                          "--out", out]))
+assert "scipy.linalg" in sys.modules
+"""
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=60)

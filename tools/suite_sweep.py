@@ -10,7 +10,10 @@ default suite) is made once in this process; each suite is timed as the
 wall time of its ``_Runner.run_<suite>`` call, in run order.  The
 transfer-matrix diagonalization and the zero extraction are made by the
 first suite that needs them (``functional`` and ``zeros``), so their time
-counts there.  ``OUT.json`` holds the seconds per suite and in total, the
+counts there.  One untimed default run at ``--size 2`` comes first, as in
+``svbench/run.py``: scipy.linalg is imported at the first diagonalization,
+and without the warm-up that import (~0.3 s) would be charged to the L = 2
+functional suite.  ``OUT.json`` holds the seconds per suite and in total, the
 record and failure counts of each run, and the run metadata: commit,
 processor count, Python, numpy and scipy versions.
 """
@@ -43,7 +46,9 @@ def commit() -> str:
 
 
 def sweep(cli) -> dict:
-    """Seconds per suite of the default run at each size."""
+    """Seconds per suite of the default run at each size, after an untimed
+    warm-up run at size 2."""
+    cli._Runner(cli.build_config(["--size", "2", "--seed", str(SEED)])).run()
     sizes = {}
     for L in SIZES:
         config = cli.build_config(["--size", str(L), "--seed", str(SEED)])

@@ -34,7 +34,6 @@ from .roots_of_unity import (
     check_truncation,
     l4_specialized_residuals,
     l4_terms,
-    l4_zero_terms,
     truncated_expansion_residual,
 )
 from .vertex_core import (
@@ -66,54 +65,63 @@ SUITES = ("structural", "dwbc", "functional", "theorem", "zeros", "rou")
 
 L_CAP = 8
 
-DEFAULT_TOLS = {
-    "structural.weights": 1e-12,
-    "structural.r_at_origin": 1e-12,
-    "structural.ybe": 1e-10,
-    "structural.unitarity": 1e-10,
-    "structural.twist_symmetry": 1e-12,
-    "structural.twist_square": 1e-12,
-    "structural.block_assembly": 1e-12,
-    "structural.rll": 1e-9,
-    "structural.action": 1e-10,
-    "structural.trace_form": 1e-12,
-    "structural.commuting_family": 1e-9,
-    "structural.b_commute": 1e-10,
-    "structural.hamiltonian_commutes": 1e-9,
-    "structural.log_derivative_fit": 1e-6,
-    "dwbc.oracle_agreement": 1e-9,
-    "dwbc.permutation": 1e-10,
-    "dwbc.shift_invariance": 1e-10,
-    "dwbc.highest_weight": 1e-10,
-    "dwbc.overflow_string": 1e-10,
-    "dwbc.underflow_string": 1e-12,
-    "functional.tphi": 1e-9,
-    "functional.fl": 1e-8,
-    "functional.k0_defined": 1e-8,
-    "functional.oracle": 1e-12,
-    "theorem.expansion": 1e-8,
-    "theorem.k0_closed_form": 1e-8,
-    "theorem.permutation": 1e-9,
-    "theorem.appendix": 1e-8,
-    "zeros.reconstruction": 1e-7,
-    "zeros.at_zero": 1e-7,
-    "zeros.lz01_constancy": 1e-6,
-    "zeros.lz01_even_constant": 1e-6,
-    "zeros.coincidence": 1e-6,
-    "zeros.wronskian": 1e-6,
-    "zeros.wronskian_sharpness": 1.0,
-    "rou.unit_circle": 1e-12,
-    "rou.truncation": 1e-9,
-    "rou.inversion": 1e-8,
-    "rou.l3_relation": 1e-8,
-    "rou.l3_form_agreement": 1e-10,
-    "rou.l4_relation": 1e-8,
-    "rou.q_periodicity": 1e-9,
-    "rou.l4_ratio": 1e-6,
-    "rou.l4_at_zeros": 1e-8,
-    "rou.bethe": 1e-6,
-    "rou.bethe_l2": 1e-6,
-    "rou.truncated_expansion": 1e-8,
+# Every check family: its key covers the record names of the family (see
+# `_covers`; the longest covering key wins), and its entry holds the anchor,
+# the tag of the source-paper equation that the family checks, and the
+# default tolerance.  The appendix anchor depends on the chain size.
+FAMILIES = {
+    "structural.weights": ("rmat", 1e-12),
+    "structural.r_at_origin": ("rmat", 1e-12),
+    "structural.ybe": ("yba", 1e-10),
+    "structural.unitarity": ("rmat", 1e-10),
+    "structural.twist_symmetry": ("rmat", 1e-12),
+    "structural.twist_square": ("rmat", 1e-12),
+    "structural.block_assembly": ("abcd", 1e-12),
+    "structural.rll": ("yba", 1e-9),
+    "structural.action": ("action", 1e-10),
+    "structural.trace_form": ("tmat", 1e-12),
+    "structural.commuting_family": ("tmat", 1e-9),
+    "structural.b_commute": ("yba", 1e-10),
+    "structural.hamiltonian_commutes": ("ham", 1e-9),
+    "structural.log_derivative_fit": ("ham", 1e-6),
+    "dwbc.oracle_agreement": ("pf", 1e-9),
+    "dwbc.permutation": ("pf", 1e-10),
+    "dwbc.shift_invariance": ("pf", 1e-10),
+    "dwbc.highest_weight": ("high", 1e-10),
+    "dwbc.overflow_string": ("high", 1e-10),
+    "dwbc.underflow_string": ("pf", 1e-12),
+    "functional.tphi": ("tphi", 1e-9),
+    "functional.fl": ("FL", 1e-8),
+    "functional.k0_defined": ("pir", 1e-8),
+    "functional.oracle.gamma": ("mn", 1e-12),
+    "functional.oracle.omega": ("mn", 1e-12),
+    "functional.oracle.m": ("coeff", 1e-12),
+    "functional.oracle.n": ("coeff", 1e-12),
+    "functional.oracle.v": ("VV", 1e-12),
+    "theorem.expansion": ("Lgen", 1e-8),
+    "theorem.k0_closed_form": ("LL2", 1e-8),
+    "theorem.permutation": ("Lgen", 1e-9),
+    "theorem.appendix": ({3: "cnd", 4: "cnd1"}, 1e-8),
+    "theorem.appendix.V4_3210": ("cnd2", 1e-8),
+    "zeros.reconstruction": ("wj", 1e-7),
+    "zeros.at_zero": ("wj", 1e-7),
+    "zeros.lz01_constancy": ("LZ01", 1e-6),
+    "zeros.lz01_even_constant": ("LZ01", 1e-6),
+    "zeros.coincidence": ("BAeven", 1e-6),
+    "zeros.wronskian": ("CK", 1e-6),
+    "zeros.wronskian_sharpness": ("CK", 1.0),
+    "rou.unit_circle": ("rou", 1e-12),
+    "rou.truncation": ("rou", 1e-9),
+    "rou.inversion": ("r2", 1e-8),
+    "rou.l3_relation": ("rs3", 1e-8),
+    "rou.l3_form_agreement": ("r3", 1e-10),
+    "rou.l4_relation": ("l4ex", 1e-8),
+    "rou.q_periodicity": ("QQ", 1e-9),
+    "rou.l4_ratio": ("BAl4", 1e-6),
+    "rou.l4_at_zeros": ("l4ex", 1e-8),
+    "rou.bethe": ("BAl3", 1e-6),
+    "rou.bethe_l2": ("BAl2", 1e-6),
+    "rou.truncated_expansion": ("lgen", 1e-8),
 }
 
 
@@ -122,6 +130,24 @@ def _covers(key: str, name: str) -> bool:
     one of its leading dotted parts, so ``rou.bethe`` covers
     ``rou.bethe.state3`` but not ``rou.bethe_l2.state3``."""
     return name == key or name.startswith(key + ".")
+
+
+def _longest_cover(keys, name: str):
+    """The longest of the keys covering a record name (see `_covers`), or
+    None."""
+    while name not in keys:
+        if "." not in name:
+            return None
+        name = name.rsplit(".", 1)[0]
+    return name
+
+
+def _family(name: str) -> str:
+    """The `FAMILIES` key of a record name."""
+    key = _longest_cover(FAMILIES, name)
+    if key is None:
+        raise KeyError(f"no check family covers {name!r}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -171,7 +197,7 @@ class RunConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         unknown = [key for key in self.tol_overrides
                    if not any(_covers(key, fam) or _covers(fam, key)
-                              for fam in DEFAULT_TOLS)]
+                              for fam in FAMILIES)]
         if unknown:
             raise ConfigError(f"tolerance overrides match no check: {unknown}")
 
@@ -213,33 +239,36 @@ class _Runner:
         self._states = None
         self._spectral = None
 
-    def tol(self, name: str) -> float:
-        """The longest override key covering the name, else the default of
-        the check family (the first two dotted parts of the name)."""
-        best = None
-        for key, val in self.config.tol_overrides.items():
-            if _covers(key, name) and (best is None or len(key) > len(best[0])):
-                best = (key, val)
-        if best:
-            return float(best[1])
-        family = ".".join(name.split(".")[:2])
-        if family not in DEFAULT_TOLS:
-            raise KeyError(f"no default tolerance for check family {family!r}")
-        return DEFAULT_TOLS[family]
+    def resolve(self, name: str) -> tuple[str, float]:
+        """The anchor and tolerance of a record: the anchor of its family,
+        and the longest override key covering its name, else the default
+        of its family."""
+        anchor, tol = FAMILIES[_family(name)]
+        if isinstance(anchor, dict):
+            anchor = anchor[self.params.L]
+        key = _longest_cover(self.config.tol_overrides, name)
+        if key is not None:
+            tol = self.config.tol_overrides[key]
+        return anchor, float(tol)
 
-    def add(self, name: str, anchor: str, residual: float, *,
-            conjecture: bool = False):
-        self.reports.append(
-            make_report(name, anchor, residual, self.tol(name), self.digest,
-                        conjecture=conjecture)
-        )
+    def add(self, name: str, residual: float, *, conjecture: bool = False):
+        anchor, tol = self.resolve(name)
+        self.reports.append(make_report(name, anchor, residual, tol,
+                                        self.digest, conjecture=conjecture))
 
-    def guarded(self, name: str, anchor: str, fn, *, conjecture: bool = False):
+    def attempt(self, name: str, fn, *, conjecture: bool = False):
+        """fn(), or None after recording the check `name` as failed
+        (residual inf) when fn raises a SixVertexError."""
         try:
-            residual = fn()
+            return fn()
         except SixVertexError:
-            residual = float("inf")
-        self.add(name, anchor, residual, conjecture=conjecture)
+            self.add(name, float("inf"), conjecture=conjecture)
+            return None
+
+    def guarded(self, name: str, fn, *, conjecture: bool = False):
+        residual = self.attempt(name, fn, conjecture=conjecture)
+        if residual is not None:
+            self.add(name, residual, conjecture=conjecture)
 
     @property
     def states(self):
@@ -249,16 +278,10 @@ class _Runner:
 
     def spectral_data(self):
         if self._spectral is None:
-            out = []
-            for st in self.states:
-                if not st.k0_defined:
-                    continue
-                try:
-                    out.append(extract_zeros(st, self.params))
-                except SixVertexError:
-                    self.add(f"zeros.reconstruction.state{st.index}", "wj",
-                             float("inf"))
-            self._spectral = out
+            found = (self.attempt(f"zeros.reconstruction.state{st.index}",
+                                  lambda st=st: extract_zeros(st, self.params))
+                     for st in self.states if st.k0_defined)
+            self._spectral = [data for data in found if data is not None]
         return self._spectral
 
     # ------------------------------------------------------------------
@@ -266,7 +289,7 @@ class _Runner:
         p = self.params
         rng = self.rng
         for name, val in special_value_residuals(p).items():
-            self.add(f"structural.{name}", "rmat", val)
+            self.add(f"structural.{name}", val)
 
         worst_ybe = worst_tw = worst_uni = 0.0
         for _ in range(self.config.draws):
@@ -274,31 +297,30 @@ class _Runner:
             worst_ybe = max(worst_ybe, ybe_residual(lam, mu_, p))
             worst_tw = max(worst_tw, twist_symmetry_residual(lam, p))
             worst_uni = max(worst_uni, unitarity_residual(lam, p))
-        self.add("structural.ybe", "yba", worst_ybe)
-        self.add("structural.twist_symmetry", "rmat", worst_tw)
-        self.add("structural.unitarity", "rmat", worst_uni)
+        self.add("structural.ybe", worst_ybe)
+        self.add("structural.twist_symmetry", worst_tw)
+        self.add("structural.unitarity", worst_uni)
 
         lam = generic_points(1, rng, avoid=p.mu)[0]
         full = full_product_residuals(lam, p)
-        self.add("structural.block_assembly", "abcd", full["block_assembly"])
+        self.add("structural.block_assembly", full["block_assembly"])
         lam1, lam2 = generic_points(2, rng, avoid=p.mu)
-        self.add("structural.rll", "yba", rll_residual(lam1, lam2, p))
-        self.add("structural.action", "action", full["action"])
-        self.add("structural.trace_form", "tmat", full["trace_form"])
+        self.add("structural.rll", rll_residual(lam1, lam2, p))
+        self.add("structural.action", full["action"])
+        self.add("structural.trace_form", full["trace_form"])
 
         worst_comm = worst_b = 0.0
         for _ in range(self.config.draws):
             x, y = generic_points(2, rng, avoid=p.mu)
             worst_comm = max(worst_comm, commuting_residual(x, y, p))
             worst_b = max(worst_b, b_commute_residual(x, y, p))
-        self.add("structural.commuting_family", "tmat", worst_comm)
-        self.add("structural.b_commute", "yba", worst_b)
+        self.add("structural.commuting_family", worst_comm)
+        self.add("structural.b_commute", worst_b)
 
         if p.L >= 2 and all(m == 0 for m in p.mu):
-            self.add("structural.hamiltonian_commutes", "ham",
+            self.add("structural.hamiltonian_commutes",
                      hamiltonian_commute_residual(lam, p))
-            self.add("structural.log_derivative_fit", "ham",
-                     log_derivative_residual(p))
+            self.add("structural.log_derivative_fit", log_derivative_residual(p))
 
     def run_dwbc(self):
         p = self.params
@@ -313,28 +335,27 @@ class _Runner:
             for key, val in draw_residuals(lams, perm, s, over, p).items():
                 worst[key] = max(worst.get(key, 0.0), val)
         for key, val in worst.items():
-            anchor = "high" if key in ("highest_weight", "overflow_string") else "pf"
-            self.add(f"dwbc.{key}", anchor, val)
+            self.add(f"dwbc.{key}", val)
         under = generic_points(p.L - 1, rng, avoid=p.mu)
-        self.add("dwbc.underflow_string", "pf", underflow_residual(under, p))
+        self.add("dwbc.underflow_string", underflow_residual(under, p))
 
     def run_functional(self):
         p = self.params
         rng = self.rng
         for n in range(0, min(p.L, 3) + 1):
             vars_ = generic_points(n + 1, rng, avoid=p.mu)
-            self.guarded(f"functional.tphi.n{n}", "tphi",
+            self.guarded(f"functional.tphi.n{n}",
                          lambda n=n, v=vars_: check_tphi(n, v, p))
         for st in self.states:
             for n in range(0, p.L + 2):
                 vars_ = generic_points(n + 1, rng, avoid=p.mu)
                 self.guarded(
-                    f"functional.fl.state{st.index}.n{n}", "FL",
+                    f"functional.fl.state{st.index}.n{n}",
                     lambda st=st, n=n, v=vars_: check_fl(n, st, v, p),
                 )
-        self.add("functional.k0_defined", "pir",
+        self.add("functional.k0_defined",
                  sum(0 if st.k0_defined else 1 for st in self.states)
-                 / len(self.states), )
+                 / len(self.states))
         self._oracle_gates()
 
     def _oracle_gates(self):
@@ -359,8 +380,7 @@ class _Runner:
             for key, val in res.items():
                 worst[key] = max(worst[key], val)
         for key, val in worst.items():
-            self.add(f"functional.oracle.{key}", "mn" if key in ("gamma", "omega")
-                     else ("coeff" if key in ("m", "n") else "VV"), val)
+            self.add(f"functional.oracle.{key}", val)
 
     def run_theorem(self):
         p = self.params
@@ -377,27 +397,24 @@ class _Runner:
                 if not st.k0_defined:
                     continue
                 self.guarded(
-                    f"theorem.expansion.state{st.index}", "Lgen",
+                    f"theorem.expansion.state{st.index}",
                     lambda st=st, v=vars_, z=z, c=coeffs: check_theorem(
                         st, v, p, z=z, coeffs=c),
                 )
         st = next(s for s in self.states if s.k0_defined)
         vars_ = generic_points(p.L, rng, avoid=p.mu)
-        self.add("theorem.permutation", "Lgen",
+        self.add("theorem.permutation",
                  theorem_permutation_residual(vars_, st.lam, p))
         if p.L == 2:
             worst = 0.0
             for s in self.states:
                 if s.k0_defined:
                     worst = max(worst, k0_closed_form_residual(s, p))
-            self.add("theorem.k0_closed_form", "LL2", worst)
+            self.add("theorem.k0_closed_form", worst)
         if p.L in (3, 4):
             vars_ = generic_points(p.L, rng, avoid=p.mu)
-            res = check_appendix(p.L, vars_, p)
-            anchor = "cnd" if p.L == 3 else "cnd1"
-            for name, val in sorted(res.items()):
-                self.add(f"theorem.appendix.{name}",
-                         "cnd2" if name == "V4_3210" else anchor, val)
+            for name, val in sorted(check_appendix(p.L, vars_, p).items()):
+                self.add(f"theorem.appendix.{name}", val)
 
     def run_zeros(self):
         p = self.params
@@ -407,34 +424,31 @@ class _Runner:
         for data in self.spectral_data():
             st = data.state
             probe = generic_points(1, rng, avoid=p.mu)[0]
-            self.add(f"zeros.reconstruction.state{st.index}", "wj",
+            self.add(f"zeros.reconstruction.state{st.index}",
                      reconstruction_residual(data, probe))
             scale_points = generic_points(5, rng, avoid=p.mu)
-            self.add(f"zeros.at_zero.state{st.index}", "wj",
+            self.add(f"zeros.at_zero.state{st.index}",
                      at_zero_residual(data, scale_points))
             draws = generic_points(max(5, self.config.draws), rng,
                                    avoid=list(data.zeros) + list(p.mu))
-            try:
-                lz = check_lz01(data, draws, p)
-            except SixVertexError:
-                self.add(f"zeros.lz01_constancy.state{st.index}", "LZ01",
-                         float("inf"))
+            name = f"zeros.lz01_constancy.state{st.index}"
+            lz = self.attempt(name, lambda: check_lz01(data, draws, p))
+            if lz is None:
                 continue
-            self.add(f"zeros.lz01_constancy.state{st.index}", "LZ01",
-                     lz["spread"])
+            self.add(name, lz["spread"])
             if p.L % 2 == 0:
-                self.add(f"zeros.lz01_even_constant.state{st.index}", "LZ01",
+                self.add(f"zeros.lz01_even_constant.state{st.index}",
                          lz["constant_residual"])
             self.guarded(
-                f"zeros.coincidence.state{st.index}", "BAeven",
+                f"zeros.coincidence.state{st.index}",
                 lambda d=data: check_zero_coincidence(d, p)["max_distance"],
             )
             self.guarded(
-                f"zeros.wronskian.state{st.index}", "CK",
+                f"zeros.wronskian.state{st.index}",
                 lambda d=data: wronskian_residual(d, p),
             )
             self.guarded(
-                f"zeros.wronskian_sharpness.state{st.index}", "CK",
+                f"zeros.wronskian_sharpness.state{st.index}",
                 lambda d=data: wronskian_sharpness(d, p),
             )
 
@@ -442,82 +456,69 @@ class _Runner:
         p = self.params
         rng = self.rng
         spec = RootOfUnitySpec(self.config.root_l, self.config.root_k)
-        self.add("rou.unit_circle", "rou", spec.unit_residual)
+        self.add("rou.unit_circle", spec.unit_residual)
         worst = 0.0
         for _ in range(self.config.draws):
             lam = generic_points(1, rng, avoid=p.mu)[0]
             worst = max(worst, check_truncation(spec, lam, p))
-        self.add("rou.truncation", "rou", worst)
+        self.add("rou.truncation", worst)
         lam = generic_points(1, rng, avoid=p.mu)[0]
-        self.add("rou.truncated_expansion", "lgen",
+        self.add("rou.truncated_expansion",
                  truncated_expansion_residual(self.states, spec, p, lam))
 
         draws = generic_points(10, rng, avoid=p.mu)
         if spec.l == 2:
             worst = max(check_inversion_l2(st, p, draws) for st in self.states)
-            self.add("rou.inversion", "r2", worst)
+            self.add("rou.inversion", worst)
         if spec.l == 3:
             worst_rel = worst_agree = 0.0
             for st in self.states:
                 res = check_l3_relation(st, p, draws)
                 worst_rel = max(worst_rel, res["explicit_residual"])
                 worst_agree = max(worst_agree, res["form_agreement"])
-            self.add("rou.l3_relation", "rs3", worst_rel)
-            self.add("rou.l3_form_agreement", "r3", worst_agree)
+            self.add("rou.l3_relation", worst_rel)
+            self.add("rou.l3_form_agreement", worst_agree)
         if spec.l == 4:
             terms = l4_terms(draws[:6], p)
-            zero_terms = l4_zero_terms(
-                (w for data in self.spectral_data() for w in data.zeros), p)
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5
             self.guarded(
-                f"rou.bethe.state{st.index}", "BAl3",
+                f"rou.bethe.state{st.index}",
                 lambda d=data: max((abs(x) for x in
                                     bethe_residual(d, spec, p)), default=0.0),
                 conjecture=conj,
             )
             if spec.l == 2:
                 self.guarded(
-                    f"rou.bethe_l2.state{st.index}", "BAl2",
+                    f"rou.bethe_l2.state{st.index}",
                     lambda d=data: max((abs(x) for x in
                                         bethe_residual_l2(d, p)), default=0.0),
                 )
             if spec.l == 4:
-                try:
-                    res = check_l4_relation(st, data, p, terms)
-                except SixVertexError:
-                    self.add(f"rou.l4_relation.state{st.index}", "l4ex",
-                             float("inf"))
+                name = f"rou.l4_relation.state{st.index}"
+                res = self.attempt(
+                    name, lambda: check_l4_relation(st, data, p, terms))
+                if res is None:
                     continue
-                self.add(f"rou.l4_relation.state{st.index}", "l4ex",
-                         res["relation_residual"])
-                self.add(f"rou.q_periodicity.state{st.index}", "QQ",
+                self.add(name, res["relation_residual"])
+                self.add(f"rou.q_periodicity.state{st.index}",
                          res["q_periodicity"])
                 self.add(
-                    f"rou.l4_ratio.state{st.index}", "BAl4",
+                    f"rou.l4_ratio.state{st.index}",
                     max((abs(x) for x in res["ratio_residuals"]), default=0.0),
                 )
                 self.guarded(
-                    f"rou.l4_at_zeros.state{st.index}", "l4ex",
+                    f"rou.l4_at_zeros.state{st.index}",
                     lambda s=st, d=data: max(
-                        l4_specialized_residuals(s, d, p, zero_terms),
-                        default=0.0),
+                        l4_specialized_residuals(s, d, p), default=0.0),
                 )
 
     # ------------------------------------------------------------------
     def run(self) -> int:
-        order = [s for s in SUITES if s in self.config.suites]
-        dispatch = {
-            "structural": self.run_structural,
-            "dwbc": self.run_dwbc,
-            "functional": self.run_functional,
-            "theorem": self.run_theorem,
-            "zeros": self.run_zeros,
-            "rou": self.run_rou,
-        }
-        for suite in order:
-            dispatch[suite]()
+        for suite in SUITES:
+            if suite in self.config.suites:
+                getattr(self, f"run_{suite}")()
         failed = [r for r in self.reports if r.verdict == FAIL]
         return 1 if failed else 0
 

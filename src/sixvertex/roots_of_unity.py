@@ -251,41 +251,20 @@ def bethe_residual_l4(data: SpectralData, params: ModelParams) -> list:
     return out
 
 
-class L4ZeroTerms(NamedTuple):
-    """The state-independent terms of the four-fold relation at one zero."""
-
-    p_2g_0: complex  # _mu_product(w, (2g, 0))
-    p_g_mg: complex  # _mu_product(w, (g, -g))
-    q_shifted: complex  # q_function(w + g)
-
-
-def l4_zero_terms(zeros, params: ModelParams) -> dict:
-    """`L4ZeroTerms` keyed by zero, computed once per distinct zero for
-    every state that `l4_specialized_residuals` reads them for."""
-    g = params.gamma
-    out = {}
-    for w in zeros:
-        if w not in out:
-            out[w] = L4ZeroTerms(_mu_product(w, (2 * g, 0), params),
-                                 _mu_product(w, (g, -g), params),
-                                 q_function(w + g, params))
-    return out
-
-
 def l4_specialized_residuals(state: EigenState, data: SpectralData,
-                             params: ModelParams, terms) -> list:
+                             params: ModelParams) -> list:
     """Residuals of the four-fold relation specialized at each shifted zero,
     without the ratio reduction: the product-weighted combination of
-    eigenvalues at w +- gamma must reproduce the driving term.  `terms`
-    maps each zero of `data` to its `L4ZeroTerms` (from `l4_zero_terms`)."""
+    eigenvalues at w +- gamma must reproduce the driving term."""
     g = params.gamma
     out = []
     for wi in data.zeros:
-        t = terms[wi]
+        s02 = _mu_product(wi, (2 * g, 0), params)
+        spm = _mu_product(wi, (g, -g), params)
         lhs = state.lam(wi - 2 * g) * (
-            t.p_2g_0 * state.lam(wi - g) + t.p_g_mg * state.lam(wi + g)
+            s02 * state.lam(wi - g) + spm * state.lam(wi + g)
         )
-        q = t.q_shifted
+        q = q_function(wi + g, params)
         out.append(abs(lhs - q) / max(abs(q), abs(lhs), 1e-300))
     return out
 

@@ -8,8 +8,9 @@ import pytest
 
 import sixvertex
 from sixvertex.cli import (
-    DEFAULT_TOLS,
+    FAMILIES,
     RunConfig,
+    _family,
     _Runner,
     build_config,
     main,
@@ -93,32 +94,50 @@ def test_report_reproducible_bit_for_bit(tmp_path):
 
 def test_every_record_has_a_default_tolerance(tmp_path):
     # structural + hamiltonian records (mu zero), the L = 2 closed form,
-    # the L = 3 appendix identities, and the rou records of l = 2..5
+    # the L = 3 and L = 4 appendix identities, and the rou records of
+    # l = 2..5; every record resolves to a family, and every family is
+    # resolved by some record
     out = str(tmp_path / "r.txt")
     explicit = dict(gamma_mode="explicit", gamma=0.6 + 0.25j, seed=1,
                     output_path=out)
     configs = [
         RunConfig(L=2, mu_mode="zero", **explicit),
         RunConfig(L=3, suites=("theorem",), **explicit),
+        RunConfig(L=4, suites=("theorem",), **explicit),
     ] + [
         RunConfig(L=2, gamma_mode="root_of_unity", root_l=l, seed=1,
                   output_path=out)
         for l in (2, 3, 4, 5)
     ]
-    families = set()
-    for cfg in configs:
-        _, reports = run(cfg)
-        families |= {".".join(r.name.split(".")[:2]) for r in reports}
+    reports = [r for cfg in configs for r in run(cfg)[1]]
+    families = {_family(r.name) for r in reports}
     assert {f.split(".")[0] for f in families} == {
         "structural", "dwbc", "functional", "theorem", "zeros", "rou"}
-    assert families <= set(DEFAULT_TOLS), families - set(DEFAULT_TOLS)
+    assert families == set(FAMILIES), set(FAMILIES) - families
+
+    # the anchors resolved by chain size and by sub-key
+    appendix = {}
+    for r in reports:
+        if r.name.startswith("theorem.appendix."):
+            appendix.setdefault(r.anchor, set()).add(r.name.split(".")[2])
+    assert appendix == {"cnd": {"V2_10", "V2_20", "V2_21"},
+                        "cnd1": {"V2_10", "V2_20", "V2_21", "V2_30", "V2_31",
+                                 "V2_32"},
+                        "cnd2": {"V4_3210"}}
+    oracle = {(r.name, r.anchor) for r in reports
+              if r.name.startswith("functional.oracle.")}
+    assert oracle == {("functional.oracle.gamma", "mn"),
+                      ("functional.oracle.omega", "mn"),
+                      ("functional.oracle.m", "coeff"),
+                      ("functional.oracle.n", "coeff"),
+                      ("functional.oracle.v", "VV")}
 
 
 def test_unknown_check_family_has_no_default_tolerance():
     runner = _Runner(RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j))
-    assert runner.tol("functional.fl.state3.n2") == DEFAULT_TOLS["functional.fl"]
+    assert runner.resolve("functional.fl.state3.n2") == FAMILIES["functional.fl"]
     with pytest.raises(KeyError):
-        runner.tol("functional.renamed_check")
+        runner.resolve("functional.renamed_check")
 
 
 def test_tolerance_override_changes_verdict(tmp_path):
@@ -136,11 +155,11 @@ def test_tolerance_override_does_not_leak_into_longer_names():
     overrides = {"zeros.wronskian": 1e-3, "rou.bethe": 1e-2}
     runner = _Runner(RunConfig(L=3, gamma_mode="explicit", gamma=0.6 + 0.25j,
                                seed=1, tol_overrides=overrides))
-    assert runner.tol("zeros.wronskian.state0") == 1e-3
-    assert runner.tol("zeros.wronskian_sharpness.state0") == \
-        DEFAULT_TOLS["zeros.wronskian_sharpness"]
-    assert runner.tol("rou.bethe.state2") == 1e-2
-    assert runner.tol("rou.bethe_l2.state2") == DEFAULT_TOLS["rou.bethe_l2"]
+    assert runner.resolve("zeros.wronskian.state0") == ("CK", 1e-3)
+    assert runner.resolve("zeros.wronskian_sharpness.state0") == \
+        FAMILIES["zeros.wronskian_sharpness"]
+    assert runner.resolve("rou.bethe.state2") == ("BAl3", 1e-2)
+    assert runner.resolve("rou.bethe_l2.state2") == FAMILIES["rou.bethe_l2"]
 
 
 def test_tolerance_override_for_unknown_check_rejected():
@@ -223,3 +242,55 @@ assert "scipy.linalg" in sys.modules
 """
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=60)
+
+
+def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
+                                                              monkeypatch):
+    """A SixVertexError in a check records that check as `inf` and `fail`
+    with the anchor and tolerance of its family, and drops the records
+    of the same state that read its result; other states are untouched."""
+    from sixvertex import cli
+    from sixvertex.errors import PoleEncountered
+
+    def state_of(arg):
+        return getattr(arg, "state", arg).index
+
+    # (patched callee, failed record, anchor, tol, dropped records)
+    cases = [
+        ("extract_zeros", "zeros.reconstruction", "wj", 1e-7,
+         ("zeros.at_zero", "zeros.lz01_constancy", "zeros.coincidence",
+          "rou.bethe", "rou.l4_relation", "rou.l4_at_zeros")),
+        ("check_lz01", "zeros.lz01_constancy", "LZ01", 1e-6,
+         ("zeros.lz01_even_constant", "zeros.coincidence", "zeros.wronskian",
+          "zeros.wronskian_sharpness")),
+        ("check_l4_relation", "rou.l4_relation", "l4ex", 1e-8,
+         ("rou.q_periodicity", "rou.l4_ratio", "rou.l4_at_zeros")),
+        ("check_zero_coincidence", "zeros.coincidence", "BAeven", 1e-6, ()),
+    ]
+    argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "zeros,rou",
+            "--seed", "1", "--out", str(tmp_path / "r.txt")]
+    names = {r.name for r in run(build_config(argv))[1]}
+    for callee, failed, anchor, tol, dropped in cases:
+        real = getattr(cli, callee)
+
+        def broken(arg, *args, real=real):
+            if state_of(arg) == 1:
+                raise PoleEncountered("broken for the test")
+            return real(arg, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, callee, broken)
+            code, reports = run(build_config(argv))
+        assert code == 1
+        by_name = {r.name: r for r in reports}
+        rec = by_name[f"{failed}.state1"]
+        assert (rec.anchor, rec.residual, rec.tolerance, rec.verdict) == \
+            (anchor, float("inf"), tol, "fail"), callee
+        assert sum(r.name == rec.name for r in reports) == 1
+        for fam in dropped:
+            assert f"{fam}.state1" in names
+            assert f"{fam}.state1" not in by_name, (callee, fam)
+        kept = {n for n in names if not n.endswith(".state1")}
+        assert kept <= set(by_name), (callee, kept - set(by_name))
+        if not dropped:  # a guarded check drops nothing
+            assert {n for n in names if n.endswith(".state1")} <= set(by_name)

@@ -14,7 +14,6 @@ from sixvertex.roots_of_unity import (
     check_truncation,
     l4_specialized_residuals,
     l4_terms,
-    l4_zero_terms,
     q_function,
     truncated_expansion_residual,
 )
@@ -103,8 +102,7 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
         worst_ba = max(worst_ba,
                        max(abs(r) for r in bethe_residual(data, spec, p)))
         worst_direct = max(worst_direct,
-                           max(l4_specialized_residuals(
-                               st, data, p, l4_zero_terms(data.zeros, p))))
+                           max(l4_specialized_residuals(st, data, p)))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
 
@@ -209,48 +207,6 @@ def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
     assert seen["l4_terms"] == 1
     assert seen["check"] > 1
     assert seen["driving_in_check"] == 0
-
-
-def test_a_run_computes_the_l4_zero_terms_once_per_distinct_zero(
-        tmp_path, monkeypatch):
-    seen = {"q": 0, "q_in_draw_terms": 0}
-    inside = []
-    zeros = []  # the zeros of every l4_specialized_residuals call
-    real_terms = roots_of_unity.l4_terms
-    real_q = roots_of_unity.q_function
-    real_residuals = roots_of_unity.l4_specialized_residuals
-
-    def l4_terms(*args):
-        inside.append(True)
-        try:
-            return real_terms(*args)
-        finally:
-            inside.pop()
-
-    def q_function(*args):
-        seen["q"] += 1
-        seen["q_in_draw_terms"] += bool(inside)
-        return real_q(*args)
-
-    def l4_specialized_residuals(state, data, params, terms):
-        zeros.extend(data.zeros)
-        return real_residuals(state, data, params, terms)
-
-    monkeypatch.setattr(cli, "l4_terms", l4_terms)
-    monkeypatch.setattr(roots_of_unity, "q_function", q_function)
-    monkeypatch.setattr(cli, "l4_specialized_residuals",
-                        l4_specialized_residuals)
-    cli.run(cli.build_config(["--size", "4", "--root-of-unity", "1/4",
-                              "--suite", "rou", "--out",
-                              str(tmp_path / "r.txt")]))
-    assert seen["q"] - seen["q_in_draw_terms"] == len(set(zeros))
-
-    # a zero that several states share is computed once
-    spec, p, rng = setup_case(4, 3, seed=242)
-    ws = extract_zeros(transfer_eigenstates(p, rng)[0], p).zeros
-    seen["q"] = 0
-    terms = l4_zero_terms(ws + ws, p)
-    assert seen["q"] == len(ws) == len(terms)
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -64,6 +65,8 @@ from .zeros import (
 SUITES = ("structural", "dwbc", "functional", "theorem", "zeros", "rou")
 
 L_CAP = 8
+
+DEFAULT_GAMMA = complex(0.6, 0.25)
 
 # Every check family: its key covers the record names of the family (see
 # `_covers`; the longest covering key wins), and its entry holds the anchor,
@@ -142,6 +145,17 @@ def _longest_cover(keys, name: str):
     return name
 
 
+def _names_records(key: str) -> bool:
+    """A tolerance key names records when it covers a family, or when what
+    it adds to its longest covering family key is a suffix the runner
+    writes: a state, a variable count, both, or an appendix identity."""
+    fam = _longest_cover(FAMILIES, key)
+    if fam is None:
+        return any(_covers(key, f) for f in FAMILIES)
+    return bool(re.fullmatch(r"(\.state\d+)?(\.n\d+)?|\.V\d+_\d+",
+                             key[len(fam):]))
+
+
 def _family(name: str) -> str:
     """The `FAMILIES` key of a record name."""
     key = _longest_cover(FAMILIES, name)
@@ -152,15 +166,13 @@ def _family(name: str) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration of one verification run."""
+    """Validated configuration of one verification run.  The anisotropy is
+    a number or a root of unity; the inhomogeneities are "zero", "random"
+    (drawn from the seed) or a tuple of L values."""
 
     L: int
-    gamma_mode: str  # "explicit" | "root_of_unity"
-    gamma: complex = 0j
-    root_k: int = 1
-    root_l: int = 2
-    mu_mode: str = "random"  # "zero" | "random" | "explicit"
-    mu_values: tuple = ()
+    gamma: complex | RootOfUnitySpec = DEFAULT_GAMMA
+    mu: str | tuple = "random"
     seed: int = 0
     suites: tuple | None = None
     tol_overrides: dict = field(default_factory=dict)
@@ -168,63 +180,59 @@ class RunConfig:
     output_path: str = "report.txt"
 
     def __post_init__(self):
+        at_root = isinstance(self.gamma, RootOfUnitySpec)
         if self.suites is None:
-            default = SUITES if self.gamma_mode == "root_of_unity" else \
-                tuple(s for s in SUITES if s != "rou")
+            default = SUITES if at_root else tuple(s for s in SUITES if s != "rou")
             object.__setattr__(self, "suites", default)
         if not 1 <= self.L <= L_CAP:
             raise ConfigError(f"size must be in [1, {L_CAP}], got {self.L}")
-        if self.gamma_mode not in ("explicit", "root_of_unity"):
-            raise ConfigError(f"unknown gamma mode {self.gamma_mode!r}")
-        if self.gamma_mode == "root_of_unity":
-            try:
-                RootOfUnitySpec(self.root_l, self.root_k)
-            except ValueError as exc:
-                raise ConfigError(f"root of unity {self.root_k}/{self.root_l}: "
-                                  f"{exc}") from exc
-        if self.mu_mode not in ("zero", "random", "explicit"):
-            raise ConfigError(f"unknown mu mode {self.mu_mode!r}")
-        if self.mu_mode == "explicit" and len(self.mu_values) != self.L:
+        if isinstance(self.mu, str):
+            if self.mu not in ("zero", "random"):
+                raise ConfigError(f"unknown mu {self.mu!r}")
+        elif len(self.mu) != self.L:
             raise ConfigError("explicit mu list must have exactly L entries")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
-        if "rou" in self.suites and self.gamma_mode != "root_of_unity":
+        if "rou" in self.suites and not at_root:
             raise ConfigError("the rou suite requires --root-of-unity")
         if self.draws < 1:
             raise ConfigError("draws must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        unknown = [key for key in self.tol_overrides
-                   if not any(_covers(key, fam) or _covers(fam, key)
-                              for fam in FAMILIES)]
+        unknown = [key for key in self.tol_overrides if not _names_records(key)]
         if unknown:
             raise ConfigError(f"tolerance overrides match no check: {unknown}")
 
     def resolved_gamma(self) -> complex:
-        if self.gamma_mode == "root_of_unity":
-            return RootOfUnitySpec(self.root_l, self.root_k).gamma
+        if isinstance(self.gamma, RootOfUnitySpec):
+            return self.gamma.gamma
         return self.gamma
 
     def digest(self) -> str:
+        # the kinds of gamma and mu go in under their earlier mode names, and
+        # an empty list unless mu is explicit, so that a config keeps the
+        # digest its earlier reports carry
+        at_root = isinstance(self.gamma, RootOfUnitySpec)
+        explicit = not isinstance(self.mu, str)
         return digest_of(
-            self.L, self.gamma_mode, self.resolved_gamma(), self.mu_mode,
-            list(self.mu_values), self.seed, list(self.suites),
-            self.tol_overrides, self.draws,
-        )
+            self.L, "root_of_unity" if at_root else "explicit",
+            self.resolved_gamma(), "explicit" if explicit else self.mu,
+            list(self.mu) if explicit else [], self.seed, list(self.suites),
+            self.tol_overrides, self.draws)
 
 
 def sample_params(config: RunConfig) -> ModelParams:
     """Deterministic model parameters for a run configuration."""
     gamma = config.resolved_gamma()
-    if config.mu_mode == "zero":
+    if config.mu == "zero":
         mu = (0j,) * config.L
-    elif config.mu_mode == "explicit":
-        mu = tuple(complex(m) for m in config.mu_values)
-    else:
+    elif config.mu == "random":
         rng = np.random.default_rng(config.seed)
         mu = sample_mu(config.L, gamma, rng)
-    return ModelParams(config.L, gamma, mu, seed=config.seed)
+    else:
+        mu = config.mu
+    return ModelParams(config.L, gamma, mu)
 
 
 class _Runner:
@@ -455,7 +463,7 @@ class _Runner:
     def run_rou(self):
         p = self.params
         rng = self.rng
-        spec = RootOfUnitySpec(self.config.root_l, self.config.root_k)
+        spec = self.config.gamma
         self.add("rou.unit_circle", spec.unit_residual)
         worst = 0.0
         for _ in range(self.config.draws):
@@ -545,24 +553,23 @@ def _parse_gamma(text: str):
         raise ConfigError(f"bad --gamma value: {text!r}") from exc
 
 
-def _parse_root(text: str):
+def _parse_root(text: str) -> RootOfUnitySpec:
     parts = text.split("/")
     if len(parts) != 2:
         raise ConfigError("--root-of-unity expects K/L")
     try:
-        return int(parts[0]), int(parts[1])
+        return RootOfUnitySpec(l=int(parts[1]), k=int(parts[0]))
     except ValueError as exc:
-        raise ConfigError(f"bad --root-of-unity value: {text!r}") from exc
+        raise ConfigError(f"bad --root-of-unity value {text!r}: {exc}") from exc
 
 
 def _parse_mu(text: str):
     if text in ("zero", "random"):
-        return text, ()
+        return text
     try:
-        values = tuple(complex(tok) for tok in text.split(","))
+        return tuple(complex(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --mu value: {text!r}") from exc
-    return "explicit", values
 
 
 def build_config(argv) -> RunConfig:
@@ -590,12 +597,9 @@ def build_config(argv) -> RunConfig:
     if args.gamma is not None and args.root_of_unity is not None:
         raise ConfigError("--gamma and --root-of-unity are mutually exclusive")
     if args.root_of_unity is not None:
-        k, l = _parse_root(args.root_of_unity)
-        gamma_mode, gamma, root_k, root_l = "root_of_unity", 0j, k, l
+        gamma = _parse_root(args.root_of_unity)
     else:
-        gamma_mode, root_k, root_l = "explicit", 1, 2
-        gamma = _parse_gamma(args.gamma) if args.gamma else complex(0.6, 0.25)
-    mu_mode, mu_values = _parse_mu(args.mu)
+        gamma = _parse_gamma(args.gamma) if args.gamma else DEFAULT_GAMMA
     suites = None
     if args.suite:
         suites = tuple(s.strip() for s in args.suite.split(",") if s.strip())
@@ -609,8 +613,7 @@ def build_config(argv) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad --tol value {item!r}") from exc
     return RunConfig(
-        L=args.size, gamma_mode=gamma_mode, gamma=gamma, root_k=root_k,
-        root_l=root_l, mu_mode=mu_mode, mu_values=mu_values, seed=args.seed,
+        L=args.size, gamma=gamma, mu=_parse_mu(args.mu), seed=args.seed,
         suites=suites, tol_overrides=tols, draws=args.draws,
         output_path=args.out,
     )

@@ -41,7 +41,6 @@ class ModelParams:
     L: int
     gamma: complex
     mu: tuple
-    seed: int | None = None
 
     def __post_init__(self):
         if self.L < 1:
@@ -244,13 +243,6 @@ def transfer(lam: complex, params: ModelParams) -> np.ndarray:
     return _block_sum(lam, params, 1, 3)
 
 
-def site_op(op: np.ndarray, i: int, L: int) -> np.ndarray:
-    """Embed a single-site operator at site i (1-based) of an L-site chain."""
-    return kron_chain(
-        np.eye(2 ** (i - 1), dtype=complex), op, np.eye(2 ** (L - i), dtype=complex)
-    )
-
-
 def hamiltonian(params: ModelParams) -> np.ndarray:
     """Anti-periodic XXZ Hamiltonian; defined in the homogeneous limit only."""
     if params.L < 2:
@@ -389,7 +381,9 @@ def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
 
 
 def _action(mono: np.ndarray, lam: complex, params: ModelParams) -> float:
-    """`action_residual` on the monodromy `mono` built at lam."""
+    """Action of A, B, C, D of the monodromy `mono` built at lam on the
+    all-up and all-down reference states, relative to the largest vacuum
+    eigenvalue (and at least 1)."""
     (a_op, b_op), (c_op, d_op) = mono
     up, down = reference_states(params.L)
     g = params.gamma
@@ -407,12 +401,6 @@ def _action(mono: np.ndarray, lam: complex, params: ModelParams) -> float:
     return float(max(residuals) / scale)
 
 
-def action_residual(lam: complex, params: ModelParams) -> float:
-    """Action of A, B, C, D on the all-up and all-down reference states,
-    relative to the largest vacuum eigenvalue (and at least 1)."""
-    return _action(monodromy(lam, params), lam, params)
-
-
 def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     """Blocks and transfer matrix against the independent full product,
     and the action on the reference states, from one monodromy at lam.
@@ -421,7 +409,7 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     laid out on the auxiliary x quantum space, with
     :func:`monodromy_full`; ``trace_form`` compares :func:`transfer`, built
     on its own, with the auxiliary-space trace of G times that full
-    product; ``action`` is :func:`action_residual` on the same monodromy.
+    product; ``action`` is :func:`_action` on the same monodromy.
     """
     d = params.dim
     full = monodromy_full(lam, params)

@@ -41,7 +41,6 @@ from sixvertex.roots_of_unity import (
 )
 from sixvertex.vertex_core import (
     ModelParams,
-    action_residual,
     commuting_residual,
     full_product_residuals,
     generic_points,
@@ -109,9 +108,9 @@ def test_criterion1_structural(L):
 
         worst["commuting"] = max(worst["commuting"],
                                  commuting_residual(lam, mu_, p))
-        worst["action"] = max(worst["action"], action_residual(lam, p))
-        worst["exact"] = max(worst["exact"],
-                             full_product_residuals(lam, p)["trace_form"])
+        full = full_product_residuals(lam, p)
+        worst["action"] = max(worst["action"], full["action"])
+        worst["exact"] = max(worst["exact"], full["trace_form"])
     worst["exact"] = max(worst["exact"], *special_value_residuals(p).values())
     ok = (worst["ybe"] < 1e-9 and worst["twist"] < 1e-12
           and worst["rll"] < 1e-9 and worst["commuting"] < 1e-9
@@ -439,8 +438,8 @@ def test_criterion8_conjecture_regime_reports_without_failing():
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "r.txt")
-        cfg = RunConfig(L=3, gamma_mode="root_of_unity", root_k=1, root_l=5,
-                        seed=4, suites=("rou",), output_path=out)
+        cfg = RunConfig(L=3, gamma=RootOfUnitySpec(l=5), seed=4,
+                        suites=("rou",), output_path=out)
         code, reports = cli_run(cfg)
     bethe = [r for r in reports if r.name.startswith("rou.bethe")]
     ok = (code == 0 and bethe

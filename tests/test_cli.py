@@ -19,6 +19,7 @@ from sixvertex.cli import (
 )
 from sixvertex.errors import ConfigError
 from sixvertex.report import CheckReport
+from sixvertex.roots_of_unity import RootOfUnitySpec
 
 LINE_RE = re.compile(
     r"^check=[\w.]+ anchor=\w+ residual=(?:[0-9.e+-]+|inf) tol=[0-9.e+-]+ "
@@ -35,43 +36,46 @@ def test_line_pattern_accepts_inf_and_rejects_trailing_garbage():
 
 def test_size_cap_rejected():
     with pytest.raises(ConfigError):
-        RunConfig(L=9, gamma_mode="explicit", gamma=0.5 + 0.2j)
+        RunConfig(L=9, gamma=0.5 + 0.2j)
 
 
 def test_root_of_unity_validation():
     with pytest.raises(ConfigError):
-        RunConfig(L=2, gamma_mode="root_of_unity", root_k=2, root_l=4)
+        build_config(["--root-of-unity", "2/4"])
     with pytest.raises(ConfigError):
-        RunConfig(L=2, gamma_mode="root_of_unity", root_k=1, root_l=1)
+        build_config(["--root-of-unity", "1/1"])
+    with pytest.raises(ValueError):
+        RootOfUnitySpec(l=4, k=2)
+    with pytest.raises(ValueError):
+        RootOfUnitySpec(l=1, k=1)
 
 
 def test_rou_suite_requires_root_gamma():
     with pytest.raises(ConfigError):
-        RunConfig(L=2, gamma_mode="explicit", gamma=0.5 + 0.2j,
-                  suites=("rou",))
+        RunConfig(L=2, gamma=0.5 + 0.2j, suites=("rou",))
 
 
 def test_explicit_mu_length_checked():
     with pytest.raises(ConfigError):
-        RunConfig(L=3, gamma_mode="explicit", gamma=0.5 + 0.2j,
-                  mu_mode="explicit", mu_values=(0.1,))
+        RunConfig(L=3, gamma=0.5 + 0.2j, mu=(0.1,))
+    with pytest.raises(ConfigError):
+        RunConfig(L=3, gamma=0.5 + 0.2j, mu="drawn")
 
 
 def test_sample_params_deterministic():
-    cfg = RunConfig(L=3, gamma_mode="explicit", gamma=0.5 + 0.2j, seed=5)
+    cfg = RunConfig(L=3, gamma=0.5 + 0.2j, seed=5)
     assert sample_params(cfg) == sample_params(cfg)
 
 
 def test_zero_mu_mode():
-    cfg = RunConfig(L=3, gamma_mode="explicit", gamma=0.5 + 0.2j,
-                    mu_mode="zero")
+    cfg = RunConfig(L=3, gamma=0.5 + 0.2j, mu="zero")
     assert sample_params(cfg).mu == (0j, 0j, 0j)
 
 
 def test_structural_run_passes(tmp_path):
     out = tmp_path / "report.txt"
-    cfg = RunConfig(L=3, gamma_mode="explicit", gamma=0.6 + 0.25j, seed=42,
-                    suites=("structural",), output_path=str(out))
+    cfg = RunConfig(L=3, gamma=0.6 + 0.25j, seed=42, suites=("structural",),
+                    output_path=str(out))
     code, reports = run(cfg)
     assert code == 0
     assert all(r.verdict == "pass" for r in reports)
@@ -85,8 +89,8 @@ def test_structural_run_passes(tmp_path):
 def test_report_reproducible_bit_for_bit(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (out1, out2):
-        cfg = RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j,
-                        seed=11, suites=("structural", "dwbc", "functional"),
+        cfg = RunConfig(L=2, gamma=0.6 + 0.25j, seed=11,
+                        suites=("structural", "dwbc", "functional"),
                         output_path=str(out))
         run(cfg)
     assert out1.read_text() == out2.read_text()
@@ -98,15 +102,13 @@ def test_every_record_has_a_default_tolerance(tmp_path):
     # l = 2..5; every record resolves to a family, and every family is
     # resolved by some record
     out = str(tmp_path / "r.txt")
-    explicit = dict(gamma_mode="explicit", gamma=0.6 + 0.25j, seed=1,
-                    output_path=out)
+    explicit = dict(gamma=0.6 + 0.25j, seed=1, output_path=out)
     configs = [
-        RunConfig(L=2, mu_mode="zero", **explicit),
+        RunConfig(L=2, mu="zero", **explicit),
         RunConfig(L=3, suites=("theorem",), **explicit),
         RunConfig(L=4, suites=("theorem",), **explicit),
     ] + [
-        RunConfig(L=2, gamma_mode="root_of_unity", root_l=l, seed=1,
-                  output_path=out)
+        RunConfig(L=2, gamma=RootOfUnitySpec(l), seed=1, output_path=out)
         for l in (2, 3, 4, 5)
     ]
     reports = [r for cfg in configs for r in run(cfg)[1]]
@@ -134,7 +136,7 @@ def test_every_record_has_a_default_tolerance(tmp_path):
 
 
 def test_unknown_check_family_has_no_default_tolerance():
-    runner = _Runner(RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j))
+    runner = _Runner(RunConfig(L=2, gamma=0.6 + 0.25j))
     assert runner.resolve("functional.fl.state3.n2") == FAMILIES["functional.fl"]
     with pytest.raises(KeyError):
         runner.resolve("functional.renamed_check")
@@ -142,7 +144,7 @@ def test_unknown_check_family_has_no_default_tolerance():
 
 def test_tolerance_override_changes_verdict(tmp_path):
     out = tmp_path / "r.txt"
-    cfg = RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j, seed=1,
+    cfg = RunConfig(L=2, gamma=0.6 + 0.25j, seed=1,
                     suites=("structural",), output_path=str(out),
                     tol_overrides={"structural.ybe": 1e-30})
     code, reports = run(cfg)
@@ -153,8 +155,8 @@ def test_tolerance_override_changes_verdict(tmp_path):
 
 def test_tolerance_override_does_not_leak_into_longer_names():
     overrides = {"zeros.wronskian": 1e-3, "rou.bethe": 1e-2}
-    runner = _Runner(RunConfig(L=3, gamma_mode="explicit", gamma=0.6 + 0.25j,
-                               seed=1, tol_overrides=overrides))
+    runner = _Runner(RunConfig(L=3, gamma=0.6 + 0.25j, seed=1,
+                               tol_overrides=overrides))
     assert runner.resolve("zeros.wronskian.state0") == ("CK", 1e-3)
     assert runner.resolve("zeros.wronskian_sharpness.state0") == \
         FAMILIES["zeros.wronskian_sharpness"]
@@ -167,22 +169,32 @@ def test_tolerance_override_for_unknown_check_rejected():
         build_config(["--tol", "structral.ybe=1"])
     assert main(["--size", "2", "--suite", "structural",
                  "--tol", "structural.yb=1"]) == 2
-    # a suite, a family and a single record are all known keys
-    cfg = build_config(["--tol", "zeros=1", "--tol", "structural.ybe=1",
-                        "--tol", "zeros.wronskian.state0=1"])
-    assert len(cfg.tol_overrides) == 3
+    # what a key adds to its family must be a record suffix the runner writes
+    assert main(["--size", "2", "--suite", "zeros",
+                 "--tol", "zeros.wronskian.stat0=1e-30"]) == 2
+    for key in ("zeros.wronskian.", "zeros.wronskian.state", "structural.ybe.n",
+                "functional.fl.n2.state3", "theorem.appendix.V2",
+                "zeros.wronskian.state0.extra"):
+        with pytest.raises(ConfigError):
+            build_config(["--tol", f"{key}=1"])
+    # a suite, a family, a single record, a (state, n) record and an
+    # appendix identity are all known keys
+    keys = ("zeros", "structural.ybe", "zeros.wronskian.state0",
+            "functional.fl.state3.n2", "theorem.appendix.V2_10")
+    cfg = build_config([arg for key in keys for arg in ("--tol", f"{key}=1")])
+    assert len(cfg.tol_overrides) == 5
 
 
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError):
-        RunConfig(L=2, gamma_mode="explicit", gamma=0.6 + 0.25j, seed=-1)
+        RunConfig(L=2, gamma=0.6 + 0.25j, seed=-1)
     assert main(["--size", "2", "--seed", "-1"]) == 2
 
 
 def test_conjecture_records_do_not_fail(tmp_path):
     out = tmp_path / "r.txt"
-    cfg = RunConfig(L=2, gamma_mode="root_of_unity", root_k=1, root_l=5,
-                    seed=3, suites=("rou",), output_path=str(out))
+    cfg = RunConfig(L=2, gamma=RootOfUnitySpec(l=5, k=1), seed=3,
+                    suites=("rou",), output_path=str(out))
     code, reports = run(cfg)
     bethe = [r for r in reports if r.name.startswith("rou.bethe")]
     assert bethe
@@ -207,17 +219,37 @@ def test_cli_argument_parsing():
                         "--mu", "zero", "--seed", "9", "--draws", "2",
                         "--tol", "rou.bethe=1e-3", "--suite", "rou"])
     assert cfg.L == 4
-    assert cfg.gamma_mode == "root_of_unity"
-    assert (cfg.root_k, cfg.root_l) == (3, 4)
-    assert cfg.mu_mode == "zero"
+    assert cfg.gamma == RootOfUnitySpec(l=4, k=3)
+    assert cfg.mu == "zero"
     assert cfg.tol_overrides == {"rou.bethe": 1e-3}
     assert cfg.suites == ("rou",)
 
 
 def test_cli_explicit_mu_parsing():
     cfg = build_config(["--size", "2", "--mu", "0.1+0.2j,-0.3j"])
-    assert cfg.mu_mode == "explicit"
-    assert cfg.mu_values == (0.1 + 0.2j, -0.3j)
+    assert cfg.mu == (0.1 + 0.2j, -0.3j)
+
+
+# (argv, digest of the config in the report header), recorded before
+# RunConfig held one field per input; the digests must not move
+DIGESTS = [
+    (["--size", "3"], "dfa268bf1a76"),
+    (["--size", "4", "--mu", "zero"], "c07c63bed5e3"),
+    (["--size", "2", "--mu", "0.1+0.2j,-0.3j"], "f9997f337835"),
+    (["--size", "4", "--root-of-unity", "3/4", "--suite", "rou",
+      "--tol", "rou.bethe=1e-3"], "00aeb51783e6"),
+    (["--size", "2", "--gamma", "0.3,0.1", "--draws", "2", "--seed", "9"],
+     "1b341026f2a2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS, ids=[d for _, d in DIGESTS])
+def test_config_digest_is_pinned(argv, digest):
+    assert build_config(argv).digest() == digest
+
+
+def test_run_config_defaults_are_the_cli_defaults():
+    assert RunConfig(L=3).digest() == build_config(["--size", "3"]).digest()
 
 
 def test_cli_import_leaves_out_scipy_optimize(tmp_path):

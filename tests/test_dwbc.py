@@ -200,8 +200,7 @@ def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):
         return b_operator(lam, params)
 
     monkeypatch.setattr(dwbc, "b_operator", counted)
-    config = cli.RunConfig(L=3, gamma_mode="explicit", gamma=GAMMA, seed=2,
-                           suites=("dwbc",), draws=1,
+    config = cli.RunConfig(L=3, gamma=GAMMA, seed=2, suites=("dwbc",), draws=1,
                            output_path=str(tmp_path / "r.txt"))
     assert cli.run(config)[0] == 0
     # 3 points, their 3 shifted copies and 4 overflow points, then the 2

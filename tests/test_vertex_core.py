@@ -11,7 +11,6 @@ from sixvertex.vertex_core import (
     SZ,
     ModelParams,
     _local_blocks,
-    action_residual,
     b_commute_residual,
     b_operator,
     commuting_residual,
@@ -26,7 +25,6 @@ from sixvertex.vertex_core import (
     r_matrix,
     rll_residual,
     sample_mu,
-    site_op,
     special_value_residuals,
     transfer,
     twist_matrix,
@@ -109,7 +107,7 @@ def test_action_on_reference_states(L):
     p = params_for(L)
     rng = np.random.default_rng(L)
     lam = generic_points(1, rng, avoid=p.mu)[0]
-    assert action_residual(lam, p) < 1e-10
+    assert full_product_residuals(lam, p)["action"] < 1e-10
 
 
 def test_block_reassembly_matches_full_product():
@@ -286,6 +284,13 @@ def test_hamiltonian_real_symmetric_for_real_gamma():
     assert np.linalg.norm(h - h.T) < 1e-14
 
 
+def site_op(op, i, L):
+    """Embed a single-site operator at site i (1-based) of an L-site chain."""
+    return kron_chain(
+        np.eye(2 ** (i - 1), dtype=complex), op, np.eye(2 ** (L - i), dtype=complex)
+    )
+
+
 def _site_product_hamiltonian(params):
     """Each bond as the product of two embedded single-site operators."""
     L = params.L
@@ -366,7 +371,8 @@ LAM, MU = 0.31 + 0.15j, -0.2 + 0.4j
 BREAKS = {
     "ybe": ("weights", _scaled_c, lambda p: ybe_residual(LAM, MU, p)),
     "rll": ("weights", _scaled_c, lambda p: rll_residual(LAM, MU, p)),
-    "action": ("weights", _swapped_ab, lambda p: action_residual(LAM, p)),
+    "action": ("weights", _swapped_ab,
+               lambda p: full_product_residuals(LAM, p)["action"]),
     "block_assembly": (
         "_local_blocks", _transposed_blocks,
         lambda p: full_product_residuals(LAM, p)["block_assembly"]),

@@ -14,7 +14,7 @@ every residual leaves no difference.
 The matrix:
 
 * the default suites at L = 1..7, seeds 0 and 1;
-* ``--mu zero`` at L = 2..4;
+* ``--mu zero`` at L = 2..8;
 * ``--root-of-unity 1/l --suite rou`` for l = 2..5 at L = 2..6, seed 1;
 * ``--size 8 --suite structural,dwbc --seed 1``;
 * the workloads of ``svbench/run.py`` at seeds 0-30.
@@ -46,7 +46,7 @@ def matrix():
     for L in range(1, 8):
         for seed in (0, 1):
             yield f"default_L{L}_s{seed}", ["--size", str(L), "--seed", str(seed)]
-    for L in range(2, 5):
+    for L in range(2, 9):
         yield f"mu_zero_L{L}", ["--size", str(L), "--mu", "zero"]
     for l in range(2, 6):
         for L in range(2, 7):

@@ -10,6 +10,8 @@ auxiliary x quantum space.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,19 +216,21 @@ def monodromy_full(lam: complex, params: ModelParams) -> np.ndarray:
     a transcription of the weights (`_local_blocks`) independent of
     `r_matrix`; the oracle for `monodromy`.
 
-    The identity on the ``2^(L+1)``-dim space, viewed as a tensor with one
-    leg per auxiliary and site space plus the column index, is multiplied
-    from the left by the site factors, last site first.  Each factor acts
-    on the auxiliary leg and its site's leg only, as the local tensor
-    ``loc[p, s, q, t] = blk_pq[s, t]``."""
-    L = params.L
-    dim = 2 ** (L + 1)
-    m = np.eye(dim, dtype=complex).reshape((2,) * (L + 1) + (dim,))
-    for j in reversed(range(L)):
-        a_loc, b_loc, c_loc, d_loc = _local_blocks(lam - params.mu[j], params.gamma)
-        loc = np.array([[a_loc, b_loc], [c_loc, d_loc]]).transpose(0, 2, 1, 3)
-        m = np.moveaxis(np.tensordot(loc, m, axes=([2, 3], [0, j + 1])), 1, j + 1)
-    return m.reshape(dim, dim)
+    The product is grown site by site, site 1 first, from the 2x2
+    auxiliary identity.  Viewed as a tensor ``m[a, S, b, T]`` with S and T
+    the quantum row and column of the sites so far, it takes the next
+    site as ``m[a, S, b, T] <- sum_c m[a, S, c, T] loc[c, b, s, t]``, where
+    ``loc[c, b, s, t] = blk_cb[s, t]`` acts on the auxiliary leg and the
+    new site's leg only, and ``(S, s)``, ``(T, t)`` are the new row and
+    column."""
+    m = np.eye(2, dtype=complex).reshape(2, 1, 2, 1)
+    for mu in params.mu:
+        a_loc, b_loc, c_loc, d_loc = _local_blocks(lam - mu, params.gamma)
+        loc = np.array([[a_loc, b_loc], [c_loc, d_loc]])
+        n = 2 * m.shape[1]
+        m = (np.tensordot(m, loc, axes=([2], [0]))  # (a, S, T, b, s, t)
+             .transpose(0, 1, 4, 3, 2, 5).reshape(2, n, 2, n))
+    return m.reshape(2 * params.dim, 2 * params.dim)
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
@@ -292,9 +296,88 @@ def _embed_13(op: np.ndarray, d: int) -> np.ndarray:
                      np.eye(2)).reshape(4 * d, 4 * d)
 
 
+# ---------------------------------------------------------------------------
+# Weight-sector block kernel.  A 2^L x 2^L matrix is split into blocks by
+# the weight (number of down spins) of its row and of its column, and only
+# the blocks holding a nonzero entry (NaN counts) are kept.  The split
+# assumes no structure: a block left out is exactly zero, and skipping it
+# changes no entry of a product or combination, so a residual taken on the
+# blocks is that of the dense matrices.  The ice rule makes most blocks of
+# the monodromy, T, B and H zero, which is all the kernel saves.
+
+
+@functools.lru_cache(maxsize=None)
+def _sectors(dim: int):
+    """The permutation into sector order (basis indices sorted by weight)
+    as flat indices of a ``dim x dim`` matrix, the start of each weight's
+    run in that order, and each run as a slice."""
+    weight = np.array([bin(i).count("1") for i in range(dim)])
+    order = np.argsort(weight, kind="stable")
+    flat = order[:, None] * dim + order
+    bounds = np.searchsorted(weight[order], range(dim.bit_length() + 1))
+    for arr in (flat, bounds):
+        arr.flags.writeable = False  # shared by every caller
+    spans = tuple(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
+    return flat, bounds[:-1], spans
+
+
+def _split(m: np.ndarray) -> dict:
+    """The nonzero (row weight, column weight) blocks of `m`, as views of
+    one copy permuted into sector order."""
+    flat, starts, spans = _sectors(m.shape[0])
+    p = m.ravel().take(flat).astype(complex, copy=False)
+    # real and imaginary parts side by side, so a NaN in either counts
+    nonzero = p.view(np.float64) != 0
+    live = np.logical_or.reduceat(
+        np.logical_or.reduceat(nonzero, 2 * starts, axis=1), starts, axis=0)
+    rows, cols = np.nonzero(live)
+    return {(r, c): p[spans[r], spans[c]]
+            for r, c in zip(rows.tolist(), cols.tolist())}
+
+
+def _bmatmul(x: dict, y: dict) -> dict:
+    """Block product: block (i, j) sums x[i, k] @ y[k, j] over the k that
+    both hold."""
+    by_row = {}
+    for (k, j), blk in y.items():
+        by_row.setdefault(k, []).append((j, blk))
+    out = {}
+    for (i, k), a in x.items():
+        for j, b in by_row.get(k, ()):
+            if (i, j) in out:
+                out[i, j] += a @ b
+            else:
+                out[i, j] = a @ b
+    return out
+
+
+def _bcombine(terms) -> dict:
+    """Sum of ``coef * x`` over the (coef, block matrix) pairs `terms`."""
+    out = {}
+    for coef, x in terms:
+        for key, blk in x.items():
+            if key in out:
+                out[key] += coef * blk
+            else:
+                out[key] = coef * blk
+    return out
+
+
+def _bsub(x: dict, y: dict) -> dict:
+    """Block difference x - y."""
+    return {key: x.get(key, 0) - y.get(key, 0) for key in x | y}
+
+
+def _bnorm(blocks) -> float:
+    """Frobenius norm of the matrix made of the iterable of `blocks`."""
+    return math.sqrt(sum(np.vdot(blk, blk).real for blk in blocks))
+
+
 def _commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm of [a, b] relative to ||a|| ||b||."""
-    return float(np.linalg.norm(a @ b - b @ a)
+    """Norm of [a, b] relative to ||a|| ||b||; the product is taken on the
+    weight-sector blocks."""
+    x, y = _split(a), _split(b)
+    return float(_bnorm(_bsub(_bmatmul(x, y), _bmatmul(y, x)).values())
                  / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300))
 
 
@@ -363,21 +446,27 @@ def rll_residual(lam1: complex, lam2: complex, params: ModelParams) -> float:
     T1 acts as the identity on the second auxiliary space and T2 on the
     first, so the (a1 a2, b1 b2) block of T1 T2 is ``M1[a1, b1] @
     M2[a2, b2]`` and that of T2 T1 is ``M2[a2, b2] @ M1[a1, b1]``, with M
-    the (auxiliary row, column) blocks of `monodromy_full`; R acts on the
-    auxiliary index of these blocks alone."""
+    the (auxiliary row, column) blocks of `monodromy_full`, each split into
+    weight sectors; R acts on the auxiliary index of these blocks alone,
+    as a scalar combination over its nonzero entries."""
     d = params.dim
-    m1, m2 = (monodromy_full(lam, params).reshape(2, d, 2, d).transpose(0, 2, 1, 3)
-              for lam in (lam1, lam2))
-    r = r_matrix(lam1 - lam2, params).reshape(2, 2, 2, 2)
-    # one side at a time, so that its block product is freed before the
-    # other side is built
-    lhs = np.einsum("abce,cefgij->abfgij", r,
-                    m1[:, None, :, None] @ m2[None, :, None, :], optimize=True)
-    scale = max(np.linalg.norm(lhs), 1e-300)
-    lhs -= np.einsum("abceij,cefg->abfgij",
-                     m2[None, :, None, :] @ m1[:, None, :, None], r,
-                     optimize=True)
-    return float(np.linalg.norm(lhs) / scale)
+    m1, m2 = ({(a, b): _split(m[a, :, b]) for a in range(2) for b in range(2)}
+              for m in (monodromy_full(lam, params).reshape(2, d, 2, d)
+                        for lam in (lam1, lam2)))
+    r = r_matrix(lam1 - lam2, params)
+    # index k of the two auxiliary spaces is the pair divmod(k, 2)
+    pairs = list(enumerate(divmod(k, 2) for k in range(4)))
+    t12, t21 = {}, {}
+    for (i, (a1, a2)), (j, (b1, b2)) in itertools.product(pairs, repeat=2):
+        t12[i, j] = _bmatmul(m1[a1, b1], m2[a2, b2])
+        t21[i, j] = _bmatmul(m2[a2, b2], m1[a1, b1])
+    lhs = {(i, j): _bcombine((r[i, k], t12[k, j]) for k in np.flatnonzero(r[i]))
+           for i, j in t12}
+    rhs = {(i, j): _bcombine((r[k, j], t21[i, k]) for k in np.flatnonzero(r[:, j]))
+           for i, j in t21}
+    scale = max(_bnorm(blk for x in lhs.values() for blk in x.values()), 1e-300)
+    return _bnorm(blk for key in lhs
+                  for blk in _bsub(lhs[key], rhs[key]).values()) / scale
 
 
 def _action(mono: np.ndarray, lam: complex, params: ModelParams) -> float:

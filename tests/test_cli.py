@@ -86,6 +86,15 @@ def test_structural_run_passes(tmp_path):
         assert LINE_RE.match(line), line
 
 
+def test_structural_run_passes_at_the_size_cap(tmp_path):
+    cfg = build_config(["--size", "8", "--suite", "structural", "--seed", "1",
+                        "--out", str(tmp_path / "report.txt")])
+    code, reports = run(cfg)
+    assert code == 0
+    assert len(reports) == 12
+    assert all(r.verdict == "pass" for r in reports)
+
+
 def test_report_reproducible_bit_for_bit(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (out1, out2):

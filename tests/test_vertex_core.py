@@ -214,14 +214,16 @@ def _dense_rll_residual(lam1, lam2, params):
     """The exchange relation with T1, T2 and R embedded as dense operators
     on the two auxiliary spaces x the quantum space."""
     d = params.dim
-    t1 = vertex_core._embed_13(monodromy_full(lam1, params), d)
-    t2 = np.kron(np.eye(2), monodromy_full(lam2, params))
+    # looked up at call time, so that a patched build reaches both residuals
+    full = vertex_core.monodromy_full
+    t1 = vertex_core._embed_13(full(lam1, params), d)
+    t2 = np.kron(np.eye(2), full(lam2, params))
     r12 = np.kron(r_matrix(lam1 - lam2, params), np.eye(d))
     lhs = r12 @ t1 @ t2
     return np.linalg.norm(lhs - t2 @ t1 @ r12) / np.linalg.norm(lhs)
 
 
-@pytest.mark.parametrize("L", range(1, 6))
+@pytest.mark.parametrize("L", range(1, 7))
 def test_block_rll_agrees_with_the_dense_relation(L, monkeypatch):
     p = params_for(L, seed=70 + L)
     rng = np.random.default_rng(80 + L)
@@ -232,6 +234,58 @@ def test_block_rll_agrees_with_the_dense_relation(L, monkeypatch):
     monkeypatch.setattr(vertex_core, "weights", _scaled_c)
     assert rll_residual(LAM, MU, p) > 1e-3
     assert _dense_rll_residual(LAM, MU, p) > 1e-3
+
+
+def _with_weight_breaking_entry(lam, params):
+    # auxiliary (0, 0) block, all-up row, all-down column: weight L apart
+    full = monodromy_full(lam, params)
+    full[0, params.dim - 1] += 0.5
+    return full
+
+
+def test_rll_sees_an_entry_that_breaks_weight_conservation(monkeypatch):
+    p = params_for(3)
+    monkeypatch.setattr(vertex_core, "monodromy_full", _with_weight_breaking_entry)
+    got = rll_residual(LAM, MU, p)
+    assert got > 1e-3
+    assert got == pytest.approx(_dense_rll_residual(LAM, MU, p), rel=1e-12)
+
+
+def _dense_commutator(a, b):
+    return np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_sector_commutator_is_the_dense_commutator(L):
+    p = params_for(L, seed=110 + L)
+    rng = np.random.default_rng(120 + L)
+    x, y = generic_points(2, rng, avoid=p.mu)
+    noise = rng.standard_normal((p.dim, 2 * p.dim)).view(complex)
+    pairs = [(transfer(x, p), transfer(y, p)),
+             (b_operator(x, p), b_operator(y, p)),
+             (b_operator(x, p), transfer(y, p)),
+             (noise, transfer(x, p))]
+    if L >= 2:
+        pairs.append((hamiltonian(ModelParams(L, GAMMA, (0,) * L)),
+                      transfer(x, ModelParams(L, GAMMA, (0,) * L))))
+    for a, b in pairs:
+        # both are relative to ||a|| ||b||
+        got = vertex_core._commutator(a, b)
+        assert abs(got - _dense_commutator(a, b)) <= 1e-14
+
+
+def test_commutator_with_nan_in_a_zero_block_is_not_finite():
+    p = params_for(3)
+    a, b = transfer(LAM, p), transfer(MU, p)
+    # T changes the weight by one, so its (0, L) block is zero
+    a[0, p.dim - 1] = np.nan
+    assert not np.isfinite(_dense_commutator(a, b))
+    assert not np.isfinite(vertex_core._commutator(a, b))
+    # the split keeps the block, so its products carry the NaN
+    blocks = vertex_core._split(a)
+    assert not np.isfinite(vertex_core._bnorm(blocks.values()))
+    assert not np.isfinite(vertex_core._bnorm(
+        vertex_core._bmatmul(blocks, vertex_core._split(b)).values()))
 
 
 def test_rll_exchange_relation():

@@ -43,6 +43,7 @@ from .vertex_core import (
     commuting_residual,
     full_product_residuals,
     generic_points,
+    hamiltonian,
     hamiltonian_commute_residual,
     log_derivative_residual,
     rll_residual,
@@ -326,9 +327,11 @@ class _Runner:
         self.add("structural.b_commute", worst_b)
 
         if p.L >= 2 and all(m == 0 for m in p.mu):
+            ham = hamiltonian(p)
             self.add("structural.hamiltonian_commutes",
-                     hamiltonian_commute_residual(lam, p))
-            self.add("structural.log_derivative_fit", log_derivative_residual(p))
+                     hamiltonian_commute_residual(lam, p, ham))
+            self.add("structural.log_derivative_fit",
+                     log_derivative_residual(p, ham))
 
     def run_dwbc(self):
         p = self.params

@@ -31,6 +31,9 @@ from .vertex_core import (
     transfer,
 )
 
+# the pair ratios of `_PairTable`, in the order of its flat layout
+_RATIOS = ("a_b", "ag_b", "c_b")
+
 
 class _PairTable:
     """The ratios a(v_s - v_t)/b(v_s - v_t) ("a_b"), a(v_s - v_t + g) /
@@ -63,6 +66,15 @@ class _PairTable:
         if self._any_pole and self._pole[s, t].any():
             raise PoleEncountered("slot difference below genericity threshold")
         return self._ratios[name][s, t]
+
+    def flat(self) -> np.ndarray:
+        """1, the a and b site products, then the a_b, ag_b and c_b ratios
+        row by row, as one vector (the layout `_top_plan` indexes).  Every
+        pair counts as read, so any pole raises."""
+        if self._any_pole:
+            raise PoleEncountered("slot difference below genericity threshold")
+        return np.concatenate(([1.0], self.a_site, self.b_site,
+                               *(self._ratios[name].ravel() for name in _RATIOS)))
 
 
 def gamma_coeff(i: int, j: int, k: int, vars_, params: ModelParams) -> complex:
@@ -375,9 +387,10 @@ def _assignments(m: int):
     """The (j, k) assignments of 2m removed slots, as positions in their
     list: J (nJ, m) holds each choice j_1 < ... < j_m, K (nJ, m!, m) every
     ordering of the positions J leaves; and the pairs r < s of 0..m-1."""
-    J = np.array(list(itertools.combinations(range(2 * m), m)))
-    rest = np.array([[q for q in range(2 * m) if q not in row] for row in J])
-    K = rest[:, np.array(list(itertools.permutations(range(m))))]
+    J = np.array(list(itertools.combinations(range(2 * m), m)), dtype=np.intp)
+    rest = np.array([[q for q in range(2 * m) if q not in row] for row in J],
+                    dtype=np.intp)
+    K = rest[:, np.array(list(itertools.permutations(range(m))), dtype=np.intp)]
     return J, K, np.triu_indices(m, 1)
 
 
@@ -410,6 +423,107 @@ def _v(tab: _PairTable, m: int, idx: tuple) -> complex:
                       * tab.read("ag_b", sk[..., s], sj[..., r]), axis=2))
     jfac = np.prod(jf[J], axis=1)
     return complex(np.sum(jfac * np.sum(kfac, axis=1)))
+
+
+def _top_indices(L: int) -> tuple:
+    """Removed-slot set of the surviving expansion coefficient once the
+    eigenvalue zeroes are substituted: all slots for even L, all but the
+    free slot 0 for odd L."""
+    return tuple(range(L % 2, L))
+
+
+@functools.cache
+def _top_plan(L: int):
+    """The terms of `_v` at `_top_indices(L)` over L slots, each split
+    into the factors that read slot 0 and those that do not, and grouped
+    by their slot-0 factors (at odd L a group is one row J).
+
+    Returns ``(slot0, free, starts)``: row g of `slot0` indexes group g's
+    slot-0 factors in the vector that `TopCoefficient.__call__` builds;
+    row i of `free` indexes term i's other factors in `_PairTable.flat()`
+    of slots 1..L-1, the terms in group order; `starts` holds each group's
+    first term.  Short rows are padded with index 0, which holds 1.
+    """
+    idx = _top_indices(L)
+    r = L - 1
+    kept = [t for t in range(L) if t not in idx]
+    J, K, (rs, ss) = _assignments(len(idx) // 2)
+
+    def at_slot0(name, s, t):
+        # 1, a_site, b_site, then per ratio its (0, t) and (t, 0) entries
+        if name in ("a_site", "b_site"):
+            return 1 + (name == "b_site")
+        base = 3 + 2 * r * _RATIOS.index(name)
+        return base + t - 1 if s == 0 else base + r + s - 1
+
+    def off_slot0(name, s, t):
+        if name in ("a_site", "b_site"):
+            return 1 + r * (name == "b_site") + s - 1
+        return 1 + 2 * r + r * r * _RATIOS.index(name) + (s - 1) * r + t - 1
+
+    groups = {}
+    for row, perms in zip(J, K):
+        sj = [idx[q] for q in row]
+        for perm in perms:
+            sk = [idx[q] for q in perm]
+            factors = ([("a_site", j, j) for j in sj]
+                       + [("a_b", k, j) for j in sj for k in kept]
+                       + [("b_site", k, k) for k in sk]
+                       + [("a_b", k, t) for k in sk for t in kept]
+                       + [("c_b", j, k) for j, k in zip(sj, sk)]
+                       + [f for a, b in zip(rs, ss)
+                          for f in (("a_b", sk[a], sk[b]), ("a_b", sk[a], sj[b]),
+                                    ("ag_b", sk[b], sj[a]))])
+            key = tuple(sorted(at_slot0(*f) for f in factors if 0 in f[1:]))
+            groups.setdefault(key, []).append(
+                [off_slot0(*f) for f in factors if 0 not in f[1:]])
+
+    def padded(rows):
+        out = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+        for i, row in enumerate(rows):
+            out[i, :len(row)] = row
+        return out
+
+    sizes = [len(terms) for terms in groups.values()]
+    return (padded(list(groups)),
+            padded([term for terms in groups.values() for term in terms]),
+            np.cumsum([0] + sizes[:-1]))
+
+
+class TopCoefficient:
+    """The maximal expansion coefficient
+    ``v_coeff(m, _top_indices(L), (x,) + rest)`` over L = len(rest) + 1
+    slots, as a function of the slot-0 variable x.
+
+    Only slot 0 moves, so the factors of `_v`'s terms that do not read it
+    are multiplied and summed once here, per group of terms with the same
+    slot-0 factors (`_top_plan`); a call multiplies each group sum by its
+    slot-0 factors.  As in `v_coeff`, two slots closer than EPS_GENERIC
+    raise `PoleEncountered`: two slots of `rest` here, x and a slot of
+    `rest` at the call.
+    """
+
+    def __init__(self, rest, params: ModelParams):
+        g = params.gamma
+        self._rest = np.asarray(rest, dtype=complex)
+        self._mu = np.asarray(params.mu)
+        self._shifts = np.array([[0.0], [g], [g + g]])
+        self._site_shifts = np.array([[g], [0.0]])
+        self._c = np.sinh(g)
+        self._slot0, free, starts = _top_plan(len(self._rest) + 1)
+        terms = np.prod(_PairTable(self._rest, params).flat()[free], axis=1)
+        self._sums = np.add.reduceat(terms, starts)
+
+    def __call__(self, x: complex) -> complex:
+        # x - v_t, then v_t - x, over the slots t of rest; shifted by 0, g, 2g
+        d = x - self._rest
+        s = np.sinh(np.concatenate((d, -d)) + self._shifts)
+        b = s[0]
+        if (np.abs(b) < EPS_GENERIC).any():
+            raise PoleEncountered("slot difference below genericity threshold")
+        site = np.prod(np.sinh(x - self._mu + self._site_shifts), axis=1)
+        vals = np.concatenate(([1.0], site, (s[1:] / b).ravel(), self._c / b))
+        return complex(np.prod(vals[self._slot0], axis=1) @ self._sums)
 
 
 def oracle_residuals(params: ModelParams, v=None, *, i=None, pair=None,

@@ -424,10 +424,14 @@ def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
     return _commutator(b_operator(x, params), b_operator(y, params))
 
 
-def hamiltonian_commute_residual(lam: complex, params: ModelParams) -> float:
+def hamiltonian_commute_residual(lam: complex, params: ModelParams,
+                                 ham=None) -> float:
     """Commutator of the Hamiltonian with the transfer matrix at lam;
-    homogeneous chains only."""
-    return _commutator(hamiltonian(params), transfer(lam, params))
+    homogeneous chains only.  `ham` is ``hamiltonian(params)``, built here
+    when not given."""
+    if ham is None:
+        ham = hamiltonian(params)
+    return _commutator(ham, transfer(lam, params))
 
 
 def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
@@ -514,14 +518,16 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     }
 
 
-def log_derivative_residual(params: ModelParams) -> float:
+def log_derivative_residual(params: ModelParams, ham=None) -> float:
     """Distance of T'(0) T(0)^-1 from the span of {H, 1}, by central
-    differences; homogeneous chains only."""
+    differences; homogeneous chains only.  `ham` is
+    ``hamiltonian(params)``, built here when not given."""
     h = 1e-5
     t0 = transfer(0j, params)
     dlog = (transfer(h, params) - transfer(-h, params)) / (2 * h) \
         @ np.linalg.inv(t0)
-    ham = hamiltonian(params)
+    if ham is None:
+        ham = hamiltonian(params)
     basis = np.stack([ham.ravel(), np.eye(params.dim, dtype=complex).ravel()],
                      axis=1)
     coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)

@@ -13,7 +13,7 @@ from numpy.polynomial.polynomial import polyval
 
 from .dwbc import b_product_state
 from .errors import PoleEncountered, ReconstructionFailure
-from .functional_system import EigenState, even_floor, v_coeff
+from .functional_system import EigenState, TopCoefficient, even_floor
 from .numkit import fit_poly, poly_roots
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
 
@@ -24,9 +24,10 @@ ZERO_KICK = 1e-2
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalue function data: value at the origin, its zeroes, and the
-    reference-state overlap ratio.  The zero-set B-string and the
-    polynomial fits of Z(., w) and F(., w) are kept with it, so every
-    check on the same zero set uses one of each."""
+    reference-state overlap ratio.  The zero-set B-string, the maximal
+    expansion coefficient at the zeroes and the polynomial fits of Z(., w)
+    and F(., w) are kept with it, so every check on the same zero set uses
+    one of each."""
 
     state: EigenState
     lambda0_value: complex
@@ -41,9 +42,24 @@ class SpectralData:
         return complex(out)
 
     @functools.cached_property
+    def _tail(self) -> np.ndarray:
+        """The B-string of every zero but the first on |up>."""
+        return b_product_state(self.zeros[1:], self.state.params)
+
+    @functools.cached_property
     def phi(self) -> np.ndarray:
-        """The zero-set B-string on |up>: Z(lam0, w) = <down| B(lam0) phi."""
-        return b_product_state(self.zeros, self.state.params)
+        """The zero-set B-string on |up>: Z(lam0, w) = <down| B(lam0) phi.
+        `b_product_state` applies B(zeros[0]) last, so this is its vector
+        bit for bit."""
+        if not self.zeros:
+            return self._tail
+        return b_operator(self.zeros[0], self.state.params) @ self._tail
+
+    @functools.cached_property
+    def top(self) -> TopCoefficient:
+        """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1}),
+        as a function of lam0."""
+        return TopCoefficient(self.zeros, self.state.params)
 
     @functools.cached_property
     def fit(self) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +150,12 @@ def kick_zero(data: SpectralData, j: int) -> SpectralData:
     """The same data with zero j moved by ZERO_KICK."""
     zeros = list(data.zeros)
     zeros[j] += ZERO_KICK
-    return SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
+    kicked = SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
+    if j == 0:
+        # the B-string of the other zeros is unchanged; a cached_property
+        # reads the instance dict first, so the kicked data reuses it
+        kicked.__dict__["_tail"] = data._tail
+    return kicked
 
 
 def reconstruction_residual(data: SpectralData, probe: complex) -> float:
@@ -153,21 +174,10 @@ def at_zero_residual(data: SpectralData, scale_points) -> float:
             / max(scale, 1e-300))
 
 
-def _top_v_indices(L: int):
-    """Removed-slot set of the surviving expansion coefficient once the
-    eigenvalue zeroes are substituted: all slots for even L, all but the
-    free slot for odd L."""
-    if L % 2 == 0:
-        return tuple(range(L))
-    return tuple(range(1, L))
-
-
 def top_v(lam0: complex, data: SpectralData, params: ModelParams) -> complex:
-    """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1})."""
-    L = params.L
-    v = (lam0,) + data.zeros
-    idx = _top_v_indices(L)
-    return v_coeff(len(idx) // 2, idx, v, params)
+    """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1}), read
+    from the zero set's `SpectralData.top`."""
+    return data.top(lam0)
 
 
 def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:

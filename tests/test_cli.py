@@ -285,6 +285,27 @@ assert "scipy.linalg" in sys.modules
                    timeout=60)
 
 
+def test_homogeneous_structural_run_builds_the_hamiltonian_once(tmp_path,
+                                                                monkeypatch):
+    from sixvertex import cli
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return real(params)
+
+    real = cli.hamiltonian
+    monkeypatch.setattr(cli, "hamiltonian", counted)
+    code, reports = run(build_config(["--size", "4", "--mu", "zero", "--suite",
+                                      "structural", "--out",
+                                      str(tmp_path / "r.txt")]))
+    assert code == 0
+    assert len(built) == 1
+    names = {r.name for r in reports}
+    assert {"structural.hamiltonian_commutes",
+            "structural.log_derivative_fit"} <= names
+
+
 def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
                                                               monkeypatch):
     """A SixVertexError in a check records that check as `inf` and `fail`

@@ -382,6 +382,15 @@ def test_transfer_log_derivative_is_affine_in_hamiltonian():
     assert log_derivative_residual(p) < 1e-6
 
 
+def test_hamiltonian_residuals_take_a_prebuilt_hamiltonian_bit_for_bit():
+    p = ModelParams(4, GAMMA, (0,) * 4)
+    lam = generic_points(1, np.random.default_rng(29))[0]
+    ham = hamiltonian(p)
+    assert hamiltonian_commute_residual(lam, p, ham) == \
+        hamiltonian_commute_residual(lam, p)
+    assert log_derivative_residual(p, ham) == log_derivative_residual(p)
+
+
 def test_site_op_embedding():
     op = site_op(SX, 2, 3)
     assert np.array_equal(op, kron_chain(np.eye(2), SX, np.eye(2)))

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from sixvertex import zeros
+from sixvertex import functional_system, zeros
+from sixvertex.cli import build_config, run
+from sixvertex.dwbc import b_product_state
+from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (
     EigenState,
+    TopCoefficient,
     transfer_eigenstates,
     v_coeff,
 )
@@ -238,3 +242,95 @@ def test_residual_reads_large_on_broken_identity(L, check, monkeypatch):
     p, specs = spectral_for(L, seed=65 + L)
     broken, bound = BREAKS[check]
     assert broken(monkeypatch, specs[0], p) > bound
+
+
+def drawn_zero_set(L, seed):
+    """SpectralData of one eigenstate at L with drawn, not extracted, zeros:
+    the top coefficient and the B-strings read only the zeros and params."""
+    p = params_for(L, seed)
+    rng = np.random.default_rng(seed + 1)
+    st = transfer_eigenstates(p, rng)[0]
+    ws = tuple(generic_points(L - 1, rng, avoid=p.mu))
+    return p, SpectralData(st, 1.0, ws, 1.0), rng
+
+
+def top_term_scale(lam0, data, p):
+    """Sum of |terms| of `_v` at the top index set, with its arithmetic."""
+    idx = np.array(functional_system._top_indices(p.L))
+    m = len(idx) // 2
+    tab = functional_system._PairTable((lam0,) + data.zeros, p)
+    kept = np.delete(np.arange(tab.n), idx)
+    jf = tab.a_site[idx] * np.prod(tab.read("a_b", kept[:, None], idx), axis=0)
+    kf = tab.b_site[idx] * np.prod(tab.read("a_b", idx[:, None], kept), axis=1)
+    J, K, (r, s) = functional_system._assignments(m)
+    sj, sk = idx[J][:, None, :], idx[K]
+    kfac = (np.prod(kf[K] * tab.read("c_b", sj, sk), axis=2)
+            * np.prod(tab.read("a_b", sk[..., r], sk[..., s])
+                      * tab.read("a_b", sk[..., r], sj[..., s])
+                      * tab.read("ag_b", sk[..., s], sj[..., r]), axis=2))
+    return float(np.sum(np.abs(np.prod(jf[J], axis=1)[:, None] * kfac)))
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_top_v_table_matches_v_coeff(L):
+    # relative to the summed |terms|: at L = 7 the terms cancel, so the
+    # difference relative to |V| reads up to ~1e-13
+    p, data, rng = drawn_zero_set(L, seed=80 + L)
+    idx = functional_system._top_indices(L)
+    for lam0 in generic_points(30, rng, avoid=list(data.zeros) + list(p.mu)):
+        ref = v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
+        scale = top_term_scale(lam0, data, p)
+        assert abs(top_v(lam0, data, p) - ref) < 1e-13 * scale
+    assert isinstance(data.top, TopCoefficient)
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_top_v_table_raises_where_v_coeff_does(L):
+    p, data, rng = drawn_zero_set(L, seed=90 + L)
+    idx = functional_system._top_indices(L)
+    w = data.zeros[-1]
+    lam0 = w + 1e-5 * 0.6
+    with pytest.raises(PoleEncountered):
+        v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
+    with pytest.raises(PoleEncountered):
+        top_v(lam0, data, p)
+    collided = SpectralData(data.state, 1.0,
+                            (w + 1e-5 * 0.6,) + data.zeros[1:], 1.0)
+    lam0 = generic_points(1, rng, avoid=list(collided.zeros) + list(p.mu))[0]
+    with pytest.raises(PoleEncountered):
+        v_coeff(len(idx) // 2, idx, (lam0,) + collided.zeros, p)
+    with pytest.raises(PoleEncountered):
+        top_v(lam0, collided, p)
+
+
+@pytest.mark.parametrize("L", [3, 5, 8])
+def test_kicked_refit_reuses_the_zero_set_b_string(L):
+    p, data, _ = drawn_zero_set(L, seed=100 + L)
+    assert np.array_equal(data.phi, b_product_state(data.zeros, p))
+    kicked = kick_zero(data, 0)
+    assert np.array_equal(kicked.phi, b_product_state(kicked.zeros, p))
+    assert kicked._tail is data._tail
+
+
+def test_zeros_suite_reads_one_top_table_per_zero_set(monkeypatch, tmp_path):
+    calls = {"v_coeff": 0, "_v": 0, "tables": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("v_coeff", "_v"):
+        monkeypatch.setattr(functional_system, name,
+                            counted(name, getattr(functional_system, name)))
+    monkeypatch.setattr(TopCoefficient, "__init__",
+                        counted("tables", TopCoefficient.__init__))
+    config = build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
+                           "--out", str(tmp_path / "report.txt")])
+    code, reports = run(config)
+    assert code == 0
+    sharpness = [r for r in reports if r.name.startswith("zeros.wronskian_sharpness")]
+    assert sharpness
+    # the state's zeros, then the kicked set of wronskian_sharpness
+    assert calls == {"v_coeff": 0, "_v": 0, "tables": 2 * len(sharpness)}

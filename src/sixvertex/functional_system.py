@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dwbc import b_product_state, z_bproduct
+from .dwbc import z_bproduct
 from .errors import DegenerateSpectrum, K0Undefined, PoleEncountered
 from .numkit import eig_general
 from .prefix_oracle import (
@@ -291,14 +291,6 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
     raise last_exc or DegenerateSpectrum("no usable sample point found")
 
 
-def f_n(lams, state: EigenState, params: ModelParams) -> complex:
-    """Scalar realization of an n-fold creation-operator string."""
-    lams = list(lams)
-    if len(lams) > params.L:
-        return 0j
-    return complex(state.left @ b_product_state(lams, params))
-
-
 def check_tphi(n: int, vars_, params: ModelParams) -> float:
     """Operator-identity residual of the order-(n+1) exchange relation.
 
@@ -337,49 +329,61 @@ def check_tphi(n: int, vars_, params: ModelParams) -> float:
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
 
 
-def check_fl(n: int, state: EigenState, vars_, params: ModelParams) -> float:
-    """Residual of the functional hierarchy at order n, relative to the
-    largest participating term."""
+def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:
+    """Residuals of the functional hierarchy at order n, one per state of
+    `states` (eigenstates of one diagonalization), each relative to the
+    largest participating term of that state.
+
+    Only the string overlaps and the eigenvalue depend on the state.  The
+    coefficients, each B(v_t) and each B-string on |up> are computed once
+    per call; one product with the stacked left vectors gives every
+    state's overlaps, and one shared transfer build every state's
+    eigenvalue at v_0.
+    """
     v = tuple(vars_)
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
-    up, _ = reference_states(params.L)
     tab = _PairTable(v, params)
+    rest = range(1, n + 1)  # the slots after v_0
+    pairs = [(i, j) for i in rest for j in range(i + 1, n + 1)]
+    coeffs = [_m(tab, i) for i in rest] + [_n(tab, j, i) for i, j in pairs]
+    # the slots of each string: the left side, the order-(n+1) term, then
+    # one per coefficient, in the order of `coeffs`
+    slots = ([tuple(rest), tuple(range(n + 1))]
+             + [tuple(t for t in rest if t != i) for i in rest]
+             + [tuple(t for t in range(n + 1) if t not in pair)
+                for pair in pairs])
+    up, _ = reference_states(params.L)
     bops = {}
+    strings = {(): up}
 
-    def f_slots(slots):
-        # f_n over the given slots of v, applied in b_product_state's order,
-        # with each B(v_t) built once per call
-        if len(slots) > params.L:
-            return 0j
-        vec = up
-        for t in reversed(slots):
+    def string(key):
+        # B(v_s0) ... B(v_sk) |up>, in b_product_state's order, so strings
+        # with a common suffix share its vector
+        vec = strings.get(key)
+        if vec is None:
+            t = key[0]
             if t not in bops:
                 bops[t] = b_operator(v[t], params)
-            vec = bops[t] @ vec
-        return complex(state.left @ vec)
+            vec = strings[key] = bops[t] @ string(key[1:])
+        return vec
 
-    terms = []
-    lhs = state.lam(v[0]) * f_slots(range(1, n + 1))
-    terms.append(lhs)
-    t_next = f_slots(range(n + 1)) if n + 1 <= params.L else 0j
-    terms.append(t_next)
-    acc = t_next
-    for i in range(1, n + 1):
-        rest = [t for t in range(1, n + 1) if t != i]
-        term = _m(tab, i) * f_slots(rest)
+    # strings longer than L annihilate |up>; their overlaps stay 0
+    cols = [k for k, key in enumerate(slots) if len(key) <= params.L]
+    f = np.zeros((len(states), len(slots)), dtype=complex)
+    f[:, cols] = (np.array([st.left for st in states])
+                  @ np.column_stack([string(slots[k]) for k in cols]))
+    states[0].share([v[0]])
+    lhs = np.array([st.lam(v[0]) for st in states]) * f[:, 0]
+    terms = [lhs, f[:, 1]]
+    acc = f[:, 1]
+    for k, coeff in enumerate(coeffs):
+        term = coeff * f[:, 2 + k]
         terms.append(term)
-        acc += term
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = [t for t in range(0, n + 1) if t not in (i, j)]
-            term = _n(tab, j, i) * f_slots(rest)
-            terms.append(term)
-            acc += term
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - acc) / scale
+        acc = acc + term
+    scale = np.max(np.abs(terms), axis=0)
+    return np.divide(np.abs(lhs - acc), scale, out=np.zeros(len(states)),
+                     where=scale != 0.0)
 
 
 @functools.cache

@@ -356,3 +356,44 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
         assert kept <= set(by_name), (callee, kept - set(by_name))
         if not dropped:  # a guarded check drops nothing
             assert {n for n in names if n.endswith(".state1")} <= set(by_name)
+
+
+def test_a_failed_hierarchy_order_records_every_state_once(tmp_path,
+                                                          monkeypatch):
+    """One hierarchy call serves every state at an order n, so a
+    SixVertexError there records `functional.fl.state<i>.n<n>` of every
+    state once as `inf` and `fail`; the other orders keep their records."""
+    from sixvertex import cli
+    from sixvertex.errors import PoleEncountered
+
+    argv = ["--size", "2", "--suite", "functional", "--seed", "1",
+            "--out", str(tmp_path / "r.txt")]
+    clean = run(build_config(argv))[1]
+    real = cli.check_fl
+
+    def broken(n, *args):
+        if n == 1:
+            raise PoleEncountered("broken for the test")
+        return real(n, *args)
+
+    monkeypatch.setattr(cli, "check_fl", broken)
+    code, reports = run(build_config(argv))
+    assert code == 1
+    assert [r.name for r in reports] == [r.name for r in clean]
+    failed = [r for r in reports if r.name.endswith(".n1")
+              and r.name.startswith("functional.fl.")]
+    assert [r.name for r in failed] == [f"functional.fl.state{i}.n1"
+                                        for i in range(4)]
+    for rec in failed:
+        assert (rec.anchor, rec.residual, rec.tolerance, rec.verdict) == \
+            ("FL", float("inf"), 1e-8, "fail")
+    assert [r for r in reports if r not in failed] == \
+        [r for r in clean if r.name not in {f.name for f in failed}]
+
+
+def test_hierarchy_records_are_state_major(tmp_path):
+    reports = run(build_config(["--size", "3", "--suite", "functional",
+                                "--out", str(tmp_path / "r.txt")]))[1]
+    names = [r.name for r in reports if r.name.startswith("functional.fl.")]
+    assert names == [f"functional.fl.state{i}.n{n}"
+                     for i in range(8) for n in range(5)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sixvertex import cli, dwbc, functional_system
-from sixvertex.dwbc import z_bproduct
+from sixvertex.dwbc import b_product_state, z_bproduct
 from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (
     check_appendix,
@@ -12,7 +12,6 @@ from sixvertex.functional_system import (
     check_theorem,
     check_tphi,
     expansion_coeffs,
-    f_n,
     gamma_coeff,
     k0_closed_form_residual,
     m_coeff,
@@ -43,6 +42,34 @@ def params_for(L, seed=7, gamma=GAMMA):
 def states_for(p, seed=9):
     rng = np.random.default_rng(seed)
     return transfer_eigenstates(p, rng)
+
+
+def f_n(lams, state, params):
+    """Scalar realization of an n-fold creation-operator string: the
+    overlap of the state's left vector with B(lam_1)...B(lam_n)|up>."""
+    lams = list(lams)
+    if len(lams) > params.L:
+        return 0j
+    return complex(state.left @ b_product_state(lams, params))
+
+
+def fl_residual(n, state, v, params):
+    """The order-n hierarchy residual of one state, term by term from
+    `f_n`: the oracle of the batched `check_fl`."""
+    lhs = state.lam(v[0]) * f_n(v[1:], state, params)
+    acc = f_n(v, state, params)
+    terms = [lhs, acc]
+    for i in range(1, n + 1):
+        rest = [v[t] for t in range(1, n + 1) if t != i]
+        terms.append(m_coeff(i, v, params) * f_n(rest, state, params))
+        acc += terms[-1]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rest = [v[t] for t in range(n + 1) if t not in (i, j)]
+            terms.append(n_coeff(j, i, v, params) * f_n(rest, state, params))
+            acc += terms[-1]
+    scale = max(abs(t) for t in terms)
+    return abs(lhs - acc) / scale if scale else 0.0
 
 
 def test_gamma_reduces_to_ratio_for_single_variable():
@@ -162,10 +189,25 @@ def test_functional_hierarchy_all_states(L):
     p = params_for(L, seed=60 + L)
     states = states_for(p, seed=70 + L)
     rng = np.random.default_rng(80 + L)
-    for st in states:
-        for n in range(0, L + 2):
-            v = generic_points(n + 1, rng, avoid=p.mu)
-            assert check_fl(n, st, v, p) < 1e-8
+    for n in range(0, L + 2):
+        v = generic_points(n + 1, rng, avoid=p.mu)
+        residuals = check_fl(n, states, v, p)
+        assert residuals.shape == (len(states),)
+        for st in states:
+            assert residuals[st.index] < 1e-8, (st.index, n)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_batched_hierarchy_matches_the_per_state_residual(L):
+    p = params_for(L, seed=160 + L)
+    states = states_for(p, seed=165 + L)
+    rng = np.random.default_rng(170 + L)
+    for n in range(0, L + 2):
+        v = generic_points(n + 1, rng, avoid=p.mu)
+        residuals = check_fl(n, states, v, p)
+        for st in states:
+            ref = fl_residual(n, st, v, p)
+            assert abs(residuals[st.index] - ref) < 1e-12, (st.index, n)
 
 
 def counting(monkeypatch, module, name):
@@ -288,16 +330,19 @@ def test_values_do_not_depend_on_call_order(order, monkeypatch):
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
+    # one call serves every state: each B(v_t) and T(v_0) is built once
     p = params_for(L, seed=174)
-    st = states_for(p, seed=175)[1]
+    states = states_for(p, seed=175)
     rng = np.random.default_rng(176)
     for n in range(0, L + 2):
         v = generic_points(n + 1, rng, avoid=p.mu)
         builds = (counting(monkeypatch, functional_system, "b_operator"),
                   counting(monkeypatch, dwbc, "b_operator"))
-        check_fl(n, st, v, p)
+        transfers = counting(monkeypatch, functional_system, "transfer")
+        check_fl(n, states, v, p)
         monkeypatch.undo()
         assert sum(map(len, builds)) <= n + 1
+        assert [args[0] for args in transfers] == [v[0]]
 
 
 def test_size_two_system_as_printed():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dwbc import draw_residuals, underflow_residual, z_bproduct
+from .dwbc import draw_residuals, underflow_residual
 from .errors import ConfigError, SixVertexError
 from .functional_system import (
     check_appendix,
@@ -18,7 +18,6 @@ from .functional_system import (
     check_theorem,
     check_tphi,
     even_floor,
-    expansion_coeffs,
     k0_closed_form_residual,
     oracle_residuals,
     theorem_permutation_residual,
@@ -33,8 +32,8 @@ from .roots_of_unity import (
     check_l3_relation,
     check_l4_relation,
     check_truncation,
+    l4_ratio_residuals,
     l4_specialized_residuals,
-    l4_terms,
     truncated_expansion_residual,
 )
 from .vertex_core import (
@@ -43,9 +42,7 @@ from .vertex_core import (
     commuting_residual,
     full_product_residuals,
     generic_points,
-    hamiltonian,
-    hamiltonian_commute_residual,
-    log_derivative_residual,
+    hamiltonian_residuals,
     rll_residual,
     sample_mu,
     special_value_residuals,
@@ -223,6 +220,12 @@ class RunConfig:
             self.tol_overrides, self.draws)
 
 
+def _worst(residuals) -> float:
+    """The largest of the residuals, at least 0.0; a NaN among them is
+    passed over, as in a running max from 0.0."""
+    return max([0.0, *residuals])
+
+
 def sample_params(config: RunConfig) -> ModelParams:
     """Deterministic model parameters for a run configuration."""
     gamma = config.resolved_gamma()
@@ -329,11 +332,8 @@ class _Runner:
         self.add("structural.b_commute", worst_b)
 
         if p.L >= 2 and all(m == 0 for m in p.mu):
-            ham = hamiltonian(p)
-            self.add("structural.hamiltonian_commutes",
-                     hamiltonian_commute_residual(lam, p, ham))
-            self.add("structural.log_derivative_fit",
-                     log_derivative_residual(p, ham))
+            for name, val in hamiltonian_residuals(lam, p).items():
+                self.add(f"structural.{name}", val)
 
     def run_dwbc(self):
         p = self.params
@@ -402,32 +402,19 @@ class _Runner:
     def run_theorem(self):
         p = self.params
         rng = self.rng
+        defined = [st for st in self.states if st.k0_defined]
         for _ in range(self.config.draws):
             vars_ = generic_points(p.L, rng, avoid=p.mu)
-            # Z and the expansion coefficients do not depend on the state;
-            # the drawn points are 0.02 apart in sinh, far from the 1e-4
-            # poles of the coefficients
-            z = z_bproduct(vars_, p)
-            coeffs = expansion_coeffs(vars_, p)
-            self.states[0].share(vars_)
-            for st in self.states:
-                if not st.k0_defined:
-                    continue
-                self.guarded(
-                    f"theorem.expansion.state{st.index}",
-                    lambda st=st, v=vars_, z=z, c=coeffs: check_theorem(
-                        st, v, p, z=z, coeffs=c),
-                )
-        st = next(s for s in self.states if s.k0_defined)
+            res = self.attempt(None, lambda: check_theorem(defined, vars_, p))
+            for k, st in enumerate(defined):
+                self.add(f"theorem.expansion.state{st.index}",
+                         float("inf") if res is None else res[k])
         vars_ = generic_points(p.L, rng, avoid=p.mu)
         self.add("theorem.permutation",
-                 theorem_permutation_residual(vars_, st.lam, p))
+                 theorem_permutation_residual(vars_, defined[0].lam, p))
         if p.L == 2:
-            worst = 0.0
-            for s in self.states:
-                if s.k0_defined:
-                    worst = max(worst, k0_closed_form_residual(s, p))
-            self.add("theorem.k0_closed_form", worst)
+            self.add("theorem.k0_closed_form",
+                     _worst(k0_closed_form_residual(defined, p)))
         if p.L in (3, 4):
             vars_ = generic_points(p.L, rng, avoid=p.mu)
             for name, val in sorted(check_appendix(p.L, vars_, p).items()):
@@ -480,23 +467,19 @@ class _Runner:
             worst = max(worst, check_truncation(spec, lam, p))
         self.add("rou.truncation", worst)
         lam = generic_points(1, rng, avoid=p.mu)[0]
-        self.add("rou.truncated_expansion",
-                 truncated_expansion_residual(self.states, spec, p, lam))
+        self.add("rou.truncated_expansion", _worst(
+            truncated_expansion_residual(self.states, spec, p, lam)))
 
         draws = generic_points(10, rng, avoid=p.mu)
         if spec.l == 2:
-            worst = max(check_inversion_l2(st, p, draws) for st in self.states)
-            self.add("rou.inversion", worst)
+            self.add("rou.inversion",
+                     max(check_inversion_l2(self.states, p, draws)))
         if spec.l == 3:
-            worst_rel = worst_agree = 0.0
-            for st in self.states:
-                res = check_l3_relation(st, p, draws)
-                worst_rel = max(worst_rel, res["explicit_residual"])
-                worst_agree = max(worst_agree, res["form_agreement"])
-            self.add("rou.l3_relation", worst_rel)
-            self.add("rou.l3_form_agreement", worst_agree)
+            res = check_l3_relation(self.states, p, draws)
+            self.add("rou.l3_relation", _worst(res["explicit_residual"]))
+            self.add("rou.l3_form_agreement", _worst(res["form_agreement"]))
         if spec.l == 4:
-            terms = l4_terms(draws[:6], p)
+            l4 = check_l4_relation(self.states, p, draws[:6])
         for data in self.spectral_data():
             st = data.state
             conj = spec.l >= 5
@@ -513,18 +496,18 @@ class _Runner:
                                         bethe_residual_l2(d, p)), default=0.0),
                 )
             if spec.l == 4:
+                # a failed ratio equation records the state's relation as
+                # inf and drops its other l = 4 records
                 name = f"rou.l4_relation.state{st.index}"
-                res = self.attempt(
-                    name, lambda: check_l4_relation(st, data, p, terms))
-                if res is None:
+                ratios = self.attempt(
+                    name, lambda: l4_ratio_residuals(st, data, p))
+                if ratios is None:
                     continue
-                self.add(name, res["relation_residual"])
+                self.add(name, l4["relation_residual"][st.index])
                 self.add(f"rou.q_periodicity.state{st.index}",
-                         res["q_periodicity"])
-                self.add(
-                    f"rou.l4_ratio.state{st.index}",
-                    max((abs(x) for x in res["ratio_residuals"]), default=0.0),
-                )
+                         l4["q_periodicity"])
+                self.add(f"rou.l4_ratio.state{st.index}",
+                         max((abs(x) for x in ratios), default=0.0))
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}",
                     lambda s=st, d=data: max(

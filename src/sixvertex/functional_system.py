@@ -308,23 +308,25 @@ def check_tphi(n: int, vars_, params: ModelParams) -> float:
         return functools.reduce(np.matmul, (b[t] for t in slots),
                                 np.eye(params.dim, dtype=complex))
 
-    lhs = (b[0] + c0) @ b_string(range(1, n + 1))
+    tab = _PairTable(v, params)
+    tail = b_string(range(1, n + 1))
+    lhs = (b[0] + c0) @ tail
     # the pass-through annihilator term [X^{1,n}] C(v_0) is required for the
     # identity to close on the full space; it dies on |up> in the scalar
     # realization
-    rhs = b_string(range(n + 1)) + b_string(range(1, n + 1)) @ c0
+    rhs = b_string(range(n + 1)) + tail @ c0
     for i in range(1, n + 1):
         rest = [t for t in range(1, n + 1) if t != i]
         rhs = rhs + b_string(rest) @ (
-            gamma_coeff(i, 0, i, v, params) * a[0] @ d[i]
-            + gamma_coeff(i, i, 0, v, params) * a[i] @ d[0]
+            _gamma(tab, i, 0, i) * a[0] @ d[i]
+            + _gamma(tab, i, i, 0) * a[i] @ d[0]
         )
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             rest = [t for t in range(0, n + 1) if t not in (i, j)]
             rhs = rhs + b_string(rest) @ (
-                omega_coeff(i, j, v, params) * a[i] @ d[j]
-                + omega_coeff(j, i, v, params) * a[j] @ d[i]
+                _omega(tab, i, j) * a[i] @ d[j]
+                + _omega(tab, j, i) * a[j] @ d[i]
             )
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
 
@@ -578,15 +580,10 @@ def expansion_coeffs(vars_, params: ModelParams) -> list:
     ]
 
 
-def theorem_terms(vars_, lam_of, params: ModelParams, coeffs=None):
-    """Individual summands of the eigenvalue expansion over `vars_`.
-
-    `coeffs` is ``expansion_coeffs(vars_, params)``, computed here when
-    not given.
-    """
+def theorem_terms(vars_, lam_of, coeffs) -> list:
+    """Individual summands of the eigenvalue expansion over `vars_`, with
+    `coeffs` = ``expansion_coeffs(vars_, params)``."""
     v = tuple(vars_)
-    if coeffs is None:
-        coeffs = expansion_coeffs(v, params)
     out = []
     for idx, coeff in coeffs:
         prod = 1.0 + 0j
@@ -597,9 +594,9 @@ def theorem_terms(vars_, lam_of, params: ModelParams, coeffs=None):
     return out
 
 
-def theorem_rhs(vars_, lam_of, params: ModelParams, coeffs=None) -> complex:
+def theorem_rhs(vars_, lam_of, params: ModelParams) -> complex:
     """Eigenvalue-side of the partition-function expansion over `vars_`."""
-    return sum(theorem_terms(vars_, lam_of, params, coeffs))
+    return sum(theorem_terms(vars_, lam_of, expansion_coeffs(vars_, params)))
 
 
 def theorem_permutation_residual(vars_, lam_of, params: ModelParams) -> float:
@@ -613,36 +610,40 @@ def theorem_permutation_residual(vars_, lam_of, params: ModelParams) -> float:
     return abs(rhs - theorem_rhs(swapped, lam_of, params)) / max(abs(rhs), 1e-300)
 
 
-def check_theorem(state: EigenState, vars_, params: ModelParams,
-                  z=None, coeffs=None) -> float:
-    """Residual of Z * k0 against the eigenvalue expansion, relative to |Z k0|.
-
-    `z` (the partition function at `vars_`) and `coeffs` (see
-    `theorem_terms`) let callers reuse values that eigenstates of the same
-    draw share.
-    """
+def check_theorem(states, vars_, params: ModelParams) -> list:
+    """Residual of Z * k0 against the eigenvalue expansion, relative to
+    |Z k0|, one per state of `states` (k0-defined eigenstates of one
+    diagonalization), which share Z and the expansion coefficients."""
     v = tuple(vars_)
     if len(v) != params.L:
         raise ValueError("need exactly L spectral parameters")
-    if z is None:
-        z = z_bproduct(v, params)
-    lhs = z * state.k0
-    rhs = theorem_rhs(v, state.lam, params, coeffs)
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    z = z_bproduct(v, params)
+    coeffs = expansion_coeffs(v, params)
+    states[0].share(v)
+    out = []
+    for state in states:
+        lhs = z * state.k0
+        rhs = sum(theorem_terms(v, state.lam, coeffs))
+        out.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
+    return out
 
 
-def k0_closed_form_residual(state: EigenState, params: ModelParams) -> float:
+def k0_closed_form_residual(states, params: ModelParams) -> list:
     """Residual of the L = 2 closed form
     k0 = Lambda(mu_1) Lambda(mu_2) / (c^2 sinh(mu_1 - mu_2 + g) sinh(mu_2 - mu_1 + g)),
-    relative to the closed-form value."""
+    relative to the closed-form value, one per state of `states`
+    (k0-defined eigenstates of one diagonalization)."""
     if params.L != 2:
         raise ValueError("the k0 closed form is stated for L = 2")
     mu, g = params.mu, params.gamma
-    state.share(mu)
+    states[0].share(mu)
     denom = (np.sinh(g) ** 2 * np.sinh(mu[0] - mu[1] + g)
              * np.sinh(mu[1] - mu[0] + g))
-    ref = state.lam(mu[0]) * state.lam(mu[1]) / denom
-    return abs(state.k0 - ref) / max(abs(ref), 1e-300)
+    out = []
+    for state in states:
+        ref = state.lam(mu[0]) * state.lam(mu[1]) / denom
+        out.append(abs(state.k0 - ref) / max(abs(ref), 1e-300))
+    return out
 
 
 def check_appendix(L: int, vars_, params: ModelParams) -> dict:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,19 +65,22 @@ def _mu_product(lam, shifts, params: ModelParams) -> complex:
     return complex(out)
 
 
-def check_inversion_l2(state: EigenState, params: ModelParams,
-                       lam_draws) -> float:
-    """Residual of the two-fold inversion relation at l = 2."""
+def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
+    """Residual of the two-fold inversion relation at l = 2, one per state
+    of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    # every state reads these points
-    state.share(lam - j * g for lam in lam_draws for j in range(2))
-    worst = 0.0
-    for lam in lam_draws:
-        lhs = state.lam(lam) * state.lam(lam - g)
-        rhs = _mu_product(lam, (0, 0), params) - _mu_product(lam, (g, -g), params)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    states[0].share(lam - j * g for lam in lam_draws for j in range(2))
+    rhs = [_mu_product(lam, (0, 0), params) - _mu_product(lam, (g, -g), params)
+           for lam in lam_draws]
+    out = []
+    for state in states:
+        worst = 0.0
+        for lam, r in zip(lam_draws, rhs):
+            lhs = state.lam(lam) * state.lam(lam - g)
+            scale = max(abs(lhs), abs(r), 1e-300)
+            worst = max(worst, abs(lhs - r) / scale)
+        out.append(worst)
+    return out
 
 
 def bethe_lhs(w: complex, params: ModelParams) -> complex:
@@ -154,35 +156,10 @@ def q_function(lam: complex, params: ModelParams) -> complex:
     return complex(t1 - t2 - t3)
 
 
-class L4Terms(NamedTuple):
-    """The state-independent terms of the four-fold relation at one draw."""
-
-    lam: complex
-    p_0_m2g: complex  # _mu_product(lam, (0, -2g))
-    p_g_mg: complex  # _mu_product(lam, (g, -g))
-    p_mg_m3g: complex  # _mu_product(lam, (-g, -3g))
-    q: complex  # q_function(lam)
-    q_shifted: complex  # q_function(lam + g)
-
-
-def l4_terms(lam_draws, params: ModelParams) -> list:
-    """The driving terms of the four-fold relation at each draw, computed
-    once for every state that `check_l4_relation` reads them for."""
-    g = params.gamma
-    return [
-        L4Terms(lam, _mu_product(lam, (0, -2 * g), params),
-                _mu_product(lam, (g, -g), params),
-                _mu_product(lam, (-g, -3 * g), params),
-                q_function(lam, params), q_function(lam + g, params))
-        for lam in lam_draws
-    ]
-
-
-def check_l4_relation(state: EigenState, data: SpectralData,
-                      params: ModelParams, terms) -> dict:
-    """The four-fold functional relation at l = 4, the shift behaviour of
-    its driving term, and the eigenvalue-ratio equation at each zero, at
-    the draws of `terms` (from `l4_terms`).
+def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
+    """The four-fold functional relation at l = 4, one residual per state
+    of `states` (eigenstates of one diagonalization), and the shift
+    behaviour of its driving term, at `lam_draws`.
 
     ``q_periodicity`` measures the source's claim Q(lam + g) = Q(lam), which
     holds only at odd L; ``q_shift_law`` measures the law that holds at
@@ -190,41 +167,56 @@ def check_l4_relation(state: EigenState, data: SpectralData,
     """
     g = params.gamma
     shift_sign = (-1.0) ** (params.L + 1)
-    worst_rel = 0.0
     worst_q = 0.0
     worst_shift = 0.0
-    # every state reads these points
-    state.share(t.lam - j * g for t in terms for j in range(4))
-    for t in terms:
-        lams = [state.lam(t.lam - j * g) for j in range(4)]
-        lhs = lams[0] * lams[1] * lams[2] * lams[3]
-        rhs = (
-            lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * t.p_0_m2g
-            - lams[2] * lams[3] * t.p_g_mg
-            - lams[0] * lams[1] * t.p_mg_m3g
-            - lams[0] * lams[3] * t.p_0_m2g
-            + t.q
-        )
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst_rel = max(worst_rel, abs(lhs - rhs) / scale)
-        q0, q1 = t.q, t.q_shifted
+    states[0].share(lam - j * g for lam in lam_draws for j in range(4))
+    # the site products and Q at each draw, shared by every state
+    drives = []
+    for lam in lam_draws:
+        q0, q1 = q_function(lam, params), q_function(lam + g, params)
         worst_q = max(worst_q, abs(q1 - q0) / max(abs(q0), 1e-300))
         worst_shift = max(worst_shift,
                           abs(q1 - shift_sign * q0) / max(abs(q0), 1e-300))
-    ratio_residuals = []
+        drives.append((lam, _mu_product(lam, (0, -2 * g), params),
+                       _mu_product(lam, (g, -g), params),
+                       _mu_product(lam, (-g, -3 * g), params), q0))
+    relation = []
+    for state in states:
+        worst = 0.0
+        for lam, p_0_m2g, p_g_mg, p_mg_m3g, q in drives:
+            lams = [state.lam(lam - j * g) for j in range(4)]
+            lhs = lams[0] * lams[1] * lams[2] * lams[3]
+            rhs = (
+                lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * p_0_m2g
+                - lams[2] * lams[3] * p_g_mg
+                - lams[0] * lams[1] * p_mg_m3g
+                - lams[0] * lams[3] * p_0_m2g
+                + q
+            )
+            scale = max(abs(lhs), abs(rhs), 1e-300)
+            worst = max(worst, abs(lhs - rhs) / scale)
+        relation.append(worst)
+    return {
+        "relation_residual": relation,
+        "q_periodicity": worst_q,
+        "q_shift_law": worst_shift,
+    }
+
+
+def l4_ratio_residuals(state: EigenState, data: SpectralData,
+                       params: ModelParams) -> list:
+    """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
+    site product at each zero w against -Lambda(w - g) / Lambda(w + g)."""
+    g = params.gamma
+    out = []
     for wi in data.zeros:
         lhs = bethe_lhs(wi, params)
         lam_minus = state.lam(wi - g)
         lam_plus = state.lam(wi + g)
         if abs(lam_plus) < 1e-300:
             raise PoleEncountered("eigenvalue vanishes at shifted zero")
-        ratio_residuals.append(complex(lhs + lam_minus / lam_plus))
-    return {
-        "relation_residual": worst_rel,
-        "q_periodicity": worst_q,
-        "q_shift_law": worst_shift,
-        "ratio_residuals": ratio_residuals,
-    }
+        out.append(complex(lhs + lam_minus / lam_plus))
+    return out
 
 
 def bethe_residual_l4(data: SpectralData, params: ModelParams) -> list:
@@ -269,50 +261,59 @@ def l4_specialized_residuals(state: EigenState, data: SpectralData,
     return out
 
 
-def check_l3_relation(state: EigenState, params: ModelParams,
-                      lam_draws) -> dict:
+def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:
     """The three-fold functional relation at l = 3, in both its explicit
-    form and its hierarchy-coefficient form."""
+    form and its hierarchy-coefficient form: per form, one residual per
+    state of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    worst_explicit = 0.0
-    worst_agree = 0.0
-    # every state reads these points
-    state.share(lam - j * g for lam in lam_draws for j in range(3))
+    states[0].share(lam - j * g for lam in lam_draws for j in range(3))
+    # the site products and hierarchy coefficients at each draw, shared by
+    # every state
+    drives = []
     for lam in lam_draws:
-        lams = [state.lam(lam - j * g) for j in range(3)]
-        lhs = lams[0] * lams[1] * lams[2]
-        rhs = (
-            -lams[0] * _mu_product(lam, (0, -2 * g), params)
-            + lams[1] * 2 * np.cosh(g) * _mu_product(lam, (0, -g), params)
-            - lams[2] * _mu_product(lam, (g, -g), params)
-        )
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst_explicit = max(worst_explicit, abs(lhs - rhs) / scale)
         v3 = (lam, lam - g, lam - 2 * g)
-        rhs_coeff = (
-            lams[0] * (m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params))
-            + lams[1] * m_coeff(2, v3, params)
-            + lams[2] * m_coeff(1, v3, params)
-        )
-        worst_agree = max(
-            worst_agree, abs(rhs - rhs_coeff) / max(abs(rhs), 1e-300)
-        )
-    return {"explicit_residual": worst_explicit, "form_agreement": worst_agree}
+        drives.append((lam, _mu_product(lam, (0, -2 * g), params),
+                       _mu_product(lam, (0, -g), params),
+                       _mu_product(lam, (g, -g), params),
+                       m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params),
+                       m_coeff(2, v3, params), m_coeff(1, v3, params)))
+    explicit, agreement = [], []
+    for state in states:
+        worst_explicit = 0.0
+        worst_agree = 0.0
+        for lam, p_0_m2g, p_0_mg, p_g_mg, c0, c1, c2 in drives:
+            lams = [state.lam(lam - j * g) for j in range(3)]
+            lhs = lams[0] * lams[1] * lams[2]
+            rhs = (
+                -lams[0] * p_0_m2g
+                + lams[1] * 2 * np.cosh(g) * p_0_mg
+                - lams[2] * p_g_mg
+            )
+            scale = max(abs(lhs), abs(rhs), 1e-300)
+            worst_explicit = max(worst_explicit, abs(lhs - rhs) / scale)
+            rhs_coeff = lams[0] * c0 + lams[1] * c1 + lams[2] * c2
+            worst_agree = max(
+                worst_agree, abs(rhs - rhs_coeff) / max(abs(rhs), 1e-300)
+            )
+        explicit.append(worst_explicit)
+        agreement.append(worst_agree)
+    return {"explicit_residual": explicit, "form_agreement": agreement}
 
 
 def truncated_expansion_residual(states, spec: RootOfUnitySpec,
-                                 params: ModelParams, lam: complex) -> float:
+                                 params: ModelParams, lam: complex) -> list:
     """Residual of the truncated eigenvalue expansion: the full expansion
-    sum over the l-fold shifted string must vanish.  Worst over `states`,
-    which share the expansion coefficients of the string."""
+    sum over the l-fold shifted string must vanish.  One residual per state
+    of `states` (eigenstates of one diagonalization), which share the
+    expansion coefficients of the string."""
     g = spec.gamma
     vars_ = tuple(lam - j * g for j in range(spec.l))
     coeffs = expansion_coeffs(vars_, params)
     states[0].share(vars_)
-    worst = 0.0
+    out = []
     for state in states:
-        terms = theorem_terms(vars_, state.lam, params, coeffs)
+        terms = theorem_terms(vars_, state.lam, coeffs)
         total = sum(terms)
         scale = max(max(abs(t) for t in terms), 1e-300)
-        worst = max(worst, float(abs(total) / scale))
-    return worst
+        out.append(float(abs(total) / scale))
+    return out

@@ -424,16 +424,6 @@ def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
     return _commutator(b_operator(x, params), b_operator(y, params))
 
 
-def hamiltonian_commute_residual(lam: complex, params: ModelParams,
-                                 ham=None) -> float:
-    """Commutator of the Hamiltonian with the transfer matrix at lam;
-    homogeneous chains only.  `ham` is ``hamiltonian(params)``, built here
-    when not given."""
-    if ham is None:
-        ham = hamiltonian(params)
-    return _commutator(ham, transfer(lam, params))
-
-
 def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
     """Yang-Baxter equation R12(lam-mu) R13(lam) R23(mu) = R23 R13 R12."""
     r12 = np.kron(r_matrix(lam - mu, params), ID2)
@@ -518,18 +508,24 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     }
 
 
-def log_derivative_residual(params: ModelParams, ham=None) -> float:
-    """Distance of T'(0) T(0)^-1 from the span of {H, 1}, by central
-    differences; homogeneous chains only.  `ham` is
-    ``hamiltonian(params)``, built here when not given."""
+def hamiltonian_residuals(lam: complex, params: ModelParams) -> dict:
+    """The two Hamiltonian identities of a homogeneous chain, from one
+    build of H.
+
+    ``hamiltonian_commutes`` is the commutator of H with the transfer
+    matrix at lam; ``log_derivative_fit`` is the distance of
+    T'(0) T(0)^-1, by central differences, from the span of {H, 1}.
+    """
+    ham = hamiltonian(params)
     h = 1e-5
     t0 = transfer(0j, params)
     dlog = (transfer(h, params) - transfer(-h, params)) / (2 * h) \
         @ np.linalg.inv(t0)
-    if ham is None:
-        ham = hamiltonian(params)
     basis = np.stack([ham.ravel(), np.eye(params.dim, dtype=complex).ravel()],
                      axis=1)
     coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)
     fit = (basis @ coefs).reshape(params.dim, params.dim)
-    return _rel(dlog - fit, dlog)
+    return {
+        "hamiltonian_commutes": _commutator(ham, transfer(lam, params)),
+        "log_derivative_fit": _rel(dlog - fit, dlog),
+    }

@@ -174,12 +174,6 @@ def at_zero_residual(data: SpectralData, scale_points) -> float:
             / max(scale, 1e-300))
 
 
-def top_v(lam0: complex, data: SpectralData, params: ModelParams) -> complex:
-    """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1}), read
-    from the zero set's `SpectralData.top`."""
-    return data.top(lam0)
-
-
 def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     """Ratio of Z * k0 to the maximal expansion coefficient at the zeroes.
 
@@ -188,7 +182,8 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     Z * k0 = sum_idx V_m(idx) prod_{t not in idx} Lambda(v_t); at
     v = (lam0, w_1, ..., w_{L-1}) every term that keeps a zero slot carries
     a factor Lambda(w_j) = 0, and for even L the only even-sized removed
-    set containing all L-1 zero slots is the full set, so Z * k0 = top_v.
+    set containing all L-1 zero slots is the full set, so Z * k0 is its
+    coefficient, `SpectralData.top`.
     Odd L: the ratio divided by the eigenvalue must be constant.  Returns
     the measured values, the spread across draws, and (even L) the
     deviation from +1.
@@ -200,7 +195,7 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
         if any(abs(np.sinh(lam0 - w)) < EPS_GENERIC for w in data.zeros):
             raise PoleEncountered("lambda0 draw collides with a zero")
         z = complex(down @ (b_operator(lam0, params) @ data.phi))
-        denom = top_v(lam0, data, params)
+        denom = data.top(lam0)
         if abs(denom) < 1e-300:
             raise PoleEncountered("vanishing expansion coefficient")
         r = z * data.k0 / denom
@@ -222,7 +217,7 @@ def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> comple
     """The polynomial-part companion of Z: the maximal expansion coefficient
     for even L, its pole-stripped variant for odd L."""
     L = params.L
-    val = top_v(lambda0, data, params)
+    val = data.top(lambda0)
     if L % 2 == 1:
         for w in data.zeros:
             val *= np.sinh(lambda0 - w)

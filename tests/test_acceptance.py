@@ -37,7 +37,6 @@ from sixvertex.roots_of_unity import (
     check_l3_relation,
     check_l4_relation,
     check_truncation,
-    l4_terms,
 )
 from sixvertex.vertex_core import (
     ModelParams,
@@ -216,11 +215,8 @@ def test_criterion5_partition_from_eigenvalues(L):
     nchecked = 0
     for _ in range(5):
         v = generic_points(L, rng, avoid=p.mu)
-        z = z_bproduct(v, p)
-        for st in states:
-            if not st.k0_defined:
-                continue
-            worst = max(worst, check_theorem(st, v, p, z=z))
+        for res in check_theorem([st for st in states if st.k0_defined], v, p):
+            worst = max(worst, res)
             nchecked += 1
     assert report(f"5.partition_from_eigenvalues[L={L}]", worst < 1e-8,
                   f"worst={worst:.2e} over {nchecked} checks")
@@ -229,9 +225,7 @@ def test_criterion5_partition_from_eigenvalues(L):
 def test_criterion5_k0_closed_form():
     p = params_for(2)
     states = states_for(p, 6002)
-    worst = 0.0
-    for st in states:
-        worst = max(worst, k0_closed_form_residual(st, p))
+    worst = max([0.0, *k0_closed_form_residual(states, p)])
     assert report("5.k0_closed_form", worst < 1e-8, f"worst={worst:.2e}")
 
 
@@ -352,7 +346,7 @@ def test_criterion8_inversion(L):
     states = states_for(p, 9300 + L)
     rng = np.random.default_rng(9400 + L)
     draws = generic_points(10, rng, avoid=p.mu)
-    worst = max(check_inversion_l2(st, p, draws) for st in states)
+    worst = max(check_inversion_l2(states, p, draws))
     assert report(f"8.inversion[L={L}]", worst < 1e-8, f"worst={worst:.2e}")
 
 
@@ -363,10 +357,8 @@ def test_criterion8_three_fold_relation(L):
     states = states_for(p, 9600 + L)
     rng = np.random.default_rng(9700 + L)
     draws = generic_points(10, rng, avoid=p.mu)
-    worst = 0.0
-    for st in states:
-        out = check_l3_relation(st, p, draws)
-        worst = max(worst, out["explicit_residual"])
+    out = check_l3_relation(states, p, draws)
+    worst = max([0.0, *out["explicit_residual"]])
     assert report(f"8.three_fold_relation[L={L}]", worst < 1e-8,
                   f"worst={worst:.2e}")
 
@@ -377,14 +369,9 @@ def test_criterion8_four_fold_relation(L):
     p = params_for(L, gamma=spec.gamma, seed=9800 + L)
     states = states_for(p, 9900 + L)
     rng = np.random.default_rng(10000 + L)
-    terms = l4_terms(generic_points(6, rng, avoid=p.mu), p)
-    worst = 0.0
-    for st in states:
-        if not st.k0_defined:
-            continue
-        data = extract_zeros(st, p)
-        out = check_l4_relation(st, data, p, terms)
-        worst = max(worst, out["relation_residual"])
+    draws = generic_points(6, rng, avoid=p.mu)
+    out = check_l4_relation([st for st in states if st.k0_defined], p, draws)
+    worst = max([0.0, *out["relation_residual"]])
     assert report(f"8.four_fold_relation[L={L}]", worst < 1e-8,
                   f"worst={worst:.2e}")
 
@@ -399,9 +386,7 @@ def test_criterion8_q_periodicity(L):
     states = states_for(p, 9900 + L)
     rng = np.random.default_rng(10100 + L)
     draws = generic_points(6, rng, avoid=p.mu)
-    st = states[0]
-    data = extract_zeros(st, p)
-    out = check_l4_relation(st, data, p, l4_terms(draws, p))
+    out = check_l4_relation(states[:1], p, draws)
     ok = out["q_shift_law"] < 1e-9
     assert report(f"8.q_periodicity[L={L}]", ok,
                   f"shift-law residual {out['q_shift_law']:.2e}, "

@@ -287,15 +287,15 @@ assert "scipy.linalg" in sys.modules
 
 def test_homogeneous_structural_run_builds_the_hamiltonian_once(tmp_path,
                                                                 monkeypatch):
-    from sixvertex import cli
+    from sixvertex import vertex_core
     built = []
 
     def counted(params):
         built.append(params)
         return real(params)
 
-    real = cli.hamiltonian
-    monkeypatch.setattr(cli, "hamiltonian", counted)
+    real = vertex_core.hamiltonian
+    monkeypatch.setattr(vertex_core, "hamiltonian", counted)
     code, reports = run(build_config(["--size", "4", "--mu", "zero", "--suite",
                                       "structural", "--out",
                                       str(tmp_path / "r.txt")]))
@@ -325,7 +325,7 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
         ("check_lz01", "zeros.lz01_constancy", "LZ01", 1e-6,
          ("zeros.lz01_even_constant", "zeros.coincidence", "zeros.wronskian",
           "zeros.wronskian_sharpness")),
-        ("check_l4_relation", "rou.l4_relation", "l4ex", 1e-8,
+        ("l4_ratio_residuals", "rou.l4_relation", "l4ex", 1e-8,
          ("rou.q_periodicity", "rou.l4_ratio", "rou.l4_at_zeros")),
         ("check_zero_coincidence", "zeros.coincidence", "BAeven", 1e-6, ()),
     ]
@@ -389,6 +389,47 @@ def test_a_failed_hierarchy_order_records_every_state_once(tmp_path,
             ("FL", float("inf"), 1e-8, "fail")
     assert [r for r in reports if r not in failed] == \
         [r for r in clean if r.name not in {f.name for f in failed}]
+
+
+def test_a_failed_theorem_draw_records_every_state_once(tmp_path,
+                                                        monkeypatch):
+    """One theorem call serves every k0-defined state at a draw, so a
+    SixVertexError there records `theorem.expansion.state<i>` of every
+    such state once as `inf` and `fail`; the other draws keep their
+    records."""
+    from sixvertex import cli
+    from sixvertex.errors import PoleEncountered
+
+    argv = ["--size", "2", "--suite", "theorem", "--seed", "1",
+            "--out", str(tmp_path / "r.txt")]
+    clean = run(build_config(argv))[1]
+    real = cli.check_theorem
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise PoleEncountered("broken for the test")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "check_theorem", broken)
+    code, reports = run(build_config(argv))
+    assert code == 1
+    assert len(calls) == 5
+    defined = [st.index for st in calls[0][0]]
+    assert defined
+    assert [r.name for r in reports] == [r.name for r in clean]
+    expansion = [i for i, r in enumerate(reports)
+                 if r.name.startswith("theorem.expansion.")]
+    # draw-major: the records of the second draw are the second block
+    failed = expansion[len(defined):2 * len(defined)]
+    assert [reports[i].name for i in failed] == \
+        [f"theorem.expansion.state{i}" for i in defined]
+    for i in failed:
+        assert (reports[i].anchor, reports[i].residual, reports[i].tolerance,
+                reports[i].verdict) == ("Lgen", float("inf"), 1e-8, "fail")
+    assert [r for i, r in enumerate(reports) if i not in failed] == \
+        [r for i, r in enumerate(clean) if i not in failed]
 
 
 def test_hierarchy_records_are_state_major(tmp_path):

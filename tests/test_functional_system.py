@@ -11,7 +11,6 @@ from sixvertex.functional_system import (
     check_fl,
     check_theorem,
     check_tphi,
-    expansion_coeffs,
     gamma_coeff,
     k0_closed_form_residual,
     m_coeff,
@@ -484,22 +483,16 @@ def test_partition_function_from_eigenvalues(L):
     states = states_for(p, seed=120 + L)
     rng = np.random.default_rng(130 + L)
     v = generic_points(L, rng, avoid=p.mu)
-    z = z_bproduct(v, p)
-    coeffs = expansion_coeffs(v, p)
-    for st in states:
-        if not st.k0_defined:
-            continue
-        res = check_theorem(st, v, p, z=z)
-        assert res < 1e-8
-        # coefficients shared between states give the same residual
-        assert check_theorem(st, v, p, z=z, coeffs=coeffs) == res
+    defined = [st for st in states if st.k0_defined]
+    residuals = check_theorem(defined, v, p)
+    assert len(residuals) == len(defined)
+    assert all(r < 1e-8 for r in residuals)
 
 
 def test_k0_closed_form_size_two():
     p = params_for(2, seed=140)
     states = states_for(p, seed=141)
-    for st in states:
-        assert k0_closed_form_residual(st, p) < 1e-8
+    assert all(r < 1e-8 for r in k0_closed_form_residual(states, p))
 
 
 def test_k0_closed_form_detects_rescaled_weight(monkeypatch):
@@ -511,8 +504,8 @@ def test_k0_closed_form_detects_rescaled_weight(monkeypatch):
 
     monkeypatch.setattr(vertex_core, "weights", scaled_c)
     p = params_for(2, seed=140)
-    for st in states_for(p, seed=141):
-        assert k0_closed_form_residual(st, p) > 1e-3
+    assert all(r > 1e-3
+               for r in k0_closed_form_residual(states_for(p, seed=141), p))
 
 
 def test_k0_closed_form_homogeneous():

@@ -51,6 +51,26 @@ def test_report_diff_names_flips_and_largest_family_changes(tmp_path, capsys):
     assert families["zeros.coincidence"] == [1, 0, 0.0, 0.0]
 
 
+def test_report_diff_compares_every_occurrence_of_a_repeated_name(tmp_path,
+                                                                 capsys):
+    # a run writes theorem.expansion.state<i> once per draw; a flip in an
+    # early draw must show although the last draws agree
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    name = "theorem.expansion.state0"
+    write(a, "draws", "0", [(name, "1.000000000e-09"), (name, "2.000000000e-09")])
+    write(b, "draws", "0", [(name, "3.000000000e-06"), (name, "2.000000000e-09")])
+    assert tool.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert f"draws: {name} pass -> fail" in out
+    lines, families = tool.compare(tool.read_dir(a), tool.read_dir(b))
+    assert len(lines) == 1
+    assert families["theorem.expansion"][:2] == [2, 1]
+    write(b, "draws", "0", [(name, "1.000000000e-09")])
+    lines, _ = tool.compare(tool.read_dir(a), tool.read_dir(b))
+    assert lines == [f"draws: {name}#1 only in A"]
+
+
 def test_report_diff_of_a_directory_with_itself_is_clean(tmp_path):
     tool = load_tool()
     write(tmp_path, "one", "0", [("functional.fl.state3.n2", "1.000000000e-12")])

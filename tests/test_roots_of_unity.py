@@ -12,8 +12,8 @@ from sixvertex.roots_of_unity import (
     check_l3_relation,
     check_l4_relation,
     check_truncation,
+    l4_ratio_residuals,
     l4_specialized_residuals,
-    l4_terms,
     q_function,
     truncated_expansion_residual,
 )
@@ -50,8 +50,9 @@ def test_two_fold_inversion_relation(L):
     spec, p, rng = setup_case(2, L, seed=100 + L)
     states = transfer_eigenstates(p, rng)
     draws = generic_points(10, rng, avoid=p.mu)
-    for st in states:
-        assert check_inversion_l2(st, p, draws) < 1e-8
+    residuals = check_inversion_l2(states, p, draws)
+    assert len(residuals) == len(states)
+    assert all(r < 1e-8 for r in residuals)
 
 
 def test_inversion_rhs_is_state_independent():
@@ -134,10 +135,10 @@ def test_three_fold_relation(L):
     spec, p, rng = setup_case(3, L, seed=220 + L)
     states = transfer_eigenstates(p, rng)
     draws = generic_points(10, rng, avoid=p.mu)
-    for st in states:
-        out = check_l3_relation(st, p, draws)
-        assert out["explicit_residual"] < 1e-8
-        assert out["form_agreement"] < 1e-10
+    out = check_l3_relation(states, p, draws)
+    assert len(out["explicit_residual"]) == len(states)
+    assert all(r < 1e-8 for r in out["explicit_residual"])
+    assert all(r < 1e-10 for r in out["form_agreement"])
 
 
 def test_three_fold_middle_term_dies_at_shifted_zero():
@@ -157,12 +158,10 @@ def test_four_fold_relation_and_q_sign(L):
     spec, p, rng = setup_case(4, L, seed=230 + L)
     states = transfer_eigenstates(p, rng)
     draws = generic_points(6, rng, avoid=p.mu)
-    terms = l4_terms(draws, p)
-    for st in states[:4]:
-        data = extract_zeros(st, p)
-        out = check_l4_relation(st, data, p, terms)
-        assert out["relation_residual"] < 1e-8
-        assert out["q_shift_law"] < 1e-9
+    out = check_l4_relation(states[:4], p, draws)
+    assert len(out["relation_residual"]) == 4
+    assert all(r < 1e-8 for r in out["relation_residual"])
+    assert out["q_shift_law"] < 1e-9
     # measured behaviour of the driving term under a unit shift: periodic
     # for odd sizes, antiperiodic for even sizes
     lam = draws[0]
@@ -173,14 +172,11 @@ def test_four_fold_relation_and_q_sign(L):
 
 
 def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
-    seen = {"l4_terms": 0, "check": 0, "driving_in_check": 0}
+    # one call serves every state, and Q is evaluated at each draw and its
+    # shift, not once per state
+    seen = {"check": 0, "q_in_check": 0}
     inside = []
-    real_terms = roots_of_unity.l4_terms
     real_check = roots_of_unity.check_l4_relation
-
-    def l4_terms(*args):
-        seen["l4_terms"] += 1
-        return real_terms(*args)
 
     def check_l4_relation(*args):
         seen["check"] += 1
@@ -190,23 +186,18 @@ def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
         finally:
             inside.pop()
 
-    def counted(fn):
-        def wrapper(*args):
-            seen["driving_in_check"] += bool(inside)
-            return fn(*args)
-        return wrapper
+    def q_function(*args):
+        seen["q_in_check"] += bool(inside)
+        return real_q(*args)
 
-    monkeypatch.setattr(cli, "l4_terms", l4_terms)
+    real_q = roots_of_unity.q_function
     monkeypatch.setattr(cli, "check_l4_relation", check_l4_relation)
-    for name in ("q_function", "_mu_product"):
-        monkeypatch.setattr(roots_of_unity, name,
-                            counted(getattr(roots_of_unity, name)))
+    monkeypatch.setattr(roots_of_unity, "q_function", q_function)
     cli.run(cli.build_config(["--size", "4", "--root-of-unity", "1/4",
                               "--suite", "rou", "--out",
                               str(tmp_path / "r.txt")]))
-    assert seen["l4_terms"] == 1
-    assert seen["check"] > 1
-    assert seen["driving_in_check"] == 0
+    assert seen["check"] == 1
+    assert seen["q_in_check"] == 2 * 6
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -229,10 +220,8 @@ def test_four_fold_ratio_equation_matches_general_form():
     states = transfer_eigenstates(p, rng)
     for st in states[:4]:
         data = extract_zeros(st, p)
-        out = check_l4_relation(
-            st, data, p, l4_terms(generic_points(3, rng, avoid=p.mu), p))
         general = bethe_residual(data, spec, p)
-        pair = zip(out["ratio_residuals"], general)
+        pair = zip(l4_ratio_residuals(st, data, p), general)
         for r_ratio, r_gen in pair:
             assert abs(r_ratio - r_gen) < 1e-6 * max(1.0, abs(r_gen))
 
@@ -242,7 +231,9 @@ def test_truncated_expansion_vanishes(l):
     spec, p, rng = setup_case(l, 3, seed=250 + l)
     states = transfer_eigenstates(p, rng)
     lam = generic_points(1, rng, avoid=p.mu)[0]
-    assert truncated_expansion_residual(states, spec, p, lam) < 1e-8
+    residuals = truncated_expansion_residual(states, spec, p, lam)
+    assert len(residuals) == len(states)
+    assert all(r < 1e-8 for r in residuals)
 
 
 def test_conjecture_regime_is_recorded_not_asserted():

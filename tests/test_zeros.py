@@ -22,7 +22,6 @@ from sixvertex.zeros import (
     extract_zeros,
     kick_zero,
     reconstruction_residual,
-    top_v,
     wronskian_coeffs,
     wronskian_residual,
     wronskian_sharpness,
@@ -168,8 +167,8 @@ def test_build_F_finite_at_zero_collision_for_odd_size():
     far = build_F(w + 2e-3, data, p)
     near = build_F(w + 1e-3, data, p)
     assert abs(near - far) < 1e-2 * abs(far)
-    raw_far = top_v(w + 2e-3, data, p)
-    raw_near = top_v(w + 1e-3, data, p)
+    raw_far = data.top(w + 2e-3)
+    raw_near = data.top(w + 1e-3)
     assert 1.8 < abs(raw_near / raw_far) < 2.2
 
 
@@ -280,7 +279,7 @@ def test_top_v_table_matches_v_coeff(L):
     for lam0 in generic_points(30, rng, avoid=list(data.zeros) + list(p.mu)):
         ref = v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
         scale = top_term_scale(lam0, data, p)
-        assert abs(top_v(lam0, data, p) - ref) < 1e-13 * scale
+        assert abs(data.top(lam0) - ref) < 1e-13 * scale
     assert isinstance(data.top, TopCoefficient)
 
 
@@ -293,14 +292,14 @@ def test_top_v_table_raises_where_v_coeff_does(L):
     with pytest.raises(PoleEncountered):
         v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
     with pytest.raises(PoleEncountered):
-        top_v(lam0, data, p)
+        data.top(lam0)
     collided = SpectralData(data.state, 1.0,
                             (w + 1e-5 * 0.6,) + data.zeros[1:], 1.0)
     lam0 = generic_points(1, rng, avoid=list(collided.zeros) + list(p.mu))[0]
     with pytest.raises(PoleEncountered):
         v_coeff(len(idx) // 2, idx, (lam0,) + collided.zeros, p)
     with pytest.raises(PoleEncountered):
-        top_v(lam0, collided, p)
+        collided.top(lam0)
 
 
 @pytest.mark.parametrize("L", [3, 5, 8])

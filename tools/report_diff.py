@@ -9,6 +9,10 @@ how many of their residuals changed, the largest |residual change| and
 the largest |residual change| / tolerance.  Exits 1 when some config
 differs in exit code, records or verdicts, else 0: "same verdicts,
 largest residual change reported" as one command.
+
+Records are matched by name and occurrence, so a name that a run writes
+once per draw is compared draw by draw; ``name#k`` denotes its k-th
+occurrence, counted from 0.
 """
 
 from __future__ import annotations
@@ -28,14 +32,25 @@ def family(name: str) -> str:
 
 
 def read_report(path: Path) -> dict:
-    """record name -> (residual, tolerance, verdict) of one report."""
+    """(record name, occurrence) -> (residual, tolerance, verdict) of one
+    report.  A name that a run writes once per draw occurs several times;
+    its k-th line is occurrence k, counted from 0."""
     out = {}
+    seen = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         match = LINE_RE.match(line)
         if match:
             name, res, tol, verdict = match.groups()
-            out[name] = (float(res), float(tol), verdict)
+            occurrence = seen[name] = seen.get(name, -1) + 1
+            out[name, occurrence] = (float(res), float(tol), verdict)
     return out
+
+
+def label(key) -> str:
+    """A record key as printed: its name, and ``#k`` after a repeated
+    name's later occurrences."""
+    name, occurrence = key
+    return f"{name}#{occurrence}" if occurrence else name
 
 
 def read_dir(root: Path) -> dict:
@@ -62,16 +77,16 @@ def compare(dir_a: dict, dir_b: dict):
         (code_a, recs_a), (code_b, recs_b) = dir_a[config], dir_b[config]
         if code_a != code_b:
             lines.append(f"{config}: exit {code_a} -> {code_b}")
-        for name in sorted(recs_a.keys() ^ recs_b.keys()):
-            lines.append(f"{config}: {name} only in "
-                         f"{'A' if name in recs_a else 'B'}")
-        for name in sorted(recs_a.keys() & recs_b.keys()):
-            (res_a, tol, verdict_a), (res_b, _, verdict_b) = recs_a[name], recs_b[name]
+        for key in sorted(recs_a.keys() ^ recs_b.keys()):
+            lines.append(f"{config}: {label(key)} only in "
+                         f"{'A' if key in recs_a else 'B'}")
+        for key in sorted(recs_a.keys() & recs_b.keys()):
+            (res_a, tol, verdict_a), (res_b, _, verdict_b) = recs_a[key], recs_b[key]
             if verdict_a != verdict_b:
-                lines.append(f"{config}: {name} {verdict_a} -> {verdict_b} "
+                lines.append(f"{config}: {label(key)} {verdict_a} -> {verdict_b} "
                              f"({res_a:.3e} -> {res_b:.3e}, tol {tol:.1e})")
             delta = change(res_a, res_b)
-            stats = families.setdefault(family(name), [0, 0, 0.0, 0.0])
+            stats = families.setdefault(family(key[0]), [0, 0, 0.0, 0.0])
             stats[0] += 1
             if delta:
                 stats[1] += 1

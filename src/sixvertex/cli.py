@@ -22,6 +22,7 @@ from .functional_system import (
     oracle_residuals,
     theorem_permutation_residual,
     transfer_eigenstates,
+    values,
 )
 from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
@@ -33,6 +34,7 @@ from .roots_of_unity import (
     check_l4_relation,
     check_truncation,
     l4_ratio_residuals,
+    l4_shifted_values,
     l4_specialized_residuals,
     truncated_expansion_residual,
 )
@@ -56,6 +58,7 @@ from .zeros import (
     check_zero_coincidence,
     extract_zeros,
     reconstruction_residual,
+    sample_values,
     wronskian_residual,
     wronskian_sharpness,
 )
@@ -292,9 +295,12 @@ class _Runner:
 
     def spectral_data(self):
         if self._spectral is None:
+            defined = [st for st in self.states if st.k0_defined]
+            rows = sample_values(defined, self.params).tolist()
             found = (self.attempt(f"zeros.reconstruction.state{st.index}",
-                                  lambda st=st: extract_zeros(st, self.params))
-                     for st in self.states if st.k0_defined)
+                                  lambda st=st, row=row:
+                                  extract_zeros(st, row, self.params))
+                     for st, row in zip(defined, rows))
             self._spectral = [data for data in found if data is not None]
         return self._spectral
 
@@ -410,8 +416,8 @@ class _Runner:
                 self.add(f"theorem.expansion.state{st.index}",
                          float("inf") if res is None else res[k])
         vars_ = generic_points(p.L, rng, avoid=p.mu)
-        self.add("theorem.permutation",
-                 theorem_permutation_residual(vars_, defined[0].lam, p))
+        self.add("theorem.permutation", theorem_permutation_residual(
+            vars_, values(defined[:1], vars_)[0], p))
         if p.L == 2:
             self.add("theorem.k0_closed_form",
                      _worst(k0_closed_form_residual(defined, p)))
@@ -499,8 +505,9 @@ class _Runner:
                 # a failed ratio equation records the state's relation as
                 # inf and drops its other l = 4 records
                 name = f"rou.l4_relation.state{st.index}"
+                shifted = l4_shifted_values(data, p)
                 ratios = self.attempt(
-                    name, lambda: l4_ratio_residuals(st, data, p))
+                    name, lambda: l4_ratio_residuals(data, shifted, p))
                 if ratios is None:
                     continue
                 self.add(name, l4["relation_residual"][st.index])
@@ -510,8 +517,8 @@ class _Runner:
                          max((abs(x) for x in ratios), default=0.0))
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}",
-                    lambda s=st, d=data: max(
-                        l4_specialized_residuals(s, d, p), default=0.0),
+                    lambda: max(l4_specialized_residuals(data, shifted, p),
+                                default=0.0),
                 )
 
     # ------------------------------------------------------------------

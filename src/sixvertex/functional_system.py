@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,53 +142,9 @@ def _n(tab: _PairTable, j: int, i: int) -> complex:
     )
 
 
-class _Spectrum:
-    """The eigenvectors of one diagonalization, shared by its states.
-
-    A state's value ``left @ T(x) @ right / norm`` is computed once, when
-    first asked for, from the transfer matrix of the last build if that
-    was at ``x`` and from a new ``transfer(x)`` otherwise.  ``fill(xs)``
-    computes every state's value at points that every state reads, one
-    build per point.  ``b_op(x)`` keeps ``B(x)`` for the fixed abscissae
-    of every state's fits.  The memos last as long as the states, i.e.
-    one run.
-    """
-
-    def __init__(self, params: ModelParams, trips, norms):
-        self.params = params
-        self._pairs = [(tr.left, tr.right, norm) for tr, norm in zip(trips, norms)]
-        self._values = {}
-        self._filled = set()
-        self._kept = (None, None)
-        self._b_ops = {}
-
-    def value(self, x: complex, index: int) -> complex:
-        """The eigenvalue of state `index` at `x`."""
-        val = self._values.get((x, index))
-        if val is None:
-            left, right, norm = self._pairs[index]
-            val = self._values[x, index] = complex(
-                left @ self._transfer(x) @ right / norm)
-        return val
-
-    def fill(self, xs) -> None:
-        """Compute every state's value at each of `xs`, one build per point."""
-        for x in xs:
-            if x not in self._filled:
-                self._filled.add(x)
-                for index in range(len(self._pairs)):
-                    self.value(x, index)
-
-    def _transfer(self, x: complex) -> np.ndarray:
-        if self._kept[0] != x:
-            self._kept = (x, transfer(x, self.params))
-        return self._kept[1]
-
-    def b_op(self, x: complex) -> np.ndarray:
-        bop = self._b_ops.get(x)
-        if bop is None:
-            bop = self._b_ops[x] = b_operator(x, self.params)
-        return bop
+def _sandwich(state: EigenState, t: np.ndarray) -> complex:
+    """The eigenvalue of `state` read from the transfer matrix `t`."""
+    return complex(state.left @ t @ state.right / state.norm)
 
 
 @dataclass(frozen=True)
@@ -197,9 +153,9 @@ class EigenState:
 
     The left vector is transpose-sense; `lam` evaluates the eigenvalue
     function at any spectral parameter through the sandwiched transfer
-    matrix, valid because the family commutes.  The states of one
-    `transfer_eigenstates` call share one `_Spectrum`, so the transfer
-    matrix at a point is not built once per state.
+    matrix, valid because the family commutes.  `lam` builds the transfer
+    matrix for this state alone; `values` reads every state of a draw at
+    shared points from one build per point.
     """
 
     index: int
@@ -209,7 +165,6 @@ class EigenState:
     f0: complex
     f0bar: complex
     params: ModelParams
-    _spectrum: _Spectrum = field(repr=False, compare=False)
 
     @property
     def k0(self) -> complex:
@@ -222,13 +177,20 @@ class EigenState:
         return abs(self.f0) >= EPS_GENERIC * np.linalg.norm(self.left)
 
     def lam(self, x: complex) -> complex:
-        return self._spectrum.value(x, self.index)
+        return _sandwich(self, transfer(x, self.params))
 
-    def share(self, xs) -> None:
-        """Evaluate every state of this diagonalization at each of `xs`
-        now, from one transfer build per point: for points that the other
-        states will ask for too."""
-        self._spectrum.fill(xs)
+
+def values(states, points) -> np.ndarray:
+    """The eigenvalue of each of `states` (eigenstates of one
+    diagonalization) at each of `points`, as a (states x points) array,
+    from one transfer build per point.  Entry [k, j] equals
+    ``states[k].lam(points[j])`` bit for bit; no states need no build."""
+    points = list(points)
+    out = np.empty((len(states), len(points)), dtype=complex)
+    for j, x in enumerate(points if states else ()):
+        t = transfer(x, states[0].params)
+        out[:, j] = [_sandwich(st, t) for st in states]
+    return out
 
 
 def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
@@ -258,7 +220,6 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
         if any(abs(norm) < 1e-10 for norm in norms):
             last_exc = DegenerateSpectrum("vanishing left/right overlap")
             continue
-        spectrum = _Spectrum(params, trips, norms)
         states = [
             EigenState(
                 index=idx,
@@ -268,7 +229,6 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
                 f0=complex(tr.left @ up),
                 f0bar=complex(tr.left @ down),
                 params=params,
-                _spectrum=spectrum,
             )
             for idx, (tr, norm) in enumerate(zip(trips, norms))
         ]
@@ -339,7 +299,7 @@ def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:
     Only the string overlaps and the eigenvalue depend on the state.  The
     coefficients, each B(v_t) and each B-string on |up> are computed once
     per call; one product with the stacked left vectors gives every
-    state's overlaps, and one shared transfer build every state's
+    state's overlaps, and one transfer build (`values`) every state's
     eigenvalue at v_0.
     """
     v = tuple(vars_)
@@ -375,8 +335,7 @@ def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:
     f = np.zeros((len(states), len(slots)), dtype=complex)
     f[:, cols] = (np.array([st.left for st in states])
                   @ np.column_stack([string(slots[k]) for k in cols]))
-    states[0].share([v[0]])
-    lhs = np.array([st.lam(v[0]) for st in states]) * f[:, 0]
+    lhs = values(states, [v[0]])[:, 0] * f[:, 0]
     terms = [lhs, f[:, 1]]
     acc = f[:, 1]
     for k, coeff in enumerate(coeffs):
@@ -580,34 +539,35 @@ def expansion_coeffs(vars_, params: ModelParams) -> list:
     ]
 
 
-def theorem_terms(vars_, lam_of, coeffs) -> list:
-    """Individual summands of the eigenvalue expansion over `vars_`, with
-    `coeffs` = ``expansion_coeffs(vars_, params)``."""
-    v = tuple(vars_)
-    out = []
-    for idx, coeff in coeffs:
-        prod = 1.0 + 0j
-        for t in range(len(v)):
-            if t not in idx:
-                prod *= lam_of(v[t])
-        out.append(coeff * prod)
-    return out
+def theorem_terms(lams, coeffs) -> np.ndarray:
+    """Individual summands of the eigenvalue expansion over variables
+    `vars_`, along the first axis, with `coeffs` =
+    ``expansion_coeffs(vars_, params)`` and `lams` the eigenvalues at
+    `vars_` along its last axis (one row per state, or one state)."""
+    lams = np.asarray(lams)
+    slots = range(lams.shape[-1])
+    return np.array([
+        coeff * np.prod(lams[..., [t for t in slots if t not in idx]], axis=-1)
+        for idx, coeff in coeffs])
 
 
-def theorem_rhs(vars_, lam_of, params: ModelParams) -> complex:
-    """Eigenvalue-side of the partition-function expansion over `vars_`."""
-    return sum(theorem_terms(vars_, lam_of, expansion_coeffs(vars_, params)))
+def theorem_rhs(vars_, lams, params: ModelParams):
+    """Eigenvalue-side of the partition-function expansion over `vars_`,
+    from the eigenvalues `lams` there (see `theorem_terms`)."""
+    return theorem_terms(lams, expansion_coeffs(vars_, params)).sum(axis=0)
 
 
-def theorem_permutation_residual(vars_, lam_of, params: ModelParams) -> float:
+def theorem_permutation_residual(vars_, lams, params: ModelParams) -> float:
     """Change of the eigenvalue side of the expansion when the first two
-    variables swap, relative to its value; Z is symmetric, so it must not
-    change.  It stays symmetric for any function in place of the
-    eigenvalue, so the residual tests the expansion coefficients."""
+    variables swap, relative to its value, from one state's eigenvalues
+    `lams` at `vars_`; Z is symmetric, so it must not change.  It stays
+    symmetric for any values in place of the eigenvalues, so the residual
+    tests the expansion coefficients."""
     v = tuple(vars_)
-    swapped = (v[1], v[0]) + v[2:] if len(v) >= 2 else v
-    rhs = theorem_rhs(v, lam_of, params)
-    return abs(rhs - theorem_rhs(swapped, lam_of, params)) / max(abs(rhs), 1e-300)
+    swap = [1, 0, *range(2, len(v))] if len(v) >= 2 else [0]
+    rhs = theorem_rhs(v, lams, params)
+    swapped = theorem_rhs([v[k] for k in swap], np.asarray(lams)[swap], params)
+    return float(abs(rhs - swapped) / max(abs(rhs), 1e-300))
 
 
 def check_theorem(states, vars_, params: ModelParams) -> list:
@@ -617,15 +577,9 @@ def check_theorem(states, vars_, params: ModelParams) -> list:
     v = tuple(vars_)
     if len(v) != params.L:
         raise ValueError("need exactly L spectral parameters")
-    z = z_bproduct(v, params)
-    coeffs = expansion_coeffs(v, params)
-    states[0].share(v)
-    out = []
-    for state in states:
-        lhs = z * state.k0
-        rhs = sum(theorem_terms(v, state.lam, coeffs))
-        out.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
-    return out
+    lhs = z_bproduct(v, params) * np.array([st.k0 for st in states])
+    rhs = theorem_rhs(v, values(states, v), params)
+    return (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)).tolist()
 
 
 def k0_closed_form_residual(states, params: ModelParams) -> list:
@@ -636,12 +590,11 @@ def k0_closed_form_residual(states, params: ModelParams) -> list:
     if params.L != 2:
         raise ValueError("the k0 closed form is stated for L = 2")
     mu, g = params.mu, params.gamma
-    states[0].share(mu)
     denom = (np.sinh(g) ** 2 * np.sinh(mu[0] - mu[1] + g)
              * np.sinh(mu[1] - mu[0] + g))
     out = []
-    for state in states:
-        ref = state.lam(mu[0]) * state.lam(mu[1]) / denom
+    for state, (lam0, lam1) in zip(states, values(states, mu).tolist()):
+        ref = lam0 * lam1 / denom
         out.append(abs(state.k0 - ref) / max(abs(ref), 1e-300))
     return out
 

@@ -11,11 +11,11 @@ import numpy as np
 
 from .errors import PoleEncountered
 from .functional_system import (
-    EigenState,
     expansion_coeffs,
     m_coeff,
     n_coeff,
     theorem_terms,
+    values,
 )
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator
 from .zeros import SpectralData
@@ -65,18 +65,24 @@ def _mu_product(lam, shifts, params: ModelParams) -> complex:
     return complex(out)
 
 
+def _shifted_values(states, lam_draws, shifts, g) -> list:
+    """Per state of `states`, per draw lam, its eigenvalues at lam - j g
+    for j < `shifts`, as nested lists of complex numbers."""
+    points = [lam - j * g for lam in lam_draws for j in range(shifts)]
+    return values(states, points).reshape(len(states), -1, shifts).tolist()
+
+
 def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
     """Residual of the two-fold inversion relation at l = 2, one per state
     of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    states[0].share(lam - j * g for lam in lam_draws for j in range(2))
     rhs = [_mu_product(lam, (0, 0), params) - _mu_product(lam, (g, -g), params)
            for lam in lam_draws]
     out = []
-    for state in states:
+    for lams_at in _shifted_values(states, lam_draws, 2, g):
         worst = 0.0
-        for lam, r in zip(lam_draws, rhs):
-            lhs = state.lam(lam) * state.lam(lam - g)
+        for (lam0, lam1), r in zip(lams_at, rhs):
+            lhs = lam0 * lam1
             scale = max(abs(lhs), abs(r), 1e-300)
             worst = max(worst, abs(lhs - r) / scale)
         out.append(worst)
@@ -169,7 +175,6 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
     shift_sign = (-1.0) ** (params.L + 1)
     worst_q = 0.0
     worst_shift = 0.0
-    states[0].share(lam - j * g for lam in lam_draws for j in range(4))
     # the site products and Q at each draw, shared by every state
     drives = []
     for lam in lam_draws:
@@ -177,14 +182,13 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
         worst_q = max(worst_q, abs(q1 - q0) / max(abs(q0), 1e-300))
         worst_shift = max(worst_shift,
                           abs(q1 - shift_sign * q0) / max(abs(q0), 1e-300))
-        drives.append((lam, _mu_product(lam, (0, -2 * g), params),
+        drives.append((_mu_product(lam, (0, -2 * g), params),
                        _mu_product(lam, (g, -g), params),
                        _mu_product(lam, (-g, -3 * g), params), q0))
     relation = []
-    for state in states:
+    for lams_at in _shifted_values(states, lam_draws, 4, g):
         worst = 0.0
-        for lam, p_0_m2g, p_g_mg, p_mg_m3g, q in drives:
-            lams = [state.lam(lam - j * g) for j in range(4)]
+        for (p_0_m2g, p_g_mg, p_mg_m3g, q), lams in zip(drives, lams_at):
             lhs = lams[0] * lams[1] * lams[2] * lams[3]
             rhs = (
                 lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * p_0_m2g
@@ -203,16 +207,21 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
     }
 
 
-def l4_ratio_residuals(state: EigenState, data: SpectralData,
-                       params: ModelParams) -> list:
-    """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
-    site product at each zero w against -Lambda(w - g) / Lambda(w + g)."""
+def l4_shifted_values(data: SpectralData, params: ModelParams) -> list:
+    """Per zero w of `data`, the state's eigenvalues at w - 2g, w - g and
+    w + g: what `l4_ratio_residuals` and `l4_specialized_residuals` read."""
     g = params.gamma
+    lam = data.state.lam
+    return [[lam(w - 2 * g), lam(w - g), lam(w + g)] for w in data.zeros]
+
+
+def l4_ratio_residuals(data: SpectralData, shifted, params: ModelParams) -> list:
+    """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
+    site product at each zero w against -Lambda(w - g) / Lambda(w + g),
+    with `shifted` = ``l4_shifted_values(data, params)``."""
     out = []
-    for wi in data.zeros:
+    for wi, (_, lam_minus, lam_plus) in zip(data.zeros, shifted):
         lhs = bethe_lhs(wi, params)
-        lam_minus = state.lam(wi - g)
-        lam_plus = state.lam(wi + g)
         if abs(lam_plus) < 1e-300:
             raise PoleEncountered("eigenvalue vanishes at shifted zero")
         out.append(complex(lhs + lam_minus / lam_plus))
@@ -243,19 +252,18 @@ def bethe_residual_l4(data: SpectralData, params: ModelParams) -> list:
     return out
 
 
-def l4_specialized_residuals(state: EigenState, data: SpectralData,
+def l4_specialized_residuals(data: SpectralData, shifted,
                              params: ModelParams) -> list:
     """Residuals of the four-fold relation specialized at each shifted zero,
     without the ratio reduction: the product-weighted combination of
-    eigenvalues at w +- gamma must reproduce the driving term."""
+    eigenvalues at w +- gamma must reproduce the driving term.  `shifted`
+    is ``l4_shifted_values(data, params)``."""
     g = params.gamma
     out = []
-    for wi in data.zeros:
+    for wi, (lam_m2g, lam_mg, lam_g) in zip(data.zeros, shifted):
         s02 = _mu_product(wi, (2 * g, 0), params)
         spm = _mu_product(wi, (g, -g), params)
-        lhs = state.lam(wi - 2 * g) * (
-            s02 * state.lam(wi - g) + spm * state.lam(wi + g)
-        )
+        lhs = lam_m2g * (s02 * lam_mg + spm * lam_g)
         q = q_function(wi + g, params)
         out.append(abs(lhs - q) / max(abs(q), abs(lhs), 1e-300))
     return out
@@ -266,23 +274,21 @@ def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:
     form and its hierarchy-coefficient form: per form, one residual per
     state of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    states[0].share(lam - j * g for lam in lam_draws for j in range(3))
     # the site products and hierarchy coefficients at each draw, shared by
     # every state
     drives = []
     for lam in lam_draws:
         v3 = (lam, lam - g, lam - 2 * g)
-        drives.append((lam, _mu_product(lam, (0, -2 * g), params),
+        drives.append((_mu_product(lam, (0, -2 * g), params),
                        _mu_product(lam, (0, -g), params),
                        _mu_product(lam, (g, -g), params),
                        m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params),
                        m_coeff(2, v3, params), m_coeff(1, v3, params)))
     explicit, agreement = [], []
-    for state in states:
+    for lams_at in _shifted_values(states, lam_draws, 3, g):
         worst_explicit = 0.0
         worst_agree = 0.0
-        for lam, p_0_m2g, p_0_mg, p_g_mg, c0, c1, c2 in drives:
-            lams = [state.lam(lam - j * g) for j in range(3)]
+        for (p_0_m2g, p_0_mg, p_g_mg, c0, c1, c2), lams in zip(drives, lams_at):
             lhs = lams[0] * lams[1] * lams[2]
             rhs = (
                 -lams[0] * p_0_m2g
@@ -308,12 +314,6 @@ def truncated_expansion_residual(states, spec: RootOfUnitySpec,
     expansion coefficients of the string."""
     g = spec.gamma
     vars_ = tuple(lam - j * g for j in range(spec.l))
-    coeffs = expansion_coeffs(vars_, params)
-    states[0].share(vars_)
-    out = []
-    for state in states:
-        terms = theorem_terms(vars_, state.lam, coeffs)
-        total = sum(terms)
-        scale = max(max(abs(t) for t in terms), 1e-300)
-        out.append(float(abs(total) / scale))
-    return out
+    terms = theorem_terms(values(states, vars_), expansion_coeffs(vars_, params))
+    scale = np.maximum(np.abs(terms).max(axis=0), 1e-300)
+    return (np.abs(terms.sum(axis=0)) / scale).tolist()

@@ -13,9 +13,9 @@ from numpy.polynomial.polynomial import polyval
 
 from .dwbc import b_product_state
 from .errors import PoleEncountered, ReconstructionFailure
-from .functional_system import EigenState, TopCoefficient, even_floor
+from .functional_system import EigenState, TopCoefficient, even_floor, values
 from .numkit import fit_poly, poly_roots
-from .vertex_core import EPS_GENERIC, ModelParams, b_operator, reference_states
+from .vertex_core import EPS_GENERIC, ModelParams, b_operator
 
 # shift of one zero that the Wronskian conditions must detect
 ZERO_KICK = 1e-2
@@ -56,6 +56,18 @@ class SpectralData:
         return b_operator(self.zeros[0], self.state.params) @ self._tail
 
     @functools.cached_property
+    def _phi_one_up(self) -> np.ndarray:
+        """The entries of `phi` at the states with one site j up, in the
+        order of `down_b_row` (site 0 is the leading bit, up is 0)."""
+        L = self.state.params.L
+        return self.phi[2**L - 1 - 2 ** np.arange(L - 1, -1, -1)]
+
+    def z(self, lam0: complex) -> complex:
+        """Z(lam0, w) = <down| B(lam0) phi, from the L nonzero entries of
+        <down| B(lam0)."""
+        return complex(down_b_row(lam0, self.state.params) @ self._phi_one_up)
+
+    @functools.cached_property
     def top(self) -> TopCoefficient:
         """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1}),
         as a function of lam0."""
@@ -66,23 +78,17 @@ class SpectralData:
         """Coefficients of Z(., w) and F(., w) fitted as degree L-1
         polynomials in x, the fit validated to 1e-8 at held-out abscissae."""
         params = self.state.params
-        _, down = reference_states(params.L)
-        # the sample abscissae are the same for every state of the draw, so
-        # the B operators there are built once per draw
-        b_at = self.state._spectrum.b_op
-
-        def z_of(lam0):
-            return complex(down @ (b_at(lam0) @ self.phi))
 
         def f_of(lam0):
             return build_F(lam0, self, params)
 
-        zpol = poly_in_x(z_of, params.L)
-        fpol = poly_in_x(f_of, params.L)
         degree = params.L - 1
+        circle = _circle_samples(degree)[1]
+        zpol = poly_in_x([self.z(lam) for lam in circle], params.L)
+        fpol = poly_in_x([f_of(lam) for lam in circle], params.L)
         xs, lams = _circle_samples(degree, 1.37, phase=0.11)
         for x, lam in zip(xs, lams):
-            for pol, fn in ((zpol, z_of), (fpol, f_of)):
+            for pol, fn in ((zpol, self.z), (fpol, f_of)):
                 ref = np.exp(degree * lam) * fn(lam)
                 got = polyval(x, pol)
                 if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
@@ -100,35 +106,58 @@ def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
     return xs, lams
 
 
-def poly_in_x(func, L: int) -> np.ndarray:
-    """Coefficients of e^((L-1) lam) * func(lam) fitted as a degree L-1
-    polynomial in e^(2 lam), sampled on the unit circle."""
+def poly_in_x(samples, L: int) -> np.ndarray:
+    """Coefficients of e^((L-1) lam) * f(lam) fitted as a degree L-1
+    polynomial in e^(2 lam), from `samples`, the values of f at the
+    unit-circle abscissae `_circle_samples(L - 1)`."""
     degree = L - 1
     xs, lams = _circle_samples(degree)
-    samples = [
-        (x, np.exp(degree * lam) * func(lam)) for x, lam in zip(xs, lams)
-    ]
-    return fit_poly(samples, degree)
+    return fit_poly([(x, np.exp(degree * lam) * f)
+                     for x, lam, f in zip(xs, lams, samples)], degree)
 
 
-def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
-    """Recover the L-1 zeroes of an eigenvalue function.
+def down_b_row(lam: complex, params: ModelParams) -> np.ndarray:
+    """The L nonzero entries of the last row <down| B(lam), at the columns
+    of the states with one site j up: entry j is
+    c prod_{k<j} b(lam - mu_k) prod_{k>j} a(lam - mu_k)."""
+    x = lam - np.asarray(params.mu)
+    b, a = np.sinh(x), np.sinh(x + params.gamma)
+    before = np.concatenate(([1.0], np.cumprod(b[:-1])))
+    after = np.concatenate((np.cumprod(a[:0:-1])[::-1], [1.0]))
+    return np.sinh(params.gamma) * before * after
 
-    Samples the eigenvalue on a circle in the x = e^(2 lam) plane, strips
+
+@functools.cache
+def _sample_points(L: int) -> tuple:
+    """The points where `extract_zeros` reads the eigenvalue: the origin,
+    the unit-circle abscissae of the fit, then ten reconstruction probes."""
+    rng = np.random.default_rng(2357)
+    probes = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
+    return (0.0, *_circle_samples(L - 1)[1], *probes)
+
+
+def sample_values(states, params: ModelParams) -> np.ndarray:
+    """The eigenvalue of each of `states` (eigenstates of one
+    diagonalization) at the points `extract_zeros` reads, one row per
+    state."""
+    return values(states, _sample_points(params.L))
+
+
+def extract_zeros(state: EigenState, samples, params: ModelParams) -> SpectralData:
+    """Recover the L-1 zeroes of an eigenvalue function from `samples`, the
+    state's row of `sample_values`.
+
+    Takes the eigenvalue on a circle in the x = e^(2 lam) plane, strips
     the exponential prefactor, fits the degree-(L-1) polynomial, and maps
     its roots back with the principal branch.  The multiplicative
     reconstruction from the zero set is validated to 1e-7 at held-out
     points.
     """
     L = params.L
-    lam0 = state.lam(0.0)
+    lam0, circle, at_probes = samples[0], samples[1:L + 1], samples[L + 1:]
     if L == 1:
         return SpectralData(state, lam0, (), state.k0)
-    rng = np.random.default_rng(2357)
-    probes = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(10)]
-    # every state samples at these points
-    state.share([0.0, *_circle_samples(L - 1)[1], *probes])
-    poly = poly_in_x(state.lam, L)
+    poly = poly_in_x(circle, L)
     xroots = poly_roots(poly)
     if len(xroots) != L - 1:
         raise ReconstructionFailure(
@@ -136,8 +165,7 @@ def extract_zeros(state: EigenState, params: ModelParams) -> SpectralData:
         )
     ws = tuple(0.5 * np.log(x) for x in xroots)
     data = SpectralData(state, lam0, ws, state.k0)
-    for probe in probes:
-        ref = state.lam(probe)
+    for probe, ref in zip(_sample_points(L)[L + 1:], at_probes):
         rec = data.lam_from_zeros(probe)
         if abs(ref - rec) > 1e-7 * max(abs(ref), 1e-300):
             raise ReconstructionFailure(
@@ -189,12 +217,11 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     deviation from +1.
     """
     L = params.L
-    _, down = reference_states(L)
     ratios = []
     for lam0 in lambda0_draws:
         if any(abs(np.sinh(lam0 - w)) < EPS_GENERIC for w in data.zeros):
             raise PoleEncountered("lambda0 draw collides with a zero")
-        z = complex(down @ (b_operator(lam0, params) @ data.phi))
+        z = data.z(lam0)
         denom = data.top(lam0)
         if abs(denom) < 1e-300:
             raise PoleEncountered("vanishing expansion coefficient")

@@ -55,6 +55,7 @@ from sixvertex.zeros import (
     extract_zeros,
     kick_zero,
     reconstruction_residual,
+    sample_values,
     wronskian_residual,
 )
 
@@ -80,9 +81,10 @@ def states_for(p, seed):
 def spectral_for(p, seed):
     key = (p, seed)
     if key not in _spectral_cache:
+        defined = [st for st in states_for(p, seed) if st.k0_defined]
         _spectral_cache[key] = [
-            extract_zeros(st, p) for st in states_for(p, seed)
-            if st.k0_defined
+            extract_zeros(st, row, p)
+            for st, row in zip(defined, sample_values(defined, p))
         ]
     return _spectral_cache[key]
 
@@ -403,10 +405,9 @@ def test_criterion8_bethe_equations(l, L):
     p = params_for(L, gamma=spec.gamma, seed=10200 + 10 * l + L)
     states = states_for(p, 10300 + 10 * l + L)
     worst = 0.0
-    for st in states:
-        if not st.k0_defined:
-            continue
-        data = extract_zeros(st, p)
+    defined = [st for st in states if st.k0_defined]
+    for st, row in zip(defined, sample_values(defined, p)):
+        data = extract_zeros(st, row, p)
         if l == 4:
             res = bethe_residual_l4(data, p)
         else:

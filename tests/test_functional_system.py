@@ -20,6 +20,7 @@ from sixvertex.functional_system import (
     theorem_rhs,
     transfer_eigenstates,
     v_coeff,
+    values,
 )
 from sixvertex import vertex_core
 from sixvertex.vertex_core import (
@@ -222,36 +223,18 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_all_states_at_one_point_share_one_transfer_build(monkeypatch):
-    p = params_for(4, seed=170)
-    states = states_for(p, seed=171)
-    x = 0.23 - 0.41j
-    t = transfer(x, p)
-    builds = counting(monkeypatch, functional_system, "transfer")
-    values = [st.lam(x) for st in states]
-    values += [st.lam(x) for st in states]
-    assert len(builds) == 1
-    direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
-    assert values == direct + direct
-
-
-def test_shared_points_are_built_once_for_every_state(monkeypatch):
+def test_values_build_each_point_once_and_match_lam(monkeypatch):
     p = params_for(4, seed=174)
     states = states_for(p, seed=175)
     xs = (0.13 + 0.27j, -0.38 - 0.05j, 0.52 - 0.44j)
-    direct = {x: [complex(st.left @ transfer(x, p) @ st.right / st.norm)
-                  for st in states] for x in xs}
     builds = counting(monkeypatch, functional_system, "transfer")
-    # one state asks first and keeps T(xs[0]); sharing reuses it
-    first = states[3].lam(xs[0])
-    states[0].share(xs)
-    assert len(builds) == 3
-    # asked state by state, the points need no further build
-    got = [[st.lam(x) for x in xs] for st in states]
-    states[1].share(xs)
-    assert len(builds) == 3
-    assert first == direct[xs[0]][3]
-    assert got == [[direct[x][st.index] for x in xs] for st in states]
+    got = values(states, xs)
+    assert [args[0] for args in builds] == list(xs)
+    assert got.shape == (len(states), len(xs))
+    # each row is that state's own sandwich, bit for bit
+    assert got.tolist() == [[st.lam(x) for x in xs] for st in states]
+    assert values([], xs).shape == (0, len(xs))
+    assert len(builds) == len(xs) * (1 + len(states))
 
 
 @pytest.mark.parametrize("argv", [["--size", "4"],
@@ -276,39 +259,10 @@ def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
             assert 2 <= sharers and n <= sharers
 
 
-def test_eigenstate_sets_do_not_share_a_memo(monkeypatch):
-    # the same parameters and seed give the same vectors, so a memo shared
-    # between the two sets would answer the second from the first
-    p = params_for(3, seed=172)
-    first, second = states_for(p, seed=173), states_for(p, seed=173)
-    builds = counting(monkeypatch, functional_system, "transfer")
-    x = 0.37 + 0.19j
-    assert [st.lam(x) for st in first] == [st.lam(x) for st in second]
-    assert len(builds) == 2
-
-
-def test_point_asked_by_one_state_sandwiches_that_state_only(monkeypatch):
-    p = params_for(4, seed=177)
-    states = states_for(p, seed=178)
-    x = -0.29 + 0.33j
-    t = transfer(x, p)
-    builds = counting(monkeypatch, functional_system, "transfer")
-    lam = states[2].lam(x)
-    assert states[2].lam(x) == lam
-    assert len(builds) == 1
-    # a second state at the kept point reads it without a rebuild
-    lam5 = states[5].lam(x)
-    assert len(builds) == 1
-    direct = [complex(st.left @ t @ st.right / st.norm) for st in states]
-    assert (lam, lam5) == (direct[2], direct[5])
-    assert [st.lam(x) for st in states] == direct
-    assert len(builds) == 1
-
-
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
 def test_values_do_not_depend_on_call_order(order, monkeypatch):
-    # state a asks at x, then at y, which replaces the kept matrix; each
-    # later ask at a point other than the kept one rebuilds T there
+    # a value is the same sandwich of the same T(x) in any call order;
+    # each ask builds T at its point
     p = params_for(3, seed=179)
     states = states_for(p, seed=180)
     xs = (0.41 - 0.12j, -0.17 + 0.52j)
@@ -322,9 +276,8 @@ def test_values_do_not_depend_on_call_order(order, monkeypatch):
                    direct[xs[0]][b.index], direct[xs[1]][c.index],
                    direct[xs[0]][c.index]]
     assert len(builds) == 5
-    # only b has no value at y yet
     assert [st.lam(x) for x in xs for st in states] == direct[xs[0]] + direct[xs[1]]
-    assert len(builds) == 6
+    assert len(builds) == 5 + 2 * len(states)
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -456,8 +409,8 @@ def test_expansion_matches_eigenvalue_products_size_two():
     states = states_for(p, seed=102)
     rng = np.random.default_rng(103)
     v = generic_points(2, rng, avoid=p.mu)
-    for st in states:
-        rhs = theorem_rhs(v, st.lam, p)
+    for st, lams in zip(states, values(states, v)):
+        rhs = theorem_rhs(v, lams, p)
         explicit = st.lam(v[0]) * st.lam(v[1]) + v_coeff(1, (0, 1), v, p)
         assert abs(rhs - explicit) < 1e-12 * abs(rhs)
         assert abs(z_bproduct(v, p) * st.k0 - rhs) < 1e-8 * abs(rhs)
@@ -469,7 +422,7 @@ def test_expansion_matches_eigenvalue_products_size_three():
     rng = np.random.default_rng(106)
     v = generic_points(3, rng, avoid=p.mu)
     st = states[3]
-    rhs = theorem_rhs(v, st.lam, p)
+    rhs = theorem_rhs(v, values([st], v)[0], p)
     explicit = st.lam(v[0]) * st.lam(v[1]) * st.lam(v[2])
     for (i1, i2) in ((0, 1), (0, 2), (1, 2)):
         k = ({0, 1, 2} - {i1, i2}).pop()
@@ -522,7 +475,7 @@ def test_expansion_rhs_symmetric_under_argument_swap():
     st = states_for(p, seed=151)[0]
     rng = np.random.default_rng(152)
     v = generic_points(3, rng, avoid=p.mu)
-    assert theorem_permutation_residual(v, st.lam, p) < 1e-9
+    assert theorem_permutation_residual(v, values([st], v)[0], p) < 1e-9
 
 
 def test_expansion_rhs_symmetry_detects_broken_coefficient(monkeypatch):
@@ -535,7 +488,7 @@ def test_expansion_rhs_symmetry_detects_broken_coefficient(monkeypatch):
     p = params_for(3, seed=150)
     st = states_for(p, seed=151)[0]
     v = generic_points(3, np.random.default_rng(152), avoid=p.mu)
-    assert theorem_permutation_residual(v, st.lam, p) > 1e-3
+    assert theorem_permutation_residual(v, values([st], v)[0], p) > 1e-3
 
 
 def test_appendix_identities_size_three():

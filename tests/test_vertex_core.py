@@ -139,7 +139,7 @@ def test_full_product_is_the_kron_chain_product(L):
     rng = np.random.default_rng(60 + L)
     for lam in generic_points(2, rng, avoid=p.mu):
         ref = _kron_chain_monodromy(lam, p)
-        got = monodromy_full(lam, p)
+        got = np.block(monodromy_full(lam, p))
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -215,8 +215,8 @@ def _dense_rll_residual(lam1, lam2, params):
     d = params.dim
     # looked up at call time, so that a patched build reaches both residuals
     full = vertex_core.monodromy_full
-    t1 = vertex_core._embed_13(full(lam1, params), d)
-    t2 = np.kron(np.eye(2), full(lam2, params))
+    t1 = vertex_core._embed_13(np.block(full(lam1, params)), d)
+    t2 = np.kron(np.eye(2), np.block(full(lam2, params)))
     r12 = np.kron(r_matrix(lam1 - lam2, params), np.eye(d))
     lhs = r12 @ t1 @ t2
     return np.linalg.norm(lhs - t2 @ t1 @ r12) / np.linalg.norm(lhs)
@@ -238,7 +238,7 @@ def test_block_rll_agrees_with_the_dense_relation(L, monkeypatch):
 def _with_weight_breaking_entry(lam, params):
     # auxiliary (0, 0) block, all-up row, all-down column: weight L apart
     full = monodromy_full(lam, params)
-    full[0, params.dim - 1] += 0.5
+    full[0][0][0, params.dim - 1] += 0.5
     return full
 
 

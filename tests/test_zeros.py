@@ -12,16 +12,23 @@ from sixvertex.functional_system import (
     transfer_eigenstates,
     v_coeff,
 )
-from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
+from sixvertex.vertex_core import (
+    ModelParams,
+    b_operator,
+    generic_points,
+    sample_mu,
+)
 from sixvertex.zeros import (
     SpectralData,
     at_zero_residual,
     build_F,
     check_lz01,
     check_zero_coincidence,
+    down_b_row,
     extract_zeros,
     kick_zero,
     reconstruction_residual,
+    sample_values,
     wronskian_coeffs,
     wronskian_residual,
     wronskian_sharpness,
@@ -37,15 +44,28 @@ def params_for(L, seed=7):
 
 def spectral_for(L, seed=7):
     p = params_for(L, seed)
-    states = transfer_eigenstates(p, np.random.default_rng(seed + 1))
-    return p, [extract_zeros(st, p) for st in states if st.k0_defined]
+    states = [st for st in transfer_eigenstates(p, np.random.default_rng(seed + 1))
+              if st.k0_defined]
+    return p, [extract_zeros(st, row, p)
+               for st, row in zip(states, sample_values(states, p))]
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 8])
+def test_down_row_of_b_holds_the_one_up_entries(L):
+    p = params_for(L)
+    lam = 0.31 - 0.47j
+    row = b_operator(lam, p)[-1]
+    cols = [2**L - 1 - 2 ** (L - 1 - j) for j in range(L)]
+    assert np.flatnonzero(row).tolist() == cols
+    got = down_b_row(lam, p)
+    assert np.max(np.abs(got - row[cols])) < 1e-14 * np.max(np.abs(row))
 
 
 def test_single_site_has_no_zeros():
     p = params_for(1)
     states = transfer_eigenstates(p, np.random.default_rng(0))
-    for st in states:
-        data = extract_zeros(st, p)
+    for st, row in zip(states, sample_values(states, p)):
+        data = extract_zeros(st, row, p)
         assert data.zeros == ()
         assert abs(abs(data.lambda0_value) - abs(np.sinh(GAMMA))) < 1e-12
 

@@ -53,6 +53,7 @@ from .vertex_core import (
     ybe_residual,
 )
 from .zeros import (
+    ZeroSets,
     at_zero_residual,
     check_lz01,
     check_zero_coincidence,
@@ -429,38 +430,39 @@ class _Runner:
     def run_zeros(self):
         p = self.params
         rng = self.rng
-        if p.L < 2:
+        found = self.spectral_data() if p.L >= 2 else []
+        if not found:
             return
-        for data in self.spectral_data():
-            st = data.state
-            probe = generic_points(1, rng, avoid=p.mu)[0]
-            self.add(f"zeros.reconstruction.state{st.index}",
-                     reconstruction_residual(data, probe))
-            scale_points = generic_points(5, rng, avoid=p.mu)
-            self.add(f"zeros.at_zero.state{st.index}",
-                     at_zero_residual(data, scale_points))
-            draws = generic_points(max(5, self.config.draws), rng,
-                                   avoid=list(data.zeros) + list(p.mu))
-            name = f"zeros.lz01_constancy.state{st.index}"
-            lz = self.attempt(name, lambda: check_lz01(data, draws, p))
-            if lz is None:
+        # every draw comes first, state by state, in the order the records
+        # are written; then each check evaluates every state at once
+        probes, scale_points, lz_draws = [], [], []
+        for data in found:
+            probes.append(generic_points(1, rng, avoid=p.mu)[0])
+            scale_points.append(generic_points(5, rng, avoid=p.mu))
+            lz_draws.append(generic_points(max(5, self.config.draws), rng,
+                                           avoid=list(data.zeros) + list(p.mu)))
+        sets = ZeroSets(found)
+        lz = check_lz01(sets, lz_draws)
+        coincidence = check_zero_coincidence(sets)["max_distance"]
+        wronskian = wronskian_residual(sets)
+        sharpness = wronskian_sharpness(sets)
+        for k, data in enumerate(found):
+            i = data.state.index
+            self.add(f"zeros.reconstruction.state{i}",
+                     reconstruction_residual(data, probes[k]))
+            self.add(f"zeros.at_zero.state{i}",
+                     at_zero_residual(data, scale_points[k]))
+            # a failed ratio draw records inf and drops the state's later
+            # records
+            self.add(f"zeros.lz01_constancy.state{i}", lz["spread"][k])
+            if lz["failed"][k]:
                 continue
-            self.add(name, lz["spread"])
             if p.L % 2 == 0:
-                self.add(f"zeros.lz01_even_constant.state{st.index}",
-                         lz["constant_residual"])
-            self.guarded(
-                f"zeros.coincidence.state{st.index}",
-                lambda d=data: check_zero_coincidence(d, p)["max_distance"],
-            )
-            self.guarded(
-                f"zeros.wronskian.state{st.index}",
-                lambda d=data: wronskian_residual(d, p),
-            )
-            self.guarded(
-                f"zeros.wronskian_sharpness.state{st.index}",
-                lambda d=data: wronskian_sharpness(d, p),
-            )
+                self.add(f"zeros.lz01_even_constant.state{i}",
+                         lz["constant_residual"][k])
+            self.add(f"zeros.coincidence.state{i}", coincidence[k])
+            self.add(f"zeros.wronskian.state{i}", wronskian[k])
+            self.add(f"zeros.wronskian_sharpness.state{i}", sharpness[k])
 
     def run_rou(self):
         p = self.params

@@ -41,25 +41,28 @@ class _PairTable:
     one variable tuple, and each slot's site products prod_k a(v_s - mu_k)
     and prod_k b(v_s - mu_k).  A ratio read raises `PoleEncountered` when
     its b(v_s - v_t) is below EPS_GENERIC; pairs that are never read, such
-    as two kept slots of `v_coeff`, do not raise."""
+    as two kept slots of `v_coeff`, do not raise.  Variables with leading
+    axes, one tuple per last-axis row, give one table per tuple, which
+    `flat` reads."""
 
     def __init__(self, vars_, params: ModelParams):
         v = np.asarray(vars_, dtype=complex)
         g = params.gamma
-        self.n = len(v)
-        d = v[:, None] - v[None, :]
+        self.n = v.shape[-1]
+        d = v[..., :, None] - v[..., None, :]
         b = np.sinh(d)
         self._pole = np.abs(b) < EPS_GENERIC
         b[self._pole] = 1.0
         # the diagonal, sinh(0) = 0, is never read
-        np.fill_diagonal(self._pole, False)
+        diag = np.arange(self.n)
+        self._pole[..., diag, diag] = False
         self._any_pole = self._pole.any()
         self._ratios = {"a_b": np.sinh(d + g) / b,
                         "ag_b": np.sinh(d + g + g) / b,
                         "c_b": np.sinh(g) / b}
-        x = v[:, None] - np.asarray(params.mu)
-        self.a_site = np.prod(np.sinh(x + g), axis=1)
-        self.b_site = np.prod(np.sinh(x), axis=1)
+        x = v[..., :, None] - np.asarray(params.mu)
+        self.a_site = np.prod(np.sinh(x + g), axis=-1)
+        self.b_site = np.prod(np.sinh(x), axis=-1)
 
     def read(self, name: str, s, t):
         """Ratio `name` at [s, t], for scalar or array indices."""
@@ -67,14 +70,17 @@ class _PairTable:
             raise PoleEncountered("slot difference below genericity threshold")
         return self._ratios[name][s, t]
 
-    def flat(self) -> np.ndarray:
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """1, the a and b site products, then the a_b, ag_b and c_b ratios
-        row by row, as one vector (the layout `_top_plan` indexes).  Every
-        pair counts as read, so any pole raises."""
-        if self._any_pole:
-            raise PoleEncountered("slot difference below genericity threshold")
-        return np.concatenate(([1.0], self.a_site, self.b_site,
-                               *(self._ratios[name].ravel() for name in _RATIOS)))
+        row by row, as one vector per variable tuple (the layout
+        `_top_plan` indexes); and per tuple whether it has a pole.  Every
+        pair counts as read, so a tuple's vector is meaningful only where
+        it has none."""
+        lead = self._pole.shape[:-2]
+        vec = np.concatenate((np.ones(lead + (1,)), self.a_site, self.b_site,
+                              *(self._ratios[name].reshape(lead + (-1,))
+                                for name in _RATIOS)), axis=-1)
+        return vec, self._pole.any(axis=(-2, -1))
 
 
 def gamma_coeff(i: int, j: int, k: int, vars_, params: ModelParams) -> complex:
@@ -404,7 +410,7 @@ def _top_plan(L: int):
     by their slot-0 factors (at odd L a group is one row J).
 
     Returns ``(slot0, free, starts)``: row g of `slot0` indexes group g's
-    slot-0 factors in the vector that `TopCoefficient.__call__` builds;
+    slot-0 factors in the vector that `TopCoefficient.at` builds;
     row i of `free` indexes term i's other factors in `_PairTable.flat()`
     of slots 1..L-1, the terms in group order; `starts` holds each group's
     first term.  Short rows are padded with index 0, which holds 1.
@@ -458,37 +464,61 @@ def _top_plan(L: int):
 class TopCoefficient:
     """The maximal expansion coefficient
     ``v_coeff(m, _top_indices(L), (x,) + rest)`` over L = len(rest) + 1
-    slots, as a function of the slot-0 variable x.
+    slots, for each row `rest` of a (sets x L-1) array, as a function of
+    the slot-0 variable x.
 
     Only slot 0 moves, so the factors of `_v`'s terms that do not read it
-    are multiplied and summed once here, per group of terms with the same
-    slot-0 factors (`_top_plan`); a call multiplies each group sum by its
-    slot-0 factors.  As in `v_coeff`, two slots closer than EPS_GENERIC
-    raise `PoleEncountered`: two slots of `rest` here, x and a slot of
-    `rest` at the call.
+    are multiplied and summed once here, per set and per group of terms
+    with the same slot-0 factors (`_top_plan`); `at` multiplies each group
+    sum by its slot-0 factors.  Where `v_coeff` raises `PoleEncountered`,
+    at two slots closer than EPS_GENERIC (two slots of a set's `rest`, or
+    x and a slot of `rest`), the set is flagged instead, so that a pole in
+    one set leaves the values of the others as they are.
     """
 
-    def __init__(self, rest, params: ModelParams):
+    def __init__(self, rests, params: ModelParams):
         g = params.gamma
-        self._rest = np.asarray(rest, dtype=complex)
+        self._rest = np.asarray(rests, dtype=complex)
         self._mu = np.asarray(params.mu)
         self._shifts = np.array([[0.0], [g], [g + g]])
         self._site_shifts = np.array([[g], [0.0]])
         self._c = np.sinh(g)
-        self._slot0, free, starts = _top_plan(len(self._rest) + 1)
-        terms = np.prod(_PairTable(self._rest, params).flat()[free], axis=1)
-        self._sums = np.add.reduceat(terms, starts)
+        self._slot0, free, starts = _top_plan(self._rest.shape[1] + 1)
+        flat, self._pole = _PairTable(self._rest, params).flat()
+        # one factor at a time keeps the transient at two (sets x terms) arrays
+        terms = flat[:, free[:, 0]]
+        for k in range(1, free.shape[1]):
+            terms *= flat[:, free[:, k]]
+        self._sums = np.add.reduceat(terms, starts, axis=1)
 
-    def __call__(self, x: complex) -> complex:
+    def at(self, x, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient of the sets `rows` at x, as a (sets x points)
+        array: x holds points shared by every set, shape (P,), or one row
+        of points per set, shape (sets, P).  Also returns per set whether
+        it met a pole; its values are then meaningless."""
+        rest, sums = self._rest[rows], self._sums[rows]
+        x = np.broadcast_to(x, (len(rest), np.shape(x)[-1]))
         # x - v_t, then v_t - x, over the slots t of rest; shifted by 0, g, 2g
-        d = x - self._rest
-        s = np.sinh(np.concatenate((d, -d)) + self._shifts)
-        b = s[0]
-        if (np.abs(b) < EPS_GENERIC).any():
-            raise PoleEncountered("slot difference below genericity threshold")
-        site = np.prod(np.sinh(x - self._mu + self._site_shifts), axis=1)
-        vals = np.concatenate(([1.0], site, (s[1:] / b).ravel(), self._c / b))
-        return complex(np.prod(vals[self._slot0], axis=1) @ self._sums)
+        d = x[:, :, None] - rest[:, None, :]
+        s = np.sinh(np.concatenate((d, -d), axis=2)[:, :, None, :] + self._shifts)
+        near = np.abs(s[:, :, 0]) < EPS_GENERIC
+        pole = self._pole[rows] | near.any(axis=(1, 2))
+        b = np.where(near, 1.0, s[:, :, 0])
+        site = np.prod(np.sinh(x[:, :, None, None] - self._mu + self._site_shifts),
+                       axis=3)
+        vals = np.concatenate(
+            (np.ones(x.shape + (1,)), site,
+             (s[:, :, 1:] / b[:, :, None]).reshape(x.shape + (-1,)), self._c / b),
+            axis=2)
+        # one point and one slot-0 factor at a time keeps the transient at
+        # one (sets x groups) array
+        out = np.empty(x.shape, dtype=complex)
+        for j in range(x.shape[1]):
+            prods = vals[:, j, self._slot0[:, 0]]
+            for k in range(1, self._slot0.shape[1]):
+                prods = prods * vals[:, j, self._slot0[:, k]]
+            out[:, j] = np.sum(prods * sums, axis=1)
+        return out, pole
 
 
 def oracle_residuals(params: ModelParams, v=None, *, i=None, pair=None,

@@ -95,7 +95,9 @@ def _cluster(vals, tol):
 
 def fit_poly(samples, degree: int) -> np.ndarray:
     """Interpolate a degree-`degree` polynomial through exactly d+1
-    samples (x, y); returns its coefficients, lowest order first.
+    samples (x, y); returns its coefficients, lowest order first.  When
+    each y is an array of k values, the k polynomials through them share
+    the abscissae and come back as the columns of a (d+1, k) array.
 
     Uses an exact Vandermonde solve; raises SingularSystem when the
     abscissae are too close for a reliable solution.
@@ -113,13 +115,39 @@ def fit_poly(samples, degree: int) -> np.ndarray:
 
 def poly_roots(coeffs: np.ndarray) -> list[complex]:
     """Roots via companion-matrix eigenvalues, once trailing coefficients
-    below 1e-12 of the largest are trimmed."""
-    c = np.asarray(coeffs)
-    scale = np.max(np.abs(c))
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) < 1e-12 * scale:
-        keep -= 1
-    if keep < 2 or scale == 0.0:
+    below 1e-12 of the largest are trimmed, sorted by (Re, Im)."""
+    roots = poly_roots_rows(np.asarray(coeffs)[None, :])[0]
+    if roots is None:
         raise DegreeZero("cannot extract roots of a constant polynomial")
-    roots = np.polynomial.polynomial.polyroots(c[:keep])
-    return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+    return [complex(r) for r in roots]
+
+
+def poly_roots_rows(coeffs: np.ndarray) -> list:
+    """The roots of each row of a (rows, n) coefficient array, as
+    `poly_roots` takes them, each an array; None for a row that is
+    constant once trimmed.
+
+    The rows of one trimmed degree share one batched eigenvalue solve of
+    their companion matrices, built as numpy's `polyroots` builds them
+    (a degree-1 row is solved directly, as there), so each row's roots
+    are those of `numpy.polynomial.polynomial.polyroots`.
+    """
+    c = np.asarray(coeffs)
+    c = c.astype(np.result_type(c, 1.0))
+    scale = np.max(np.abs(c), axis=1)
+    big = np.abs(c) >= 1e-12 * scale[:, None]
+    keep = np.where(scale > 0.0, c.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
+    out = [None] * len(c)
+    for k in np.unique(keep[keep >= 2]):
+        rows = np.flatnonzero(keep == k)
+        if k == 2:
+            roots = -c[rows, :1] / c[rows, 1:2]
+        else:
+            comp = np.zeros((len(rows), k - 1, k - 1), dtype=c.dtype)
+            comp[:, np.arange(1, k - 1), np.arange(k - 2)] = 1
+            comp[:, :, -1] -= c[rows, :k - 1] / c[rows, k - 1:k]
+            roots = np.linalg.eigvals(comp)
+        order = np.lexsort((roots.imag, roots.real))
+        for row, r in zip(rows, np.take_along_axis(roots, order, axis=1)):
+            out[row] = r
+    return out

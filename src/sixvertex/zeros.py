@@ -9,12 +9,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .dwbc import b_product_state
-from .errors import PoleEncountered, ReconstructionFailure
+from .errors import ReconstructionFailure
 from .functional_system import EigenState, TopCoefficient, even_floor, values
-from .numkit import fit_poly, poly_roots
+from .numkit import fit_poly, poly_roots, poly_roots_rows
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator
 
 # shift of one zero that the Wronskian conditions must detect
@@ -24,10 +23,8 @@ ZERO_KICK = 1e-2
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalue function data: value at the origin, its zeroes, and the
-    reference-state overlap ratio.  The zero-set B-string, the maximal
-    expansion coefficient at the zeroes and the polynomial fits of Z(., w)
-    and F(., w) are kept with it, so every check on the same zero set uses
-    one of each."""
+    reference-state overlap ratio.  `ZeroSets` evaluates what the zeros
+    suite reads of the zero sets of one draw."""
 
     state: EigenState
     lambda0_value: complex
@@ -41,68 +38,84 @@ class SpectralData:
             out *= np.sinh(w - x) / np.sinh(w)
         return complex(out)
 
-    @functools.cached_property
-    def _tail(self) -> np.ndarray:
-        """The B-string of every zero but the first on |up>."""
-        return b_product_state(self.zeros[1:], self.state.params)
+
+class ZeroSets:
+    """The zero sets of eigenstates of one diagonalization (L >= 2), with
+    Z(lam0, w) and F(lam0, w) evaluated for every set at once.
+
+    Row k < n of the (2n x L-1) array `zeros` is the zero set of
+    `data[k]`; row n + k is that set with its first zero moved by
+    ZERO_KICK, the probe of `wronskian_sharpness`.  One top-coefficient
+    table and one polynomial fit serve every row.
+    """
+
+    def __init__(self, data):
+        self.data = list(data)
+        self.params = params = self.data[0].state.params
+        L = params.L
+        zeros = np.array([d.zeros for d in self.data], dtype=complex)
+        kicked = zeros.copy()
+        kicked[:, 0] += ZERO_KICK
+        self.zeros = np.concatenate((zeros, kicked))
+        # the B-string of every zero but the first, shared by a set and its
+        # kicked set; `b_product_state` applies B(zeros[0]) last, so
+        # B(w_0) @ tail is its vector bit for bit
+        tails = [b_product_state(d.zeros[1:], params) for d in self.data]
+        one_up = 2**L - 1 - 2 ** np.arange(L - 1, -1, -1)
+        # Z reads only the entries of the zero-set B-string at the states
+        # with one site j up, in the order of `down_b_row`
+        self._phi_up = np.array([(b_operator(w, params) @ tail)[one_up]
+                                 for w, tail in zip(self.zeros[:, 0], tails * 2)])
+        self.top = TopCoefficient(self.zeros, params)
+
+    def z(self, lams, rows=slice(None)) -> np.ndarray:
+        """Z(lam0, w) = <down| B(lam0) phi of the sets `rows`, from the L
+        nonzero entries of <down| B(lam0): a (sets x points) array, for
+        points shared by every set, shape (P,), or one row of points per
+        set, shape (sets, P)."""
+        return (down_b_row(lams, self.params) @ self._phi_up[rows, :, None])[..., 0]
+
+    def f(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """The polynomial-part companion of Z for every set, at points as
+        in `z`: the maximal expansion coefficient for even L, its
+        pole-stripped variant (times prod_j sinh(lam0 - w_j)) for odd L;
+        and per set whether the coefficient met a pole
+        (`TopCoefficient.at`)."""
+        val, pole = self.top.at(lams)
+        if self.params.L % 2 == 1:
+            diff = np.asarray(lams)[..., None] - self.zeros[:, None, :]
+            val = val * np.prod(np.sinh(diff), axis=-1)
+        return val, pole
 
     @functools.cached_property
-    def phi(self) -> np.ndarray:
-        """The zero-set B-string on |up>: Z(lam0, w) = <down| B(lam0) phi.
-        `b_product_state` applies B(zeros[0]) last, so this is its vector
-        bit for bit."""
-        if not self.zeros:
-            return self._tail
-        return b_operator(self.zeros[0], self.state.params) @ self._tail
-
-    @functools.cached_property
-    def _phi_one_up(self) -> np.ndarray:
-        """The entries of `phi` at the states with one site j up, in the
-        order of `down_b_row` (site 0 is the leading bit, up is 0)."""
-        L = self.state.params.L
-        return self.phi[2**L - 1 - 2 ** np.arange(L - 1, -1, -1)]
-
-    def z(self, lam0: complex) -> complex:
-        """Z(lam0, w) = <down| B(lam0) phi, from the L nonzero entries of
-        <down| B(lam0)."""
-        return complex(down_b_row(lam0, self.state.params) @ self._phi_one_up)
-
-    @functools.cached_property
-    def top(self) -> TopCoefficient:
-        """The maximal expansion coefficient at (lam0, w_1, ..., w_{L-1}),
-        as a function of lam0."""
-        return TopCoefficient(self.zeros, self.state.params)
-
-    @functools.cached_property
-    def fit(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of Z(., w) and F(., w) fitted as degree L-1
-        polynomials in x, the fit validated to 1e-8 at held-out abscissae."""
-        params = self.state.params
-
-        def f_of(lam0):
-            return build_F(lam0, self, params)
-
-        degree = params.L - 1
-        circle = _circle_samples(degree)[1]
-        zpol = poly_in_x([self.z(lam) for lam in circle], params.L)
-        fpol = poly_in_x([f_of(lam) for lam in circle], params.L)
-        xs, lams = _circle_samples(degree, 1.37, phase=0.11)
-        for x, lam in zip(xs, lams):
-            for pol, fn in ((zpol, self.z), (fpol, f_of)):
-                ref = np.exp(degree * lam) * fn(lam)
-                got = polyval(x, pol)
-                if abs(ref - got) > 1e-8 * max(abs(ref), 1.0):
-                    raise ReconstructionFailure(
-                        "sampled function is not a degree L-1 polynomial in x"
-                    )
-        return zpol, fpol
+    def fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients of Z(., w) and F(., w) of every row fitted as
+        degree L-1 polynomials in x, (rows x L) each, from one solve; and
+        per row whether F met no pole and both fits held to 1e-8 at
+        held-out abscissae."""
+        degree = self.params.L - 1
+        xs, lams = _circle_samples(degree)
+        held_xs, held_lams = _circle_samples(degree, 1.37, phase=0.11)
+        points = np.concatenate((lams, held_lams))
+        f, pole = self.f(points)
+        vals = np.exp(degree * points) * np.concatenate((self.z(points), f))
+        coeffs = fit_poly(zip(xs, vals[:, :degree + 1].T), degree)
+        ref = vals[:, degree + 1:].T
+        got = np.vander(held_xs, degree + 1, increasing=True) @ coeffs
+        bad = np.any(np.abs(ref - got) > 1e-8 * np.maximum(np.abs(ref), 1.0),
+                     axis=0)
+        n = len(self.zeros)
+        return coeffs[:, :n].T, coeffs[:, n:].T, ~(pole | bad[:n] | bad[n:])
 
 
+@functools.cache
 def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
-    """degree+1 abscissae spread on a circle in the x = e^(2 lam) plane."""
+    """degree+1 abscissae spread on a circle in the x = e^(2 lam) plane,
+    and their lam; cached, so both arrays are read-only."""
     ks = np.arange(degree + 1)
     xs = radius * np.exp(2j * np.pi * (ks + phase) / (degree + 1))
     lams = 0.5 * np.log(xs)
+    xs.flags.writeable = lams.flags.writeable = False
     return xs, lams
 
 
@@ -116,14 +129,17 @@ def poly_in_x(samples, L: int) -> np.ndarray:
                      for x, lam, f in zip(xs, lams, samples)], degree)
 
 
-def down_b_row(lam: complex, params: ModelParams) -> np.ndarray:
+def down_b_row(lam, params: ModelParams) -> np.ndarray:
     """The L nonzero entries of the last row <down| B(lam), at the columns
     of the states with one site j up: entry j is
-    c prod_{k<j} b(lam - mu_k) prod_{k>j} a(lam - mu_k)."""
-    x = lam - np.asarray(params.mu)
+    c prod_{k<j} b(lam - mu_k) prod_{k>j} a(lam - mu_k).  For an array of
+    points, one row per point, shape ``lam.shape + (L,)``."""
+    x = np.asarray(lam)[..., None] - np.asarray(params.mu)
     b, a = np.sinh(x), np.sinh(x + params.gamma)
-    before = np.concatenate(([1.0], np.cumprod(b[:-1])))
-    after = np.concatenate((np.cumprod(a[:0:-1])[::-1], [1.0]))
+    ones = np.ones(x.shape[:-1] + (1,))
+    before = np.concatenate((ones, np.cumprod(b[..., :-1], axis=-1)), axis=-1)
+    after = np.concatenate((np.cumprod(a[..., :0:-1], axis=-1)[..., ::-1], ones),
+                           axis=-1)
     return np.sinh(params.gamma) * before * after
 
 
@@ -178,12 +194,7 @@ def kick_zero(data: SpectralData, j: int) -> SpectralData:
     """The same data with zero j moved by ZERO_KICK."""
     zeros = list(data.zeros)
     zeros[j] += ZERO_KICK
-    kicked = SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
-    if j == 0:
-        # the B-string of the other zeros is unchanged; a cached_property
-        # reads the instance dict first, so the kicked data reuses it
-        kicked.__dict__["_tail"] = data._tail
-    return kicked
+    return SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
 
 
 def reconstruction_residual(data: SpectralData, probe: complex) -> float:
@@ -202,8 +213,9 @@ def at_zero_residual(data: SpectralData, scale_points) -> float:
             / max(scale, 1e-300))
 
 
-def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
-    """Ratio of Z * k0 to the maximal expansion coefficient at the zeroes.
+def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
+    """Ratio of Z * k0 to the maximal expansion coefficient at the zeroes,
+    for each state of `sets` at its own row of `lambda0_draws`.
 
     Even L: the ratio must be a lam0-independent constant, and that
     constant is +1.  The expansion theorem gives
@@ -211,44 +223,37 @@ def check_lz01(data: SpectralData, lambda0_draws, params: ModelParams) -> dict:
     v = (lam0, w_1, ..., w_{L-1}) every term that keeps a zero slot carries
     a factor Lambda(w_j) = 0, and for even L the only even-sized removed
     set containing all L-1 zero slots is the full set, so Z * k0 is its
-    coefficient, `SpectralData.top`.
+    coefficient, `ZeroSets.top`.
     Odd L: the ratio divided by the eigenvalue must be constant.  Returns
-    the measured values, the spread across draws, and (even L) the
-    deviation from +1.
+    per state the measured values, their spread across draws, and (even
+    L) the deviation from +1.  A state whose draw collides with one of
+    its zeros, meets a pole or a vanishing coefficient is marked in
+    "failed", and its spread and deviation read inf.
     """
-    L = params.L
-    ratios = []
-    for lam0 in lambda0_draws:
-        if any(abs(np.sinh(lam0 - w)) < EPS_GENERIC for w in data.zeros):
-            raise PoleEncountered("lambda0 draw collides with a zero")
-        z = data.z(lam0)
-        denom = data.top(lam0)
-        if abs(denom) < 1e-300:
-            raise PoleEncountered("vanishing expansion coefficient")
-        r = z * data.k0 / denom
-        if L % 2 == 1:
-            r = r / data.state.lam(lam0)
-        ratios.append(r)
-    ratios = np.asarray(ratios)
-    mean = np.mean(ratios)
-    spread = float(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-300))
-    out = {"values": ratios, "mean": complex(mean), "spread": spread}
-    if L % 2 == 0:
+    n = len(sets.data)
+    draws = np.asarray(lambda0_draws, dtype=complex)
+    rows = slice(0, n)
+    collide = np.abs(np.sinh(draws[:, :, None] - sets.zeros[rows, None, :]))
+    denom, pole = sets.top.at(draws, rows)
+    vanish = np.abs(denom) < 1e-300
+    failed = ((collide < EPS_GENERIC).any(axis=(1, 2)) | pole
+              | vanish.any(axis=1))
+    k0 = np.array([d.k0 for d in sets.data])
+    ratios = sets.z(draws, rows) * k0[:, None] / np.where(vanish, 1.0, denom)
+    if sets.params.L % 2 == 1:
+        ratios = ratios / np.array([[d.state.lam(x) for x in row]
+                                    for d, row in zip(sets.data, lambda0_draws)])
+    mean = np.mean(ratios, axis=1)
+    spread = (np.max(np.abs(ratios - mean[:, None]), axis=1)
+              / np.maximum(np.abs(mean), 1e-300))
+    out = {"values": ratios, "mean": mean, "failed": failed,
+           "spread": np.where(failed, np.inf, spread)}
+    if sets.params.L % 2 == 0:
         expected = 1.0
         out["expected"] = expected
-        out["constant_residual"] = float(np.max(np.abs(ratios - expected)))
+        out["constant_residual"] = np.where(
+            failed, np.inf, np.max(np.abs(ratios - expected), axis=1))
     return out
-
-
-def build_F(lambda0: complex, data: SpectralData, params: ModelParams) -> complex:
-    """The polynomial-part companion of Z: the maximal expansion coefficient
-    for even L, its pole-stripped variant for odd L."""
-    L = params.L
-    val = data.top(lambda0)
-    if L % 2 == 1:
-        for w in data.zeros:
-            val *= np.sinh(lambda0 - w)
-    return complex(val)
 
 
 @functools.cache
@@ -264,64 +269,69 @@ def _min_cost_bijection(cost: np.ndarray) -> np.ndarray:
     return perms[np.argmin(cost[np.arange(len(cost)), perms].sum(axis=1))]
 
 
-def check_zero_coincidence(data: SpectralData, params: ModelParams) -> dict:
-    """Match the zero multisets of Z(., w) and F(., w) in the x plane.
+def check_zero_coincidence(sets: ZeroSets) -> dict:
+    """Match the zero multisets of Z(., w) and F(., w) in the x plane, for
+    each state of `sets`.
 
-    Returns the matched distances (measured as |log (x_Z / x_F)|) under a
-    minimal-cost bijection.
+    Returns per state the roots of both (those of F in matched order), the
+    matched distances (measured as |log (x_Z / x_F)|) under a
+    minimal-cost bijection, and their maximum.  A state whose fit failed,
+    whose fitted polynomial is constant or whose two zero counts differ
+    has no roots and reads inf.
     """
-    zpol, fpol = data.fit
-    zroots = poly_roots(zpol)
-    froots = poly_roots(fpol)
-    nz, nf = len(zroots), len(froots)
-    if nz != nf:
-        raise ReconstructionFailure(
-            f"zero counts differ: {nz} (Z) vs {nf} (F)"
-        )
-    cost = np.zeros((nz, nz))
-    for a, xz in enumerate(zroots):
-        for b, xf in enumerate(froots):
-            cost[a, b] = abs(np.log(xz / xf))
-    cols = _min_cost_bijection(cost)
-    dists = cost[np.arange(nz), cols]
-    return {
-        "z_roots": zroots,
-        "f_roots": [froots[c] for c in cols],
-        "distances": dists,
-        "max_distance": float(np.max(dists)) if nz else 0.0,
-    }
+    n = len(sets.data)
+    zpol, fpol, ok = sets.fit
+    fitted = np.flatnonzero(ok[:n])
+    roots = poly_roots_rows(np.concatenate((zpol[fitted], fpol[fitted])))
+    out = {"z_roots": [None] * n, "f_roots": [None] * n,
+           "distances": [None] * n, "max_distance": np.full(n, np.inf)}
+    for k, zroots, froots in zip(fitted, roots, roots[len(fitted):]):
+        if zroots is None or froots is None or len(zroots) != len(froots):
+            continue
+        cost = np.abs(np.log(zroots[:, None] / froots[None, :]))
+        cols = _min_cost_bijection(cost)
+        dists = cost[np.arange(len(cols)), cols]
+        out["z_roots"][k], out["f_roots"][k] = zroots, froots[cols]
+        out["distances"][k] = dists
+        out["max_distance"][k] = float(np.max(dists)) if len(dists) else 0.0
+    return out
 
 
-def wronskian_coeffs(data: SpectralData,
-                     params: ModelParams) -> tuple[list, float]:
-    """Coefficients C_0..C_[L] of the Wronskian Z F' - F Z' in x, and their
-    magnitude scale for relative vanishing tests.
+def wronskian_coeffs(sets: ZeroSets) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients C_0..C_[L] of the Wronskian Z F' - F Z' in x of every
+    row of `sets`, as a (rows x [L]+1) array, and per row their magnitude
+    scale for relative vanishing tests.
 
-    Both come from one fit of Z and F.  The Wronskian is bilinear in the two
-    fitted polynomials, so the scale is the product of their largest
-    coefficient magnitudes.
+    Both come from the one fit of Z and F.  The Wronskian is bilinear in
+    the two fitted polynomials, so the scale is the product of their
+    largest coefficient magnitudes.
     """
-    zc, fc = data.fit
-    mul = np.polynomial.polynomial.polymul
-    wron = mul(zc, np.polynomial.polynomial.polyder(fc)) - mul(
-        fc, np.polynomial.polynomial.polyder(zc)
-    )
-    top = even_floor(params.L)
-    padded = np.zeros(top + 1, dtype=complex)
-    padded[: min(len(wron), top + 1)] = wron[: top + 1]
-    scale = float(max(np.abs(zc).max() * np.abs(fc).max(), 1e-300))
-    return [complex(c) for c in padded], scale
+    zc, fc, _ = sets.fit
+    n = zc.shape[1]
+    k = np.arange(1, n)
+    dz, df = zc[:, 1:] * k, fc[:, 1:] * k
+    top = even_floor(sets.params.L)
+    wron = np.zeros((len(zc), max(2 * n - 2, top + 1)), dtype=complex)
+    for i in range(n):
+        wron[:, i:i + n - 1] += zc[:, i, None] * df - fc[:, i, None] * dz
+    scale = np.maximum(np.abs(zc).max(axis=1) * np.abs(fc).max(axis=1), 1e-300)
+    return wron[:, :top + 1], scale
 
 
-def wronskian_residual(data: SpectralData, params: ModelParams) -> float:
-    """Largest Wronskian coefficient relative to their scale; it vanishes
-    on the true zeros."""
-    coeffs, scale = wronskian_coeffs(data, params)
-    return max(abs(c) for c in coeffs) / scale
+def wronskian_residual(sets: ZeroSets) -> np.ndarray:
+    """Per state, the largest Wronskian coefficient relative to their
+    scale; it vanishes on the true zeros.  A failed fit reads inf."""
+    n = len(sets.data)
+    coeffs, scale = wronskian_coeffs(sets)
+    res = np.abs(coeffs[:n]).max(axis=1) / scale[:n]
+    return np.where(sets.fit[2][:n], res, np.inf)
 
 
-def wronskian_sharpness(data: SpectralData, params: ModelParams) -> float:
-    """1e-3 over the Wronskian residual once the first zero is kicked, so
-    it reads below 1 while the Wronskian detects the kick."""
-    coeffs, scale = wronskian_coeffs(kick_zero(data, 0), params)
-    return 1e-3 * scale / max(abs(c) for c in coeffs)
+def wronskian_sharpness(sets: ZeroSets) -> np.ndarray:
+    """Per state, 1e-3 over the Wronskian residual once the first zero is
+    kicked, so it reads below 1 while the Wronskian detects the kick.  A
+    failed fit of the kicked set reads inf."""
+    n = len(sets.data)
+    coeffs, scale = wronskian_coeffs(sets)
+    res = 1e-3 * scale[n:] / np.abs(coeffs[n:]).max(axis=1)
+    return np.where(sets.fit[2][n:], res, np.inf)

@@ -50,6 +50,7 @@ from sixvertex.vertex_core import (
     ybe_residual,
 )
 from sixvertex.zeros import (
+    ZeroSets,
     check_lz01,
     check_zero_coincidence,
     extract_zeros,
@@ -260,15 +261,19 @@ def test_criterion7_reconstruction(L):
                   f"worst={worst:.2e}")
 
 
+def lz01_draws(specs, p, rng):
+    """Five lam0 draws per state, away from its zeros, state by state."""
+    return [generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
+            for data in specs]
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_criterion7_ratio_constancy(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8200 + L)
-    worst = 0.0
-    for data in specs:
-        draws = generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-        worst = max(worst, check_lz01(data, draws, p)["spread"])
+    worst = float(np.max(
+        check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))["spread"]))
     assert report(f"7.ratio_constancy[L={L}]", worst < 1e-6,
                   f"worst spread={worst:.2e}")
 
@@ -282,18 +287,13 @@ def test_criterion7_even_ratio_constant(L):
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8300 + L)
     expected = 1.0
-    worst = 0.0
-    measured = []
-    for data in specs:
-        draws = generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-        out = check_lz01(data, draws, p)
-        measured.append(out["mean"])
-        assert out["expected"] == expected
-        worst = max(worst, out["constant_residual"])
+    out = check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))
+    assert out["expected"] == expected
+    worst = float(np.max(out["constant_residual"]))
     ok = worst < 1e-6
     assert report(
         f"7.even_ratio_constant[L={L}]", ok,
-        f"asserted {expected:+.0f}, measured {np.mean(measured):+.6f}, "
+        f"asserted {expected:+.0f}, measured {np.mean(out['mean']):+.6f}, "
         f"worst deviation {worst:.2e}",
     )
 
@@ -302,9 +302,7 @@ def test_criterion7_even_ratio_constant(L):
 def test_criterion7_zero_coincidence(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
-    worst = 0.0
-    for data in specs:
-        worst = max(worst, check_zero_coincidence(data, p)["max_distance"])
+    worst = float(np.max(check_zero_coincidence(ZeroSets(specs))["max_distance"]))
     assert report(f"7.zero_coincidence[L={L}]", worst < 1e-6,
                   f"worst={worst:.2e}")
 
@@ -313,13 +311,10 @@ def test_criterion7_zero_coincidence(L):
 def test_criterion7_wronskian(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
-    worst = 0.0
-    weakest_kick = np.inf
-    for data in specs:
-        worst = max(worst, wronskian_residual(data, p))
-        for j in range(len(data.zeros)):
-            weakest_kick = min(weakest_kick,
-                               wronskian_residual(kick_zero(data, j), p))
+    worst = float(np.max(wronskian_residual(ZeroSets(specs))))
+    weakest_kick = min(
+        float(np.min(wronskian_residual(ZeroSets([kick_zero(d, j) for d in specs]))))
+        for j in range(L - 1))
     ok = worst < 1e-6 and weakest_kick > 1e-3
     assert report(f"7.wronskian[L={L}]", ok,
                   f"worst={worst:.2e}, weakest perturbation response "

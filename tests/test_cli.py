@@ -308,14 +308,27 @@ def test_homogeneous_structural_run_builds_the_hamiltonian_once(tmp_path,
 
 def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
                                                               monkeypatch):
-    """A SixVertexError in a check records that check as `inf` and `fail`
-    with the anchor and tolerance of its family, and drops the records
-    of the same state that read its result; other states are untouched."""
+    """A SixVertexError in a check, or the failed row of a state in a
+    check that takes every state at once, records that check as `inf` and
+    `fail` with the anchor and tolerance of its family, and drops the
+    records of the same state that read its result; other states are
+    untouched."""
     from sixvertex import cli
     from sixvertex.errors import PoleEncountered
+    from sixvertex.zeros import ZeroSets
 
     def state_of(arg):
         return getattr(arg, "state", arg).index
+
+    def failed_row(out, sets):
+        # the row of state 1 as the check writes a failed state
+        k = [data.state.index for data in sets.data].index(1)
+        for key in ("spread", "max_distance"):
+            if key in out:
+                out[key][k] = float("inf")
+        if "failed" in out:
+            out["failed"][k] = True
+        return out
 
     # (patched callee, failed record, anchor, tol, dropped records)
     cases = [
@@ -336,6 +349,8 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
         real = getattr(cli, callee)
 
         def broken(arg, *args, real=real):
+            if isinstance(arg, ZeroSets):
+                return failed_row(real(arg, *args), arg)
             if state_of(arg) == 1:
                 raise PoleEncountered("broken for the test")
             return real(arg, *args)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyfromroots, polyval
+from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
 
 from sixvertex.errors import DegreeZero, SingularSystem
 from sixvertex.numkit import (
@@ -9,6 +9,7 @@ from sixvertex.numkit import (
     fit_poly,
     kron_chain,
     poly_roots,
+    poly_roots_rows,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,6 +131,21 @@ def test_poly_roots_from_known_roots():
     poly = polyfromroots(true) * (1.7 - 0.4j)
     got = poly_roots(poly)
     assert max(abs(a - b) for a, b in zip(true, got)) < 1e-8
+
+
+def test_poly_roots_rows_are_numpy_polyroots_row_by_row():
+    rng = np.random.default_rng(6)
+    full = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    # trailing coefficients below 1e-12 of the largest are trimmed
+    trimmed = np.array([1.0, -3.0, 2.0, 1e-14, 0.0])
+    constant = np.array([2.0, 1e-13, 0.0, 0.0, 0.0])
+    rows = poly_roots_rows(np.vstack((full, trimmed, constant, np.zeros(5))))
+    # the stack is complex, so the real row is solved as a complex one
+    for row, roots in zip((*full, trimmed[:3].astype(complex)), rows):
+        assert np.array_equal(roots, np.sort_complex(polyroots(row)))
+    assert rows[3].tolist() == pytest.approx([0.5, 1.0], abs=1e-12)
+    assert rows[4] is None and rows[5] is None
+    assert poly_roots(trimmed.astype(complex)) == rows[3].tolist()
 
 
 def test_poly_roots_degree_zero():

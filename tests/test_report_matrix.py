@@ -16,11 +16,11 @@ def load(path: Path, name: str):
     return mod
 
 
-def test_matrix_has_135_configs_covering_every_svbench_workload():
+def test_matrix_has_137_configs_covering_every_svbench_workload():
     configs = list(load(ROOT / "tools" / "report_matrix.py",
                         "report_matrix").matrix())
     argv_of = dict(configs)
-    assert len(configs) == len(argv_of) == 135
+    assert len(configs) == len(argv_of) == 137
     workloads = load(ROOT / "svbench" / "run.py", "svbench_run").WORKLOADS
     for name, argv in workloads.items():
         for seed in range(31):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyroots
 from scipy.optimize import linear_sum_assignment
 
 from sixvertex import functional_system, zeros
@@ -12,16 +13,18 @@ from sixvertex.functional_system import (
     transfer_eigenstates,
     v_coeff,
 )
+from sixvertex.numkit import poly_roots_rows
 from sixvertex.vertex_core import (
     ModelParams,
     b_operator,
     generic_points,
+    reference_states,
     sample_mu,
 )
 from sixvertex.zeros import (
     SpectralData,
+    ZeroSets,
     at_zero_residual,
-    build_F,
     check_lz01,
     check_zero_coincidence,
     down_b_row,
@@ -94,18 +97,22 @@ def test_eigenvalue_vanishes_at_extracted_zeros(L):
             assert abs(data.state.lam(w)) < 1e-7 * scale
 
 
+def lz01_draws(specs, p, rng):
+    """Five lam0 draws per state, away from its zeros, state by state."""
+    return [generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
+            for data in specs]
+
+
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_ratio_constancy_across_draws_and_states(L):
     p, specs = spectral_for(L, seed=20 + L)
     rng = np.random.default_rng(60 + L)
-    means = []
-    for data in specs:
-        draws = generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-        out = check_lz01(data, draws, p)
-        assert out["spread"] < 1e-6
-        means.append(out["mean"])
+    out = check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))
+    assert not out["failed"].any()
+    assert np.all(out["spread"] < 1e-6)
     # the constant is shared by every eigenstate of the same transfer matrix
-    assert max(abs(m - means[0]) for m in means) < 1e-6
+    means = out["mean"]
+    assert np.max(np.abs(means - means[0])) < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 4])
@@ -114,20 +121,29 @@ def test_measured_even_ratio_constant_is_unity(L):
     # the source's (-1)^(L/2) agrees only when 4 divides L
     p, specs = spectral_for(L, seed=30 + L)
     rng = np.random.default_rng(70 + L)
-    for data in specs[:4]:
-        draws = generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-        out = check_lz01(data, draws, p)
-        assert abs(out["mean"] - 1.0) < 1e-6
+    out = check_lz01(ZeroSets(specs[:4]), lz01_draws(specs[:4], p, rng))
+    assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
 
 
 def test_odd_ratio_equals_eigenvalue_exactly():
     p, specs = spectral_for(3, seed=33)
     rng = np.random.default_rng(73)
-    for data in specs[:4]:
-        draws = generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-        out = check_lz01(data, draws, p)
-        # odd branch reports ratio / eigenvalue; its constant is 1
-        assert abs(out["mean"] - 1.0) < 1e-6
+    out = check_lz01(ZeroSets(specs[:4]), lz01_draws(specs[:4], p, rng))
+    # odd branch reports ratio / eigenvalue; its constant is 1
+    assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
+
+
+def test_ratio_fails_only_the_set_with_colliding_zeros():
+    p, specs = spectral_for(3, seed=36)
+    data = specs[0]
+    w = data.zeros[1]
+    collided = SpectralData(data.state, data.lambda0_value,
+                            (w + 1e-5 * 0.6, w), data.k0)
+    rng = np.random.default_rng(76)
+    out = check_lz01(ZeroSets([data, collided]),
+                     lz01_draws([data, collided], p, rng))
+    assert out["failed"].tolist() == [False, True]
+    assert out["spread"][0] < 1e-6 and out["spread"][1] == np.inf
 
 
 def test_zero_shift_by_half_period_is_immaterial():
@@ -140,17 +156,16 @@ def test_zero_shift_by_half_period_is_immaterial():
     probe = 0.21 - 0.55j
     ref = data.lam_from_zeros(probe)
     assert abs(shifted.lam_from_zeros(probe) - ref) < 1e-10 * abs(ref)
-    out = check_zero_coincidence(shifted, p)
-    assert out["max_distance"] < 1e-6
+    out = check_zero_coincidence(ZeroSets([shifted]))
+    assert out["max_distance"][0] < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_zero_multisets_coincide(L):
     p, specs = spectral_for(L, seed=40 + L)
-    for data in specs:
-        out = check_zero_coincidence(data, p)
-        assert len(out["z_roots"]) == L - 1
-        assert out["max_distance"] < 1e-6
+    out = check_zero_coincidence(ZeroSets(specs))
+    assert [len(roots) for roots in out["z_roots"]] == [L - 1] * len(specs)
+    assert np.all(out["max_distance"] < 1e-6)
 
 
 def test_min_cost_bijection_hand_built():
@@ -173,8 +188,9 @@ def test_build_F_reduces_to_pair_coefficient_at_size_two():
     data = specs[0]
     lam0 = 0.37 + 0.21j
     v = (lam0,) + data.zeros
-    assert abs(build_F(lam0, data, p) - v_coeff(1, (0, 1), v, p)) < 1e-12 * abs(
-        build_F(lam0, data, p))
+    f, pole = ZeroSets([data]).f([lam0])
+    assert not pole.any()
+    assert abs(f[0, 0] - v_coeff(1, (0, 1), v, p)) < 1e-12 * abs(f[0, 0])
 
 
 def test_build_F_finite_at_zero_collision_for_odd_size():
@@ -182,13 +198,11 @@ def test_build_F_finite_at_zero_collision_for_odd_size():
     # one of the zeros, while the raw coefficient grows like the inverse
     # distance
     p, specs = spectral_for(3, seed=45)
-    data = specs[0]
-    w = data.zeros[0]
-    far = build_F(w + 2e-3, data, p)
-    near = build_F(w + 1e-3, data, p)
+    sets = ZeroSets(specs[:1])
+    w = specs[0].zeros[0]
+    far, near = sets.f([w + 2e-3, w + 1e-3])[0][0]
     assert abs(near - far) < 1e-2 * abs(far)
-    raw_far = data.top(w + 2e-3)
-    raw_near = data.top(w + 1e-3)
+    raw_far, raw_near = sets.top.at([w + 2e-3, w + 1e-3])[0][0]
     assert 1.8 < abs(raw_near / raw_far) < 2.2
 
 
@@ -196,10 +210,10 @@ def test_build_F_finite_at_zero_collision_for_odd_size():
 def test_wronskian_vanishes_on_true_zeros(L):
     p, specs = spectral_for(L, seed=50 + L)
     expected_count = (L if L % 2 == 0 else L - 1) + 1
-    for data in specs:
-        coeffs, _ = wronskian_coeffs(data, p)
-        assert len(coeffs) == expected_count
-        assert wronskian_residual(data, p) < 1e-6
+    sets = ZeroSets(specs)
+    coeffs, _ = wronskian_coeffs(sets)
+    assert coeffs.shape == (2 * len(specs), expected_count)
+    assert np.all(wronskian_residual(sets) < 1e-6)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -207,24 +221,25 @@ def test_wronskian_detects_perturbed_zero(L):
     p, specs = spectral_for(L, seed=55 + L)
     data = specs[0]
     for j in range(len(data.zeros)):
-        assert wronskian_residual(kick_zero(data, j), p) > 1e-3
+        assert wronskian_residual(ZeroSets([kick_zero(data, j)]))[0] > 1e-3
 
 
 def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
     p, specs = spectral_for(3, seed=60)
-    data = specs[0]
     fits = []
-    original = zeros.poly_in_x
+    original = zeros.fit_poly
 
     def counted(*args):
         fits.append(args)
         return original(*args)
 
-    monkeypatch.setattr(zeros, "poly_in_x", counted)
-    check_zero_coincidence(data, p)
-    wronskian_coeffs(data, p)
-    # one fit each of Z(., w) and F(., w)
-    assert len(fits) == 2
+    monkeypatch.setattr(zeros, "fit_poly", counted)
+    sets = ZeroSets(specs)
+    check_zero_coincidence(sets)
+    wronskian_residual(sets)
+    wronskian_sharpness(sets)
+    # one fit of Z(., w) and F(., w) for every set and every kicked set
+    assert len(fits) == 1
 
 
 def _scaled_eigenvalue(monkeypatch, data, p):
@@ -242,15 +257,15 @@ def _unkicked_probe(monkeypatch, data, p):
     # the kick leaves the zero in place, so the Wronskian does not respond
     # and the sharpness reads far above its tolerance 1
     monkeypatch.setattr(zeros, "ZERO_KICK", 0.0)
-    return wronskian_sharpness(data, p)
+    return wronskian_sharpness(ZeroSets([data]))[0]
 
 
 # check -> (break returning the residual, the value it must exceed)
 BREAKS = {
     "reconstruction": (_scaled_eigenvalue, 1e-3),
     "at_zero": (_moved_zero, 1e-3),
-    "wronskian": (lambda mp, data, p: wronskian_residual(kick_zero(data, 0), p),
-                  1e-3),
+    "wronskian": (lambda mp, data, p:
+                  wronskian_residual(ZeroSets([kick_zero(data, 0)]))[0], 1e-3),
     "wronskian_sharpness": (_unkicked_probe, 1.0),
 }
 
@@ -273,11 +288,11 @@ def drawn_zero_set(L, seed):
     return p, SpectralData(st, 1.0, ws, 1.0), rng
 
 
-def top_term_scale(lam0, data, p):
+def top_term_scale(lam0, zeros_, p):
     """Sum of |terms| of `_v` at the top index set, with its arithmetic."""
     idx = np.array(functional_system._top_indices(p.L))
     m = len(idx) // 2
-    tab = functional_system._PairTable((lam0,) + data.zeros, p)
+    tab = functional_system._PairTable((lam0,) + tuple(zeros_), p)
     kept = np.delete(np.arange(tab.n), idx)
     jf = tab.a_site[idx] * np.prod(tab.read("a_b", kept[:, None], idx), axis=0)
     kf = tab.b_site[idx] * np.prod(tab.read("a_b", idx[:, None], kept), axis=1)
@@ -296,43 +311,59 @@ def test_top_v_table_matches_v_coeff(L):
     # difference relative to |V| reads up to ~1e-13
     p, data, rng = drawn_zero_set(L, seed=80 + L)
     idx = functional_system._top_indices(L)
-    for lam0 in generic_points(30, rng, avoid=list(data.zeros) + list(p.mu)):
+    lam0s = generic_points(30, rng, avoid=list(data.zeros) + list(p.mu))
+    top = TopCoefficient([data.zeros], p)
+    got, pole = top.at(lam0s)
+    assert not pole.any()
+    for lam0, val in zip(lam0s, got[0]):
         ref = v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
-        scale = top_term_scale(lam0, data, p)
-        assert abs(data.top(lam0) - ref) < 1e-13 * scale
-    assert isinstance(data.top, TopCoefficient)
+        scale = top_term_scale(lam0, data.zeros, p)
+        assert abs(val - ref) < 1e-13 * scale
+    # points given per set read the same values as shared points
+    assert np.array_equal(top.at([lam0s])[0], got)
 
 
 @pytest.mark.parametrize("L", [3, 4])
 def test_top_v_table_raises_where_v_coeff_does(L):
+    # where v_coeff raises, the table flags the set, and only that set
     p, data, rng = drawn_zero_set(L, seed=90 + L)
     idx = functional_system._top_indices(L)
     w = data.zeros[-1]
-    lam0 = w + 1e-5 * 0.6
+    near = w + 1e-5 * 0.6
     with pytest.raises(PoleEncountered):
-        v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
+        v_coeff(len(idx) // 2, idx, (near,) + data.zeros, p)
+    collided = (w + 1e-5 * 0.6,) + data.zeros[1:]
+    lam0 = generic_points(1, rng, avoid=list(collided) + list(p.mu))[0]
     with pytest.raises(PoleEncountered):
-        data.top(lam0)
-    collided = SpectralData(data.state, 1.0,
-                            (w + 1e-5 * 0.6,) + data.zeros[1:], 1.0)
-    lam0 = generic_points(1, rng, avoid=list(collided.zeros) + list(p.mu))[0]
-    with pytest.raises(PoleEncountered):
-        v_coeff(len(idx) // 2, idx, (lam0,) + collided.zeros, p)
-    with pytest.raises(PoleEncountered):
-        collided.top(lam0)
+        v_coeff(len(idx) // 2, idx, (lam0,) + collided, p)
+    clear = generic_points(1, rng, avoid=list(data.zeros) + list(p.mu))[0]
+    top = TopCoefficient([data.zeros, collided], p)
+    assert top.at([[near], [lam0]])[1].tolist() == [True, True]
+    assert top.at([[clear], [lam0]])[1].tolist() == [False, True]
+    assert top.at([clear])[1].tolist() == [False, True]
 
 
 @pytest.mark.parametrize("L", [3, 5, 8])
-def test_kicked_refit_reuses_the_zero_set_b_string(L):
+def test_kicked_refit_reuses_the_zero_set_b_string(L, monkeypatch):
     p, data, _ = drawn_zero_set(L, seed=100 + L)
-    assert np.array_equal(data.phi, b_product_state(data.zeros, p))
-    kicked = kick_zero(data, 0)
-    assert np.array_equal(kicked.phi, b_product_state(kicked.zeros, p))
-    assert kicked._tail is data._tail
+    strings = []
+
+    def counted(zeros_, params):
+        strings.append(tuple(zeros_))
+        return b_product_state(zeros_, params)
+
+    monkeypatch.setattr(zeros, "b_product_state", counted)
+    sets = ZeroSets([data])
+    # one string of the zeros after the first, shared with the kicked set
+    assert strings == [data.zeros[1:]]
+    one_up = [2**L - 1 - 2 ** (L - 1 - j) for j in range(L)]
+    for row, zs in zip(sets._phi_up, (data.zeros, kick_zero(data, 0).zeros)):
+        assert np.array_equal(row, b_product_state(zs, p)[one_up])
 
 
-def test_zeros_suite_reads_one_top_table_per_zero_set(monkeypatch, tmp_path):
-    calls = {"v_coeff": 0, "_v": 0, "tables": 0}
+def test_zeros_suite_reads_one_top_table_and_one_fit_per_draw(monkeypatch,
+                                                              tmp_path):
+    calls = {"v_coeff": 0, "_v": 0, "tables": 0, "fits": 0, "extractions": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -345,11 +376,100 @@ def test_zeros_suite_reads_one_top_table_per_zero_set(monkeypatch, tmp_path):
                             counted(name, getattr(functional_system, name)))
     monkeypatch.setattr(TopCoefficient, "__init__",
                         counted("tables", TopCoefficient.__init__))
+    monkeypatch.setattr(zeros, "fit_poly", counted("fits", zeros.fit_poly))
+    monkeypatch.setattr(zeros, "poly_in_x",
+                        counted("extractions", zeros.poly_in_x))
     config = build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
                            "--out", str(tmp_path / "report.txt")])
     code, reports = run(config)
     assert code == 0
     sharpness = [r for r in reports if r.name.startswith("zeros.wronskian_sharpness")]
-    assert sharpness
-    # the state's zeros, then the kicked set of wronskian_sharpness
-    assert calls == {"v_coeff": 0, "_v": 0, "tables": 2 * len(sharpness)}
+    assert len(sharpness) == calls["extractions"] > 1
+    # every zero set and its kicked set share one table and one fit, beside
+    # the fit of each zero extraction
+    assert calls == {"v_coeff": 0, "_v": 0, "tables": 1,
+                     "fits": calls["extractions"] + 1,
+                     "extractions": len(sharpness)}
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 6])
+def test_zero_sets_match_per_state_references(L):
+    p, specs = spectral_for(L, seed=110 + L)
+    rng = np.random.default_rng(120 + L)
+    sets = ZeroSets(specs)
+    assert len(sets.zeros) == 2 * len(specs)
+    shared = generic_points(3, rng, avoid=list(sets.zeros.ravel()) + list(p.mu))
+    own = [generic_points(2, rng, avoid=list(row) + list(p.mu))
+           for row in sets.zeros]
+    down = reference_states(L)[1]
+    idx = functional_system._top_indices(L)
+    for points, rows in ((shared, [shared] * len(own)), (own, own)):
+        z = sets.z(points)
+        f, pole = sets.f(points)
+        assert not pole.any()
+        for k, (row, zeros_) in enumerate(zip(rows, sets.zeros)):
+            phi = b_product_state(tuple(zeros_), p)
+            for j, lam0 in enumerate(row):
+                left = down @ b_operator(lam0, p)
+                ref = left @ phi
+                assert abs(z[k, j] - ref) <= 1e-12 * (np.abs(left) @ np.abs(phi))
+                factor = np.prod(np.sinh(lam0 - zeros_)) if L % 2 else 1.0
+                ref = v_coeff(len(idx) // 2, idx, (lam0,) + tuple(zeros_), p)
+                scale = top_term_scale(lam0, zeros_, p) * abs(factor)
+                assert abs(f[k, j] - ref * factor) <= 1e-13 * scale
+    zpol, fpol, ok = sets.fit
+    assert ok.all()
+    coeffs = np.concatenate((zpol, fpol))
+    for row, roots in zip(coeffs, poly_roots_rows(coeffs)):
+        ref = np.sort_complex(polyroots(row))
+        assert len(roots) == len(ref) == L - 1
+        assert np.all(np.abs(roots - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_one_state_failure_leaves_every_other_record(monkeypatch, tmp_path):
+    """A pole in one state's ratio draw and a failed fit of another state
+    make inf exactly the records they reach; every other record of the
+    run is written byte for byte as without them."""
+    from sixvertex import cli
+
+    argv = ["--size", "4", "--suite", "zeros", "--seed", "1",
+            "--out", str(tmp_path / "r.txt")]
+    plain = [r.line() for r in run(build_config(argv))[1]]
+    order = [line.split()[0].rsplit(".state", 1)[1] for line in plain
+             if line.startswith("check=zeros.lz01_constancy.")]
+    pole_state, refit_state = order[1], order[2]
+    real_draws, real_f = cli.generic_points, ZeroSets.f
+    lz01_draws = []
+
+    def draws(n, rng, avoid=()):
+        pts = real_draws(n, rng, avoid=avoid)
+        if len(avoid) > 4:  # a ratio draw, which avoids the state's zeros
+            lz01_draws.append(pts)
+            if len(lz01_draws) == 2:
+                return (avoid[0],) + pts[1:]  # the first draw on a zero
+        return pts
+
+    def f(self, lams):
+        val, pole = real_f(self, lams)
+        if np.ndim(lams) == 1:  # the shared points of the fit
+            val = val.copy()
+            val[2] *= 1 + 1e-3 * np.abs(lams)  # no polynomial in x
+        return val, pole
+
+    monkeypatch.setattr(cli, "generic_points", draws)
+    monkeypatch.setattr(ZeroSets, "f", f)
+    broken = [r.line() for r in run(build_config(argv))[1]]
+    assert len(lz01_draws) == len(order)
+
+    def name(line):
+        return line.split()[0][len("check="):]
+
+    failed = {name(line) for line in broken if "residual=inf" in line}
+    assert failed == {f"zeros.lz01_constancy.state{pole_state}",
+                      f"zeros.coincidence.state{refit_state}",
+                      f"zeros.wronskian.state{refit_state}"}
+    dropped = {f"zeros.{fam}.state{pole_state}" for fam in
+               ("lz01_even_constant", "coincidence", "wronskian",
+                "wronskian_sharpness")}
+    assert [line for line in plain if name(line) not in failed | dropped] == \
+        [line for line in broken if name(line) not in failed]

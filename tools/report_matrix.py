@@ -13,7 +13,7 @@ every residual leaves no difference.
 
 The matrix:
 
-* the default suites at L = 1..7, seeds 0 and 1;
+* the default suites at L = 1..8, seeds 0 and 1;
 * ``--mu zero`` at L = 2..8;
 * ``--root-of-unity 1/l --suite rou`` for l = 2..5 at L = 2..6, seed 1;
 * ``--size 8 --suite structural,dwbc --seed 1``;
@@ -43,7 +43,7 @@ def workloads() -> dict:
 
 def matrix():
     """(name, argv) of every config, in run order."""
-    for L in range(1, 8):
+    for L in range(1, 9):
         for seed in (0, 1):
             yield f"default_L{L}_s{seed}", ["--size", str(L), "--seed", str(seed)]
     for L in range(2, 9):

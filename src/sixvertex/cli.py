@@ -59,7 +59,6 @@ from .zeros import (
     check_zero_coincidence,
     extract_zeros,
     reconstruction_residual,
-    sample_values,
     wronskian_residual,
     wronskian_sharpness,
 )
@@ -253,7 +252,7 @@ class _Runner:
         )
         self.reports: list[CheckReport] = []
         self._states = None
-        self._spectral = None
+        self._zero_sets = None
 
     def resolve(self, name: str) -> tuple[str, float]:
         """The anchor and tolerance of a record: the anchor of its family,
@@ -294,16 +293,16 @@ class _Runner:
             self._states = transfer_eigenstates(self.params, self.rng)
         return self._states
 
-    def spectral_data(self):
-        if self._spectral is None:
+    def zero_sets(self) -> ZeroSets:
+        """The zero sets of the k0-defined states, extracted on first use;
+        each state whose extraction fails is then recorded as an `inf`
+        `zeros.reconstruction`."""
+        if self._zero_sets is None:
             defined = [st for st in self.states if st.k0_defined]
-            rows = sample_values(defined, self.params).tolist()
-            found = (self.attempt(f"zeros.reconstruction.state{st.index}",
-                                  lambda st=st, row=row:
-                                  extract_zeros(st, row, self.params))
-                     for st, row in zip(defined, rows))
-            self._spectral = [data for data in found if data is not None]
-        return self._spectral
+            self._zero_sets, failed = extract_zeros(defined, self.params)
+            for st in failed:
+                self.add(f"zeros.reconstruction.state{st.index}", float("inf"))
+        return self._zero_sets
 
     # ------------------------------------------------------------------
     def run_structural(self):
@@ -430,28 +429,27 @@ class _Runner:
     def run_zeros(self):
         p = self.params
         rng = self.rng
-        found = self.spectral_data() if p.L >= 2 else []
-        if not found:
+        sets = self.zero_sets() if p.L >= 2 else ()
+        if not sets:
             return
         # every draw comes first, state by state, in the order the records
         # are written; then each check evaluates every state at once
         probes, scale_points, lz_draws = [], [], []
-        for data in found:
+        for _, zeros in sets:
             probes.append(generic_points(1, rng, avoid=p.mu)[0])
             scale_points.append(generic_points(5, rng, avoid=p.mu))
             lz_draws.append(generic_points(max(5, self.config.draws), rng,
-                                           avoid=list(data.zeros) + list(p.mu)))
-        sets = ZeroSets(found)
+                                           avoid=list(zeros) + list(p.mu)))
         lz = check_lz01(sets, lz_draws)
         coincidence = check_zero_coincidence(sets)["max_distance"]
         wronskian = wronskian_residual(sets)
         sharpness = wronskian_sharpness(sets)
-        for k, data in enumerate(found):
-            i = data.state.index
-            self.add(f"zeros.reconstruction.state{i}",
-                     reconstruction_residual(data, probes[k]))
+        for k, (st, zeros) in enumerate(sets):
+            i = st.index
+            self.add(f"zeros.reconstruction.state{i}", reconstruction_residual(
+                st, sets.lam0[k], zeros, probes[k]))
             self.add(f"zeros.at_zero.state{i}",
-                     at_zero_residual(data, scale_points[k]))
+                     at_zero_residual(st, zeros, scale_points[k]))
             # a failed ratio draw records inf and drops the state's later
             # records
             self.add(f"zeros.lz01_constancy.state{i}", lz["spread"][k])
@@ -488,28 +486,27 @@ class _Runner:
             self.add("rou.l3_form_agreement", _worst(res["form_agreement"]))
         if spec.l == 4:
             l4 = check_l4_relation(self.states, p, draws[:6])
-        for data in self.spectral_data():
-            st = data.state
+        for st, zeros in self.zero_sets():
             conj = spec.l >= 5
             self.guarded(
                 f"rou.bethe.state{st.index}",
-                lambda d=data: max((abs(x) for x in
-                                    bethe_residual(d, spec, p)), default=0.0),
+                lambda z=zeros: max((abs(x) for x in
+                                     bethe_residual(z, spec, p)), default=0.0),
                 conjecture=conj,
             )
             if spec.l == 2:
                 self.guarded(
                     f"rou.bethe_l2.state{st.index}",
-                    lambda d=data: max((abs(x) for x in
-                                        bethe_residual_l2(d, p)), default=0.0),
+                    lambda z=zeros: max((abs(x) for x in
+                                         bethe_residual_l2(z, p)), default=0.0),
                 )
             if spec.l == 4:
                 # a failed ratio equation records the state's relation as
                 # inf and drops its other l = 4 records
                 name = f"rou.l4_relation.state{st.index}"
-                shifted = l4_shifted_values(data, p)
+                shifted = l4_shifted_values(st, zeros, p)
                 ratios = self.attempt(
-                    name, lambda: l4_ratio_residuals(data, shifted, p))
+                    name, lambda: l4_ratio_residuals(zeros, shifted, p))
                 if ratios is None:
                     continue
                 self.add(name, l4["relation_residual"][st.index])
@@ -519,7 +516,7 @@ class _Runner:
                          max((abs(x) for x in ratios), default=0.0))
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}",
-                    lambda: max(l4_specialized_residuals(data, shifted, p),
+                    lambda: max(l4_specialized_residuals(zeros, shifted, p),
                                 default=0.0),
                 )
 

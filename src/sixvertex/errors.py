@@ -13,10 +13,6 @@ class SingularSystem(SixVertexError):
     """Interpolation abscissae too close; Vandermonde system ill-conditioned."""
 
 
-class DegreeZero(SixVertexError):
-    """Root extraction requested for a constant polynomial."""
-
-
 class PoleEncountered(SixVertexError):
     """A sinh denominator fell below the genericity threshold."""
 
@@ -27,10 +23,6 @@ class K0Undefined(SixVertexError):
 
 class DegenerateSpectrum(SixVertexError):
     """Transfer-matrix spectrum too degenerate for per-state analysis."""
-
-
-class ReconstructionFailure(SixVertexError):
-    """Polynomial reconstruction of a sampled function exceeded tolerance."""
 
 
 class SingularDenominator(SixVertexError):

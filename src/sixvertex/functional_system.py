@@ -217,11 +217,8 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
         trips = eig_general(t)
         vals = np.array([tr.value for tr in trips])
         scale = max(np.max(np.abs(vals)), 1.0)
-        spacing_ok = all(
-            abs(vals[i] - vals[j]) > 1e-6 * scale
-            for i in range(len(vals))
-            for j in range(i + 1, len(vals))
-        )
+        i, j = np.triu_indices(len(vals), 1)
+        spacing_ok = bool(np.all(np.abs(vals[i] - vals[j]) > 1e-6 * scale))
         norms = [complex(tr.left @ tr.right) for tr in trips]
         if any(abs(norm) < 1e-10 for norm in norms):
             last_exc = DegenerateSpectrum("vanishing left/right overlap")

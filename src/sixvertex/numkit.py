@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeZero, NonConvergence, SingularSystem
+from .errors import NonConvergence, SingularSystem
 
 DIM_CAP = 256
 COND_CAP = 1e12
@@ -113,19 +113,11 @@ def fit_poly(samples, degree: int) -> np.ndarray:
     return np.linalg.solve(vand, ys)
 
 
-def poly_roots(coeffs: np.ndarray) -> list[complex]:
-    """Roots via companion-matrix eigenvalues, once trailing coefficients
-    below 1e-12 of the largest are trimmed, sorted by (Re, Im)."""
-    roots = poly_roots_rows(np.asarray(coeffs)[None, :])[0]
-    if roots is None:
-        raise DegreeZero("cannot extract roots of a constant polynomial")
-    return [complex(r) for r in roots]
-
-
 def poly_roots_rows(coeffs: np.ndarray) -> list:
-    """The roots of each row of a (rows, n) coefficient array, as
-    `poly_roots` takes them, each an array; None for a row that is
-    constant once trimmed.
+    """The roots of each row of a (rows, n) coefficient array, once
+    trailing coefficients below 1e-12 of the row's largest are trimmed,
+    each an array sorted by (Re, Im); None for a row that is constant once
+    trimmed.
 
     The rows of one trimmed degree share one batched eigenvalue solve of
     their companion matrices, built as numpy's `polyroots` builds them

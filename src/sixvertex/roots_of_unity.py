@@ -4,6 +4,7 @@ satisfied by the eigenvalue zeroes."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .functional_system import (
     values,
 )
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator
-from .zeros import SpectralData
+from .zeros import lam_from_zeros
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def bethe_lhs(w: complex, params: ModelParams) -> complex:
     return complex(out)
 
 
-def bethe_residual(data: SpectralData, spec: RootOfUnitySpec,
-                   params: ModelParams) -> list:
-    """Per-zero residuals of the Bethe-type equation.
+def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
+    """Per-zero residuals of the Bethe-type equation at the zero set
+    `zeros` of one eigenvalue.
 
     The interaction product runs over every zero, including the self
     term (which contributes sinh(g)/sinh(-g) = -1), matching the closure
@@ -117,10 +118,10 @@ def bethe_residual(data: SpectralData, spec: RootOfUnitySpec,
     """
     out = []
     g = params.gamma
-    for i, wi in enumerate(data.zeros):
+    for i, wi in enumerate(zeros):
         lhs = bethe_lhs(wi, params)
         prod = 1.0 + 0j
-        for wj in data.zeros:
+        for wj in zeros:
             den = np.sinh(wj - wi - g)
             if abs(den) < EPS_GENERIC:
                 raise PoleEncountered("colliding zeroes in interaction product")
@@ -129,12 +130,13 @@ def bethe_residual(data: SpectralData, spec: RootOfUnitySpec,
     return out
 
 
-def bethe_residual_l2(data: SpectralData, params: ModelParams) -> list:
+def bethe_residual_l2(zeros, params: ModelParams) -> list:
     """Per-zero residuals of the l = 2 site-product equation (no
-    interaction term); reported alongside the general form."""
+    interaction term) at the zero set `zeros`; reported alongside the
+    general form."""
     g = params.gamma
     out = []
-    for wi in data.zeros:
+    for wi in zeros:
         prod = 1.0 + 0j
         for m in params.mu:
             den = np.sinh(wi - m) ** 2
@@ -207,20 +209,21 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
     }
 
 
-def l4_shifted_values(data: SpectralData, params: ModelParams) -> list:
-    """Per zero w of `data`, the state's eigenvalues at w - 2g, w - g and
-    w + g: what `l4_ratio_residuals` and `l4_specialized_residuals` read."""
+def l4_shifted_values(state, zeros, params: ModelParams) -> list:
+    """Per zero w of `state`'s zero set `zeros`, its eigenvalues at
+    w - 2g, w - g and w + g: what `l4_ratio_residuals` and
+    `l4_specialized_residuals` read."""
     g = params.gamma
-    lam = data.state.lam
-    return [[lam(w - 2 * g), lam(w - g), lam(w + g)] for w in data.zeros]
+    lam = state.lam
+    return [[lam(w - 2 * g), lam(w - g), lam(w + g)] for w in zeros]
 
 
-def l4_ratio_residuals(data: SpectralData, shifted, params: ModelParams) -> list:
+def l4_ratio_residuals(zeros, shifted, params: ModelParams) -> list:
     """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
     site product at each zero w against -Lambda(w - g) / Lambda(w + g),
-    with `shifted` = ``l4_shifted_values(data, params)``."""
+    with `shifted` = ``l4_shifted_values(state, zeros, params)``."""
     out = []
-    for wi, (_, lam_minus, lam_plus) in zip(data.zeros, shifted):
+    for wi, (_, lam_minus, lam_plus) in zip(zeros, shifted):
         lhs = bethe_lhs(wi, params)
         if abs(lam_plus) < 1e-300:
             raise PoleEncountered("eigenvalue vanishes at shifted zero")
@@ -228,21 +231,21 @@ def l4_ratio_residuals(data: SpectralData, shifted, params: ModelParams) -> list
     return out
 
 
-def bethe_residual_l4(data: SpectralData, params: ModelParams) -> list:
+def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
     """Per-zero residuals of the l = 4 zero equation with its driving term.
 
     The four-fold relation at lam = w + g, where Lambda(w) = 0, leaves
     Lambda(w - 2g) [P(w; 2g, 0) Lambda(w - g) + P(w; g, -g) Lambda(w + g)]
     = Q(w + g), with P(w; s, t) = prod_k sinh(w - mu_k + s) sinh(w - mu_k + t).
     The specialization at lam = w + 2g gives the same bracket, so Q cannot
-    be eliminated.  Lambda is rebuilt from the zero set, making this a
-    statement about the zeroes; each residual is relative to the largest
-    of the three terms.
+    be eliminated.  Lambda is rebuilt from its value `lam0` at the origin
+    and the zero set `zeros`, making this a statement about the zeroes;
+    each residual is relative to the largest of the three terms.
     """
     g = params.gamma
-    lam = data.lam_from_zeros
+    lam = functools.partial(lam_from_zeros, lam0, zeros)
     out = []
-    for wi in data.zeros:
+    for wi in zeros:
         outer = lam(wi - 2 * g)
         t1 = outer * _mu_product(wi, (2 * g, 0), params) * lam(wi - g)
         t2 = outer * _mu_product(wi, (g, -g), params) * lam(wi + g)
@@ -252,15 +255,14 @@ def bethe_residual_l4(data: SpectralData, params: ModelParams) -> list:
     return out
 
 
-def l4_specialized_residuals(data: SpectralData, shifted,
-                             params: ModelParams) -> list:
+def l4_specialized_residuals(zeros, shifted, params: ModelParams) -> list:
     """Residuals of the four-fold relation specialized at each shifted zero,
     without the ratio reduction: the product-weighted combination of
     eigenvalues at w +- gamma must reproduce the driving term.  `shifted`
-    is ``l4_shifted_values(data, params)``."""
+    is ``l4_shifted_values(state, zeros, params)``."""
     g = params.gamma
     out = []
-    for wi, (lam_m2g, lam_mg, lam_g) in zip(data.zeros, shifted):
+    for wi, (lam_m2g, lam_mg, lam_g) in zip(zeros, shifted):
         s02 = _mu_product(wi, (2 * g, 0), params)
         spm = _mu_product(wi, (g, -g), params)
         lhs = lam_m2g * (s02 * lam_mg + spm * lam_g)

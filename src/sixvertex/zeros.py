@@ -1,72 +1,90 @@
 """Zeroes of the transfer-matrix eigenvalues and their relation to the
 zeroes of the domain-wall partition function: ratio constancy, zero
-coincidence, and the Wronskian conditions."""
+coincidence, and the Wronskian conditions.
+
+`extract_zeros` finds the zeros of every eigenvalue of a draw with one
+polynomial fit and one batched root solve, and returns them as one
+`ZeroSets`, the only holder of a draw's zero data; the checks read it
+whole or row by row."""
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dwbc import b_product_state
-from .errors import ReconstructionFailure
 from .functional_system import EigenState, TopCoefficient, even_floor, values
-from .numkit import fit_poly, poly_roots, poly_roots_rows
+from .numkit import fit_poly, poly_roots_rows
 from .vertex_core import EPS_GENERIC, ModelParams, b_operator
 
 # shift of one zero that the Wronskian conditions must detect
 ZERO_KICK = 1e-2
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalue function data: value at the origin, its zeroes, and the
-    reference-state overlap ratio.  `ZeroSets` evaluates what the zeros
-    suite reads of the zero sets of one draw."""
-
-    state: EigenState
-    lambda0_value: complex
-    zeros: tuple
-    k0: complex
-
-    def lam_from_zeros(self, x: complex) -> complex:
-        """Eigenvalue reconstructed from its zero set."""
-        out = self.lambda0_value
-        for w in self.zeros:
-            out *= np.sinh(w - x) / np.sinh(w)
-        return complex(out)
+def lam_from_zeros(lam0, zeros, x) -> complex:
+    """The eigenvalue at x reconstructed from its value `lam0` at the
+    origin and its zero set."""
+    out = lam0
+    for w in zeros:
+        out *= np.sinh(w - x) / np.sinh(w)
+    return complex(out)
 
 
 class ZeroSets:
-    """The zero sets of eigenstates of one diagonalization (L >= 2), with
+    """The zero sets of eigenstates of one diagonalization, with
     Z(lam0, w) and F(lam0, w) evaluated for every set at once.
 
-    Row k < n of the (2n x L-1) array `zeros` is the zero set of
-    `data[k]`; row n + k is that set with its first zero moved by
-    ZERO_KICK, the probe of `wronskian_sharpness`.  One top-coefficient
-    table and one polynomial fit serve every row.
+    Row k of the (sets x L-1) array `zeros` is the zero set of
+    `states[k]`, whose eigenvalue at the origin is `lam0[k]`; iterating
+    yields (state, zero row).  The Z/F parts (`with_kicked`, `top`, `fit`
+    and the B-string entries) are built on first use, so holding the sets
+    costs nothing beyond the zeros.  One top-coefficient table and one
+    polynomial fit serve every row of `with_kicked`.
     """
 
-    def __init__(self, data):
-        self.data = list(data)
-        self.params = params = self.data[0].state.params
-        L = params.L
-        zeros = np.array([d.zeros for d in self.data], dtype=complex)
-        kicked = zeros.copy()
+    def __init__(self, states, lam0, zeros):
+        self.states = list(states)
+        self.lam0 = list(lam0)
+        self.zeros = np.array(zeros, dtype=complex)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return zip(self.states, self.zeros)
+
+    @property
+    def params(self) -> ModelParams:
+        return self.states[0].params
+
+    @functools.cached_property
+    def with_kicked(self) -> np.ndarray:
+        """The (2 sets x L-1) rows that Z and F are evaluated on: row k < n
+        is `zeros[k]`, row n + k is that set with its first zero moved by
+        ZERO_KICK, the probe of `wronskian_sharpness`."""
+        kicked = self.zeros.copy()
         kicked[:, 0] += ZERO_KICK
-        self.zeros = np.concatenate((zeros, kicked))
+        return np.concatenate((self.zeros, kicked))
+
+    @functools.cached_property
+    def _phi_up(self) -> np.ndarray:
+        """The entries of each row's B-string at the states with one site
+        j up, in the order of `down_b_row`: all that Z reads of it."""
+        params = self.params
+        L = params.L
         # the B-string of every zero but the first, shared by a set and its
         # kicked set; `b_product_state` applies B(zeros[0]) last, so
         # B(w_0) @ tail is its vector bit for bit
-        tails = [b_product_state(d.zeros[1:], params) for d in self.data]
+        tails = [b_product_state(row[1:], params) for row in self.zeros]
         one_up = 2**L - 1 - 2 ** np.arange(L - 1, -1, -1)
-        # Z reads only the entries of the zero-set B-string at the states
-        # with one site j up, in the order of `down_b_row`
-        self._phi_up = np.array([(b_operator(w, params) @ tail)[one_up]
-                                 for w, tail in zip(self.zeros[:, 0], tails * 2)])
-        self.top = TopCoefficient(self.zeros, params)
+        return np.array([(b_operator(w, params) @ tail)[one_up]
+                         for w, tail in zip(self.with_kicked[:, 0], tails * 2)])
+
+    @functools.cached_property
+    def top(self) -> TopCoefficient:
+        return TopCoefficient(self.with_kicked, self.params)
 
     def z(self, lams, rows=slice(None)) -> np.ndarray:
         """Z(lam0, w) = <down| B(lam0) phi of the sets `rows`, from the L
@@ -83,7 +101,7 @@ class ZeroSets:
         (`TopCoefficient.at`)."""
         val, pole = self.top.at(lams)
         if self.params.L % 2 == 1:
-            diff = np.asarray(lams)[..., None] - self.zeros[:, None, :]
+            diff = np.asarray(lams)[..., None] - self.with_kicked[:, None, :]
             val = val * np.prod(np.sinh(diff), axis=-1)
         return val, pole
 
@@ -104,7 +122,7 @@ class ZeroSets:
         got = np.vander(held_xs, degree + 1, increasing=True) @ coeffs
         bad = np.any(np.abs(ref - got) > 1e-8 * np.maximum(np.abs(ref), 1.0),
                      axis=0)
-        n = len(self.zeros)
+        n = len(self.with_kicked)
         return coeffs[:, :n].T, coeffs[:, n:].T, ~(pole | bad[:n] | bad[n:])
 
 
@@ -117,16 +135,6 @@ def _circle_samples(degree: int, radius: float = 1.0, phase: float = 0.35):
     lams = 0.5 * np.log(xs)
     xs.flags.writeable = lams.flags.writeable = False
     return xs, lams
-
-
-def poly_in_x(samples, L: int) -> np.ndarray:
-    """Coefficients of e^((L-1) lam) * f(lam) fitted as a degree L-1
-    polynomial in e^(2 lam), from `samples`, the values of f at the
-    unit-circle abscissae `_circle_samples(L - 1)`."""
-    degree = L - 1
-    xs, lams = _circle_samples(degree)
-    return fit_poly([(x, np.exp(degree * lam) * f)
-                     for x, lam, f in zip(xs, lams, samples)], degree)
 
 
 def down_b_row(lam, params: ModelParams) -> np.ndarray:
@@ -152,64 +160,60 @@ def _sample_points(L: int) -> tuple:
     return (0.0, *_circle_samples(L - 1)[1], *probes)
 
 
-def sample_values(states, params: ModelParams) -> np.ndarray:
-    """The eigenvalue of each of `states` (eigenstates of one
-    diagonalization) at the points `extract_zeros` reads, one row per
-    state."""
-    return values(states, _sample_points(params.L))
+def extract_zeros(states, params: ModelParams) -> tuple[ZeroSets, list]:
+    """The zero sets of `states` (eigenstates of one diagonalization), and
+    the states whose extraction failed.
 
-
-def extract_zeros(state: EigenState, samples, params: ModelParams) -> SpectralData:
-    """Recover the L-1 zeroes of an eigenvalue function from `samples`, the
-    state's row of `sample_values`.
-
-    Takes the eigenvalue on a circle in the x = e^(2 lam) plane, strips
-    the exponential prefactor, fits the degree-(L-1) polynomial, and maps
-    its roots back with the principal branch.  The multiplicative
-    reconstruction from the zero set is validated to 1e-7 at held-out
-    points.
+    Every eigenvalue is read at `_sample_points` from one `values` call.
+    Its values on the circle in the x = e^(2 lam) plane, stripped of the
+    exponential prefactor, are fitted as a degree-(L-1) polynomial in x,
+    every state in one solve; every root is taken in one batched solve
+    and mapped back with the principal branch.  A state fails when its
+    polynomial has fewer than L-1 roots, or when the multiplicative
+    reconstruction from its zero set misses its eigenvalue at a probe by
+    more than 1e-7 of it.
     """
     L = params.L
-    lam0, circle, at_probes = samples[0], samples[1:L + 1], samples[L + 1:]
-    if L == 1:
-        return SpectralData(state, lam0, (), state.k0)
-    poly = poly_in_x(circle, L)
-    xroots = poly_roots(poly)
-    if len(xroots) != L - 1:
-        raise ReconstructionFailure(
-            f"expected {L - 1} zeroes, polynomial gave {len(xroots)}"
-        )
-    ws = tuple(0.5 * np.log(x) for x in xroots)
-    data = SpectralData(state, lam0, ws, state.k0)
-    for probe, ref in zip(_sample_points(L)[L + 1:], at_probes):
-        rec = data.lam_from_zeros(probe)
-        if abs(ref - rec) > 1e-7 * max(abs(ref), 1e-300):
-            raise ReconstructionFailure(
-                f"zero-set reconstruction off by {abs(ref - rec) / abs(ref):.3e}"
-            )
-    return data
+    degree = L - 1
+    points = _sample_points(L)
+    rows = values(states, points).tolist()
+    lam0 = [row[0] for row in rows]
+    if L == 1 or not states:
+        return ZeroSets(states, lam0, np.empty((len(states), degree))), []
+    xs, lams = _circle_samples(degree)
+    # the prefactor product stays scalar, element by element: as an array
+    # product it moves the last bits of the zeros
+    pre = [np.exp(degree * lam) for lam in lams]
+    circle = [[e * f for e, f in zip(pre, row[1:L + 1])] for row in rows]
+    coeffs = fit_poly(zip(xs, np.array(circle).T), degree)
+    roots = poly_roots_rows(coeffs.T)
+    found = [r is not None and len(r) == degree for r in roots]
+    zeros = np.empty((len(states), degree), dtype=complex)
+    zeros[found] = 0.5 * np.log(np.reshape(
+        [r for r, ok in zip(roots, found) if ok], (-1, degree)))
+    kept = [ok and not any(abs(ref - lam_from_zeros(lam0[k], zeros[k], probe))
+                           > 1e-7 * max(abs(ref), 1e-300)
+                           for probe, ref in zip(points[L + 1:], rows[k][L + 1:]))
+            for k, ok in enumerate(found)]
+    sets = ZeroSets([st for st, ok in zip(states, kept) if ok],
+                    [v for v, ok in zip(lam0, kept) if ok], zeros[kept])
+    return sets, [st for st, ok in zip(states, kept) if not ok]
 
 
-def kick_zero(data: SpectralData, j: int) -> SpectralData:
-    """The same data with zero j moved by ZERO_KICK."""
-    zeros = list(data.zeros)
-    zeros[j] += ZERO_KICK
-    return SpectralData(data.state, data.lambda0_value, tuple(zeros), data.k0)
+def reconstruction_residual(state: EigenState, lam0, zeros, probe: complex) -> float:
+    """The eigenvalue of `state` at `probe` against its reconstruction from
+    its value `lam0` at the origin and its zero set, relative to the
+    eigenvalue."""
+    ref = state.lam(probe)
+    return abs(ref - lam_from_zeros(lam0, zeros, probe)) / max(abs(ref), 1e-300)
 
 
-def reconstruction_residual(data: SpectralData, probe: complex) -> float:
-    """The eigenvalue at `probe` against its reconstruction from the zero
-    set, relative to the eigenvalue."""
-    ref = data.state.lam(probe)
-    return abs(ref - data.lam_from_zeros(probe)) / max(abs(ref), 1e-300)
-
-
-def at_zero_residual(data: SpectralData, scale_points) -> float:
-    """Largest |eigenvalue| at the zeros, relative to its largest modulus
-    at `scale_points`."""
-    lam = data.state.lam
+def at_zero_residual(state: EigenState, zeros, scale_points) -> float:
+    """Largest |eigenvalue| of `state` at its zeros, relative to its
+    largest modulus at `scale_points`."""
+    lam = state.lam
     scale = max(abs(lam(x)) for x in scale_points)
-    return (max((abs(lam(w)) for w in data.zeros), default=0.0)
+    return (max((abs(lam(w)) for w in zeros), default=0.0)
             / max(scale, 1e-300))
 
 
@@ -230,19 +234,19 @@ def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
     its zeros, meets a pole or a vanishing coefficient is marked in
     "failed", and its spread and deviation read inf.
     """
-    n = len(sets.data)
+    n = len(sets)
     draws = np.asarray(lambda0_draws, dtype=complex)
     rows = slice(0, n)
-    collide = np.abs(np.sinh(draws[:, :, None] - sets.zeros[rows, None, :]))
+    collide = np.abs(np.sinh(draws[:, :, None] - sets.zeros[:, None, :]))
     denom, pole = sets.top.at(draws, rows)
     vanish = np.abs(denom) < 1e-300
     failed = ((collide < EPS_GENERIC).any(axis=(1, 2)) | pole
               | vanish.any(axis=1))
-    k0 = np.array([d.k0 for d in sets.data])
+    k0 = np.array([st.k0 for st in sets.states])
     ratios = sets.z(draws, rows) * k0[:, None] / np.where(vanish, 1.0, denom)
     if sets.params.L % 2 == 1:
-        ratios = ratios / np.array([[d.state.lam(x) for x in row]
-                                    for d, row in zip(sets.data, lambda0_draws)])
+        ratios = ratios / np.array([[st.lam(x) for x in row]
+                                    for st, row in zip(sets.states, lambda0_draws)])
     mean = np.mean(ratios, axis=1)
     spread = (np.max(np.abs(ratios - mean[:, None]), axis=1)
               / np.maximum(np.abs(mean), 1e-300))
@@ -279,7 +283,7 @@ def check_zero_coincidence(sets: ZeroSets) -> dict:
     whose fitted polynomial is constant or whose two zero counts differ
     has no roots and reads inf.
     """
-    n = len(sets.data)
+    n = len(sets)
     zpol, fpol, ok = sets.fit
     fitted = np.flatnonzero(ok[:n])
     roots = poly_roots_rows(np.concatenate((zpol[fitted], fpol[fitted])))
@@ -321,7 +325,7 @@ def wronskian_coeffs(sets: ZeroSets) -> tuple[np.ndarray, np.ndarray]:
 def wronskian_residual(sets: ZeroSets) -> np.ndarray:
     """Per state, the largest Wronskian coefficient relative to their
     scale; it vanishes on the true zeros.  A failed fit reads inf."""
-    n = len(sets.data)
+    n = len(sets)
     coeffs, scale = wronskian_coeffs(sets)
     res = np.abs(coeffs[:n]).max(axis=1) / scale[:n]
     return np.where(sets.fit[2][:n], res, np.inf)
@@ -331,7 +335,7 @@ def wronskian_sharpness(sets: ZeroSets) -> np.ndarray:
     """Per state, 1e-3 over the Wronskian residual once the first zero is
     kicked, so it reads below 1 while the Wronskian detects the kick.  A
     failed fit of the kicked set reads inf."""
-    n = len(sets.data)
+    n = len(sets)
     coeffs, scale = wronskian_coeffs(sets)
     res = 1e-3 * scale[n:] / np.abs(coeffs[n:]).max(axis=1)
     return np.where(sets.fit[2][n:], res, np.inf)

@@ -52,11 +52,10 @@ from sixvertex.vertex_core import (
 from sixvertex.zeros import (
     ZeroSets,
     check_lz01,
+    ZERO_KICK,
     check_zero_coincidence,
     extract_zeros,
-    kick_zero,
     reconstruction_residual,
-    sample_values,
     wronskian_residual,
 )
 
@@ -83,10 +82,8 @@ def spectral_for(p, seed):
     key = (p, seed)
     if key not in _spectral_cache:
         defined = [st for st in states_for(p, seed) if st.k0_defined]
-        _spectral_cache[key] = [
-            extract_zeros(st, row, p)
-            for st, row in zip(defined, sample_values(defined, p))
-        ]
+        _spectral_cache[key], failed = extract_zeros(defined, p)
+        assert not failed
     return _spectral_cache[key]
 
 
@@ -253,18 +250,25 @@ def test_criterion7_reconstruction(L):
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8100 + L)
     worst = 0.0
-    for data in specs:
+    for (st, zeros), lam0 in zip(specs, specs.lam0):
         for _ in range(3):
             probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            worst = max(worst, reconstruction_residual(data, probe))
+            worst = max(worst, reconstruction_residual(st, lam0, zeros, probe))
     assert report(f"7.reconstruction[L={L}]", worst < 1e-7,
                   f"worst={worst:.2e}")
 
 
+def kicked(sets, j):
+    """`sets` with zero j of every set moved by ZERO_KICK."""
+    rows = sets.zeros.copy()
+    rows[:, j] += ZERO_KICK
+    return ZeroSets(sets.states, sets.lam0, rows)
+
+
 def lz01_draws(specs, p, rng):
     """Five lam0 draws per state, away from its zeros, state by state."""
-    return [generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-            for data in specs]
+    return [generic_points(5, rng, avoid=list(zeros) + list(p.mu))
+            for zeros in specs.zeros]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -273,7 +277,7 @@ def test_criterion7_ratio_constancy(L):
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8200 + L)
     worst = float(np.max(
-        check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))["spread"]))
+        check_lz01(specs, lz01_draws(specs, p, rng))["spread"]))
     assert report(f"7.ratio_constancy[L={L}]", worst < 1e-6,
                   f"worst spread={worst:.2e}")
 
@@ -287,7 +291,7 @@ def test_criterion7_even_ratio_constant(L):
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8300 + L)
     expected = 1.0
-    out = check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))
+    out = check_lz01(specs, lz01_draws(specs, p, rng))
     assert out["expected"] == expected
     worst = float(np.max(out["constant_residual"]))
     ok = worst < 1e-6
@@ -302,7 +306,7 @@ def test_criterion7_even_ratio_constant(L):
 def test_criterion7_zero_coincidence(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
-    worst = float(np.max(check_zero_coincidence(ZeroSets(specs))["max_distance"]))
+    worst = float(np.max(check_zero_coincidence(specs)["max_distance"]))
     assert report(f"7.zero_coincidence[L={L}]", worst < 1e-6,
                   f"worst={worst:.2e}")
 
@@ -311,10 +315,9 @@ def test_criterion7_zero_coincidence(L):
 def test_criterion7_wronskian(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
-    worst = float(np.max(wronskian_residual(ZeroSets(specs))))
+    worst = float(np.max(wronskian_residual(specs)))
     weakest_kick = min(
-        float(np.min(wronskian_residual(ZeroSets([kick_zero(d, j) for d in specs]))))
-        for j in range(L - 1))
+        float(np.min(wronskian_residual(kicked(specs, j)))) for j in range(L - 1))
     ok = worst < 1e-6 and weakest_kick > 1e-3
     assert report(f"7.wronskian[L={L}]", ok,
                   f"worst={worst:.2e}, weakest perturbation response "
@@ -400,13 +403,13 @@ def test_criterion8_bethe_equations(l, L):
     p = params_for(L, gamma=spec.gamma, seed=10200 + 10 * l + L)
     states = states_for(p, 10300 + 10 * l + L)
     worst = 0.0
-    defined = [st for st in states if st.k0_defined]
-    for st, row in zip(defined, sample_values(defined, p)):
-        data = extract_zeros(st, row, p)
+    sets, failed = extract_zeros([st for st in states if st.k0_defined], p)
+    assert not failed
+    for lam0, zeros in zip(sets.lam0, sets.zeros):
         if l == 4:
-            res = bethe_residual_l4(data, p)
+            res = bethe_residual_l4(lam0, zeros, p)
         else:
-            res = bethe_residual(data, spec, p)
+            res = bethe_residual(zeros, spec, p)
         if res:
             worst = max(worst, max(abs(r) for r in res))
     ok = worst < 1e-6

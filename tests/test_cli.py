@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sixvertex
@@ -313,16 +314,22 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
     `fail` with the anchor and tolerance of its family, and drops the
     records of the same state that read its result; other states are
     untouched."""
-    from sixvertex import cli
+    from sixvertex import cli, zeros
     from sixvertex.errors import PoleEncountered
     from sixvertex.zeros import ZeroSets
 
-    def state_of(arg):
-        return getattr(arg, "state", arg).index
+    argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "zeros,rou",
+            "--seed", "1", "--out", str(tmp_path / "r.txt")]
+    names = {r.name for r in run(build_config(argv))[1]}
+    # the eigenvalues of state 1 at its shifted zeros, which its l = 4
+    # ratio check takes (its zero row is that of its +- partner)
+    runner = cli._Runner(build_config(argv))
+    st1, row1 = next(pair for pair in runner.zero_sets() if pair[0].index == 1)
+    shifted1 = cli.l4_shifted_values(st1, row1, runner.params)
 
     def failed_row(out, sets):
         # the row of state 1 as the check writes a failed state
-        k = [data.state.index for data in sets.data].index(1)
+        k = [st.index for st in sets.states].index(1)
         for key in ("spread", "max_distance"):
             if key in out:
                 out[key][k] = float("inf")
@@ -330,45 +337,58 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
             out["failed"][k] = True
         return out
 
-    # (patched callee, failed record, anchor, tol, dropped records)
+    def breaking(callee):
+        def brk(m):
+            real = getattr(cli, callee)
+
+            def broken(arg, *args):
+                if isinstance(arg, ZeroSets):
+                    return failed_row(real(arg, *args), arg)
+                if args[:1] == (shifted1,):
+                    raise PoleEncountered("broken for the test")
+                return real(arg, *args)
+            m.setattr(cli, callee, broken)
+        return brk
+
+    def nonpolynomial_state1(m):
+        # state 1's samples are no polynomial in x, so the zero set fitted
+        # to them misses its eigenvalue at the probes
+        real = zeros.values
+
+        def values(states, points):
+            out = real(states, points)
+            out[[st.index for st in states].index(1)] *= 1 + 1e-3 * np.abs(points)
+            return out
+        m.setattr(zeros, "values", values)
+
+    # (break, failed record, anchor, tol, dropped records)
     cases = [
-        ("extract_zeros", "zeros.reconstruction", "wj", 1e-7,
+        (nonpolynomial_state1, "zeros.reconstruction", "wj", 1e-7,
          ("zeros.at_zero", "zeros.lz01_constancy", "zeros.coincidence",
           "rou.bethe", "rou.l4_relation", "rou.l4_at_zeros")),
-        ("check_lz01", "zeros.lz01_constancy", "LZ01", 1e-6,
+        (breaking("check_lz01"), "zeros.lz01_constancy", "LZ01", 1e-6,
          ("zeros.lz01_even_constant", "zeros.coincidence", "zeros.wronskian",
           "zeros.wronskian_sharpness")),
-        ("l4_ratio_residuals", "rou.l4_relation", "l4ex", 1e-8,
+        (breaking("l4_ratio_residuals"), "rou.l4_relation", "l4ex", 1e-8,
          ("rou.q_periodicity", "rou.l4_ratio", "rou.l4_at_zeros")),
-        ("check_zero_coincidence", "zeros.coincidence", "BAeven", 1e-6, ()),
+        (breaking("check_zero_coincidence"), "zeros.coincidence", "BAeven",
+         1e-6, ()),
     ]
-    argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "zeros,rou",
-            "--seed", "1", "--out", str(tmp_path / "r.txt")]
-    names = {r.name for r in run(build_config(argv))[1]}
-    for callee, failed, anchor, tol, dropped in cases:
-        real = getattr(cli, callee)
-
-        def broken(arg, *args, real=real):
-            if isinstance(arg, ZeroSets):
-                return failed_row(real(arg, *args), arg)
-            if state_of(arg) == 1:
-                raise PoleEncountered("broken for the test")
-            return real(arg, *args)
-
+    for brk, failed, anchor, tol, dropped in cases:
         with monkeypatch.context() as m:
-            m.setattr(cli, callee, broken)
+            brk(m)
             code, reports = run(build_config(argv))
         assert code == 1
         by_name = {r.name: r for r in reports}
         rec = by_name[f"{failed}.state1"]
         assert (rec.anchor, rec.residual, rec.tolerance, rec.verdict) == \
-            (anchor, float("inf"), tol, "fail"), callee
+            (anchor, float("inf"), tol, "fail"), failed
         assert sum(r.name == rec.name for r in reports) == 1
         for fam in dropped:
             assert f"{fam}.state1" in names
-            assert f"{fam}.state1" not in by_name, (callee, fam)
+            assert f"{fam}.state1" not in by_name, (failed, fam)
         kept = {n for n in names if not n.endswith(".state1")}
-        assert kept <= set(by_name), (callee, kept - set(by_name))
+        assert kept <= set(by_name), (failed, kept - set(by_name))
         if not dropped:  # a guarded check drops nothing
             assert {n for n in names if n.endswith(".state1")} <= set(by_name)
 

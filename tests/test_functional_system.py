@@ -249,9 +249,9 @@ def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
     runner.run()
     g = runner.params.gamma
     point_sets = [
-        {x for w in data.zeros
+        {x for w in zeros
          for x in ((w, w - g, w + g, w - 2 * g) if "rou" in argv else (w,))}
-        for data in runner.spectral_data()]
+        for _, zeros in runner.zero_sets()]
     counts = Counter(args[0] for args in builds)
     for x, n in counts.items():
         if n > 1:

@@ -22,12 +22,15 @@ from sixvertex.roots_of_unity import (
     truncated_expansion_residual,
 )
 from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
-from sixvertex.zeros import extract_zeros, kick_zero, sample_values
+from sixvertex.zeros import extract_zeros
 
 
-def zeros_of(st, p):
-    """The spectral data of one state, extracted on its own."""
-    return extract_zeros(st, sample_values([st], p)[0], p)
+def zeros_of(states, p):
+    """The zero sets of `states`, from one extraction; every one is
+    found."""
+    sets, failed = extract_zeros(states, p)
+    assert not failed
+    return sets
 
 
 def setup_case(l, L, k=1, seed=7):
@@ -91,11 +94,8 @@ def test_inversion_rhs_homogeneous_form():
 def test_bethe_equation_holds(l, L):
     spec, p, rng = setup_case(l, L, seed=200 + 10 * l + L)
     states = transfer_eigenstates(p, rng)
-    for st in states:
-        if not st.k0_defined:
-            continue
-        data = zeros_of(st, p)
-        for res in bethe_residual(data, spec, p):
+    for zeros in zeros_of([st for st in states if st.k0_defined], p).zeros:
+        for res in bethe_residual(zeros, spec, p):
             assert abs(res) < 1e-6
 
 
@@ -107,13 +107,12 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
     states = transfer_eigenstates(p, rng)
     worst_ba = 0.0
     worst_direct = 0.0
-    for st in states:
-        data = zeros_of(st, p)
+    for st, zeros in zeros_of(states, p):
         worst_ba = max(worst_ba,
-                       max(abs(r) for r in bethe_residual(data, spec, p)))
+                       max(abs(r) for r in bethe_residual(zeros, spec, p)))
         worst_direct = max(worst_direct,
                            max(l4_specialized_residuals(
-                               data, l4_shifted_values(data, p), p)))
+                               zeros, l4_shifted_values(st, zeros, p), p)))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
 
@@ -121,10 +120,9 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
 def test_two_fold_and_general_residuals_agree_side_by_side():
     spec, p, rng = setup_case(2, 4, seed=210)
     states = transfer_eigenstates(p, rng)
-    for st in states[:4]:
-        data = zeros_of(st, p)
-        general = bethe_residual(data, spec, p)
-        site_only = bethe_residual_l2(data, p)
+    for zeros in zeros_of(states[:4], p).zeros:
+        general = bethe_residual(zeros, spec, p)
+        site_only = bethe_residual_l2(zeros, p)
         assert max(abs(r) for r in general) < 1e-6
         assert max(abs(r) for r in site_only) < 1e-6
 
@@ -133,9 +131,8 @@ def test_free_fermion_homogeneous_coth_form():
     spec = RootOfUnitySpec(2)
     p = ModelParams(3, spec.gamma, (0, 0, 0))
     states = transfer_eigenstates(p, np.random.default_rng(11))
-    for st in states[:4]:
-        data = zeros_of(st, p)
-        for w in data.zeros:
+    for zeros in zeros_of(states[:4], p).zeros:
+        for w in zeros:
             val = np.prod([1 / np.tanh(w - m) ** 2 for m in p.mu])
             assert abs(val - 1) < 1e-6
 
@@ -155,8 +152,7 @@ def test_three_fold_middle_term_dies_at_shifted_zero():
     spec, p, rng = setup_case(3, 3, seed=226)
     states = transfer_eigenstates(p, rng)
     st = states[0]
-    data = zeros_of(st, p)
-    w = data.zeros[0]
+    w = zeros_of([st], p).zeros[0, 0]
     g = spec.gamma
     lam = w + g
     scale = abs(st.lam(lam))
@@ -215,12 +211,11 @@ def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
 def test_four_fold_zero_equation_with_driving_term(k, L):
     spec, p, rng = setup_case(4, L, k=k, seed=290 + 10 * k + L)
     states = transfer_eigenstates(p, rng)
-    for st in states:
-        if not st.k0_defined:
-            continue
-        data = zeros_of(st, p)
-        assert max(bethe_residual_l4(data, p)) < 1e-6
-        assert bethe_residual_l4(kick_zero(data, 0), p)[0] > 1e-4
+    sets = zeros_of([st for st in states if st.k0_defined], p)
+    kicked = sets.with_kicked[len(sets):]
+    for lam0, zeros, moved in zip(sets.lam0, sets.zeros, kicked):
+        assert max(bethe_residual_l4(lam0, zeros, p)) < 1e-6
+        assert bethe_residual_l4(lam0, moved, p)[0] > 1e-4
 
 
 def test_four_fold_ratio_equation_matches_general_form():
@@ -228,11 +223,10 @@ def test_four_fold_ratio_equation_matches_general_form():
     # agree with each other wherever both are defined
     spec, p, rng = setup_case(4, 4, seed=238)
     states = transfer_eigenstates(p, rng)
-    for st in states[:4]:
-        data = zeros_of(st, p)
-        general = bethe_residual(data, spec, p)
-        shifted = l4_shifted_values(data, p)
-        pair = zip(l4_ratio_residuals(data, shifted, p), general)
+    for st, zeros in zeros_of(states[:4], p):
+        general = bethe_residual(zeros, spec, p)
+        shifted = l4_shifted_values(st, zeros, p)
+        pair = zip(l4_ratio_residuals(zeros, shifted, p), general)
         for r_ratio, r_gen in pair:
             assert abs(r_ratio - r_gen) < 1e-6 * max(1.0, abs(r_gen))
 
@@ -251,12 +245,36 @@ def test_conjecture_regime_is_recorded_not_asserted():
     spec, p, rng = setup_case(5, 3, seed=260)
     states = transfer_eigenstates(p, rng)
     observed = []
-    for st in states[:4]:
-        data = zeros_of(st, p)
-        observed.append(max(abs(r) for r in bethe_residual(data, spec, p)))
+    for zeros in zeros_of(states[:4], p).zeros:
+        observed.append(max(abs(r) for r in bethe_residual(zeros, spec, p)))
     # evidence against the general-order conjecture at L >= 3; kept as a
     # recorded observation, not a pass/fail gate
     assert all(np.isfinite(observed))
+
+
+@pytest.mark.parametrize("l", [2, 4])
+def test_one_site_states_have_no_zeros_to_check(l, tmp_path):
+    # at L = 1 every state's zero set is empty, so each zero equation reads
+    # 0.0; the sets are held without building any of their Z/F parts
+    runner = cli._Runner(cli.build_config(
+        ["--size", "1", "--root-of-unity", f"1/{l}", "--suite", "rou",
+         "--out", str(tmp_path / "r.txt")]))
+    assert runner.run() == 0
+    per_state = {2: ("bethe", "bethe_l2"),
+                 4: ("bethe", "l4_relation", "q_periodicity", "l4_ratio",
+                     "l4_at_zeros")}[l]
+    head = ["unit_circle", "truncation", "truncated_expansion"]
+    head += ["inversion"] if l == 2 else []
+    assert [r.name for r in runner.reports] == \
+        [f"rou.{name}" for name in head] + \
+        [f"rou.{name}.state{i}" for i in (0, 1) for name in per_state]
+    zero_equations = [r for r in runner.reports if r.name.split(".")[1] in
+                      ("bethe", "bethe_l2", "l4_ratio", "l4_at_zeros")]
+    assert len(zero_equations) == {2: 4, 4: 6}[l]
+    assert all(r.residual == 0.0 for r in zero_equations)
+    sets = runner.zero_sets()
+    assert sets.zeros.shape == (2, 0)
+    assert not {"with_kicked", "_phi_up", "top", "fit"} & set(vars(sets))
 
 
 def test_l4_verdicts_of_the_benchmark_seed_four(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.polynomial import polyroots
 from scipy.optimize import linear_sum_assignment
 
-from sixvertex import functional_system, zeros
+from sixvertex import cli, functional_system, zeros
 from sixvertex.cli import build_config, run
 from sixvertex.dwbc import b_product_state
 from sixvertex.errors import PoleEncountered
@@ -13,7 +13,7 @@ from sixvertex.functional_system import (
     transfer_eigenstates,
     v_coeff,
 )
-from sixvertex.numkit import poly_roots_rows
+from sixvertex.numkit import fit_poly, poly_roots_rows
 from sixvertex.vertex_core import (
     ModelParams,
     b_operator,
@@ -22,16 +22,14 @@ from sixvertex.vertex_core import (
     sample_mu,
 )
 from sixvertex.zeros import (
-    SpectralData,
     ZeroSets,
     at_zero_residual,
     check_lz01,
     check_zero_coincidence,
     down_b_row,
     extract_zeros,
-    kick_zero,
+    lam_from_zeros,
     reconstruction_residual,
-    sample_values,
     wronskian_coeffs,
     wronskian_residual,
     wronskian_sharpness,
@@ -46,11 +44,26 @@ def params_for(L, seed=7):
 
 
 def spectral_for(L, seed=7):
+    """The zero sets of every k0-defined state of one draw at L; every
+    extraction succeeds."""
     p = params_for(L, seed)
     states = [st for st in transfer_eigenstates(p, np.random.default_rng(seed + 1))
               if st.k0_defined]
-    return p, [extract_zeros(st, row, p)
-               for st, row in zip(states, sample_values(states, p))]
+    sets, failed = extract_zeros(states, p)
+    assert not failed
+    return p, sets
+
+
+def first(sets, n):
+    """The first n sets of `sets`."""
+    return ZeroSets(sets.states[:n], sets.lam0[:n], sets.zeros[:n])
+
+
+def kicked(sets, j):
+    """`sets` with zero j of every set moved by ZERO_KICK."""
+    rows = sets.zeros.copy()
+    rows[:, j] += zeros.ZERO_KICK
+    return ZeroSets(sets.states, sets.lam0, rows)
 
 
 @pytest.mark.parametrize("L", [1, 2, 5, 8])
@@ -67,22 +80,38 @@ def test_down_row_of_b_holds_the_one_up_entries(L):
 def test_single_site_has_no_zeros():
     p = params_for(1)
     states = transfer_eigenstates(p, np.random.default_rng(0))
-    for st, row in zip(states, sample_values(states, p)):
-        data = extract_zeros(st, row, p)
-        assert data.zeros == ()
-        assert abs(abs(data.lambda0_value) - abs(np.sinh(GAMMA))) < 1e-12
+    sets, failed = extract_zeros(states, p)
+    assert not failed and sets.states == states
+    assert sets.zeros.shape == (len(states), 0)
+    for lam0 in sets.lam0:
+        assert abs(abs(lam0) - abs(np.sinh(GAMMA))) < 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_zero_count_and_reconstruction(L):
     p, specs = spectral_for(L, seed=L)
     rng = np.random.default_rng(40 + L)
-    assert specs, "all eigenstates lost their reference overlap"
-    for data in specs:
-        assert len(data.zeros) == L - 1
+    assert len(specs), "all eigenstates lost their reference overlap"
+    assert specs.zeros.shape == (len(specs), L - 1)
+    for (st, zeros_), lam0 in zip(specs, specs.lam0):
         for _ in range(3):
             probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert reconstruction_residual(data, probe) < 1e-7
+            assert reconstruction_residual(st, lam0, zeros_, probe) < 1e-7
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+def test_batched_extraction_keeps_each_state_zeros_bit_for_bit(L):
+    # the reference is the per-state path: one fit with a single right-hand
+    # side, one root solve and one log per zero
+    p, sets = spectral_for(L, seed=130 + L)
+    degree = L - 1
+    xs, lams = zeros._circle_samples(degree)
+    rows = functional_system.values(sets.states, zeros._sample_points(L)).tolist()
+    for row, got in zip(rows, sets.zeros):
+        coeffs = fit_poly([(x, np.exp(degree * lam) * f)
+                           for x, lam, f in zip(xs, lams, row[1:L + 1])], degree)
+        roots = poly_roots_rows(coeffs[None, :])[0]
+        assert got.tolist() == [0.5 * np.log(complex(x)) for x in roots]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -90,24 +119,24 @@ def test_eigenvalue_vanishes_at_extracted_zeros(L):
     p, specs = spectral_for(L, seed=10 + L)
     rng = np.random.default_rng(50 + L)
     scale = max(
-        abs(specs[0].state.lam(x)) for x in generic_points(5, rng, avoid=p.mu)
+        abs(specs.states[0].lam(x)) for x in generic_points(5, rng, avoid=p.mu)
     )
-    for data in specs:
-        for w in data.zeros:
-            assert abs(data.state.lam(w)) < 1e-7 * scale
+    for st, zeros_ in specs:
+        for w in zeros_:
+            assert abs(st.lam(w)) < 1e-7 * scale
 
 
 def lz01_draws(specs, p, rng):
     """Five lam0 draws per state, away from its zeros, state by state."""
-    return [generic_points(5, rng, avoid=list(data.zeros) + list(p.mu))
-            for data in specs]
+    return [generic_points(5, rng, avoid=list(zeros_) + list(p.mu))
+            for zeros_ in specs.zeros]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_ratio_constancy_across_draws_and_states(L):
     p, specs = spectral_for(L, seed=20 + L)
     rng = np.random.default_rng(60 + L)
-    out = check_lz01(ZeroSets(specs), lz01_draws(specs, p, rng))
+    out = check_lz01(specs, lz01_draws(specs, p, rng))
     assert not out["failed"].any()
     assert np.all(out["spread"] < 1e-6)
     # the constant is shared by every eigenstate of the same transfer matrix
@@ -121,49 +150,45 @@ def test_measured_even_ratio_constant_is_unity(L):
     # the source's (-1)^(L/2) agrees only when 4 divides L
     p, specs = spectral_for(L, seed=30 + L)
     rng = np.random.default_rng(70 + L)
-    out = check_lz01(ZeroSets(specs[:4]), lz01_draws(specs[:4], p, rng))
+    out = check_lz01(first(specs, 4), lz01_draws(first(specs, 4), p, rng))
     assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
 
 
 def test_odd_ratio_equals_eigenvalue_exactly():
     p, specs = spectral_for(3, seed=33)
     rng = np.random.default_rng(73)
-    out = check_lz01(ZeroSets(specs[:4]), lz01_draws(specs[:4], p, rng))
+    out = check_lz01(first(specs, 4), lz01_draws(first(specs, 4), p, rng))
     # odd branch reports ratio / eigenvalue; its constant is 1
     assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
 
 
 def test_ratio_fails_only_the_set_with_colliding_zeros():
     p, specs = spectral_for(3, seed=36)
-    data = specs[0]
-    w = data.zeros[1]
-    collided = SpectralData(data.state, data.lambda0_value,
-                            (w + 1e-5 * 0.6, w), data.k0)
+    st, zeros_ = next(iter(specs))
+    w = zeros_[1]
+    pair = ZeroSets([st, st], specs.lam0[:1] * 2, [zeros_, (w + 1e-5 * 0.6, w)])
     rng = np.random.default_rng(76)
-    out = check_lz01(ZeroSets([data, collided]),
-                     lz01_draws([data, collided], p, rng))
+    out = check_lz01(pair, lz01_draws(pair, p, rng))
     assert out["failed"].tolist() == [False, True]
     assert out["spread"][0] < 1e-6 and out["spread"][1] == np.inf
 
 
 def test_zero_shift_by_half_period_is_immaterial():
     p, specs = spectral_for(3, seed=35)
-    data = specs[0]
-    shifted = SpectralData(
-        data.state, data.lambda0_value,
-        (data.zeros[0] + 1j * np.pi,) + data.zeros[1:], data.k0,
-    )
+    shifted = first(specs, 1)
+    shifted.zeros[0, 0] += 1j * np.pi
     probe = 0.21 - 0.55j
-    ref = data.lam_from_zeros(probe)
-    assert abs(shifted.lam_from_zeros(probe) - ref) < 1e-10 * abs(ref)
-    out = check_zero_coincidence(ZeroSets([shifted]))
+    ref = lam_from_zeros(specs.lam0[0], specs.zeros[0], probe)
+    assert abs(lam_from_zeros(specs.lam0[0], shifted.zeros[0], probe)
+               - ref) < 1e-10 * abs(ref)
+    out = check_zero_coincidence(shifted)
     assert out["max_distance"][0] < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_zero_multisets_coincide(L):
     p, specs = spectral_for(L, seed=40 + L)
-    out = check_zero_coincidence(ZeroSets(specs))
+    out = check_zero_coincidence(specs)
     assert [len(roots) for roots in out["z_roots"]] == [L - 1] * len(specs)
     assert np.all(out["max_distance"] < 1e-6)
 
@@ -185,10 +210,9 @@ def test_min_cost_bijection_matches_hungarian_solver():
 
 def test_build_F_reduces_to_pair_coefficient_at_size_two():
     p, specs = spectral_for(2, seed=44)
-    data = specs[0]
     lam0 = 0.37 + 0.21j
-    v = (lam0,) + data.zeros
-    f, pole = ZeroSets([data]).f([lam0])
+    v = (lam0,) + tuple(specs.zeros[0])
+    f, pole = first(specs, 1).f([lam0])
     assert not pole.any()
     assert abs(f[0, 0] - v_coeff(1, (0, 1), v, p)) < 1e-12 * abs(f[0, 0])
 
@@ -198,8 +222,8 @@ def test_build_F_finite_at_zero_collision_for_odd_size():
     # one of the zeros, while the raw coefficient grows like the inverse
     # distance
     p, specs = spectral_for(3, seed=45)
-    sets = ZeroSets(specs[:1])
-    w = specs[0].zeros[0]
+    sets = first(specs, 1)
+    w = sets.zeros[0, 0]
     far, near = sets.f([w + 2e-3, w + 1e-3])[0][0]
     assert abs(near - far) < 1e-2 * abs(far)
     raw_far, raw_near = sets.top.at([w + 2e-3, w + 1e-3])[0][0]
@@ -210,18 +234,16 @@ def test_build_F_finite_at_zero_collision_for_odd_size():
 def test_wronskian_vanishes_on_true_zeros(L):
     p, specs = spectral_for(L, seed=50 + L)
     expected_count = (L if L % 2 == 0 else L - 1) + 1
-    sets = ZeroSets(specs)
-    coeffs, _ = wronskian_coeffs(sets)
+    coeffs, _ = wronskian_coeffs(specs)
     assert coeffs.shape == (2 * len(specs), expected_count)
-    assert np.all(wronskian_residual(sets) < 1e-6)
+    assert np.all(wronskian_residual(specs) < 1e-6)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_wronskian_detects_perturbed_zero(L):
     p, specs = spectral_for(L, seed=55 + L)
-    data = specs[0]
-    for j in range(len(data.zeros)):
-        assert wronskian_residual(ZeroSets([kick_zero(data, j)]))[0] > 1e-3
+    for j in range(L - 1):
+        assert wronskian_residual(kicked(first(specs, 1), j))[0] > 1e-3
 
 
 def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
@@ -234,7 +256,7 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(zeros, "fit_poly", counted)
-    sets = ZeroSets(specs)
+    sets = ZeroSets(specs.states, specs.lam0, specs.zeros)
     check_zero_coincidence(sets)
     wronskian_residual(sets)
     wronskian_sharpness(sets)
@@ -242,30 +264,30 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
     assert len(fits) == 1
 
 
-def _scaled_eigenvalue(monkeypatch, data, p):
+def _scaled_eigenvalue(monkeypatch, sets, p):
     lam = EigenState.lam
     monkeypatch.setattr(EigenState, "lam", lambda st, x: 1.01 * lam(st, x))
-    return reconstruction_residual(data, 0.21 - 0.55j)
+    return reconstruction_residual(sets.states[0], sets.lam0[0], sets.zeros[0],
+                                   0.21 - 0.55j)
 
 
-def _moved_zero(monkeypatch, data, p):
+def _moved_zero(monkeypatch, sets, p):
     points = generic_points(5, np.random.default_rng(1), avoid=p.mu)
-    return at_zero_residual(kick_zero(data, 0), points)
+    return at_zero_residual(sets.states[0], kicked(sets, 0).zeros[0], points)
 
 
-def _unkicked_probe(monkeypatch, data, p):
+def _unkicked_probe(monkeypatch, sets, p):
     # the kick leaves the zero in place, so the Wronskian does not respond
     # and the sharpness reads far above its tolerance 1
     monkeypatch.setattr(zeros, "ZERO_KICK", 0.0)
-    return wronskian_sharpness(ZeroSets([data]))[0]
+    return wronskian_sharpness(sets)[0]
 
 
 # check -> (break returning the residual, the value it must exceed)
 BREAKS = {
     "reconstruction": (_scaled_eigenvalue, 1e-3),
     "at_zero": (_moved_zero, 1e-3),
-    "wronskian": (lambda mp, data, p:
-                  wronskian_residual(ZeroSets([kick_zero(data, 0)]))[0], 1e-3),
+    "wronskian": (lambda mp, sets, p: wronskian_residual(kicked(sets, 0))[0], 1e-3),
     "wronskian_sharpness": (_unkicked_probe, 1.0),
 }
 
@@ -275,17 +297,17 @@ BREAKS = {
 def test_residual_reads_large_on_broken_identity(L, check, monkeypatch):
     p, specs = spectral_for(L, seed=65 + L)
     broken, bound = BREAKS[check]
-    assert broken(monkeypatch, specs[0], p) > bound
+    assert broken(monkeypatch, first(specs, 1), p) > bound
 
 
 def drawn_zero_set(L, seed):
-    """SpectralData of one eigenstate at L with drawn, not extracted, zeros:
-    the top coefficient and the B-strings read only the zeros and params."""
+    """One eigenstate at L with drawn, not extracted, zeros (a tuple): the
+    top coefficient and the B-strings read only the zeros and params."""
     p = params_for(L, seed)
     rng = np.random.default_rng(seed + 1)
     st = transfer_eigenstates(p, rng)[0]
     ws = tuple(generic_points(L - 1, rng, avoid=p.mu))
-    return p, SpectralData(st, 1.0, ws, 1.0), rng
+    return p, st, ws, rng
 
 
 def top_term_scale(lam0, zeros_, p):
@@ -309,15 +331,15 @@ def top_term_scale(lam0, zeros_, p):
 def test_top_v_table_matches_v_coeff(L):
     # relative to the summed |terms|: at L = 7 the terms cancel, so the
     # difference relative to |V| reads up to ~1e-13
-    p, data, rng = drawn_zero_set(L, seed=80 + L)
+    p, _, ws, rng = drawn_zero_set(L, seed=80 + L)
     idx = functional_system._top_indices(L)
-    lam0s = generic_points(30, rng, avoid=list(data.zeros) + list(p.mu))
-    top = TopCoefficient([data.zeros], p)
+    lam0s = generic_points(30, rng, avoid=list(ws) + list(p.mu))
+    top = TopCoefficient([ws], p)
     got, pole = top.at(lam0s)
     assert not pole.any()
     for lam0, val in zip(lam0s, got[0]):
-        ref = v_coeff(len(idx) // 2, idx, (lam0,) + data.zeros, p)
-        scale = top_term_scale(lam0, data.zeros, p)
+        ref = v_coeff(len(idx) // 2, idx, (lam0,) + ws, p)
+        scale = top_term_scale(lam0, ws, p)
         assert abs(val - ref) < 1e-13 * scale
     # points given per set read the same values as shared points
     assert np.array_equal(top.at([lam0s])[0], got)
@@ -326,18 +348,18 @@ def test_top_v_table_matches_v_coeff(L):
 @pytest.mark.parametrize("L", [3, 4])
 def test_top_v_table_raises_where_v_coeff_does(L):
     # where v_coeff raises, the table flags the set, and only that set
-    p, data, rng = drawn_zero_set(L, seed=90 + L)
+    p, _, ws, rng = drawn_zero_set(L, seed=90 + L)
     idx = functional_system._top_indices(L)
-    w = data.zeros[-1]
+    w = ws[-1]
     near = w + 1e-5 * 0.6
     with pytest.raises(PoleEncountered):
-        v_coeff(len(idx) // 2, idx, (near,) + data.zeros, p)
-    collided = (w + 1e-5 * 0.6,) + data.zeros[1:]
+        v_coeff(len(idx) // 2, idx, (near,) + ws, p)
+    collided = (w + 1e-5 * 0.6,) + ws[1:]
     lam0 = generic_points(1, rng, avoid=list(collided) + list(p.mu))[0]
     with pytest.raises(PoleEncountered):
         v_coeff(len(idx) // 2, idx, (lam0,) + collided, p)
-    clear = generic_points(1, rng, avoid=list(data.zeros) + list(p.mu))[0]
-    top = TopCoefficient([data.zeros, collided], p)
+    clear = generic_points(1, rng, avoid=list(ws) + list(p.mu))[0]
+    top = TopCoefficient([ws, collided], p)
     assert top.at([[near], [lam0]])[1].tolist() == [True, True]
     assert top.at([[clear], [lam0]])[1].tolist() == [False, True]
     assert top.at([clear])[1].tolist() == [False, True]
@@ -345,7 +367,7 @@ def test_top_v_table_raises_where_v_coeff_does(L):
 
 @pytest.mark.parametrize("L", [3, 5, 8])
 def test_kicked_refit_reuses_the_zero_set_b_string(L, monkeypatch):
-    p, data, _ = drawn_zero_set(L, seed=100 + L)
+    p, st, ws, _ = drawn_zero_set(L, seed=100 + L)
     strings = []
 
     def counted(zeros_, params):
@@ -353,17 +375,22 @@ def test_kicked_refit_reuses_the_zero_set_b_string(L, monkeypatch):
         return b_product_state(zeros_, params)
 
     monkeypatch.setattr(zeros, "b_product_state", counted)
-    sets = ZeroSets([data])
-    # one string of the zeros after the first, shared with the kicked set
-    assert strings == [data.zeros[1:]]
+    sets = ZeroSets([st], [1.0], [ws])
+    # holding the sets builds no string; one string of the zeros after the
+    # first is built on first use, and shared with the kicked set
+    assert strings == []
+    phi_up = sets._phi_up
+    assert strings == [ws[1:]]
+    assert np.array_equal(sets.with_kicked, [ws, kicked(sets, 0).zeros[0]])
     one_up = [2**L - 1 - 2 ** (L - 1 - j) for j in range(L)]
-    for row, zs in zip(sets._phi_up, (data.zeros, kick_zero(data, 0).zeros)):
+    for row, zs in zip(phi_up, sets.with_kicked):
         assert np.array_equal(row, b_product_state(zs, p)[one_up])
 
 
 def test_zeros_suite_reads_one_top_table_and_one_fit_per_draw(monkeypatch,
                                                               tmp_path):
-    calls = {"v_coeff": 0, "_v": 0, "tables": 0, "fits": 0, "extractions": 0}
+    calls = {"v_coeff": 0, "_v": 0, "tables": 0, "fits": 0, "extractions": 0,
+             "root_solves": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -377,37 +404,39 @@ def test_zeros_suite_reads_one_top_table_and_one_fit_per_draw(monkeypatch,
     monkeypatch.setattr(TopCoefficient, "__init__",
                         counted("tables", TopCoefficient.__init__))
     monkeypatch.setattr(zeros, "fit_poly", counted("fits", zeros.fit_poly))
-    monkeypatch.setattr(zeros, "poly_in_x",
-                        counted("extractions", zeros.poly_in_x))
+    monkeypatch.setattr(zeros, "poly_roots_rows",
+                        counted("root_solves", zeros.poly_roots_rows))
+    monkeypatch.setattr(cli, "extract_zeros",
+                        counted("extractions", cli.extract_zeros))
     config = build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
                            "--out", str(tmp_path / "report.txt")])
     code, reports = run(config)
     assert code == 0
     sharpness = [r for r in reports if r.name.startswith("zeros.wronskian_sharpness")]
-    assert len(sharpness) == calls["extractions"] > 1
-    # every zero set and its kicked set share one table and one fit, beside
-    # the fit of each zero extraction
-    assert calls == {"v_coeff": 0, "_v": 0, "tables": 1,
-                     "fits": calls["extractions"] + 1,
-                     "extractions": len(sharpness)}
+    assert len(sharpness) > 1
+    # one extraction serves every state of the draw with one fit and one
+    # root solve; every zero set and its kicked set share one table and one
+    # fit of Z and F, whose roots come from one more solve
+    assert calls == {"v_coeff": 0, "_v": 0, "tables": 1, "fits": 2,
+                     "extractions": 1, "root_solves": 2}
 
 
 @pytest.mark.parametrize("L", [2, 3, 5, 6])
 def test_zero_sets_match_per_state_references(L):
-    p, specs = spectral_for(L, seed=110 + L)
+    p, sets = spectral_for(L, seed=110 + L)
     rng = np.random.default_rng(120 + L)
-    sets = ZeroSets(specs)
-    assert len(sets.zeros) == 2 * len(specs)
-    shared = generic_points(3, rng, avoid=list(sets.zeros.ravel()) + list(p.mu))
+    assert len(sets.with_kicked) == 2 * len(sets)
+    shared = generic_points(3, rng,
+                            avoid=list(sets.with_kicked.ravel()) + list(p.mu))
     own = [generic_points(2, rng, avoid=list(row) + list(p.mu))
-           for row in sets.zeros]
+           for row in sets.with_kicked]
     down = reference_states(L)[1]
     idx = functional_system._top_indices(L)
     for points, rows in ((shared, [shared] * len(own)), (own, own)):
         z = sets.z(points)
         f, pole = sets.f(points)
         assert not pole.any()
-        for k, (row, zeros_) in enumerate(zip(rows, sets.zeros)):
+        for k, (row, zeros_) in enumerate(zip(rows, sets.with_kicked)):
             phi = b_product_state(tuple(zeros_), p)
             for j, lam0 in enumerate(row):
                 left = down @ b_operator(lam0, p)

@@ -29,10 +29,16 @@ from .vertex_core import (
     monodromy,
     reference_states,
     transfer,
+    transfer_entries,
 )
 
 # the pair ratios of `_PairTable`, in the order of its flat layout
 _RATIOS = ("a_b", "ag_b", "c_b")
+
+# Transfer entries that `values` gathers at once: 2^14 complex entries,
+# 256 KiB, i.e. 22 points at L = 6 and 2 at L = 8.  The gather holds two
+# such arrays, so the cap bounds its memory whatever the number of points.
+_GATHER_ENTRIES = 2**14
 
 
 class _PairTable:
@@ -148,20 +154,14 @@ def _n(tab: _PairTable, j: int, i: int) -> complex:
     )
 
 
-def _sandwich(state: EigenState, t: np.ndarray) -> complex:
-    """The eigenvalue of `state` read from the transfer matrix `t`."""
-    return complex(state.left @ t @ state.right / state.norm)
-
-
 @dataclass(frozen=True)
 class EigenState:
     """One transfer-matrix eigenstate with its overlap data.
 
     The left vector is transpose-sense; `lam` evaluates the eigenvalue
     function at any spectral parameter through the sandwiched transfer
-    matrix, valid because the family commutes.  `lam` builds the transfer
-    matrix for this state alone; `values` reads every state of a draw at
-    shared points from one build per point.
+    matrix, valid because the family commutes.  `lam` is a one-point
+    read of `values`, which reads many states or many points at once.
     """
 
     index: int
@@ -183,19 +183,33 @@ class EigenState:
         return abs(self.f0) >= EPS_GENERIC * np.linalg.norm(self.left)
 
     def lam(self, x: complex) -> complex:
-        return _sandwich(self, transfer(x, self.params))
+        return complex(values([self], [x])[0, 0])
 
 
 def values(states, points) -> np.ndarray:
     """The eigenvalue of each of `states` (eigenstates of one
-    diagonalization) at each of `points`, as a (states x points) array,
-    from one transfer build per point.  Entry [k, j] equals
-    ``states[k].lam(points[j])`` bit for bit; no states need no build."""
-    points = list(points)
+    diagonalization) at each of `points`, as a (states x points) array.
+
+    The transfer entries are gathered for up to `_GATHER_ENTRIES` entries
+    of points at a time; each point is scattered into one reused dense
+    buffer and read by every state as the sandwich
+    ``left @ T(x) @ right / norm``, so entry [k, j] equals that sandwich
+    with ``transfer(points[j])`` bit for bit.  No states need no gather.
+    """
+    points = np.array(list(points), dtype=complex)
     out = np.empty((len(states), len(points)), dtype=complex)
-    for j, x in enumerate(points if states else ()):
-        t = transfer(x, states[0].params)
-        out[:, j] = [_sandwich(st, t) for st in states]
+    if not states or not len(points):
+        return out
+    params = states[0].params
+    per = max(1, _GATHER_ENTRIES // (3**params.L - 1))
+    t = np.zeros((params.dim, params.dim), dtype=complex)
+    flat = t.reshape(-1)  # a view of t
+    for start in range(0, len(points), per):
+        rows, cols, vals = transfer_entries(points[start:start + per], params)
+        at = rows.astype(np.intp) * params.dim + cols
+        for j, entries in enumerate(vals, start):
+            flat[at] = entries
+            out[:, j] = [st.left @ t @ st.right / st.norm for st in states]
     return out
 
 

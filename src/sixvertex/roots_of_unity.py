@@ -57,13 +57,17 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
     return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
 
 
+def _product(factors) -> complex:
+    """The product of `factors`, multiplied into 1 one at a time."""
+    out = 1.0 + 0j
+    for f in factors:
+        out *= f
+    return complex(out)
+
+
 def _mu_product(lam, shifts, params: ModelParams) -> complex:
     """prod_k prod_s sinh(lam - mu_k + shift_s)."""
-    out = 1.0 + 0j
-    for m in params.mu:
-        for s in shifts:
-            out *= np.sinh(lam - m + s)
-    return complex(out)
+    return _product(np.sinh(lam - m + s) for m in params.mu for s in shifts)
 
 
 def _shifted_values(states, lam_draws, shifts, g) -> list:
@@ -90,22 +94,67 @@ def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
     return out
 
 
-def bethe_lhs(w: complex, params: ModelParams) -> complex:
-    """Site product of the Bethe-type equation at one zero."""
-    g = params.gamma
-    out = 1.0 + 0j
-    for m in params.mu:
-        den1 = np.sinh(w - m + 2 * g)
-        den2 = np.sinh(w - m)
-        if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
-            raise PoleEncountered("zero collides with an inhomogeneity shift")
-        out *= np.sinh(w - m + g) * np.sinh(w - m - g) / (den1 * den2)
-    return complex(out)
+class SiteTable:
+    """sinh(w - mu_k + s) at each zero w of one zero set `zeros`, at each
+    site k and each shift s that its zero equations read, from one
+    `np.sinh` call.
+
+    It serves the site product of the Bethe-type equation (`bethe_lhs`),
+    the two site products of the specialized four-fold relation
+    (`site_products`) and its driving term Q(w + g) (`q_shifted`).  Each
+    argument is formed as the scalar forms (`_mu_product`, `q_function`)
+    form it, and the array sinh gives their values bit for bit.  The
+    products are taken over the table's numpy scalars in the scalar
+    forms' order: an array product, which may use fused multiply-adds,
+    moves the last bits.
+    """
+
+    def __init__(self, zeros, params: ModelParams):
+        g = params.gamma
+        self.zeros = zeros
+        self.params = params
+        w = np.asarray(zeros, dtype=complex)[:, None]
+        mu = np.asarray(params.mu)
+        d, dq = w - mu, (w + g) - mu
+        # per (zero, site), in column order: d + 2g, d, d + g, d - g and
+        # d + 0 of the zero equations (d + 0 is d but for the sign of a zero
+        # part); then (w + g) - mu + s for the shifts s = 0, -2g, g, -3g, -g
+        # of Q(w + g)
+        args = np.stack((d + 2 * g, d, d + g, d - g, d + 0, dq + 0,
+                         dq + -2 * g, dq + g, dq + -3 * g, dq + -g), axis=-1)
+        self._sites = [[list(site) for site in row] for row in np.sinh(args)]
+        self._q1 = np.sinh(3 * g) / np.sinh(g)
+        self._q3 = 2 * np.cosh(2 * g)
+
+    def _over_sites(self, i: int, cols) -> complex:
+        return _product([site[c] for site in self._sites[i] for c in cols])
+
+    def bethe_lhs(self, i: int) -> complex:
+        """Site product of the Bethe-type equation at zero i."""
+        out = 1.0 + 0j
+        for den1, den2, num1, num2, *_ in self._sites[i]:
+            if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
+                raise PoleEncountered(
+                    "zero collides with an inhomogeneity shift")
+            out *= num1 * num2 / (den1 * den2)
+        return complex(out)
+
+    def site_products(self, i: int) -> tuple[complex, complex]:
+        """``_mu_product(w, (2g, 0))`` and ``_mu_product(w, (g, -g))`` at
+        zero i."""
+        return self._over_sites(i, (0, 4)), self._over_sites(i, (2, 3))
+
+    def q_shifted(self, i: int) -> complex:
+        """``q_function(w + g)`` at zero i."""
+        t1 = self._q1 * self._over_sites(i, (5, 5, 6, 6))
+        t2 = self._over_sites(i, (7, 8, 9, 9))
+        t3 = self._q3 * self._over_sites(i, (5, 6, 9, 9))
+        return complex(t1 - t2 - t3)
 
 
-def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
-    """Per-zero residuals of the Bethe-type equation at the zero set
-    `zeros` of one eigenvalue.
+def bethe_residual(sites: SiteTable) -> list:
+    """Per-zero residuals of the Bethe-type equation at the zero set of
+    one eigenvalue, with `sites` its sinh table.
 
     The interaction product runs over every zero, including the self
     term (which contributes sinh(g)/sinh(-g) = -1), matching the closure
@@ -117,11 +166,11 @@ def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
     ``bethe_residual_l4``.
     """
     out = []
-    g = params.gamma
-    for i, wi in enumerate(zeros):
-        lhs = bethe_lhs(wi, params)
+    g = sites.params.gamma
+    for i, wi in enumerate(sites.zeros):
+        lhs = sites.bethe_lhs(i)
         prod = 1.0 + 0j
-        for wj in zeros:
+        for wj in sites.zeros:
             den = np.sinh(wj - wi - g)
             if abs(den) < EPS_GENERIC:
                 raise PoleEncountered("colliding zeroes in interaction product")
@@ -211,20 +260,21 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
 
 def l4_shifted_values(state, zeros, params: ModelParams) -> list:
     """Per zero w of `state`'s zero set `zeros`, its eigenvalues at
-    w - 2g, w - g and w + g: what `l4_ratio_residuals` and
-    `l4_specialized_residuals` read."""
+    w - 2g, w - g and w + g, from one `values` call: what
+    `l4_ratio_residuals` and `l4_specialized_residuals` read."""
     g = params.gamma
-    lam = state.lam
-    return [[lam(w - 2 * g), lam(w - g), lam(w + g)] for w in zeros]
+    points = [x for w in zeros for x in (w - 2 * g, w - g, w + g)]
+    return values([state], points).reshape(-1, 3).tolist()
 
 
-def l4_ratio_residuals(zeros, shifted, params: ModelParams) -> list:
+def l4_ratio_residuals(sites: SiteTable, shifted) -> list:
     """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
     site product at each zero w against -Lambda(w - g) / Lambda(w + g),
-    with `shifted` = ``l4_shifted_values(state, zeros, params)``."""
+    with `sites` the sinh table of a state's zero set and `shifted` =
+    ``l4_shifted_values(state, zeros, params)``."""
     out = []
-    for wi, (_, lam_minus, lam_plus) in zip(zeros, shifted):
-        lhs = bethe_lhs(wi, params)
+    for i, (_, lam_minus, lam_plus) in enumerate(shifted):
+        lhs = sites.bethe_lhs(i)
         if abs(lam_plus) < 1e-300:
             raise PoleEncountered("eigenvalue vanishes at shifted zero")
         out.append(complex(lhs + lam_minus / lam_plus))
@@ -255,18 +305,17 @@ def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
     return out
 
 
-def l4_specialized_residuals(zeros, shifted, params: ModelParams) -> list:
+def l4_specialized_residuals(sites: SiteTable, shifted) -> list:
     """Residuals of the four-fold relation specialized at each shifted zero,
     without the ratio reduction: the product-weighted combination of
-    eigenvalues at w +- gamma must reproduce the driving term.  `shifted`
-    is ``l4_shifted_values(state, zeros, params)``."""
-    g = params.gamma
+    eigenvalues at w +- gamma must reproduce the driving term.  `sites` is
+    the sinh table of a state's zero set and `shifted` is
+    ``l4_shifted_values(state, zeros, params)``."""
     out = []
-    for wi, (lam_m2g, lam_mg, lam_g) in zip(zeros, shifted):
-        s02 = _mu_product(wi, (2 * g, 0), params)
-        spm = _mu_product(wi, (g, -g), params)
+    for i, (lam_m2g, lam_mg, lam_g) in enumerate(shifted):
+        s02, spm = sites.site_products(i)
         lhs = lam_m2g * (s02 * lam_mg + spm * lam_g)
-        q = q_function(wi + g, params)
+        q = sites.q_shifted(i)
         out.append(abs(lhs - q) / max(abs(q), abs(lhs), 1e-300))
     return out
 

@@ -167,23 +167,32 @@ def _paths(L: int):
     return (*pattern, bounds)
 
 
-def _gather(lam: complex, params: ModelParams, first: int, stop: int):
+def _gather(lam, params: ModelParams, first: int, stop: int):
     """Quantum rows, columns and values of the nonzero entries of the
     auxiliary blocks k = 2a + c in ``range(first, stop)``, each value the
-    product of its path's site weights taken left to right, site 1 first."""
+    product of its path's site weights taken left to right, site 1 first.
+    `lam` is one point, values of shape (n,), or a 1-D array of points,
+    values of shape (points, n); each point's row equals its scalar gather
+    bit for bit."""
     L = params.L
-    # site tensor r[b, c, s, t] = R[(b, s), (c, t)], one per site
-    sites = (r_matrix(lam - np.array(params.mu), params)
-             .reshape(L, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4))
-    if sites[:, ~_ICE].any():
+    lam = np.asarray(lam)
+    # site tensor r[b, c, s, t] = R[(b, s), (c, t)], one per (point, site)
+    sites = np.swapaxes(
+        r_matrix(lam[..., None] - np.array(params.mu), params)
+        .reshape(lam.shape + (L, 2, 2, 2, 2)), -3, -2)
+    if sites[..., ~_ICE].any():
         raise ValueError("site tensor has an entry that breaks the ice rule")
-    w = sites.reshape(L, 16)
+    w = sites.reshape(lam.shape + (L, 16))
     rows, cols, idx, bounds = _paths(L)
     sl = slice(bounds[first], bounds[stop])
-    # an explicit loop: a product reduction need not multiply in this order
-    vals = w[0].take(idx[0, sl])
+    # an explicit loop: a product reduction need not multiply in this order.
+    # The factor is bound to a name before the product: above 256 KiB numpy
+    # would otherwise reuse the unnamed temporary as `f *= vals`, and the
+    # swapped operands give other bits than the scalar gather.
+    vals = w[..., 0, :].take(idx[0, sl], axis=-1)
     for k in range(1, L):
-        vals = vals * w[k].take(idx[k, sl])
+        f = w[..., k, :].take(idx[k, sl], axis=-1)
+        vals = vals * f
     return rows[sl], cols[sl], vals
 
 
@@ -248,6 +257,14 @@ def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
     """Creation operator B(lam), the auxiliary (0, 1) entry of the
     monodromy, gathered from that block's paths alone."""
     return _block_sum(lam, params, 1, 2)
+
+
+def transfer_entries(lams, params: ModelParams):
+    """The nonzero entries of the transfer matrix at each of the points
+    `lams` (a 1-D array): their quantum rows and columns, shared by every
+    point, and a (points x 3^L - 1) array of values, each row that of
+    `transfer` at its point bit for bit."""
+    return _gather(lams, params, 1, 3)
 
 
 def transfer(lam: complex, params: ModelParams) -> np.ndarray:

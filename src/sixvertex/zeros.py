@@ -210,10 +210,11 @@ def reconstruction_residual(state: EigenState, lam0, zeros, probe: complex) -> f
 
 def at_zero_residual(state: EigenState, zeros, scale_points) -> float:
     """Largest |eigenvalue| of `state` at its zeros, relative to its
-    largest modulus at `scale_points`."""
-    lam = state.lam
-    scale = max(abs(lam(x)) for x in scale_points)
-    return (max((abs(lam(w)) for w in zeros), default=0.0)
+    largest modulus at `scale_points`; both read from one `values` call."""
+    n = len(scale_points)
+    lams = values([state], [*scale_points, *zeros])[0].tolist()
+    scale = max(abs(v) for v in lams[:n])
+    return (max((abs(v) for v in lams[n:]), default=0.0)
             / max(scale, 1e-300))
 
 
@@ -245,8 +246,8 @@ def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
     k0 = np.array([st.k0 for st in sets.states])
     ratios = sets.z(draws, rows) * k0[:, None] / np.where(vanish, 1.0, denom)
     if sets.params.L % 2 == 1:
-        ratios = ratios / np.array([[st.lam(x) for x in row]
-                                    for st, row in zip(sets.states, lambda0_draws)])
+        ratios = ratios / np.array([values([st], row)[0] for st, row
+                                    in zip(sets.states, lambda0_draws)])
     mean = np.mean(ratios, axis=1)
     spread = (np.max(np.abs(ratios - mean[:, None]), axis=1)
               / np.maximum(np.abs(mean), 1e-300))

@@ -223,36 +223,61 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def gathered(calls):
+    """The points of the transfer gathers `calls`, in gather order."""
+    return [complex(x) for args in calls for x in args[0]]
+
+
 def test_values_build_each_point_once_and_match_lam(monkeypatch):
     p = params_for(4, seed=174)
     states = states_for(p, seed=175)
     xs = (0.13 + 0.27j, -0.38 - 0.05j, 0.52 - 0.44j)
-    builds = counting(monkeypatch, functional_system, "transfer")
+    builds = counting(monkeypatch, functional_system, "transfer_entries")
     got = values(states, xs)
-    assert [args[0] for args in builds] == list(xs)
+    assert len(builds) == 1 and gathered(builds) == list(xs)
     assert got.shape == (len(states), len(xs))
     # each row is that state's own sandwich, bit for bit
     assert got.tolist() == [[st.lam(x) for x in xs] for st in states]
     assert values([], xs).shape == (0, len(xs))
-    assert len(builds) == len(xs) * (1 + len(states))
+    assert len(gathered(builds)) == len(xs) * (1 + len(states))
+
+
+@pytest.mark.parametrize("L", [2, 6, 8])
+def test_values_gather_in_chunks_and_match_dense_sandwiches(L, monkeypatch):
+    # at most 2^14 transfer entries per gather; every value is the
+    # sandwich of the dense transfer(x), bit for bit, in any chunk
+    p = params_for(L, seed=181)
+    states = states_for(p, seed=182)[:3]
+    xs = generic_points(25, np.random.default_rng(183), avoid=p.mu)
+    builds = counting(monkeypatch, functional_system, "transfer_entries")
+    got = values(states, xs)
+    per = 2**14 // (3**L - 1)
+    assert [len(args[0]) for args in builds] == \
+        [min(per, len(xs) - k) for k in range(0, len(xs), per)]
+    assert gathered(builds) == list(xs)
+    dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
+              for x in xs] for st in states]
+    assert got.tobytes() == np.array(dense).tobytes()
 
 
 @pytest.mark.parametrize("argv", [["--size", "4"],
                                   ["--size", "4", "--root-of-unity", "1/4",
                                    "--suite", "rou"]])
 def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
-    # a point is built again only when it is a zero (at l = 4, a zero or a
-    # shift of one) that paired states share, once for each such state
-    builds = counting(monkeypatch, functional_system, "transfer")
+    # a point is gathered again only when it is a zero (at l = 4, a shift of
+    # one) that paired states share, once for each such state
+    builds = counting(monkeypatch, functional_system, "transfer_entries")
     runner = cli._Runner(cli.build_config(
         argv + ["--seed", "1", "--out", str(tmp_path / "r.txt")]))
     runner.run()
     g = runner.params.gamma
     point_sets = [
         {x for w in zeros
-         for x in ((w, w - g, w + g, w - 2 * g) if "rou" in argv else (w,))}
+         for x in ((w - g, w + g, w - 2 * g) if "rou" in argv else (w,))}
         for _, zeros in runner.zero_sets()]
-    counts = Counter(args[0] for args in builds)
+    counts = Counter(gathered(builds))
+    # every state's own points were read
+    assert all(x in counts for points in point_sets for x in points)
     for x, n in counts.items():
         if n > 1:
             sharers = sum(x in points for points in point_sets)
@@ -262,22 +287,22 @@ def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
 @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
 def test_values_do_not_depend_on_call_order(order, monkeypatch):
     # a value is the same sandwich of the same T(x) in any call order;
-    # each ask builds T at its point
+    # each ask gathers T at its point
     p = params_for(3, seed=179)
     states = states_for(p, seed=180)
     xs = (0.41 - 0.12j, -0.17 + 0.52j)
     direct = {x: [complex(st.left @ transfer(x, p) @ st.right / st.norm)
                   for st in states] for x in xs}
-    builds = counting(monkeypatch, functional_system, "transfer")
+    builds = counting(monkeypatch, functional_system, "transfer_entries")
     a, b, c = (states[k] for k in order)
     got = [a.lam(xs[0]), a.lam(xs[1]), b.lam(xs[0]), c.lam(xs[1]),
            c.lam(xs[0])]
     assert got == [direct[xs[0]][a.index], direct[xs[1]][a.index],
                    direct[xs[0]][b.index], direct[xs[1]][c.index],
                    direct[xs[0]][c.index]]
-    assert len(builds) == 5
+    assert len(gathered(builds)) == 5
     assert [st.lam(x) for x in xs for st in states] == direct[xs[0]] + direct[xs[1]]
-    assert len(builds) == 5 + 2 * len(states)
+    assert len(gathered(builds)) == 5 + 2 * len(states)
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -290,11 +315,35 @@ def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
         v = generic_points(n + 1, rng, avoid=p.mu)
         builds = (counting(monkeypatch, functional_system, "b_operator"),
                   counting(monkeypatch, dwbc, "b_operator"))
-        transfers = counting(monkeypatch, functional_system, "transfer")
+        transfers = counting(monkeypatch, functional_system,
+                             "transfer_entries")
         check_fl(n, states, v, p)
         monkeypatch.undo()
         assert sum(map(len, builds)) <= n + 1
-        assert [args[0] for args in transfers] == [v[0]]
+        assert gathered(transfers) == [v[0]]
+
+
+def test_odd_lz01_reads_each_state_once(tmp_path, monkeypatch):
+    # at odd L the lz01 ratios are divided by each state's eigenvalue at
+    # its own draws: one gather of those draws per state, no dense build
+    real = cli.check_lz01
+    seen = []
+
+    def check_lz01(sets, draws):
+        with monkeypatch.context() as m:
+            gathers = counting(m, functional_system, "transfer_entries")
+            builds = counting(m, functional_system, "transfer")
+            out = real(sets, draws)
+        seen.append((len(sets), draws, gathers, builds))
+        return out
+
+    monkeypatch.setattr(cli, "check_lz01", check_lz01)
+    cli.run(cli.build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
+                              "--out", str(tmp_path / "r.txt")]))
+    [(n, draws, gathers, builds)] = seen
+    assert n > 0 and len(draws) == n and not builds
+    assert [[complex(x) for x in args[0]] for args in gathers] == \
+        [list(row) for row in draws]
 
 
 def test_size_two_system_as_printed():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from sixvertex import cli, roots_of_unity
+from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import transfer_eigenstates
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
+    SiteTable,
     bethe_residual,
     bethe_residual_l2,
     bethe_residual_l4,
@@ -21,7 +23,13 @@ from sixvertex.roots_of_unity import (
     q_function,
     truncated_expansion_residual,
 )
-from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
+from sixvertex.vertex_core import (
+    EPS_GENERIC,
+    ModelParams,
+    generic_points,
+    sample_mu,
+    transfer,
+)
 from sixvertex.zeros import extract_zeros
 
 
@@ -95,7 +103,7 @@ def test_bethe_equation_holds(l, L):
     spec, p, rng = setup_case(l, L, seed=200 + 10 * l + L)
     states = transfer_eigenstates(p, rng)
     for zeros in zeros_of([st for st in states if st.k0_defined], p).zeros:
-        for res in bethe_residual(zeros, spec, p):
+        for res in bethe_residual(SiteTable(zeros, p)):
             assert abs(res) < 1e-6
 
 
@@ -108,11 +116,11 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
     worst_ba = 0.0
     worst_direct = 0.0
     for st, zeros in zeros_of(states, p):
-        worst_ba = max(worst_ba,
-                       max(abs(r) for r in bethe_residual(zeros, spec, p)))
+        sites = SiteTable(zeros, p)
+        worst_ba = max(worst_ba, max(abs(r) for r in bethe_residual(sites)))
         worst_direct = max(worst_direct,
                            max(l4_specialized_residuals(
-                               zeros, l4_shifted_values(st, zeros, p), p)))
+                               sites, l4_shifted_values(st, zeros, p))))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
 
@@ -121,7 +129,7 @@ def test_two_fold_and_general_residuals_agree_side_by_side():
     spec, p, rng = setup_case(2, 4, seed=210)
     states = transfer_eigenstates(p, rng)
     for zeros in zeros_of(states[:4], p).zeros:
-        general = bethe_residual(zeros, spec, p)
+        general = bethe_residual(SiteTable(zeros, p))
         site_only = bethe_residual_l2(zeros, p)
         assert max(abs(r) for r in general) < 1e-6
         assert max(abs(r) for r in site_only) < 1e-6
@@ -224,9 +232,10 @@ def test_four_fold_ratio_equation_matches_general_form():
     spec, p, rng = setup_case(4, 4, seed=238)
     states = transfer_eigenstates(p, rng)
     for st, zeros in zeros_of(states[:4], p):
-        general = bethe_residual(zeros, spec, p)
+        sites = SiteTable(zeros, p)
+        general = bethe_residual(sites)
         shifted = l4_shifted_values(st, zeros, p)
-        pair = zip(l4_ratio_residuals(zeros, shifted, p), general)
+        pair = zip(l4_ratio_residuals(sites, shifted), general)
         for r_ratio, r_gen in pair:
             assert abs(r_ratio - r_gen) < 1e-6 * max(1.0, abs(r_gen))
 
@@ -246,7 +255,8 @@ def test_conjecture_regime_is_recorded_not_asserted():
     states = transfer_eigenstates(p, rng)
     observed = []
     for zeros in zeros_of(states[:4], p).zeros:
-        observed.append(max(abs(r) for r in bethe_residual(zeros, spec, p)))
+        observed.append(max(abs(r) for r in
+                            bethe_residual(SiteTable(zeros, p))))
     # evidence against the general-order conjecture at L >= 3; kept as a
     # recorded observation, not a pass/fail gate
     assert all(np.isfinite(observed))
@@ -290,3 +300,77 @@ def test_l4_verdicts_of_the_benchmark_seed_four(tmp_path):
         ["--size", "6", "--root-of-unity", "1/4", "--suite", "rou",
          "--seed", "4", "--out", str(tmp_path / "r.txt")]))
     assert [[r.name, r.verdict] for r in reports] == expected
+
+
+def scalar_bethe_lhs(w, params):
+    """The site product of the Bethe-type equation at one zero, by scalar
+    sinh calls: the oracle of `SiteTable.bethe_lhs`."""
+    g = params.gamma
+    out = 1.0 + 0j
+    for m in params.mu:
+        den1 = np.sinh(w - m + 2 * g)
+        den2 = np.sinh(w - m)
+        if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
+            raise PoleEncountered("zero collides with an inhomogeneity shift")
+        out *= np.sinh(w - m + g) * np.sinh(w - m - g) / (den1 * den2)
+    return complex(out)
+
+
+def scalar_zero_equations(zeros, shifted, params):
+    """`bethe_residual`, `l4_ratio_residuals` and `l4_specialized_residuals`
+    of one zero set by scalar sinh calls (`scalar_bethe_lhs`,
+    `_mu_product`, `q_function`), in their arithmetic order."""
+    g = params.gamma
+    mu_product = roots_of_unity._mu_product
+    bethe, ratio, specialized = [], [], []
+    for wi, (lam_m2g, lam_mg, lam_g) in zip(zeros, shifted):
+        lhs = scalar_bethe_lhs(wi, params)
+        prod = 1.0 + 0j
+        for wj in zeros:
+            prod *= np.sinh(wj - wi + g) / np.sinh(wj - wi - g)
+        bethe.append(complex(lhs + prod))
+        ratio.append(complex(lhs + lam_mg / lam_g))
+        s02 = mu_product(wi, (2 * g, 0), params)
+        spm = mu_product(wi, (g, -g), params)
+        both = lam_m2g * (s02 * lam_mg + spm * lam_g)
+        q = q_function(wi + g, params)
+        specialized.append(abs(both - q) / max(abs(q), abs(both), 1e-300))
+    return bethe, ratio, specialized
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_sinh_table_gives_the_scalar_zero_equations_bit_for_bit(seed,
+                                                                tmp_path):
+    # rou_L6_l4, every state: the table-fed residuals and the gathered
+    # shifted eigenvalues are those of scalar sinh calls and dense builds
+    runner = cli._Runner(cli.build_config(
+        ["--size", "6", "--root-of-unity", "1/4", "--suite", "rou",
+         "--seed", str(seed), "--out", str(tmp_path / "r.txt")]))
+    p, g = runner.params, runner.params.gamma
+    sets = runner.zero_sets()
+    assert len(sets) == 64
+    for st, zeros in sets:
+        shifted = l4_shifted_values(st, zeros, p)
+        dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
+                  for x in (w - 2 * g, w - g, w + g)] for w in zeros]
+        assert np.array(shifted).tobytes() == np.array(dense).tobytes()
+        sites = SiteTable(zeros, p)
+        got = (bethe_residual(sites), l4_ratio_residuals(sites, shifted),
+               l4_specialized_residuals(sites, shifted))
+        for a, b in zip(got, scalar_zero_equations(zeros, shifted, p)):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_a_zero_on_an_inhomogeneity_shift_raises():
+    spec, p, rng = setup_case(4, 3, seed=242)
+    g = p.gamma
+    # sinh(w - mu_2) or sinh(w - mu_2 + 2g) vanishes at the second zero
+    for w in (p.mu[1], p.mu[1] - 2 * g):
+        row = np.array([0.3 + 0.1j, w])
+        sites = SiteTable(row, p)
+        with pytest.raises(PoleEncountered, match="inhomogeneity"):
+            bethe_residual(sites)
+        with pytest.raises(PoleEncountered, match="inhomogeneity"):
+            l4_ratio_residuals(sites, [[1.0, 1.0, 1.0]] * 2)
+        with pytest.raises(PoleEncountered, match="inhomogeneity"):
+            scalar_bethe_lhs(w, p)

@@ -26,6 +26,7 @@ from sixvertex.vertex_core import (
     sample_mu,
     special_value_residuals,
     transfer,
+    transfer_entries,
     twist_matrix,
     twist_symmetry_residual,
     unitarity_residual,
@@ -181,6 +182,34 @@ def test_gathered_operators_have_one_entry_per_ice_rule_path(L):
     assert np.count_nonzero(mono) == 2 * 3**L
     # B raises the number of up spins by one and C lowers it by one
     assert not np.any((mono[0, 1] != 0) & (mono[1, 0] != 0))
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_gathered_entries_at_an_array_of_points_are_the_scalar_builds(L):
+    p = params_for(L, seed=60 + L)
+    rng = np.random.default_rng(70 + L)
+    # at mu_1 and mu_1 - gamma a weight of site 1 is exactly zero
+    pts = np.array(generic_points(3, rng) + (p.mu[0], p.mu[0] - GAMMA))
+    rows, cols, vals = transfer_entries(pts, p)
+    brows, bcols, bvals = vertex_core._gather(pts, p, 1, 2)
+    for x, t, b in zip(pts, vals, bvals):
+        assert t.tobytes() == transfer(x, p)[rows, cols].tobytes()
+        assert b.tobytes() == b_operator(x, p)[brows, bcols].tobytes()
+
+
+def test_a_gather_above_256_kib_is_the_scalar_builds():
+    # 48 points x 364 B entries at L = 6 take 273 KiB, x 728 T entries
+    # 546 KiB: above 256 KiB numpy's temporary elision swaps the operands
+    # of the site product unless its factor is named, and the swapped
+    # product gives other bits
+    p = params_for(6, seed=66)
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(-1, 1, 48) + 1j * rng.uniform(-1, 1, 48)
+    for first, stop, build in ((1, 3, transfer), (1, 2, b_operator)):
+        rows, cols, vals = vertex_core._gather(pts, p, first, stop)
+        assert vals.nbytes > 256 * 1024
+        assert vals.tobytes() == np.array(
+            [build(x, p)[rows, cols] for x in pts]).tobytes()
 
 
 def test_r_matrix_at_an_array_of_points_is_the_stack_of_scalar_calls():

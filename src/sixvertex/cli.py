@@ -27,7 +27,6 @@ from .functional_system import (
 from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
     RootOfUnitySpec,
-    SiteTable,
     bethe_residual,
     bethe_residual_l2,
     check_inversion_l2,
@@ -488,12 +487,11 @@ class _Runner:
         if spec.l == 4:
             l4 = check_l4_relation(self.states, p, draws[:6])
         for st, zeros in self.zero_sets():
-            sites = SiteTable(zeros, p)
             conj = spec.l >= 5
             self.guarded(
                 f"rou.bethe.state{st.index}",
-                lambda: max((abs(x) for x in bethe_residual(sites)),
-                            default=0.0),
+                lambda z=zeros: max((abs(x) for x in
+                                     bethe_residual(z, spec, p)), default=0.0),
                 conjecture=conj,
             )
             if spec.l == 2:
@@ -508,7 +506,7 @@ class _Runner:
                 name = f"rou.l4_relation.state{st.index}"
                 shifted = l4_shifted_values(st, zeros, p)
                 ratios = self.attempt(
-                    name, lambda: l4_ratio_residuals(sites, shifted))
+                    name, lambda: l4_ratio_residuals(zeros, shifted, p))
                 if ratios is None:
                     continue
                 self.add(name, l4["relation_residual"][st.index])
@@ -518,7 +516,7 @@ class _Runner:
                          max((abs(x) for x in ratios), default=0.0))
                 self.guarded(
                     f"rou.l4_at_zeros.state{st.index}",
-                    lambda: max(l4_specialized_residuals(sites, shifted),
+                    lambda: max(l4_specialized_residuals(zeros, shifted, p),
                                 default=0.0),
                 )
 

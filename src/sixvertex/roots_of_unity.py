@@ -57,17 +57,26 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
     return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
 
 
-def _product(factors) -> complex:
-    """The product of `factors`, multiplied into 1 one at a time."""
-    out = 1.0 + 0j
-    for f in factors:
-        out *= f
-    return complex(out)
+def _mu_product(lam, shifts, params: ModelParams):
+    """prod_k prod_s sinh(lam - mu_k + shift_s) at the point `lam`, or the
+    list of them at each point of a 1-D array `lam`, from one `np.sinh`
+    call.
 
-
-def _mu_product(lam, shifts, params: ModelParams) -> complex:
-    """prod_k prod_s sinh(lam - mu_k + shift_s)."""
-    return _product(np.sinh(lam - m + s) for m in params.mu for s in shifts)
+    The array arguments and their sinh equal the scalar ones bit for bit.
+    Each point's factors are multiplied one at a time in (site, shift)
+    order as Python complex numbers, which multiply as numpy's complex
+    scalars do; an array product may use fused multiply-adds and moves
+    the last bits."""
+    lam = np.asarray(lam)
+    args = (lam[..., None] - np.array(params.mu))[..., None] + np.array(shifts)
+    rows = np.sinh(args).reshape(-1, len(params.mu) * len(shifts)).tolist()
+    out = []
+    for factors in rows:
+        prod = 1.0 + 0j
+        for f in factors:
+            prod *= f
+        out.append(prod)
+    return out if lam.ndim else out[0]
 
 
 def _shifted_values(states, lam_draws, shifts, g) -> list:
@@ -94,67 +103,30 @@ def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
     return out
 
 
-class SiteTable:
-    """sinh(w - mu_k + s) at each zero w of one zero set `zeros`, at each
-    site k and each shift s that its zero equations read, from one
-    `np.sinh` call.
-
-    It serves the site product of the Bethe-type equation (`bethe_lhs`),
-    the two site products of the specialized four-fold relation
-    (`site_products`) and its driving term Q(w + g) (`q_shifted`).  Each
-    argument is formed as the scalar forms (`_mu_product`, `q_function`)
-    form it, and the array sinh gives their values bit for bit.  The
-    products are taken over the table's numpy scalars in the scalar
-    forms' order: an array product, which may use fused multiply-adds,
-    moves the last bits.
-    """
-
-    def __init__(self, zeros, params: ModelParams):
-        g = params.gamma
-        self.zeros = zeros
-        self.params = params
-        w = np.asarray(zeros, dtype=complex)[:, None]
-        mu = np.asarray(params.mu)
-        d, dq = w - mu, (w + g) - mu
-        # per (zero, site), in column order: d + 2g, d, d + g, d - g and
-        # d + 0 of the zero equations (d + 0 is d but for the sign of a zero
-        # part); then (w + g) - mu + s for the shifts s = 0, -2g, g, -3g, -g
-        # of Q(w + g)
-        args = np.stack((d + 2 * g, d, d + g, d - g, d + 0, dq + 0,
-                         dq + -2 * g, dq + g, dq + -3 * g, dq + -g), axis=-1)
-        self._sites = [[list(site) for site in row] for row in np.sinh(args)]
-        self._q1 = np.sinh(3 * g) / np.sinh(g)
-        self._q3 = 2 * np.cosh(2 * g)
-
-    def _over_sites(self, i: int, cols) -> complex:
-        return _product([site[c] for site in self._sites[i] for c in cols])
-
-    def bethe_lhs(self, i: int) -> complex:
-        """Site product of the Bethe-type equation at zero i."""
-        out = 1.0 + 0j
-        for den1, den2, num1, num2, *_ in self._sites[i]:
+def bethe_lhs(w, params: ModelParams):
+    """Site product of the Bethe-type equation at the zero `w`, or the
+    list of them at each zero of a 1-D array `w`, from one `np.sinh` call
+    (see `_mu_product`).  The quotients are taken between numpy scalars:
+    Python's complex division rounds differently."""
+    g = params.gamma
+    w = np.asarray(w)
+    d = w[..., None] - np.array(params.mu)
+    table = np.sinh(np.stack((d + 2 * g, d, d + g, d - g), axis=-1))
+    out = []
+    for sites in table.reshape(-1, len(params.mu), 4):
+        lhs = 1.0 + 0j
+        for den1, den2, num1, num2 in sites:
             if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
                 raise PoleEncountered(
                     "zero collides with an inhomogeneity shift")
-            out *= num1 * num2 / (den1 * den2)
-        return complex(out)
-
-    def site_products(self, i: int) -> tuple[complex, complex]:
-        """``_mu_product(w, (2g, 0))`` and ``_mu_product(w, (g, -g))`` at
-        zero i."""
-        return self._over_sites(i, (0, 4)), self._over_sites(i, (2, 3))
-
-    def q_shifted(self, i: int) -> complex:
-        """``q_function(w + g)`` at zero i."""
-        t1 = self._q1 * self._over_sites(i, (5, 5, 6, 6))
-        t2 = self._over_sites(i, (7, 8, 9, 9))
-        t3 = self._q3 * self._over_sites(i, (5, 6, 9, 9))
-        return complex(t1 - t2 - t3)
+            lhs *= num1 * num2 / (den1 * den2)
+        out.append(complex(lhs))
+    return out if w.ndim else out[0]
 
 
-def bethe_residual(sites: SiteTable) -> list:
-    """Per-zero residuals of the Bethe-type equation at the zero set of
-    one eigenvalue, with `sites` its sinh table.
+def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
+    """Per-zero residuals of the Bethe-type equation at the zero set
+    `zeros` of one eigenvalue.
 
     The interaction product runs over every zero, including the self
     term (which contributes sinh(g)/sinh(-g) = -1), matching the closure
@@ -166,11 +138,10 @@ def bethe_residual(sites: SiteTable) -> list:
     ``bethe_residual_l4``.
     """
     out = []
-    g = sites.params.gamma
-    for i, wi in enumerate(sites.zeros):
-        lhs = sites.bethe_lhs(i)
+    g = params.gamma
+    for wi, lhs in zip(zeros, bethe_lhs(zeros, params)):
         prod = 1.0 + 0j
-        for wj in sites.zeros:
+        for wj in zeros:
             den = np.sinh(wj - wi - g)
             if abs(den) < EPS_GENERIC:
                 raise PoleEncountered("colliding zeroes in interaction product")
@@ -196,8 +167,9 @@ def bethe_residual_l2(zeros, params: ModelParams) -> list:
     return out
 
 
-def q_function(lam: complex, params: ModelParams) -> complex:
-    """Inhomogeneous driving term of the four-fold relation at l = 4.
+def q_function(lam, params: ModelParams):
+    """Inhomogeneous driving term of the four-fold relation at l = 4, at
+    the point `lam` or, as a list, at each point of a 1-D array `lam`.
 
     At gamma = i pi k / 4 (k odd), cosh 2g = 0 removes the third term and
     sinh 3g / sinh g = 1, leaving
@@ -207,10 +179,13 @@ def q_function(lam: complex, params: ModelParams) -> complex:
     odd L, antiperiodic at even L.
     """
     g = params.gamma
-    t1 = (np.sinh(3 * g) / np.sinh(g)) * _mu_product(lam, (0, 0, -2 * g, -2 * g), params)
-    t2 = _mu_product(lam, (g, -3 * g, -g, -g), params)
-    t3 = 2 * np.cosh(2 * g) * _mu_product(lam, (0, -2 * g, -g, -g), params)
-    return complex(t1 - t2 - t3)
+    lams = np.atleast_1d(lam)
+    c1, c3 = np.sinh(3 * g) / np.sinh(g), 2 * np.cosh(2 * g)
+    out = [complex(c1 * p1 - p2 - c3 * p3) for p1, p2, p3 in zip(
+        _mu_product(lams, (0, 0, -2 * g, -2 * g), params),
+        _mu_product(lams, (g, -3 * g, -g, -g), params),
+        _mu_product(lams, (0, -2 * g, -g, -g), params))]
+    return out if np.ndim(lam) else out[0]
 
 
 def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
@@ -267,14 +242,13 @@ def l4_shifted_values(state, zeros, params: ModelParams) -> list:
     return values([state], points).reshape(-1, 3).tolist()
 
 
-def l4_ratio_residuals(sites: SiteTable, shifted) -> list:
+def l4_ratio_residuals(zeros, shifted, params: ModelParams) -> list:
     """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
     site product at each zero w against -Lambda(w - g) / Lambda(w + g),
-    with `sites` the sinh table of a state's zero set and `shifted` =
-    ``l4_shifted_values(state, zeros, params)``."""
+    with `shifted` = ``l4_shifted_values(state, zeros, params)``."""
     out = []
-    for i, (_, lam_minus, lam_plus) in enumerate(shifted):
-        lhs = sites.bethe_lhs(i)
+    for lhs, (_, lam_minus, lam_plus) in zip(bethe_lhs(zeros, params),
+                                             shifted):
         if abs(lam_plus) < 1e-300:
             raise PoleEncountered("eigenvalue vanishes at shifted zero")
         out.append(complex(lhs + lam_minus / lam_plus))
@@ -305,17 +279,19 @@ def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
     return out
 
 
-def l4_specialized_residuals(sites: SiteTable, shifted) -> list:
+def l4_specialized_residuals(zeros, shifted, params: ModelParams) -> list:
     """Residuals of the four-fold relation specialized at each shifted zero,
     without the ratio reduction: the product-weighted combination of
-    eigenvalues at w +- gamma must reproduce the driving term.  `sites` is
-    the sinh table of a state's zero set and `shifted` is
-    ``l4_shifted_values(state, zeros, params)``."""
+    eigenvalues at w +- gamma must reproduce the driving term.  `shifted`
+    is ``l4_shifted_values(state, zeros, params)``."""
+    g = params.gamma
+    zeros = np.asarray(zeros)
     out = []
-    for i, (lam_m2g, lam_mg, lam_g) in enumerate(shifted):
-        s02, spm = sites.site_products(i)
+    for s02, spm, q, (lam_m2g, lam_mg, lam_g) in zip(
+            _mu_product(zeros, (2 * g, 0), params),
+            _mu_product(zeros, (g, -g), params),
+            q_function(zeros + g, params), shifted):
         lhs = lam_m2g * (s02 * lam_mg + spm * lam_g)
-        q = sites.q_shifted(i)
         out.append(abs(lhs - q) / max(abs(q), abs(lhs), 1e-300))
     return out
 

@@ -31,7 +31,6 @@ from sixvertex.functional_system import (
 )
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
-    SiteTable,
     bethe_residual,
     bethe_residual_l4,
     check_inversion_l2,
@@ -410,7 +409,7 @@ def test_criterion8_bethe_equations(l, L):
         if l == 4:
             res = bethe_residual_l4(lam0, zeros, p)
         else:
-            res = bethe_residual(SiteTable(zeros, p))
+            res = bethe_residual(zeros, spec, p)
         if res:
             worst = max(worst, max(abs(r) for r in res))
     ok = worst < 1e-6

@@ -9,7 +9,7 @@ from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import transfer_eigenstates
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
-    SiteTable,
+    bethe_lhs,
     bethe_residual,
     bethe_residual_l2,
     bethe_residual_l4,
@@ -103,7 +103,7 @@ def test_bethe_equation_holds(l, L):
     spec, p, rng = setup_case(l, L, seed=200 + 10 * l + L)
     states = transfer_eigenstates(p, rng)
     for zeros in zeros_of([st for st in states if st.k0_defined], p).zeros:
-        for res in bethe_residual(SiteTable(zeros, p)):
+        for res in bethe_residual(zeros, spec, p):
             assert abs(res) < 1e-6
 
 
@@ -116,11 +116,11 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
     worst_ba = 0.0
     worst_direct = 0.0
     for st, zeros in zeros_of(states, p):
-        sites = SiteTable(zeros, p)
-        worst_ba = max(worst_ba, max(abs(r) for r in bethe_residual(sites)))
+        worst_ba = max(worst_ba,
+                       max(abs(r) for r in bethe_residual(zeros, spec, p)))
         worst_direct = max(worst_direct,
                            max(l4_specialized_residuals(
-                               sites, l4_shifted_values(st, zeros, p))))
+                               zeros, l4_shifted_values(st, zeros, p), p)))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
 
@@ -129,7 +129,7 @@ def test_two_fold_and_general_residuals_agree_side_by_side():
     spec, p, rng = setup_case(2, 4, seed=210)
     states = transfer_eigenstates(p, rng)
     for zeros in zeros_of(states[:4], p).zeros:
-        general = bethe_residual(SiteTable(zeros, p))
+        general = bethe_residual(zeros, spec, p)
         site_only = bethe_residual_l2(zeros, p)
         assert max(abs(r) for r in general) < 1e-6
         assert max(abs(r) for r in site_only) < 1e-6
@@ -232,10 +232,9 @@ def test_four_fold_ratio_equation_matches_general_form():
     spec, p, rng = setup_case(4, 4, seed=238)
     states = transfer_eigenstates(p, rng)
     for st, zeros in zeros_of(states[:4], p):
-        sites = SiteTable(zeros, p)
-        general = bethe_residual(sites)
+        general = bethe_residual(zeros, spec, p)
         shifted = l4_shifted_values(st, zeros, p)
-        pair = zip(l4_ratio_residuals(sites, shifted), general)
+        pair = zip(l4_ratio_residuals(zeros, shifted, p), general)
         for r_ratio, r_gen in pair:
             assert abs(r_ratio - r_gen) < 1e-6 * max(1.0, abs(r_gen))
 
@@ -255,8 +254,7 @@ def test_conjecture_regime_is_recorded_not_asserted():
     states = transfer_eigenstates(p, rng)
     observed = []
     for zeros in zeros_of(states[:4], p).zeros:
-        observed.append(max(abs(r) for r in
-                            bethe_residual(SiteTable(zeros, p))))
+        observed.append(max(abs(r) for r in bethe_residual(zeros, spec, p)))
     # evidence against the general-order conjecture at L >= 3; kept as a
     # recorded observation, not a pass/fail gate
     assert all(np.isfinite(observed))
@@ -302,9 +300,33 @@ def test_l4_verdicts_of_the_benchmark_seed_four(tmp_path):
     assert [[r.name, r.verdict] for r in reports] == expected
 
 
+def same_bits(a, b):
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def scalar_mu_product(lam, shifts, params):
+    """`_mu_product` at one point by one scalar sinh call per (site,
+    shift): its oracle."""
+    out = 1.0 + 0j
+    for m in params.mu:
+        for s in shifts:
+            out *= np.sinh(lam - m + s)
+    return complex(out)
+
+
+def scalar_q_function(lam, params):
+    """`q_function` at one point over `scalar_mu_product`."""
+    g = params.gamma
+    t1 = (np.sinh(3 * g) / np.sinh(g)) * scalar_mu_product(
+        lam, (0, 0, -2 * g, -2 * g), params)
+    t2 = scalar_mu_product(lam, (g, -3 * g, -g, -g), params)
+    t3 = 2 * np.cosh(2 * g) * scalar_mu_product(
+        lam, (0, -2 * g, -g, -g), params)
+    return complex(t1 - t2 - t3)
+
+
 def scalar_bethe_lhs(w, params):
-    """The site product of the Bethe-type equation at one zero, by scalar
-    sinh calls: the oracle of `SiteTable.bethe_lhs`."""
+    """`bethe_lhs` at one zero by scalar sinh calls: its oracle."""
     g = params.gamma
     out = 1.0 + 0j
     for m in params.mu:
@@ -318,10 +340,8 @@ def scalar_bethe_lhs(w, params):
 
 def scalar_zero_equations(zeros, shifted, params):
     """`bethe_residual`, `l4_ratio_residuals` and `l4_specialized_residuals`
-    of one zero set by scalar sinh calls (`scalar_bethe_lhs`,
-    `_mu_product`, `q_function`), in their arithmetic order."""
+    of one zero set over the scalar oracles, in their arithmetic order."""
     g = params.gamma
-    mu_product = roots_of_unity._mu_product
     bethe, ratio, specialized = [], [], []
     for wi, (lam_m2g, lam_mg, lam_g) in zip(zeros, shifted):
         lhs = scalar_bethe_lhs(wi, params)
@@ -330,35 +350,64 @@ def scalar_zero_equations(zeros, shifted, params):
             prod *= np.sinh(wj - wi + g) / np.sinh(wj - wi - g)
         bethe.append(complex(lhs + prod))
         ratio.append(complex(lhs + lam_mg / lam_g))
-        s02 = mu_product(wi, (2 * g, 0), params)
-        spm = mu_product(wi, (g, -g), params)
+        s02 = scalar_mu_product(wi, (2 * g, 0), params)
+        spm = scalar_mu_product(wi, (g, -g), params)
         both = lam_m2g * (s02 * lam_mg + spm * lam_g)
-        q = q_function(wi + g, params)
+        q = scalar_q_function(wi + g, params)
         specialized.append(abs(both - q) / max(abs(q), abs(both), 1e-300))
     return bethe, ratio, specialized
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_sinh_table_gives_the_scalar_zero_equations_bit_for_bit(seed,
-                                                                tmp_path):
-    # rou_L6_l4, every state: the table-fed residuals and the gathered
-    # shifted eigenvalues are those of scalar sinh calls and dense builds
+def test_zero_equations_are_their_scalar_forms_bit_for_bit(seed,
+                                                           tmp_path):
+    # rou_L6_l4, every state: the residuals over one sinh call per zero
+    # set and product, and the gathered shifted eigenvalues, are those of
+    # scalar sinh calls and dense builds
     runner = cli._Runner(cli.build_config(
         ["--size", "6", "--root-of-unity", "1/4", "--suite", "rou",
          "--seed", str(seed), "--out", str(tmp_path / "r.txt")]))
     p, g = runner.params, runner.params.gamma
+    spec = RootOfUnitySpec(4)
     sets = runner.zero_sets()
     assert len(sets) == 64
     for st, zeros in sets:
         shifted = l4_shifted_values(st, zeros, p)
         dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
                   for x in (w - 2 * g, w - g, w + g)] for w in zeros]
-        assert np.array(shifted).tobytes() == np.array(dense).tobytes()
-        sites = SiteTable(zeros, p)
-        got = (bethe_residual(sites), l4_ratio_residuals(sites, shifted),
-               l4_specialized_residuals(sites, shifted))
+        assert same_bits(shifted, dense)
+        got = (bethe_residual(zeros, spec, p),
+               l4_ratio_residuals(zeros, shifted, p),
+               l4_specialized_residuals(zeros, shifted, p))
         for a, b in zip(got, scalar_zero_equations(zeros, shifted, p)):
-            assert np.array(a).tobytes() == np.array(b).tobytes()
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("L", [1, 3, 6])
+def test_site_products_are_the_scalar_loops_bit_for_bit(L):
+    # every shift tuple the per-draw relations and zero equations read,
+    # including the integer zeros whose addition sets the sign of a zero
+    # imaginary part; at each point alone and at all points in one call
+    spec, p, rng = setup_case(4, L, seed=300 + L)
+    g = p.gamma
+    tuples = [(0, 0), (g, -g), (0, -2 * g), (-g, -3 * g), (0, -g),
+              (2 * g, 0), (0, 0, -2 * g, -2 * g), (g, -3 * g, -g, -g),
+              (0, -2 * g, -g, -g)]
+    draws = list(generic_points(20, rng, avoid=p.mu))
+    points = draws + [complex(p.mu[0]), p.mu[0] + 0.5, p.mu[0] - g]
+    for shifts in tuples:
+        want = [scalar_mu_product(lam, shifts, p) for lam in points]
+        got = [roots_of_unity._mu_product(lam, shifts, p) for lam in points]
+        assert same_bits(got, want)
+        assert same_bits(
+            roots_of_unity._mu_product(np.array(points), shifts, p), want)
+        assert roots_of_unity._mu_product(np.array([]), shifts, p) == []
+    want = [scalar_q_function(lam, p) for lam in points]
+    assert same_bits([q_function(lam, p) for lam in points], want)
+    assert same_bits(q_function(np.array(points), p), want)
+    want = [scalar_bethe_lhs(w, p) for w in draws]
+    assert same_bits([bethe_lhs(w, p) for w in draws], want)
+    assert same_bits(bethe_lhs(np.array(draws), p), want)
 
 
 def test_a_zero_on_an_inhomogeneity_shift_raises():
@@ -367,10 +416,9 @@ def test_a_zero_on_an_inhomogeneity_shift_raises():
     # sinh(w - mu_2) or sinh(w - mu_2 + 2g) vanishes at the second zero
     for w in (p.mu[1], p.mu[1] - 2 * g):
         row = np.array([0.3 + 0.1j, w])
-        sites = SiteTable(row, p)
         with pytest.raises(PoleEncountered, match="inhomogeneity"):
-            bethe_residual(sites)
+            bethe_residual(row, spec, p)
         with pytest.raises(PoleEncountered, match="inhomogeneity"):
-            l4_ratio_residuals(sites, [[1.0, 1.0, 1.0]] * 2)
+            l4_ratio_residuals(row, [[1.0, 1.0, 1.0]] * 2, p)
         with pytest.raises(PoleEncountered, match="inhomogeneity"):
             scalar_bethe_lhs(w, p)

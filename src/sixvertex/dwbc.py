@@ -8,8 +8,8 @@ import numpy as np
 from .errors import SingularDenominator
 from .vertex_core import (
     EPS_GENERIC,
+    BOperators,
     ModelParams,
-    b_operator,
     is_generic,
     reference_states,
 )
@@ -17,15 +17,8 @@ from .vertex_core import (
 
 def b_product_state(lams, params: ModelParams) -> np.ndarray:
     """Apply the ordered product of B operators to the all-up state."""
-    return _b_string(lams, lambda lam: b_operator(lam, params), params.L)
-
-
-def _b_string(lams, b_of, L: int) -> np.ndarray:
-    """The ordered product of the operators b_of(lam) on the all-up state."""
-    v, _ = reference_states(L)
-    for lam in reversed(list(lams)):
-        v = b_of(lam) @ v
-    return v
+    ops = BOperators(lams, params)
+    return ops.strings([range(len(ops))])[0]
 
 
 def z_bproduct(lams, params: ModelParams) -> complex:
@@ -75,8 +68,8 @@ def _off_down_ray(v: np.ndarray, down: np.ndarray) -> float:
 
 def draw_residuals(lams, perm, shift: complex, over,
                    params: ModelParams) -> dict:
-    """Residuals of one draw of the domain-wall checks, building each B(x)
-    once and reusing it wherever x recurs.
+    """Residuals of one draw of the domain-wall checks, gathering each
+    string's B(x) in one call; Z and the permuted string share theirs.
 
     `lams` holds L points and `perm` the same points reordered; `shift`
     moves points and inhomogeneities together; `over` holds L + 1 points.
@@ -90,17 +83,18 @@ def draw_residuals(lams, perm, shift: complex, over,
       relative to its norm;
     * ``overflow_string``: ||B(over)|up>|| / prod_x ||B(x)||_2, as L + 1
       creation operators annihilate |up>; for a nonzero string the B(x)
-      of the scale are built a second time.
+      of the scale are scattered again from the string's gather.
     """
     L = params.L
     if len(lams) != L:
         raise ValueError("need exactly L spectral parameters")
     _, down = reference_states(L)
-    bops = {x: b_operator(x, params) for x in lams}
-    vec = _b_string(lams, bops.__getitem__, L)
+    ops = BOperators(lams, params)
+    at = {x: j for j, x in enumerate(lams)}
+    vec, pvec = ops.strings([range(L), [at[x] for x in perm]])
+    del ops
     z = complex(down @ vec)
-    zperm = complex(down @ _b_string(perm, bops.__getitem__, L))
-    del bops
+    zperm = complex(down @ pvec)
     out = {"permutation": abs(zperm - z) / max(abs(z), 1e-300)}
     if is_generic(params) and L >= 2:
         zi = z_izergin(lams, params)
@@ -112,9 +106,10 @@ def draw_residuals(lams, perm, shift: complex, over,
     # the string is exactly zero while the B(x) keep the magnetization
     # sectors apart, and then reads 0.0 whatever the scale: the 2-norms,
     # an SVD each, are taken only for a nonzero string
-    over_norm = np.linalg.norm(_b_string(over, lambda x: b_operator(x, params), L))
+    ops = BOperators(over, params)
+    over_norm = np.linalg.norm(ops.strings([range(len(ops))])[0])
     if over_norm != 0.0:
-        scale = np.prod([np.linalg.norm(b_operator(x, params), 2) for x in over])
+        scale = np.prod([np.linalg.norm(ops[j], 2) for j in range(len(ops))])
         over_norm = over_norm / max(scale, 1e-300)
     out["overflow_string"] = over_norm
     return out

@@ -22,9 +22,10 @@ from .prefix_oracle import (
     oracle_v,
 )
 from .vertex_core import (
+    _GATHER_ENTRIES,
     EPS_GENERIC,
+    BOperators,
     ModelParams,
-    b_operator,
     generic_points,
     monodromy,
     reference_states,
@@ -34,11 +35,6 @@ from .vertex_core import (
 
 # the pair ratios of `_PairTable`, in the order of its flat layout
 _RATIOS = ("a_b", "ag_b", "c_b")
-
-# Transfer entries that `values` gathers at once: 2^14 complex entries,
-# 256 KiB, i.e. 22 points at L = 6 and 2 at L = 8.  The gather holds two
-# such arrays, so the cap bounds its memory whatever the number of points.
-_GATHER_ENTRIES = 2**14
 
 
 class _PairTable:
@@ -192,15 +188,21 @@ def values(states, points) -> np.ndarray:
 
     The transfer entries are gathered for up to `_GATHER_ENTRIES` entries
     of points at a time; each point is scattered into one reused dense
-    buffer and read by every state as the sandwich
-    ``left @ T(x) @ right / norm``, so entry [k, j] equals that sandwich
-    with ``transfer(points[j])`` bit for bit.  No states need no gather.
+    buffer and read by every state at once as the stacked sandwich
+    ``((lefts[:, None, :] @ t) @ rights[:, :, None]) / norms``, one
+    vector-matrix and one dot product per state, so entry [k, j] equals
+    ``left @ transfer(points[j]) @ right / norm`` of state k bit for bit.
+    (``lefts @ t`` as one matrix product would move the bits.)  No states
+    need no gather.
     """
     points = np.array(list(points), dtype=complex)
     out = np.empty((len(states), len(points)), dtype=complex)
     if not states or not len(points):
         return out
     params = states[0].params
+    lefts = np.array([st.left for st in states])[:, None, :]
+    rights = np.array([st.right for st in states])[:, :, None]
+    norms = np.array([st.norm for st in states])
     per = max(1, _GATHER_ENTRIES // (3**params.L - 1))
     t = np.zeros((params.dim, params.dim), dtype=complex)
     # scatter into `flat`, a view of t, through flat indices made once per
@@ -212,7 +214,7 @@ def values(states, points) -> np.ndarray:
         at = rows.astype(np.intp) * params.dim + cols
         for j, entries in enumerate(vals, start):
             flat[at] = entries
-            out[:, j] = [st.left @ t @ st.right / st.norm for st in states]
+            out[:, j] = ((lefts @ t) @ rights)[:, 0, 0] / norms
     return out
 
 
@@ -317,10 +319,11 @@ def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:
     largest participating term of that state.
 
     Only the string overlaps and the eigenvalue depend on the state.  The
-    coefficients, each B(v_t) and each B-string on |up> are computed once
-    per call; one product with the stacked left vectors gives every
-    state's overlaps, and one transfer build (`values`) every state's
-    eigenvalue at v_0.
+    coefficients, one gather of every B(v_t) and each B-string on |up>
+    (strings with a common suffix share its vector) are computed once per
+    call; one product with the stacked left vectors gives every state's
+    overlaps, and one transfer gather (`values`) every state's eigenvalue
+    at v_0.
     """
     v = tuple(vars_)
     if len(v) != n + 1:
@@ -335,26 +338,12 @@ def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:
              + [tuple(t for t in rest if t != i) for i in rest]
              + [tuple(t for t in range(n + 1) if t not in pair)
                 for pair in pairs])
-    up, _ = reference_states(params.L)
-    bops = {}
-    strings = {(): up}
-
-    def string(key):
-        # B(v_s0) ... B(v_sk) |up>, in b_product_state's order, so strings
-        # with a common suffix share its vector
-        vec = strings.get(key)
-        if vec is None:
-            t = key[0]
-            if t not in bops:
-                bops[t] = b_operator(v[t], params)
-            vec = strings[key] = bops[t] @ string(key[1:])
-        return vec
-
     # strings longer than L annihilate |up>; their overlaps stay 0
     cols = [k for k, key in enumerate(slots) if len(key) <= params.L]
     f = np.zeros((len(states), len(slots)), dtype=complex)
     f[:, cols] = (np.array([st.left for st in states])
-                  @ np.column_stack([string(slots[k]) for k in cols]))
+                  @ np.column_stack(BOperators(v, params).strings(
+                      slots[k] for k in cols)))
     lhs = values(states, [v[0]])[:, 0] * f[:, 0]
     terms = [lhs, f[:, 1]]
     acc = f[:, 1]

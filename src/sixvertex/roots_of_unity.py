@@ -18,7 +18,7 @@ from .functional_system import (
     theorem_terms,
     values,
 )
-from .vertex_core import EPS_GENERIC, ModelParams, b_operator
+from .vertex_core import EPS_GENERIC, BOperators, ModelParams
 from .zeros import lam_from_zeros
 
 
@@ -48,10 +48,11 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
                      params: ModelParams) -> float:
     """Relative operator norm of the l-fold string of shifted B operators."""
     g = spec.gamma
+    ops = BOperators([lam - k * g for k in range(spec.l)], params)
     prod = np.eye(params.dim, dtype=complex)
     scale = 1.0
     for k in range(spec.l):
-        bmat = b_operator(lam - k * g, params)
+        bmat = ops[k]
         prod = prod @ bmat
         scale *= np.linalg.norm(bmat, 2)
     return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))

@@ -30,6 +30,12 @@ EPS_GENERIC = 1e-4
 # draws before a sampler gives up on finding a generic point set
 _MAX_DRAWS = 1000
 
+# Entries that one gather of many points takes at once: 2^14 complex
+# entries, 256 KiB, i.e. 22 transfer matrices or 45 B's at L = 6 and 2 or
+# 4 at L = 8.  A gather holds a few arrays of that size, so the cap bounds
+# its memory whatever the number of points.
+_GATHER_ENTRIES = 2**14
+
 
 def weights(lam: complex, gamma: complex):
     """Vertex weights (a, b, c) at spectral parameter lam."""
@@ -167,6 +173,31 @@ def _paths(L: int):
     return (*pattern, bounds)
 
 
+@functools.lru_cache(maxsize=None)
+def _blocks(L: int, first: int, stop: int):
+    """Scatter index and prefix tree of the paths of the auxiliary blocks
+    k in ``range(first, stop)``, built on first use.
+
+    The scatter index is each entry's flat position ``row * 2^L + col`` in
+    a 2^L x 2^L array (intp).  The tree has one level per site: level k
+    holds the distinct path prefixes through site k, each as its parent's
+    position in level k - 1 and its own site-k tensor index; the last
+    level holds the paths themselves, in entry order."""
+    rows, cols, idx, bounds = _paths(L)
+    sl = slice(bounds[first], bounds[stop])
+    at = rows[sl].astype(np.intp) * 2**L + cols[sl]
+    idx = idx[:, sl]
+    node = np.zeros(idx.shape[1], dtype=np.intp)  # each path's prefix
+    tree = []
+    for k in range(L - 1):
+        codes, node = np.unique(node * 16 + idx[k], return_inverse=True)
+        tree.append((codes // 16, (codes % 16).astype(np.uint8)))
+    tree.append((node, idx[L - 1]))
+    for arr in (at, *itertools.chain(*tree)):
+        arr.flags.writeable = False  # shared by every caller
+    return at, tuple(tree)
+
+
 def _gather(lam, params: ModelParams, first: int, stop: int):
     """Quantum rows, columns and values of the nonzero entries of the
     auxiliary blocks k = 2a + c in ``range(first, stop)``, each value the
@@ -183,26 +214,31 @@ def _gather(lam, params: ModelParams, first: int, stop: int):
     if sites[..., ~_ICE].any():
         raise ValueError("site tensor has an entry that breaks the ice rule")
     w = sites.reshape(lam.shape + (L, 16))
-    rows, cols, idx, bounds = _paths(L)
+    rows, cols, _, bounds = _paths(L)
     sl = slice(bounds[first], bounds[stop])
-    # an explicit loop: a product reduction need not multiply in this order.
-    # The factor is bound to a name before the product: above 256 KiB numpy
-    # would otherwise reuse the unnamed temporary as `f *= vals`, and the
-    # swapped operands give other bits than the scalar gather.
-    vals = w[..., 0, :].take(idx[0, sl], axis=-1)
+    _, tree = _blocks(L, first, stop)
+    # Paths that share a prefix share its product: level k multiplies each
+    # prefix through site k - 1 by its site-k weight, so every path's value
+    # is the same left-to-right sequence of products as a loop over its
+    # sites.  Both factors are bound to names before the product: above
+    # 256 KiB numpy would otherwise reuse an unnamed temporary as
+    # `f *= prefix`, and the swapped operands give other bits.
+    vals = w[..., 0, :].take(tree[0][1], axis=-1)
     for k in range(1, L):
-        f = w[..., k, :].take(idx[k, sl], axis=-1)
-        vals = vals * f
+        parent, site = tree[k]
+        prefix = vals.take(parent, axis=-1)
+        f = w[..., k, :].take(site, axis=-1)
+        vals = prefix * f
     return rows[sl], cols[sl], vals
 
 
 def _block_sum(lam: complex, params: ModelParams, first: int, stop: int):
     """Sum of the auxiliary blocks k in ``range(first, stop)`` as one
     2^L x 2^L array; only blocks with disjoint supports are summed."""
-    rows, cols, vals = _gather(lam, params, first, stop)
-    out = np.zeros((params.dim, params.dim), dtype=complex)
-    out[rows, cols] = vals
-    return out
+    _, _, vals = _gather(lam, params, first, stop)
+    out = np.zeros(params.dim**2, dtype=complex)
+    out[_blocks(params.L, first, stop)[0]] = vals
+    return out.reshape(params.dim, params.dim)
 
 
 def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
@@ -211,12 +247,13 @@ def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
     operator in auxiliary row a and column b, so
     ``(A, B), (C, D) = monodromy(lam, params)``."""
     d = params.dim
-    rows, cols, vals = _gather(lam, params, 0, 4)
+    _, _, vals = _gather(lam, params, 0, 4)
+    at = _blocks(params.L, 0, 4)[0]
     bounds = _paths(params.L)[3]
-    m = np.zeros((4, d, d), dtype=complex)
+    m = np.zeros((4, d * d), dtype=complex)
     for k in range(4):
         sl = slice(bounds[k], bounds[k + 1])
-        m[k, rows[sl], cols[sl]] = vals[sl]
+        m[k, at[sl]] = vals[sl]
     return m.reshape(2, 2, d, d)
 
 
@@ -257,6 +294,60 @@ def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
     """Creation operator B(lam), the auxiliary (0, 1) entry of the
     monodromy, gathered from that block's paths alone."""
     return _block_sum(lam, params, 1, 2)
+
+
+def b_entries(lams, params: ModelParams):
+    """The nonzero entries of B at each of the points `lams` (a 1-D
+    array): their quantum rows and columns and a (points x (3^L - 1)/2)
+    array of values, each row that of `b_operator` at its point bit for
+    bit."""
+    return _gather(lams, params, 1, 2)
+
+
+class BOperators:
+    """The creation operators B(x) at the points `lams`, for strings of
+    them on |up>.  The entries are gathered when the object is made, up to
+    `_GATHER_ENTRIES` at a time; ``ops[j]`` scatters B(lams[j]) into one
+    dense buffer that every read reuses, so a read holds until the next."""
+
+    def __init__(self, lams, params: ModelParams):
+        self.lams = np.array(list(lams), dtype=complex)
+        self.params = params
+        n = (3**params.L - 1) // 2
+        per = max(1, _GATHER_ENTRIES // n)
+        self._vals = np.empty((len(self.lams), n), dtype=complex)
+        for start in range(0, len(self.lams), per):
+            chunk = self.lams[start:start + per]
+            self._vals[start:start + per] = b_entries(chunk, params)[2]
+        self._at = _blocks(params.L, 1, 2)[0]
+        self._buf = np.zeros((params.dim, params.dim), dtype=complex)
+        self._flat = self._buf.reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        self._flat[self._at] = self._vals[j]
+        return self._buf
+
+    def strings(self, orders) -> list:
+        """For each order, a sequence of positions j_1, ..., j_k into
+        `lams`, the vector B(lams[j_1]) ... B(lams[j_k]) |up>, each B
+        applied as the full dense product ``B @ v``.  Strings with a
+        common suffix share its vector."""
+        memo = {(): reference_states(self.params.L)[0]}
+        out = []
+        for order in orders:
+            key = tuple(order)
+            # from the longest suffix formed so far, one B at a time, each
+            # read only once the string it acts on is formed: a read
+            # overwrites the buffer of the read before
+            start = next(i for i in range(len(key) + 1) if key[i:] in memo)
+            vec = memo[key[start:]]
+            for i in reversed(range(start)):
+                vec = memo[key[i:]] = self[key[i]] @ vec
+            out.append(vec)
+        return out
 
 
 def transfer_entries(lams, params: ModelParams):
@@ -350,8 +441,9 @@ def _sectors(dim: int):
 
 
 def _split(m: np.ndarray) -> dict:
-    """The nonzero (row weight, column weight) blocks of `m`, as views of
-    one copy permuted into sector order."""
+    """The nonzero (row weight, column weight) blocks of `m`, each a copy
+    of its block of `m` permuted into sector order, so the permuted whole
+    is freed on return."""
     flat, starts, spans = _sectors(m.shape[0])
     p = m.ravel().take(flat).astype(complex, copy=False)
     # real and imaginary parts side by side, so a NaN in either counts
@@ -359,7 +451,7 @@ def _split(m: np.ndarray) -> dict:
     live = np.logical_or.reduceat(
         np.logical_or.reduceat(nonzero, 2 * starts, axis=1), starts, axis=0)
     rows, cols = np.nonzero(live)
-    return {(r, c): p[spans[r], spans[c]]
+    return {(r, c): p[spans[r], spans[c]].copy()
             for r, c in zip(rows.tolist(), cols.tolist())}
 
 

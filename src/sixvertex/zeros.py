@@ -14,10 +14,9 @@ import itertools
 
 import numpy as np
 
-from .dwbc import b_product_state
 from .functional_system import EigenState, TopCoefficient, even_floor, values
 from .numkit import fit_poly, poly_roots_rows
-from .vertex_core import EPS_GENERIC, ModelParams, b_operator
+from .vertex_core import _GATHER_ENTRIES, EPS_GENERIC, BOperators, ModelParams
 
 # shift of one zero that the Wronskian conditions must detect
 ZERO_KICK = 1e-2
@@ -71,16 +70,30 @@ class ZeroSets:
     @functools.cached_property
     def _phi_up(self) -> np.ndarray:
         """The entries of each row's B-string at the states with one site
-        j up, in the order of `down_b_row`: all that Z reads of it."""
+        j up, in the order of `down_b_row`: all that Z reads of it.
+
+        The B-string of every zero but the first is shared by a set and its
+        kicked set, and B(zeros[0]) is applied to it last, as in
+        `b_product_state`.  The B's of as many sets as fit into
+        `_GATHER_ENTRIES` entries are gathered in one call."""
         params = self.params
         L = params.L
-        # the B-string of every zero but the first, shared by a set and its
-        # kicked set; `b_product_state` applies B(zeros[0]) last, so
-        # B(w_0) @ tail is its vector bit for bit
-        tails = [b_product_state(row[1:], params) for row in self.zeros]
+        n = len(self.zeros)
+        first = self.with_kicked[:, 0]
         one_up = 2**L - 1 - 2 ** np.arange(L - 1, -1, -1)
-        return np.array([(b_operator(w, params) @ tail)[one_up]
-                         for w, tail in zip(self.with_kicked[:, 0], tails * 2)])
+        out = np.empty((2 * n, L), dtype=complex)
+        # per set, its L - 2 tail zeros, its first zero and its kicked one
+        per = max(1, _GATHER_ENTRIES // (L * (3**L - 1) // 2))
+        for start in range(0, n, per):
+            sets = range(start, min(start + per, n))
+            ops = BOperators([x for k in sets for x in
+                              (*self.zeros[k, 1:], first[k], first[n + k])],
+                             params)
+            tails = [range(j * L, j * L + L - 2) for j in range(len(sets))]
+            vecs = ops.strings([(t.stop + s, *t) for t in tails for s in (0, 1)])
+            out[start:sets.stop] = [v[one_up] for v in vecs[::2]]
+            out[n + start:n + sets.stop] = [v[one_up] for v in vecs[1::2]]
+        return out
 
     @functools.cached_property
     def top(self) -> TopCoefficient:

@@ -12,7 +12,9 @@ from sixvertex.dwbc import (
 )
 from sixvertex.errors import SingularDenominator
 from sixvertex.vertex_core import (
+    BOperators,
     ModelParams,
+    b_entries,
     b_operator,
     generic_points,
     reference_states,
@@ -138,15 +140,26 @@ def _b_plus_ones(lam, params):
     return bop + 0.1 * np.abs(bop).max() * np.ones_like(bop)
 
 
+def _every_b(broken):
+    """The string entry point with every B it reads, of a string or of the
+    overflow scale, replaced by ``broken(x, params)``."""
+
+    class Broken(BOperators):
+        def __getitem__(self, j):
+            return broken(self.lams[j], self.params)
+
+    return Broken
+
+
 # check -> (module, attribute, replacement that breaks the identity)
 BREAKS = {
     # with c scaled the B(x) no longer commute, and Z leaves the determinant
     "permutation": (vertex_core, "weights", _scaled_c),
     "oracle_agreement": (vertex_core, "weights", _scaled_c),
-    "shift_invariance": (dwbc, "b_operator", _b_times_exp),
-    "highest_weight": (dwbc, "b_operator", _b_plus_ones),
-    "overflow_string": (dwbc, "b_operator", _b_plus_ones),
-    "underflow_string": (dwbc, "b_operator", _b_plus_ones),
+    "shift_invariance": (dwbc, "BOperators", _every_b(_b_times_exp)),
+    "highest_weight": (dwbc, "BOperators", _every_b(_b_plus_ones)),
+    "overflow_string": (dwbc, "BOperators", _every_b(_b_plus_ones)),
+    "underflow_string": (dwbc, "BOperators", _every_b(_b_plus_ones)),
 }
 
 
@@ -187,7 +200,7 @@ def test_overflow_scale_is_taken_only_for_a_nonzero_string(monkeypatch):
     assert calls == []
     # a B that mixes the magnetization sectors leaves a nonzero string,
     # scaled by the 2-norm of each of its operators
-    monkeypatch.setattr(dwbc, "b_operator", _b_plus_ones)
+    monkeypatch.setattr(dwbc, "BOperators", _every_b(_b_plus_ones))
     assert draw(p, lams, over=over)["overflow_string"] > 1e-3
     assert calls == [(8, 8)] * 4
 
@@ -195,15 +208,16 @@ def test_overflow_scale_is_taken_only_for_a_nonzero_string(monkeypatch):
 def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):
     builds = Counter()
 
-    def counted(lam, params):
-        builds[lam, params.mu] += 1
-        return b_operator(lam, params)
+    def counted(lams, params):
+        builds.update((complex(lam), params.mu) for lam in lams)
+        return b_entries(lams, params)
 
-    monkeypatch.setattr(dwbc, "b_operator", counted)
+    monkeypatch.setattr(vertex_core, "b_entries", counted)
     config = cli.RunConfig(L=3, gamma=GAMMA, seed=2, suites=("dwbc",), draws=1,
                            output_path=str(tmp_path / "r.txt"))
     assert cli.run(config)[0] == 0
     # 3 points, their 3 shifted copies and 4 overflow points, then the 2
-    # points of the underflow string
+    # points of the underflow string; the permuted string and the overflow
+    # scale read the gathers of their own strings
     assert max(builds.values()) == 1
     assert sum(builds.values()) == 12

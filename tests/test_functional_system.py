@@ -260,6 +260,21 @@ def test_values_gather_in_chunks_and_match_dense_sandwiches(L, monkeypatch):
     assert got.tobytes() == np.array(dense).tobytes()
 
 
+@pytest.mark.parametrize("L", range(1, 9))
+def test_values_are_each_state_sandwich_bit_for_bit(L):
+    # the stacked sandwich of every state is each state's own
+    # `left @ T(x) @ right / norm`, whatever the number of states
+    p = params_for(L, seed=184 + L)
+    states = states_for(p, seed=185 + L)
+    xs = generic_points(5, np.random.default_rng(186 + L), avoid=p.mu)
+    got = values(states, xs)
+    for j, x in enumerate(xs):
+        t = transfer(x, p)
+        ref = [st.left @ t @ st.right / st.norm for st in states]
+        assert got[:, j].tobytes() == np.array(ref).tobytes()
+        assert values(states[-1:], [x]).tobytes() == got[-1:, j:j + 1].tobytes()
+
+
 @pytest.mark.parametrize("argv", [["--size", "4"],
                                   ["--size", "4", "--root-of-unity", "1/4",
                                    "--suite", "rou"]])
@@ -307,19 +322,20 @@ def test_values_do_not_depend_on_call_order(order, monkeypatch):
 
 @pytest.mark.parametrize("L", [2, 3])
 def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
-    # one call serves every state: each B(v_t) and T(v_0) is built once
+    # one call serves every state: each B(v_t) and T(v_0) is gathered once,
+    # and no dense B is built on its own
     p = params_for(L, seed=174)
     states = states_for(p, seed=175)
     rng = np.random.default_rng(176)
     for n in range(0, L + 2):
         v = generic_points(n + 1, rng, avoid=p.mu)
-        builds = (counting(monkeypatch, functional_system, "b_operator"),
-                  counting(monkeypatch, dwbc, "b_operator"))
+        builds = counting(monkeypatch, vertex_core, "b_entries")
+        dense = counting(monkeypatch, vertex_core, "b_operator")
         transfers = counting(monkeypatch, functional_system,
                              "transfer_entries")
         check_fl(n, states, v, p)
         monkeypatch.undo()
-        assert sum(map(len, builds)) <= n + 1
+        assert gathered(builds) == list(v) and not dense
         assert gathered(transfers) == [v[0]]
 
 

@@ -26,6 +26,7 @@ from sixvertex.roots_of_unity import (
 from sixvertex.vertex_core import (
     EPS_GENERIC,
     ModelParams,
+    b_operator,
     generic_points,
     sample_mu,
     transfer,
@@ -63,6 +64,26 @@ def test_operator_string_truncation(l, L):
     for _ in range(5):
         lam = generic_points(1, rng, avoid=p.mu)[0]
         assert check_truncation(spec, lam, p) < 1e-9
+
+
+def dense_truncation(spec, lam, params):
+    """`check_truncation` from one dense `b_operator` per shifted point,
+    as it was written before the B's were gathered: its oracle."""
+    prod = np.eye(params.dim, dtype=complex)
+    scale = 1.0
+    for k in range(spec.l):
+        bmat = b_operator(lam - k * spec.gamma, params)
+        prod = prod @ bmat
+        scale *= np.linalg.norm(bmat, 2)
+    return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
+
+
+@pytest.mark.parametrize("l", [2, 4, 5])
+@pytest.mark.parametrize("L", [1, 3, 6])
+def test_gathered_truncation_is_the_dense_string_bit_for_bit(l, L):
+    spec, p, rng = setup_case(l, L, seed=l * 20 + L)
+    for lam in generic_points(2, rng, avoid=p.mu):
+        assert check_truncation(spec, lam, p) == dense_truncation(spec, lam, p)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

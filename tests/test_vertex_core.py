@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sixvertex import vertex_core
+from sixvertex.dwbc import b_product_state
 from sixvertex.numkit import kron_chain
 from sixvertex.vertex_core import (
     SX,
@@ -210,6 +211,85 @@ def test_a_gather_above_256_kib_is_the_scalar_builds():
         assert vals.nbytes > 256 * 1024
         assert vals.tobytes() == np.array(
             [build(x, p)[rows, cols] for x in pts]).tobytes()
+
+
+def _loop_gather(lam, params, first, stop):
+    """The per-site gather that the prefix tree replaced: every path's
+    value multiplied site by site, left to right, site 1 first; the
+    oracle of `vertex_core._gather`."""
+    L = params.L
+    lam = np.asarray(lam)
+    sites = np.swapaxes(
+        r_matrix(lam[..., None] - np.array(params.mu), params)
+        .reshape(lam.shape + (L, 2, 2, 2, 2)), -3, -2)
+    w = sites.reshape(lam.shape + (L, 16))
+    rows, cols, idx, bounds = vertex_core._paths(L)
+    sl = slice(bounds[first], bounds[stop])
+    vals = w[..., 0, :].take(idx[0, sl], axis=-1)
+    for k in range(1, L):
+        f = w[..., k, :].take(idx[k, sl], axis=-1)
+        vals = vals * f
+    return rows[sl], cols[sl], vals
+
+
+BLOCK_RANGES = [(0, 4), (1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_prefix_tree_gather_is_the_per_site_loop_bit_for_bit(L):
+    p = params_for(L, seed=150 + L)
+    rng = np.random.default_rng(160 + L)
+    # at mu_1 a b weight, and so a whole prefix, is exactly zero
+    pts = np.array(generic_points(3, rng) + (p.mu[0], p.mu[-1]))
+    for first, stop in BLOCK_RANGES:
+        ref = _loop_gather(pts, p, first, stop)
+        got = vertex_core._gather(pts, p, first, stop)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        for x, row in zip(pts, ref[2]):
+            assert vertex_core._gather(x, p, first, stop)[2].tobytes() == \
+                row.tobytes()
+
+
+def test_a_prefix_tree_gather_above_256_kib_is_the_per_site_loop():
+    # above 256 KiB numpy's temporary elision would swap the operands of an
+    # unnamed factor; 40 points take 455 KiB of B and 1.2 MiB of monodromy
+    # entries at L = 6, 3 points 0.6 MiB of monodromy entries at L = 8
+    for L, n in ((6, 40), (8, 3)):
+        p = params_for(L, seed=170 + L)
+        rng = np.random.default_rng(180 + L)
+        pts = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        for first, stop in BLOCK_RANGES:
+            _, _, vals = vertex_core._gather(pts, p, first, stop)
+            ref = _loop_gather(pts, p, first, stop)[2]
+            if (first, stop) == (0, 4):
+                assert vals.nbytes > 256 * 1024
+            assert vals.tobytes() == ref.tobytes()
+
+
+def _dense_string(lams, params):
+    """B(lams[0]) ... B(lams[-1]) |up>, one dense `b_operator` at a time."""
+    v = vertex_core.reference_states(params.L)[0]
+    for x in reversed(lams):
+        v = b_operator(x, params) @ v
+    return v
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_gathered_strings_are_the_dense_chains_bit_for_bit(L):
+    p = params_for(L, seed=190 + L)
+    rng = np.random.default_rng(200 + L)
+    for n in range(L + 2):
+        lams = generic_points(n, rng, avoid=p.mu)
+        ops = vertex_core.BOperators(lams, p)
+        # the string, the reversed string and a suffix, which share vectors
+        orders = [range(n), range(n - 1, -1, -1), range(n // 2, n)]
+        for order, got in zip(orders, ops.strings(orders)):
+            ref = _dense_string([lams[j] for j in order], p)
+            assert np.array_equal(got, ref)
+        assert np.array_equal(b_product_state(lams, p), _dense_string(lams, p))
+        for j, x in enumerate(lams):
+            assert np.array_equal(ops[j], b_operator(x, p))
 
 
 def test_r_matrix_at_an_array_of_points_is_the_stack_of_scalar_calls():

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.polynomial import polyroots
 from scipy.optimize import linear_sum_assignment
 
-from sixvertex import cli, functional_system, zeros
+from sixvertex import cli, functional_system, vertex_core, zeros
 from sixvertex.cli import build_config, run
 from sixvertex.dwbc import b_product_state
 from sixvertex.errors import PoleEncountered
@@ -368,19 +368,30 @@ def test_top_v_table_raises_where_v_coeff_does(L):
 @pytest.mark.parametrize("L", [3, 5, 8])
 def test_kicked_refit_reuses_the_zero_set_b_string(L, monkeypatch):
     p, st, ws, _ = drawn_zero_set(L, seed=100 + L)
-    strings = []
+    gathers, reads = [], []
+    b_entries = vertex_core.b_entries
+    read = vertex_core.BOperators.__getitem__
 
-    def counted(zeros_, params):
-        strings.append(tuple(zeros_))
-        return b_product_state(zeros_, params)
+    def gather(lams, params):
+        gathers.extend(complex(x) for x in lams)
+        return b_entries(lams, params)
 
-    monkeypatch.setattr(zeros, "b_product_state", counted)
+    def counted(ops, j):
+        reads.append(complex(ops.lams[j]))
+        return read(ops, j)
+
+    monkeypatch.setattr(vertex_core, "b_entries", gather)
+    monkeypatch.setattr(vertex_core.BOperators, "__getitem__", counted)
     sets = ZeroSets([st], [1.0], [ws])
-    # holding the sets builds no string; one string of the zeros after the
-    # first is built on first use, and shared with the kicked set
-    assert strings == []
+    # holding the sets builds no string; on first use one gather reads the
+    # zeros after the first, then the first zero and its kicked copy, and
+    # the string of the zeros after the first, its B's applied last to
+    # first, is shared with the kicked set
+    assert gathers == reads == []
     phi_up = sets._phi_up
-    assert strings == [ws[1:]]
+    first, moved = sets.with_kicked[:, 0]
+    assert gathers == [*ws[1:], first, moved]
+    assert reads == [*ws[:0:-1], first, moved]
     assert np.array_equal(sets.with_kicked, [ws, kicked(sets, 0).zeros[0]])
     one_up = [2**L - 1 - 2 ** (L - 1 - j) for j in range(L)]
     for row, zs in zip(phi_up, sets.with_kicked):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sixvertex import cli, dwbc, functional_system
+from sixvertex import cli, functional_system
 from sixvertex.dwbc import b_product_state, z_bproduct
 from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (

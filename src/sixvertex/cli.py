@@ -24,9 +24,11 @@ from .functional_system import (
     transfer_eigenstates,
     values,
 )
+from .numkit import cabs
 from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
     RootOfUnitySpec,
+    bethe_lhs,
     bethe_residual,
     bethe_residual_l2,
     check_inversion_l2,
@@ -227,6 +229,14 @@ def _worst(residuals) -> float:
     """The largest of the residuals, at least 0.0; a NaN among them is
     passed over, as in a running max from 0.0."""
     return max([0.0, *residuals])
+
+
+def _per_set(residuals, failed=False) -> np.ndarray:
+    """Per zero set, the largest modulus in its row of `residuals`, as
+    ``max((abs(x) for x in row), default=0.0)``; inf where `failed` flags
+    the set."""
+    worst = [max(row, default=0.0) for row in cabs(residuals).tolist()]
+    return np.where(failed, np.inf, worst)
 
 
 def sample_params(config: RunConfig) -> ModelParams:
@@ -440,14 +450,15 @@ class _Runner:
             scale_points.append(generic_points(5, rng, avoid=p.mu))
             lz_draws.append(generic_points(max(5, self.config.draws), rng,
                                            avoid=list(zeros) + list(p.mu)))
+        reconstruction = reconstruction_residual(
+            sets, np.array(probes)[:, None])[:, 0]
         lz = check_lz01(sets, lz_draws)
         coincidence = check_zero_coincidence(sets)["max_distance"]
         wronskian = wronskian_residual(sets)
         sharpness = wronskian_sharpness(sets)
         for k, (st, zeros) in enumerate(sets):
             i = st.index
-            self.add(f"zeros.reconstruction.state{i}", reconstruction_residual(
-                st, sets.lam0[k], zeros, probes[k]))
+            self.add(f"zeros.reconstruction.state{i}", reconstruction[k])
             self.add(f"zeros.at_zero.state{i}",
                      at_zero_residual(st, zeros, scale_points[k]))
             # a failed ratio draw records inf and drops the state's later
@@ -486,39 +497,37 @@ class _Runner:
             self.add("rou.l3_form_agreement", _worst(res["form_agreement"]))
         if spec.l == 4:
             l4 = check_l4_relation(self.states, p, draws[:6])
-        for st, zeros in self.zero_sets():
-            conj = spec.l >= 5
-            self.guarded(
-                f"rou.bethe.state{st.index}",
-                lambda z=zeros: max((abs(x) for x in
-                                     bethe_residual(z, spec, p)), default=0.0),
-                conjecture=conj,
-            )
+        sets = self.zero_sets()
+        if not len(sets):
+            return
+        # every zero equation takes every zero set at once; a set whose
+        # equation meets a pole records inf
+        lhs = bethe_lhs(sets.zeros, p)
+        bethe = _per_set(*bethe_residual(sets.zeros, lhs, p))
+        if spec.l == 2:
+            bethe_l2 = _per_set(*bethe_residual_l2(sets.zeros, p))
+        if spec.l == 4:
+            shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+            ratios, ratio_failed = l4_ratio_residuals(lhs, shifted)
+            ratio = _per_set(ratios)
+            at_zeros = _per_set(
+                l4_specialized_residuals(sets.zeros, shifted, p))
+        for k, st in enumerate(sets.states):
+            i = st.index
+            self.add(f"rou.bethe.state{i}", bethe[k], conjecture=spec.l >= 5)
             if spec.l == 2:
-                self.guarded(
-                    f"rou.bethe_l2.state{st.index}",
-                    lambda z=zeros: max((abs(x) for x in
-                                         bethe_residual_l2(z, p)), default=0.0),
-                )
+                self.add(f"rou.bethe_l2.state{i}", bethe_l2[k])
             if spec.l == 4:
                 # a failed ratio equation records the state's relation as
                 # inf and drops its other l = 4 records
-                name = f"rou.l4_relation.state{st.index}"
-                shifted = l4_shifted_values(st, zeros, p)
-                ratios = self.attempt(
-                    name, lambda: l4_ratio_residuals(zeros, shifted, p))
-                if ratios is None:
+                if ratio_failed[k]:
+                    self.add(f"rou.l4_relation.state{i}", float("inf"))
                     continue
-                self.add(name, l4["relation_residual"][st.index])
-                self.add(f"rou.q_periodicity.state{st.index}",
-                         l4["q_periodicity"])
-                self.add(f"rou.l4_ratio.state{st.index}",
-                         max((abs(x) for x in ratios), default=0.0))
-                self.guarded(
-                    f"rou.l4_at_zeros.state{st.index}",
-                    lambda: max(l4_specialized_residuals(zeros, shifted, p),
-                                default=0.0),
-                )
+                self.add(f"rou.l4_relation.state{i}",
+                         l4["relation_residual"][i])
+                self.add(f"rou.q_periodicity.state{i}", l4["q_periodicity"])
+                self.add(f"rou.l4_ratio.state{i}", ratio[k])
+                self.add(f"rou.l4_at_zeros.state{i}", at_zeros[k])
 
     # ------------------------------------------------------------------
     def run(self) -> int:

@@ -4,13 +4,11 @@ satisfied by the eigenvalue zeroes."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleEncountered
 from .functional_system import (
     expansion_coeffs,
     m_coeff,
@@ -18,6 +16,7 @@ from .functional_system import (
     theorem_terms,
     values,
 )
+from .numkit import cabs, cmul, cprod
 from .vertex_core import EPS_GENERIC, BOperators, ModelParams
 from .zeros import lam_from_zeros
 
@@ -60,24 +59,17 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
 
 def _mu_product(lam, shifts, params: ModelParams):
     """prod_k prod_s sinh(lam - mu_k + shift_s) at the point `lam`, or the
-    list of them at each point of a 1-D array `lam`, from one `np.sinh`
+    array of them at each point of an array `lam`, from one `np.sinh`
     call.
 
-    The array arguments and their sinh equal the scalar ones bit for bit.
-    Each point's factors are multiplied one at a time in (site, shift)
-    order as Python complex numbers, which multiply as numpy's complex
-    scalars do; an array product may use fused multiply-adds and moves
-    the last bits."""
+    The array arguments and their sinh equal the scalar ones bit for bit,
+    and `cprod` multiplies each point's factors in (site, shift) order
+    as Python complex numbers do."""
     lam = np.asarray(lam)
     args = (lam[..., None] - np.array(params.mu))[..., None] + np.array(shifts)
-    rows = np.sinh(args).reshape(-1, len(params.mu) * len(shifts)).tolist()
-    out = []
-    for factors in rows:
-        prod = 1.0 + 0j
-        for f in factors:
-            prod *= f
-        out.append(prod)
-    return out if lam.ndim else out[0]
+    factors = np.sinh(args).reshape(*lam.shape, len(params.mu) * len(shifts))
+    out = cprod(factors)
+    return out if lam.ndim else complex(out)
 
 
 def _shifted_values(states, lam_draws, shifts, g) -> list:
@@ -104,30 +96,34 @@ def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
     return out
 
 
-def bethe_lhs(w, params: ModelParams):
-    """Site product of the Bethe-type equation at the zero `w`, or the
-    list of them at each zero of a 1-D array `w`, from one `np.sinh` call
-    (see `_mu_product`).  The quotients are taken between numpy scalars:
-    Python's complex division rounds differently."""
+# The zero equations take an array `zeros` of zero sets along its last
+# axis, such as the (sets x L-1) array of `ZeroSets`, and return their
+# per-zero residuals in that shape.  A set whose equation meets a pole is
+# flagged in a boolean array of the leading shape; its residuals are
+# not to be read.  The arithmetic is that of the scalar equations, bit
+# for bit: products by `cmul` and `cprod`, moduli by `cabs`, and each
+# quotient of two complex numbers by numpy's division, as between numpy
+# scalars, unless said otherwise.
+
+
+def bethe_lhs(zeros, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Site product of the Bethe-type equation at each zero of `zeros`,
+    from one `np.sinh` call, and per set whether one of its zeros
+    collides with an inhomogeneity shift."""
     g = params.gamma
-    w = np.asarray(w)
-    d = w[..., None] - np.array(params.mu)
-    table = np.sinh(np.stack((d + 2 * g, d, d + g, d - g), axis=-1))
-    out = []
-    for sites in table.reshape(-1, len(params.mu), 4):
-        lhs = 1.0 + 0j
-        for den1, den2, num1, num2 in sites:
-            if abs(den1) < EPS_GENERIC or abs(den2) < EPS_GENERIC:
-                raise PoleEncountered(
-                    "zero collides with an inhomogeneity shift")
-            lhs *= num1 * num2 / (den1 * den2)
-        out.append(complex(lhs))
-    return out if w.ndim else out[0]
+    d = np.asarray(zeros)[..., None] - np.array(params.mu)
+    den1, den2, num1, num2 = np.sinh(np.stack((d + 2 * g, d, d + g, d - g)))
+    pole = (cabs(den1) < EPS_GENERIC) | (cabs(den2) < EPS_GENERIC)
+    den = np.where(pole, 1.0, cmul(den1, den2))
+    return cprod(cmul(num1, num2) / den), pole.any(axis=(-2, -1))
 
 
-def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
-    """Per-zero residuals of the Bethe-type equation at the zero set
-    `zeros` of one eigenvalue.
+def bethe_residual(zeros, lhs, params: ModelParams) -> tuple[np.ndarray,
+                                                             np.ndarray]:
+    """Per-zero residuals of the Bethe-type equation at each zero set of
+    `zeros`, with `lhs` = ``bethe_lhs(zeros, params)``; and per set whether
+    it failed: a zero collides with an inhomogeneity shift, or two zeros
+    collide in the interaction product.
 
     The interaction product runs over every zero, including the self
     term (which contributes sinh(g)/sinh(-g) = -1), matching the closure
@@ -138,39 +134,34 @@ def bethe_residual(zeros, spec: RootOfUnitySpec, params: ModelParams) -> list:
     zeroes); the l = 4 zero equation that does follow is
     ``bethe_residual_l4``.
     """
-    out = []
     g = params.gamma
-    for wi, lhs in zip(zeros, bethe_lhs(zeros, params)):
-        prod = 1.0 + 0j
-        for wj in zeros:
-            den = np.sinh(wj - wi - g)
-            if abs(den) < EPS_GENERIC:
-                raise PoleEncountered("colliding zeroes in interaction product")
-            prod *= np.sinh(wj - wi + g) / den
-        out.append(complex(lhs + prod))
-    return out
+    sites, failed = lhs
+    zeros = np.asarray(zeros)
+    diff = zeros[..., None, :] - zeros[..., :, None]  # [..., i, j] = w_j - w_i
+    num, den = np.sinh(np.stack((diff + g, diff - g)))
+    pole = cabs(den) < EPS_GENERIC
+    prod = cprod(num / np.where(pole, 1.0, den))
+    return sites + prod, failed | pole.any(axis=(-2, -1))
 
 
-def bethe_residual_l2(zeros, params: ModelParams) -> list:
+def bethe_residual_l2(zeros, params: ModelParams) -> tuple[np.ndarray,
+                                                           np.ndarray]:
     """Per-zero residuals of the l = 2 site-product equation (no
-    interaction term) at the zero set `zeros`; reported alongside the
-    general form."""
+    interaction term) at each zero set of `zeros`, reported alongside the
+    general form; and per set whether a zero collides with an
+    inhomogeneity."""
     g = params.gamma
-    out = []
-    for wi in zeros:
-        prod = 1.0 + 0j
-        for m in params.mu:
-            den = np.sinh(wi - m) ** 2
-            if abs(den) < EPS_GENERIC**2:
-                raise PoleEncountered("zero collides with an inhomogeneity")
-            prod *= np.sinh(wi - m + g) * np.sinh(wi - m - g) / den
-        out.append(complex(prod - 1.0))
-    return out
+    d = np.asarray(zeros)[..., None] - np.array(params.mu)
+    s, plus, minus = np.sinh(np.stack((d, d + g, d - g)))
+    den = cmul(s, s)
+    pole = cabs(den) < EPS_GENERIC**2
+    prod = cprod(cmul(plus, minus) / np.where(pole, 1.0, den))
+    return prod - 1.0, pole.any(axis=(-2, -1))
 
 
 def q_function(lam, params: ModelParams):
     """Inhomogeneous driving term of the four-fold relation at l = 4, at
-    the point `lam` or, as a list, at each point of a 1-D array `lam`.
+    the point `lam` or, as an array, at each point of an array `lam`.
 
     At gamma = i pi k / 4 (k odd), cosh 2g = 0 removes the third term and
     sinh 3g / sinh g = 1, leaving
@@ -180,13 +171,11 @@ def q_function(lam, params: ModelParams):
     odd L, antiperiodic at even L.
     """
     g = params.gamma
-    lams = np.atleast_1d(lam)
     c1, c3 = np.sinh(3 * g) / np.sinh(g), 2 * np.cosh(2 * g)
-    out = [complex(c1 * p1 - p2 - c3 * p3) for p1, p2, p3 in zip(
-        _mu_product(lams, (0, 0, -2 * g, -2 * g), params),
-        _mu_product(lams, (g, -3 * g, -g, -g), params),
-        _mu_product(lams, (0, -2 * g, -g, -g), params))]
-    return out if np.ndim(lam) else out[0]
+    out = (cmul(c1, _mu_product(lam, (0, 0, -2 * g, -2 * g), params))
+           - _mu_product(lam, (g, -3 * g, -g, -g), params)
+           - cmul(c3, _mu_product(lam, (0, -2 * g, -g, -g), params)))
+    return out if np.ndim(lam) else complex(out)
 
 
 def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
@@ -243,17 +232,23 @@ def l4_shifted_values(state, zeros, params: ModelParams) -> list:
     return values([state], points).reshape(-1, 3).tolist()
 
 
-def l4_ratio_residuals(zeros, shifted, params: ModelParams) -> list:
-    """Per-zero residuals of the eigenvalue-ratio equation at l = 4: the
-    site product at each zero w against -Lambda(w - g) / Lambda(w + g),
-    with `shifted` = ``l4_shifted_values(state, zeros, params)``."""
-    out = []
-    for lhs, (_, lam_minus, lam_plus) in zip(bethe_lhs(zeros, params),
-                                             shifted):
-        if abs(lam_plus) < 1e-300:
-            raise PoleEncountered("eigenvalue vanishes at shifted zero")
-        out.append(complex(lhs + lam_minus / lam_plus))
-    return out
+def l4_ratio_residuals(lhs, shifted) -> tuple[np.ndarray, np.ndarray]:
+    """Per-zero residuals of the eigenvalue-ratio equation at l = 4 at
+    each zero set: the site product at each zero w against
+    -Lambda(w - g) / Lambda(w + g), with `lhs` = ``bethe_lhs(zeros,
+    params)`` and `shifted` the sets' ``l4_shifted_values``, of shape
+    zeros.shape + (3,); and per set whether it failed: a zero collides
+    with an inhomogeneity shift, or the eigenvalue vanishes at w + g.
+
+    The quotient is Python's complex division, which rounds differently
+    from numpy's."""
+    sites, failed = lhs
+    lams = np.asarray(shifted, dtype=complex).reshape(sites.shape + (3,))
+    vanish = cabs(lams[..., 2]) < 1e-300
+    quot = [minus / plus if plus else 0j
+            for _, minus, plus in lams.reshape(-1, 3).tolist()]
+    return (sites + np.array(quot, dtype=complex).reshape(sites.shape),
+            failed | vanish.any(axis=-1))
 
 
 def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
@@ -268,33 +263,32 @@ def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
     each residual is relative to the largest of the three terms.
     """
     g = params.gamma
-    lam = functools.partial(lam_from_zeros, lam0, zeros)
-    out = []
-    for wi in zeros:
-        outer = lam(wi - 2 * g)
-        t1 = outer * _mu_product(wi, (2 * g, 0), params) * lam(wi - g)
-        t2 = outer * _mu_product(wi, (g, -g), params) * lam(wi + g)
-        q = q_function(wi + g, params)
-        scale = max(abs(t1), abs(t2), abs(q), 1e-300)
-        out.append(abs(t1 + t2 - q) / scale)
-    return out
+    zeros = np.asarray(zeros)
+    outer, minus, plus = lam_from_zeros(lam0, zeros, np.concatenate(
+        (zeros - 2 * g, zeros - g, zeros + g))).reshape(3, -1)
+    t1 = cmul(cmul(outer, _mu_product(zeros, (2 * g, 0), params)), minus)
+    t2 = cmul(cmul(outer, _mu_product(zeros, (g, -g), params)), plus)
+    q = q_function(zeros + g, params)
+    scale = np.maximum(np.maximum(np.maximum(cabs(t1), cabs(t2)), cabs(q)),
+                       1e-300)
+    return (cabs(t1 + t2 - q) / scale).tolist()
 
 
-def l4_specialized_residuals(zeros, shifted, params: ModelParams) -> list:
-    """Residuals of the four-fold relation specialized at each shifted zero,
-    without the ratio reduction: the product-weighted combination of
-    eigenvalues at w +- gamma must reproduce the driving term.  `shifted`
-    is ``l4_shifted_values(state, zeros, params)``."""
+def l4_specialized_residuals(zeros, shifted,
+                             params: ModelParams) -> np.ndarray:
+    """Residuals of the four-fold relation specialized at each shifted zero
+    of each zero set, without the ratio reduction: the product-weighted
+    combination of eigenvalues at w +- gamma must reproduce the driving
+    term.  `shifted` holds the sets' ``l4_shifted_values``, of shape
+    zeros.shape + (3,)."""
     g = params.gamma
     zeros = np.asarray(zeros)
-    out = []
-    for s02, spm, q, (lam_m2g, lam_mg, lam_g) in zip(
-            _mu_product(zeros, (2 * g, 0), params),
-            _mu_product(zeros, (g, -g), params),
-            q_function(zeros + g, params), shifted):
-        lhs = lam_m2g * (s02 * lam_mg + spm * lam_g)
-        out.append(abs(lhs - q) / max(abs(q), abs(lhs), 1e-300))
-    return out
+    lams = np.asarray(shifted, dtype=complex).reshape(zeros.shape + (3,))
+    lhs = cmul(lams[..., 0],
+               cmul(_mu_product(zeros, (2 * g, 0), params), lams[..., 1])
+               + cmul(_mu_product(zeros, (g, -g), params), lams[..., 2]))
+    q = q_function(zeros + g, params)
+    return cabs(lhs - q) / np.maximum(np.maximum(cabs(q), cabs(lhs)), 1e-300)
 
 
 def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:

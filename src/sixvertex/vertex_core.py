@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenericityExhausted
-from .numkit import kron_chain
+from .numkit import cabs, kron_chain
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,16 +90,17 @@ def sample_mu(L: int, gamma: complex, rng) -> tuple:
 
 def generic_points(n: int, rng, avoid=()) -> tuple:
     """Draw n spectral parameters whose pairwise sinh differences exceed
-    0.02, also keeping that sinh distance from every point in `avoid`."""
+    0.02, also keeping that sinh distance from every point in `avoid`.
+
+    A draw is tested at once: the differences p - q of each new point p
+    and each earlier new point or point of `avoid` q are taken as scalars,
+    and their sinh and its modulus (`cabs`) as one array each, with the
+    bits of the scalar calls."""
+    avoid = list(avoid)
     for _ in range(_MAX_DRAWS):
         pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-        ok = True
-        for i, p in enumerate(pts):
-            others = pts[:i] + list(avoid)
-            if any(abs(np.sinh(p - q)) <= 0.02 for q in others):
-                ok = False
-                break
-        if ok:
+        diff = [p - q for i, p in enumerate(pts) for q in pts[:i] + avoid]
+        if not np.any(cabs(np.sinh(np.array(diff, dtype=complex))) <= 0.02):
             return tuple(pts)
     raise GenericityExhausted("no generic spectral-point draw found")
 

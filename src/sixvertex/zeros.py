@@ -15,20 +15,25 @@ import itertools
 import numpy as np
 
 from .functional_system import EigenState, TopCoefficient, even_floor, values
-from .numkit import fit_poly, poly_roots_rows
+from .numkit import cabs, cprod, fit_poly, poly_roots_rows
 from .vertex_core import _GATHER_ENTRIES, EPS_GENERIC, BOperators, ModelParams
 
 # shift of one zero that the Wronskian conditions must detect
 ZERO_KICK = 1e-2
 
 
-def lam_from_zeros(lam0, zeros, x) -> complex:
-    """The eigenvalue at x reconstructed from its value `lam0` at the
-    origin and its zero set."""
-    out = lam0
-    for w in zeros:
-        out *= np.sinh(w - x) / np.sinh(w)
-    return complex(out)
+def lam_from_zeros(lam0, zeros, x) -> np.ndarray:
+    """The eigenvalue at each point of `x` reconstructed from its value
+    `lam0` at the origin and its zero set: for lam0 of shape S, zero sets
+    `zeros` of shape S + (n,) and points `x` of shape S + (P,) (or
+    broadcast against it), an array of shape S + (P,).
+
+    Bit for bit the scalar product ``out = lam0; for w in zeros:
+    out *= np.sinh(w - x) / np.sinh(w)``: the quotients are numpy's, and
+    `cprod` multiplies as Python does."""
+    zeros = np.asarray(zeros)[..., None, :]
+    factors = np.sinh(zeros - np.asarray(x)[..., None]) / np.sinh(zeros)
+    return cprod(factors, np.asarray(lam0)[..., None])
 
 
 class ZeroSets:
@@ -189,7 +194,8 @@ def extract_zeros(states, params: ModelParams) -> tuple[ZeroSets, list]:
     L = params.L
     degree = L - 1
     points = _sample_points(L)
-    rows = values(states, points).tolist()
+    vals = values(states, points)
+    rows = vals.tolist()
     lam0 = [row[0] for row in rows]
     if L == 1 or not states:
         return ZeroSets(states, lam0, np.empty((len(states), degree))), []
@@ -204,21 +210,25 @@ def extract_zeros(states, params: ModelParams) -> tuple[ZeroSets, list]:
     zeros = np.empty((len(states), degree), dtype=complex)
     zeros[found] = 0.5 * np.log(np.reshape(
         [r for r, ok in zip(roots, found) if ok], (-1, degree)))
-    kept = [ok and not any(abs(ref - lam_from_zeros(lam0[k], zeros[k], probe))
-                           > 1e-7 * max(abs(ref), 1e-300)
-                           for probe, ref in zip(points[L + 1:], rows[k][L + 1:]))
-            for k, ok in enumerate(found)]
+    kept = np.array(found, dtype=bool)
+    ref = vals[kept, L + 1:]
+    rebuilt = lam_from_zeros(np.array(lam0)[kept], zeros[kept], points[L + 1:])
+    kept[kept] = ~np.any(cabs(ref - rebuilt)
+                         > 1e-7 * np.maximum(cabs(ref), 1e-300), axis=1)
     sets = ZeroSets([st for st, ok in zip(states, kept) if ok],
                     [v for v, ok in zip(lam0, kept) if ok], zeros[kept])
     return sets, [st for st, ok in zip(states, kept) if not ok]
 
 
-def reconstruction_residual(state: EigenState, lam0, zeros, probe: complex) -> float:
-    """The eigenvalue of `state` at `probe` against its reconstruction from
-    its value `lam0` at the origin and its zero set, relative to the
-    eigenvalue."""
-    ref = state.lam(probe)
-    return abs(ref - lam_from_zeros(lam0, zeros, probe)) / max(abs(ref), 1e-300)
+def reconstruction_residual(sets: ZeroSets, probes) -> np.ndarray:
+    """Per state of `sets` and per point of its row of `probes`, a
+    (sets x P) array, its eigenvalue there against the reconstruction from
+    its value at the origin and its zero set, relative to the eigenvalue."""
+    probes = np.asarray(probes, dtype=complex)
+    ref = np.array([[st.lam(x) for x in row] for st, row
+                    in zip(sets.states, probes)]).reshape(probes.shape)
+    rebuilt = lam_from_zeros(np.array(sets.lam0), sets.zeros, probes)
+    return cabs(ref - rebuilt) / np.maximum(cabs(ref), 1e-300)
 
 
 def at_zero_residual(state: EigenState, zeros, scale_points) -> float:

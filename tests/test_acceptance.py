@@ -31,6 +31,7 @@ from sixvertex.functional_system import (
 )
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
+    bethe_lhs,
     bethe_residual,
     bethe_residual_l4,
     check_inversion_l2,
@@ -249,11 +250,9 @@ def test_criterion7_reconstruction(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8100 + L)
-    worst = 0.0
-    for (st, zeros), lam0 in zip(specs, specs.lam0):
-        for _ in range(3):
-            probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            worst = max(worst, reconstruction_residual(st, lam0, zeros, probe))
+    probes = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(3)] for _ in specs.states]
+    worst = float(np.max(reconstruction_residual(specs, probes)))
     assert report(f"7.reconstruction[L={L}]", worst < 1e-7,
                   f"worst={worst:.2e}")
 
@@ -405,13 +404,13 @@ def test_criterion8_bethe_equations(l, L):
     worst = 0.0
     sets, failed = extract_zeros([st for st in states if st.k0_defined], p)
     assert not failed
-    for lam0, zeros in zip(sets.lam0, sets.zeros):
-        if l == 4:
-            res = bethe_residual_l4(lam0, zeros, p)
-        else:
-            res = bethe_residual(zeros, spec, p)
-        if res:
-            worst = max(worst, max(abs(r) for r in res))
+    if l == 4:
+        for lam0, zeros in zip(sets.lam0, sets.zeros):
+            worst = max([worst, *bethe_residual_l4(lam0, zeros, p)])
+    else:
+        res, poles = bethe_residual(sets.zeros, bethe_lhs(sets.zeros, p), p)
+        assert not poles.any()
+        worst = max([worst, *np.abs(res).ravel()])
     ok = worst < 1e-6
     assert report(f"8.bethe[l={l},L={L}]", ok, f"worst={worst:.2e}")
 

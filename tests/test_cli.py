@@ -309,23 +309,20 @@ def test_homogeneous_structural_run_builds_the_hamiltonian_once(tmp_path,
 
 def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
                                                               monkeypatch):
-    """A SixVertexError in a check, or the failed row of a state in a
-    check that takes every state at once, records that check as `inf` and
-    `fail` with the anchor and tolerance of its family, and drops the
-    records of the same state that read its result; other states are
-    untouched."""
+    """The failed row of a state in a check that takes every state at
+    once, or its flag in one that flags failed sets, records that check
+    as `inf` and `fail` with the anchor and tolerance of its family, and
+    drops the records of the same state that read its result; other
+    states are untouched."""
     from sixvertex import cli, zeros
-    from sixvertex.errors import PoleEncountered
     from sixvertex.zeros import ZeroSets
 
     argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "zeros,rou",
             "--seed", "1", "--out", str(tmp_path / "r.txt")]
     names = {r.name for r in run(build_config(argv))[1]}
-    # the eigenvalues of state 1 at its shifted zeros, which its l = 4
-    # ratio check takes (its zero row is that of its +- partner)
     runner = cli._Runner(build_config(argv))
-    st1, row1 = next(pair for pair in runner.zero_sets() if pair[0].index == 1)
-    shifted1 = cli.l4_shifted_values(st1, row1, runner.params)
+    # the row of state 1 in the zero sets of the run
+    k1 = [st.index for st in runner.zero_sets().states].index(1)
 
     def failed_row(out, sets):
         # the row of state 1 as the check writes a failed state
@@ -344,11 +341,20 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
             def broken(arg, *args):
                 if isinstance(arg, ZeroSets):
                     return failed_row(real(arg, *args), arg)
-                if args[:1] == (shifted1,):
-                    raise PoleEncountered("broken for the test")
                 return real(arg, *args)
             m.setattr(cli, callee, broken)
         return brk
+
+    def ratio_flags_state1(m):
+        # the ratio equation of state 1 meets a pole, as a vanishing
+        # eigenvalue at a shifted zero flags it
+        real = cli.l4_ratio_residuals
+
+        def broken(lhs, shifted):
+            res, failed = real(lhs, shifted)
+            assert not failed[k1]
+            return res, failed | (np.arange(len(failed)) == k1)
+        m.setattr(cli, "l4_ratio_residuals", broken)
 
     def nonpolynomial_state1(m):
         # state 1's samples are no polynomial in x, so the zero set fitted
@@ -372,7 +378,7 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
         (breaking("check_lz01"), "zeros.lz01_constancy", "LZ01", 1e-6,
          ("zeros.lz01_even_constant", "zeros.coincidence", "zeros.wronskian",
           "zeros.wronskian_sharpness")),
-        (breaking("l4_ratio_residuals"), "rou.l4_relation", "l4ex", 1e-8,
+        (ratio_flags_state1, "rou.l4_relation", "l4ex", 1e-8,
          ("rou.q_periodicity", "rou.l4_ratio", "rou.l4_at_zeros")),
         (breaking("check_zero_coincidence"), "zeros.coincidence", "BAeven",
          1e-6, ()),
@@ -394,6 +400,40 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
         assert kept <= set(by_name), (failed, kept - set(by_name))
         if not dropped:  # a guarded check drops nothing
             assert {n for n in names if n.endswith(".state1")} <= set(by_name)
+
+
+def test_a_zero_on_an_inhomogeneity_shift_fails_only_its_state(tmp_path,
+                                                              monkeypatch):
+    """A zero of state 1 moved onto an inhomogeneity shift flags its zero
+    set: its `rou.bethe` and `rou.l4_relation` read inf, its later l = 4
+    records are dropped, and every other line of the report is that of
+    the unpatched run, byte for byte."""
+    from sixvertex import cli
+
+    out = tmp_path / "r.txt"
+    argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "rou",
+            "--seed", "1", "--out", str(out)]
+    run(build_config(argv))
+    clean = out.read_text().splitlines()
+    real = cli.extract_zeros
+
+    def extract(states, params):
+        sets, failed = real(states, params)
+        k1 = [st.index for st in sets.states].index(1)
+        sets.zeros[k1, 0] = params.mu[1] - 2 * params.gamma
+        return sets, failed
+
+    monkeypatch.setattr(cli, "extract_zeros", extract)
+    code, reports = run(build_config(argv))
+    lines = out.read_text().splitlines()
+    assert code == 1
+    assert [r.name for r in reports if r.name.endswith(".state1")] == \
+        ["rou.bethe.state1", "rou.l4_relation.state1"]
+    assert all((r.residual, r.verdict) == (float("inf"), "fail")
+               for r in reports if r.name.endswith(".state1"))
+    assert [x for x in clean if ".state1 " in x] != []
+    assert [x for x in lines if ".state1 " not in x] == \
+        [x for x in clean if ".state1 " not in x]
 
 
 def test_a_failed_hierarchy_order_records_every_state_once(tmp_path,

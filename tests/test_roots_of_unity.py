@@ -42,6 +42,14 @@ def zeros_of(states, p):
     return sets
 
 
+def bethe_of(zeros, p):
+    """`bethe_residual` of the zero sets `zeros`, none of which meets a
+    pole."""
+    res, failed = bethe_residual(zeros, bethe_lhs(zeros, p), p)
+    assert not failed.any()
+    return res
+
+
 def setup_case(l, L, k=1, seed=7):
     spec = RootOfUnitySpec(l, k)
     rng = np.random.default_rng(seed)
@@ -123,9 +131,8 @@ def test_inversion_rhs_homogeneous_form():
 def test_bethe_equation_holds(l, L):
     spec, p, rng = setup_case(l, L, seed=200 + 10 * l + L)
     states = transfer_eigenstates(p, rng)
-    for zeros in zeros_of([st for st in states if st.k0_defined], p).zeros:
-        for res in bethe_residual(zeros, spec, p):
-            assert abs(res) < 1e-6
+    sets = zeros_of([st for st in states if st.k0_defined], p)
+    assert np.all(np.abs(bethe_of(sets.zeros, p)) < 1e-6)
 
 
 def test_bethe_equation_fails_at_order_four_beyond_two_sites():
@@ -134,14 +141,10 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
     relation itself (and its direct specialization at the zeros) does."""
     spec, p, rng = setup_case(4, 3, seed=242)
     states = transfer_eigenstates(p, rng)
-    worst_ba = 0.0
-    worst_direct = 0.0
-    for st, zeros in zeros_of(states, p):
-        worst_ba = max(worst_ba,
-                       max(abs(r) for r in bethe_residual(zeros, spec, p)))
-        worst_direct = max(worst_direct,
-                           max(l4_specialized_residuals(
-                               zeros, l4_shifted_values(st, zeros, p), p)))
+    sets = zeros_of(states, p)
+    worst_ba = np.max(np.abs(bethe_of(sets.zeros, p)))
+    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    worst_direct = np.max(l4_specialized_residuals(sets.zeros, shifted, p))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
 
@@ -149,11 +152,11 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
 def test_two_fold_and_general_residuals_agree_side_by_side():
     spec, p, rng = setup_case(2, 4, seed=210)
     states = transfer_eigenstates(p, rng)
-    for zeros in zeros_of(states[:4], p).zeros:
-        general = bethe_residual(zeros, spec, p)
-        site_only = bethe_residual_l2(zeros, p)
-        assert max(abs(r) for r in general) < 1e-6
-        assert max(abs(r) for r in site_only) < 1e-6
+    zeros = zeros_of(states[:4], p).zeros
+    site_only, failed = bethe_residual_l2(zeros, p)
+    assert not failed.any()
+    assert np.max(np.abs(bethe_of(zeros, p))) < 1e-6
+    assert np.max(np.abs(site_only)) < 1e-6
 
 
 def test_free_fermion_homogeneous_coth_form():
@@ -252,12 +255,13 @@ def test_four_fold_ratio_equation_matches_general_form():
     # agree with each other wherever both are defined
     spec, p, rng = setup_case(4, 4, seed=238)
     states = transfer_eigenstates(p, rng)
-    for st, zeros in zeros_of(states[:4], p):
-        general = bethe_residual(zeros, spec, p)
-        shifted = l4_shifted_values(st, zeros, p)
-        pair = zip(l4_ratio_residuals(zeros, shifted, p), general)
-        for r_ratio, r_gen in pair:
-            assert abs(r_ratio - r_gen) < 1e-6 * max(1.0, abs(r_gen))
+    sets = zeros_of(states[:4], p)
+    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    ratio, failed = l4_ratio_residuals(bethe_lhs(sets.zeros, p), shifted)
+    assert not failed.any()
+    general = bethe_of(sets.zeros, p)
+    assert np.all(np.abs(ratio - general)
+                  < 1e-6 * np.maximum(1.0, np.abs(general)))
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -273,9 +277,7 @@ def test_truncated_expansion_vanishes(l):
 def test_conjecture_regime_is_recorded_not_asserted():
     spec, p, rng = setup_case(5, 3, seed=260)
     states = transfer_eigenstates(p, rng)
-    observed = []
-    for zeros in zeros_of(states[:4], p).zeros:
-        observed.append(max(abs(r) for r in bethe_residual(zeros, spec, p)))
+    observed = np.abs(bethe_of(zeros_of(states[:4], p).zeros, p)).max(axis=1)
     # evidence against the general-order conjecture at L >= 3; kept as a
     # recorded observation, not a pass/fail gate
     assert all(np.isfinite(observed))
@@ -382,26 +384,38 @@ def scalar_zero_equations(zeros, shifted, params):
 @pytest.mark.parametrize("seed", [1, 4])
 def test_zero_equations_are_their_scalar_forms_bit_for_bit(seed,
                                                            tmp_path):
-    # rou_L6_l4, every state: the residuals over one sinh call per zero
-    # set and product, and the gathered shifted eigenvalues, are those of
-    # scalar sinh calls and dense builds
+    # rou_L6_l4, every state of a whole run: the residuals of every zero
+    # set at once are those of scalar sinh calls, products and quotients,
+    # and the gathered shifted eigenvalues those of dense builds; so is
+    # every zero-equation residual float the run records (a report prints
+    # 10 digits, which hide a move of one ulp)
     runner = cli._Runner(cli.build_config(
         ["--size", "6", "--root-of-unity", "1/4", "--suite", "rou",
          "--seed", str(seed), "--out", str(tmp_path / "r.txt")]))
+    runner.run()
     p, g = runner.params, runner.params.gamma
-    spec = RootOfUnitySpec(4)
     sets = runner.zero_sets()
     assert len(sets) == 64
-    for st, zeros in sets:
-        shifted = l4_shifted_values(st, zeros, p)
+    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    lhs = bethe_lhs(sets.zeros, p)
+    bethe, bethe_failed = bethe_residual(sets.zeros, lhs, p)
+    ratio, ratio_failed = l4_ratio_residuals(lhs, shifted)
+    specialized = l4_specialized_residuals(sets.zeros, shifted, p)
+    assert not bethe_failed.any() and not ratio_failed.any()
+    want = {}
+    for k, (st, zeros) in enumerate(sets):
         dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
                   for x in (w - 2 * g, w - g, w + g)] for w in zeros]
-        assert same_bits(shifted, dense)
-        got = (bethe_residual(zeros, spec, p),
-               l4_ratio_residuals(zeros, shifted, p),
-               l4_specialized_residuals(zeros, shifted, p))
-        for a, b in zip(got, scalar_zero_equations(zeros, shifted, p)):
+        assert same_bits(shifted[k], dense)
+        oracle = scalar_zero_equations(zeros, shifted[k], p)
+        for a, b in zip((bethe[k], ratio[k], specialized[k]), oracle):
             assert same_bits(a, b)
+        i = st.index
+        want[f"rou.bethe.state{i}"] = max(abs(x) for x in oracle[0])
+        want[f"rou.l4_ratio.state{i}"] = max(abs(x) for x in oracle[1])
+        want[f"rou.l4_at_zeros.state{i}"] = max(oracle[2])
+    assert {r.name: r.residual for r in runner.reports
+            if r.name in want} == want
 
 
 @pytest.mark.parametrize("L", [1, 3, 6])
@@ -422,24 +436,56 @@ def test_site_products_are_the_scalar_loops_bit_for_bit(L):
         assert same_bits(got, want)
         assert same_bits(
             roots_of_unity._mu_product(np.array(points), shifts, p), want)
-        assert roots_of_unity._mu_product(np.array([]), shifts, p) == []
+        empty = roots_of_unity._mu_product(np.array([]), shifts, p)
+        assert empty.shape == (0,)
     want = [scalar_q_function(lam, p) for lam in points]
     assert same_bits([q_function(lam, p) for lam in points], want)
     assert same_bits(q_function(np.array(points), p), want)
     want = [scalar_bethe_lhs(w, p) for w in draws]
-    assert same_bits([bethe_lhs(w, p) for w in draws], want)
-    assert same_bits(bethe_lhs(np.array(draws), p), want)
+    assert same_bits([bethe_lhs(np.array([w]), p)[0][0] for w in draws], want)
+    for rows in (np.array(draws), np.reshape(draws, (4, 5))):
+        lhs, failed = bethe_lhs(rows, p)
+        assert same_bits(lhs.ravel(), want) and not failed.any()
 
 
-def test_a_zero_on_an_inhomogeneity_shift_raises():
+def test_a_set_meeting_a_pole_is_flagged_and_the_others_are_untouched():
     spec, p, rng = setup_case(4, 3, seed=242)
     g = p.gamma
+    clean = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    lam = np.full((2, 2, 3), 1.0 + 0.5j)
+
+    def flags_of_second_set(rows, lams=lam):
+        # each equation's flags over (clean, rows), with the clean set's
+        # residuals equal to its own
+        both = np.array([clean, rows])
+        lhs = bethe_lhs(both, p)
+        alone = bethe_lhs(clean[None], p)
+        out = {}
+        for name, (res, failed), (ref, _) in (
+                ("lhs", lhs, alone),
+                ("bethe", bethe_residual(both, lhs, p),
+                 bethe_residual(clean[None], alone, p)),
+                ("l2", bethe_residual_l2(both, p),
+                 bethe_residual_l2(clean[None], p)),
+                ("ratio", l4_ratio_residuals(lhs, lams),
+                 l4_ratio_residuals(alone, lams[:1]))):
+            assert same_bits(res[0], ref[0]), name
+            assert not failed[0], name
+            out[name] = bool(failed[1])
+        return out
+
     # sinh(w - mu_2) or sinh(w - mu_2 + 2g) vanishes at the second zero
     for w in (p.mu[1], p.mu[1] - 2 * g):
-        row = np.array([0.3 + 0.1j, w])
-        with pytest.raises(PoleEncountered, match="inhomogeneity"):
-            bethe_residual(row, spec, p)
-        with pytest.raises(PoleEncountered, match="inhomogeneity"):
-            l4_ratio_residuals(row, [[1.0, 1.0, 1.0]] * 2, p)
+        assert flags_of_second_set(np.array([0.3 + 0.1j, w])) == \
+            {"lhs": True, "bethe": True, "l2": w == p.mu[1], "ratio": True}
         with pytest.raises(PoleEncountered, match="inhomogeneity"):
             scalar_bethe_lhs(w, p)
+    # two zeros a shift g apart collide in the interaction product
+    w = 0.3 + 0.1j
+    assert flags_of_second_set(np.array([w, w + g])) == \
+        {"lhs": False, "bethe": True, "l2": False, "ratio": False}
+    # the eigenvalue vanishes at the shifted second zero
+    vanishing = lam.copy()
+    vanishing[1, 1, 2] = 0.0
+    assert flags_of_second_set(clean, vanishing) == \
+        {"lhs": False, "bethe": False, "l2": False, "ratio": True}

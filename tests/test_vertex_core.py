@@ -5,6 +5,7 @@ import pytest
 
 from sixvertex import vertex_core
 from sixvertex.dwbc import b_product_state
+from sixvertex.errors import GenericityExhausted
 from sixvertex.numkit import kron_chain
 from sixvertex.vertex_core import (
     SX,
@@ -579,3 +580,42 @@ def test_residual_reads_large_on_broken_identity(check, monkeypatch):
     p = params_for(3)
     monkeypatch.setattr(vertex_core, attr, broken)
     assert residual(p) > 1e-3
+
+
+def scalar_generic_points(n, rng, avoid=()):
+    """`generic_points` as the per-pair loop over scalar sinh calls that it
+    replaced: its oracle.  Also returns the number of draws it took."""
+    for draw in range(1, vertex_core._MAX_DRAWS + 1):
+        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(n)]
+        ok = True
+        for i, p in enumerate(pts):
+            others = pts[:i] + list(avoid)
+            if any(abs(np.sinh(p - q)) <= 0.02 for q in others):
+                ok = False
+                break
+        if ok:
+            return tuple(pts), draw
+    raise GenericityExhausted("no generic spectral-point draw found")
+
+
+def test_generic_points_are_the_scalar_pair_loop():
+    # the same tuples and the same generator state after the call, for
+    # several sizes and `avoid` lists, some of which force a redraw
+    p = ModelParams(5, GAMMA, sample_mu(5, GAMMA, np.random.default_rng(3)))
+    zeros = list(np.array([0.31 - 0.2j, -0.5 + 0.45j, 0.07 + 0.9j]))
+    redraws, among_new = 0, 0
+    for seed in range(12):
+        first = np.random.default_rng(seed)
+        near = complex(first.uniform(-1, 1), first.uniform(-1, 1)) + 0.01j
+        for n in (0, 1, 2, 5, 40):
+            for avoid in ((), p.mu, zeros + list(p.mu), [near], (near, 0j)):
+                fast, slow = (np.random.default_rng(seed) for _ in range(2))
+                want, draws = scalar_generic_points(n, slow, avoid)
+                assert generic_points(n, fast, avoid=avoid) == want
+                assert fast.bit_generator.state == slow.bit_generator.state
+                redraws += draws > 1
+                among_new += draws > 1 and not avoid
+    # `near` forces a redraw at every seed for n >= 1, and 40 points
+    # collide among themselves now and then (4 of these 12 seeds)
+    assert redraws >= 12 * 4 * 2 and among_new >= 1

@@ -93,10 +93,9 @@ def test_zero_count_and_reconstruction(L):
     rng = np.random.default_rng(40 + L)
     assert len(specs), "all eigenstates lost their reference overlap"
     assert specs.zeros.shape == (len(specs), L - 1)
-    for (st, zeros_), lam0 in zip(specs, specs.lam0):
-        for _ in range(3):
-            probe = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert reconstruction_residual(st, lam0, zeros_, probe) < 1e-7
+    probes = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(3)] for _ in specs.states]
+    assert np.all(reconstruction_residual(specs, probes) < 1e-7)
 
 
 @pytest.mark.parametrize("L", [2, 3, 5, 8])
@@ -178,8 +177,8 @@ def test_zero_shift_by_half_period_is_immaterial():
     shifted = first(specs, 1)
     shifted.zeros[0, 0] += 1j * np.pi
     probe = 0.21 - 0.55j
-    ref = lam_from_zeros(specs.lam0[0], specs.zeros[0], probe)
-    assert abs(lam_from_zeros(specs.lam0[0], shifted.zeros[0], probe)
+    ref = lam_from_zeros(specs.lam0[0], specs.zeros[0], [probe])[0]
+    assert abs(lam_from_zeros(specs.lam0[0], shifted.zeros[0], [probe])[0]
                - ref) < 1e-10 * abs(ref)
     out = check_zero_coincidence(shifted)
     assert out["max_distance"][0] < 1e-6
@@ -267,8 +266,7 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
 def _scaled_eigenvalue(monkeypatch, sets, p):
     lam = EigenState.lam
     monkeypatch.setattr(EigenState, "lam", lambda st, x: 1.01 * lam(st, x))
-    return reconstruction_residual(sets.states[0], sets.lam0[0], sets.zeros[0],
-                                   0.21 - 0.55j)
+    return reconstruction_residual(sets, [[0.21 - 0.55j]])[0, 0]
 
 
 def _moved_zero(monkeypatch, sets, p):

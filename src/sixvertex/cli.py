@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import re
 import sys
 from dataclasses import dataclass, field
@@ -194,6 +195,10 @@ class RunConfig:
                 raise ConfigError(f"unknown mu {self.mu!r}")
         elif len(self.mu) != self.L:
             raise ConfigError("explicit mu list must have exactly L entries")
+        elif not all(map(cmath.isfinite, self.mu)):
+            raise ConfigError(f"inhomogeneities must be finite, got {self.mu}")
+        if not at_root and not cmath.isfinite(self.gamma):
+            raise ConfigError(f"anisotropy must be finite, got {self.gamma}")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")

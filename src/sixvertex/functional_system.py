@@ -22,15 +22,14 @@ from .prefix_oracle import (
     oracle_v,
 )
 from .vertex_core import (
-    _GATHER_ENTRIES,
     EPS_GENERIC,
+    BlockOperators,
     BOperators,
     ModelParams,
     generic_points,
     monodromy,
     reference_states,
     transfer,
-    transfer_entries,
 )
 
 # the pair ratios of `_PairTable`, in the order of its flat layout
@@ -186,35 +185,25 @@ def values(states, points) -> np.ndarray:
     """The eigenvalue of each of `states` (eigenstates of one
     diagonalization) at each of `points`, as a (states x points) array.
 
-    The transfer entries are gathered for up to `_GATHER_ENTRIES` entries
-    of points at a time; each point is scattered into one reused dense
-    buffer and read by every state at once as the stacked sandwich
-    ``((lefts[:, None, :] @ t) @ rights[:, :, None]) / norms``, one
-    vector-matrix and one dot product per state, so entry [k, j] equals
-    ``left @ transfer(points[j]) @ right / norm`` of state k bit for bit.
-    (``lefts @ t`` as one matrix product would move the bits.)  No states
-    need no gather.
+    The transfer matrices of all points are gathered into one
+    `BlockOperators` of the blocks (0, 1) + (1, 0); each point is scattered
+    into its reused dense buffer and read by every state at once as the
+    stacked sandwich ``((lefts[:, None, :] @ t) @ rights[:, :, None]) /
+    norms``, one vector-matrix and one dot product per state, so entry
+    [k, j] equals ``left @ transfer(points[j]) @ right / norm`` of state k
+    bit for bit.  (``lefts @ t`` as one matrix product would move the
+    bits.)  No states need no gather.
     """
     points = np.array(list(points), dtype=complex)
     out = np.empty((len(states), len(points)), dtype=complex)
     if not states or not len(points):
         return out
-    params = states[0].params
     lefts = np.array([st.left for st in states])[:, None, :]
     rights = np.array([st.right for st in states])[:, :, None]
     norms = np.array([st.norm for st in states])
-    per = max(1, _GATHER_ENTRIES // (3**params.L - 1))
-    t = np.zeros((params.dim, params.dim), dtype=complex)
-    # scatter into `flat`, a view of t, through flat indices made once per
-    # chunk: `t[rows, cols] = entries` makes them again at every point
-    # (5.7 against 0.9 us per point at L = 5, 15 against 5 us at L = 7)
-    flat = t.reshape(-1)
-    for start in range(0, len(points), per):
-        rows, cols, vals = transfer_entries(points[start:start + per], params)
-        at = rows.astype(np.intp) * params.dim + cols
-        for j, entries in enumerate(vals, start):
-            flat[at] = entries
-            out[:, j] = ((lefts @ t) @ rights)[:, 0, 0] / norms
+    ts = BlockOperators(points, states[0].params, 1, 3)
+    for j in range(len(points)):
+        out[:, j] = ((lefts @ ts[j]) @ rights)[:, 0, 0] / norms
     return out
 
 

@@ -32,8 +32,8 @@ _MAX_DRAWS = 1000
 
 # Entries that one gather of many points takes at once: 2^14 complex
 # entries, 256 KiB, i.e. 22 transfer matrices or 45 B's at L = 6 and 2 or
-# 4 at L = 8.  A gather holds a few arrays of that size, so the cap bounds
-# its memory whatever the number of points.
+# 4 at L = 8.  A gather call holds a few arrays of that size, whatever the
+# number of points; `BlockOperators` keeps the values of each call.
 _GATHER_ENTRIES = 2**14
 
 
@@ -200,12 +200,12 @@ def _blocks(L: int, first: int, stop: int):
 
 
 def _gather(lam, params: ModelParams, first: int, stop: int):
-    """Quantum rows, columns and values of the nonzero entries of the
-    auxiliary blocks k = 2a + c in ``range(first, stop)``, each value the
-    product of its path's site weights taken left to right, site 1 first.
-    `lam` is one point, values of shape (n,), or a 1-D array of points,
-    values of shape (points, n); each point's row equals its scalar gather
-    bit for bit."""
+    """Values of the nonzero entries of the auxiliary blocks k = 2a + c in
+    ``range(first, stop)``, in the order of their scatter index
+    ``_blocks(L, first, stop)[0]``, each the product of its path's site
+    weights taken left to right, site 1 first.  `lam` is one point, values
+    of shape (n,), or a 1-D array of points, values of shape (points, n);
+    each point's row equals its scalar gather bit for bit."""
     L = params.L
     lam = np.asarray(lam)
     # site tensor r[b, c, s, t] = R[(b, s), (c, t)], one per (point, site)
@@ -215,8 +215,6 @@ def _gather(lam, params: ModelParams, first: int, stop: int):
     if sites[..., ~_ICE].any():
         raise ValueError("site tensor has an entry that breaks the ice rule")
     w = sites.reshape(lam.shape + (L, 16))
-    rows, cols, _, bounds = _paths(L)
-    sl = slice(bounds[first], bounds[stop])
     _, tree = _blocks(L, first, stop)
     # Paths that share a prefix share its product: level k multiplies each
     # prefix through site k - 1 by its site-k weight, so every path's value
@@ -230,16 +228,7 @@ def _gather(lam, params: ModelParams, first: int, stop: int):
         prefix = vals.take(parent, axis=-1)
         f = w[..., k, :].take(site, axis=-1)
         vals = prefix * f
-    return rows[sl], cols[sl], vals
-
-
-def _block_sum(lam: complex, params: ModelParams, first: int, stop: int):
-    """Sum of the auxiliary blocks k in ``range(first, stop)`` as one
-    2^L x 2^L array; only blocks with disjoint supports are summed."""
-    _, _, vals = _gather(lam, params, first, stop)
-    out = np.zeros(params.dim**2, dtype=complex)
-    out[_blocks(params.L, first, stop)[0]] = vals
-    return out.reshape(params.dim, params.dim)
+    return vals
 
 
 def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
@@ -248,7 +237,7 @@ def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
     operator in auxiliary row a and column b, so
     ``(A, B), (C, D) = monodromy(lam, params)``."""
     d = params.dim
-    _, _, vals = _gather(lam, params, 0, 4)
+    vals = _gather(lam, params, 0, 4)
     at = _blocks(params.L, 0, 4)[0]
     bounds = _paths(params.L)[3]
     m = np.zeros((4, d * d), dtype=complex)
@@ -291,36 +280,23 @@ def monodromy_full(lam: complex, params: ModelParams) -> list:
             for a in range(2)]
 
 
-def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
-    """Creation operator B(lam), the auxiliary (0, 1) entry of the
-    monodromy, gathered from that block's paths alone."""
-    return _block_sum(lam, params, 1, 2)
+class BlockOperators:
+    """The sum of the auxiliary blocks k = 2a + c in ``range(first, stop)``
+    of the monodromy at each of the points `lams`, for blocks with
+    disjoint supports.  The entries are gathered when the object is made,
+    one `_gather` call per chunk of up to `_GATHER_ENTRIES` entries, and
+    each call's values are kept as they come; ``ops[j]`` scatters the
+    operator at lams[j] into one dense buffer that every read reuses, so a
+    read holds until the next."""
 
-
-def b_entries(lams, params: ModelParams):
-    """The nonzero entries of B at each of the points `lams` (a 1-D
-    array): their quantum rows and columns and a (points x (3^L - 1)/2)
-    array of values, each row that of `b_operator` at its point bit for
-    bit."""
-    return _gather(lams, params, 1, 2)
-
-
-class BOperators:
-    """The creation operators B(x) at the points `lams`, for strings of
-    them on |up>.  The entries are gathered when the object is made, up to
-    `_GATHER_ENTRIES` at a time; ``ops[j]`` scatters B(lams[j]) into one
-    dense buffer that every read reuses, so a read holds until the next."""
-
-    def __init__(self, lams, params: ModelParams):
+    def __init__(self, lams, params: ModelParams, first: int, stop: int):
         self.lams = np.array(list(lams), dtype=complex)
         self.params = params
-        n = (3**params.L - 1) // 2
-        per = max(1, _GATHER_ENTRIES // n)
-        self._vals = np.empty((len(self.lams), n), dtype=complex)
-        for start in range(0, len(self.lams), per):
-            chunk = self.lams[start:start + per]
-            self._vals[start:start + per] = b_entries(chunk, params)[2]
-        self._at = _blocks(params.L, 1, 2)[0]
+        self._at = _blocks(params.L, first, stop)[0]
+        self._per = max(1, _GATHER_ENTRIES // len(self._at))
+        self._chunks = [_gather(self.lams[start:start + self._per], params,
+                                first, stop)
+                        for start in range(0, len(self.lams), self._per)]
         self._buf = np.zeros((params.dim, params.dim), dtype=complex)
         self._flat = self._buf.reshape(-1)
 
@@ -328,8 +304,23 @@ class BOperators:
         return len(self.lams)
 
     def __getitem__(self, j: int) -> np.ndarray:
-        self._flat[self._at] = self._vals[j]
+        chunk, row = divmod(j, self._per)
+        self._flat[self._at] = self._chunks[chunk][row]
         return self._buf
+
+
+def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
+    """Creation operator B(lam), the auxiliary (0, 1) entry of the
+    monodromy, gathered from that block's paths alone."""
+    return BlockOperators([lam], params, 1, 2)[0]
+
+
+class BOperators(BlockOperators):
+    """The creation operators B(x) at the points `lams`, for strings of
+    them on |up>."""
+
+    def __init__(self, lams, params: ModelParams):
+        super().__init__(lams, params, 1, 2)
 
     def strings(self, orders) -> list:
         """For each order, a sequence of positions j_1, ..., j_k into
@@ -351,20 +342,12 @@ class BOperators:
         return out
 
 
-def transfer_entries(lams, params: ModelParams):
-    """The nonzero entries of the transfer matrix at each of the points
-    `lams` (a 1-D array): their quantum rows and columns, shared by every
-    point, and a (points x 3^L - 1) array of values, each row that of
-    `transfer` at its point bit for bit."""
-    return _gather(lams, params, 1, 3)
-
-
 def transfer(lam: complex, params: ModelParams) -> np.ndarray:
     """Twisted transfer matrix: trace of G times the monodromy, i.e. B + C.
     B raises the number of up spins by one and C lowers it by one, so
     their supports are disjoint and their entries are gathered into one
     array."""
-    return _block_sum(lam, params, 1, 3)
+    return BlockOperators([lam], params, 1, 3)[0]
 
 
 def hamiltonian(params: ModelParams) -> np.ndarray:

@@ -80,7 +80,7 @@ class ZeroSets:
         The B-string of every zero but the first is shared by a set and its
         kicked set, and B(zeros[0]) is applied to it last, as in
         `b_product_state`.  The B's of as many sets as fit into
-        `_GATHER_ENTRIES` entries are gathered in one call."""
+        `_GATHER_ENTRIES` entries are held by one `BOperators`."""
         params = self.params
         L = params.L
         n = len(self.zeros)

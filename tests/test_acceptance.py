@@ -51,14 +51,13 @@ from sixvertex.vertex_core import (
     ybe_residual,
 )
 from sixvertex.zeros import (
-    ZeroSets,
     check_lz01,
-    ZERO_KICK,
     check_zero_coincidence,
     extract_zeros,
     reconstruction_residual,
     wronskian_residual,
 )
+from test_zeros import kicked, lz01_draws
 
 GAMMA = complex(0.6, 0.25)
 DRAWS = 20
@@ -255,19 +254,6 @@ def test_criterion7_reconstruction(L):
     worst = float(np.max(reconstruction_residual(specs, probes)))
     assert report(f"7.reconstruction[L={L}]", worst < 1e-7,
                   f"worst={worst:.2e}")
-
-
-def kicked(sets, j):
-    """`sets` with zero j of every set moved by ZERO_KICK."""
-    rows = sets.zeros.copy()
-    rows[:, j] += ZERO_KICK
-    return ZeroSets(sets.states, sets.lam0, rows)
-
-
-def lz01_draws(specs, p, rng):
-    """Five lam0 draws per state, away from its zeros, state by state."""
-    return [generic_points(5, rng, avoid=list(zeros) + list(p.mu))
-            for zeros in specs.zeros]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

@@ -201,6 +201,21 @@ def test_negative_seed_rejected():
     assert main(["--size", "2", "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "nan,0", "--suite", "structural"],
+    ["--gamma", "inf,0", "--suite", "structural"],
+    ["--mu", "0.1,nan", "--suite", "structural,dwbc"]])
+def test_non_finite_parameters_rejected(argv, tmp_path, capsys):
+    # a NaN anisotropy read as passing records, a NaN inhomogeneity
+    # stopped the run in an SVD
+    out = tmp_path / "r.txt"
+    with pytest.raises(ConfigError):
+        build_config(["--size", "2", *argv])
+    assert main(["--size", "2", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_conjecture_records_do_not_fail(tmp_path):
     out = tmp_path / "r.txt"
     cfg = RunConfig(L=2, gamma=RootOfUnitySpec(l=5, k=1), seed=3,

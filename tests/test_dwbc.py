@@ -14,7 +14,6 @@ from sixvertex.errors import SingularDenominator
 from sixvertex.vertex_core import (
     BOperators,
     ModelParams,
-    b_entries,
     b_operator,
     generic_points,
     reference_states,
@@ -207,12 +206,14 @@ def test_overflow_scale_is_taken_only_for_a_nonzero_string(monkeypatch):
 
 def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):
     builds = Counter()
+    gather = vertex_core._gather
 
-    def counted(lams, params):
-        builds.update((complex(lam), params.mu) for lam in lams)
-        return b_entries(lams, params)
+    def counted(lams, params, first, stop):
+        if (first, stop) == (1, 2):
+            builds.update((complex(lam), params.mu) for lam in lams)
+        return gather(lams, params, first, stop)
 
-    monkeypatch.setattr(vertex_core, "b_entries", counted)
+    monkeypatch.setattr(vertex_core, "_gather", counted)
     config = cli.RunConfig(L=3, gamma=GAMMA, seed=2, suites=("dwbc",), draws=1,
                            output_path=str(tmp_path / "r.txt"))
     assert cli.run(config)[0] == 0

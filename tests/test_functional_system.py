@@ -223,18 +223,25 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def gathered(calls):
-    """The points of the transfer gathers `calls`, in gather order."""
-    return [complex(x) for args in calls for x in args[0]]
+def gathers(calls, blocks=(1, 3)):
+    """The point arrays of the `vertex_core._gather` calls `calls` of the
+    auxiliary blocks ``range(*blocks)``, the transfer matrix's by default,
+    in gather order."""
+    return [args[0] for args in calls if args[2:] == blocks]
+
+
+def gathered(calls, blocks=(1, 3)):
+    """The points of those gathers, in gather order."""
+    return [complex(x) for points in gathers(calls, blocks) for x in points]
 
 
 def test_values_build_each_point_once_and_match_lam(monkeypatch):
     p = params_for(4, seed=174)
     states = states_for(p, seed=175)
     xs = (0.13 + 0.27j, -0.38 - 0.05j, 0.52 - 0.44j)
-    builds = counting(monkeypatch, functional_system, "transfer_entries")
+    builds = counting(monkeypatch, vertex_core, "_gather")
     got = values(states, xs)
-    assert len(builds) == 1 and gathered(builds) == list(xs)
+    assert len(gathers(builds)) == 1 and gathered(builds) == list(xs)
     assert got.shape == (len(states), len(xs))
     # each row is that state's own sandwich, bit for bit
     assert got.tolist() == [[st.lam(x) for x in xs] for st in states]
@@ -249,10 +256,10 @@ def test_values_gather_in_chunks_and_match_dense_sandwiches(L, monkeypatch):
     p = params_for(L, seed=181)
     states = states_for(p, seed=182)[:3]
     xs = generic_points(25, np.random.default_rng(183), avoid=p.mu)
-    builds = counting(monkeypatch, functional_system, "transfer_entries")
+    builds = counting(monkeypatch, vertex_core, "_gather")
     got = values(states, xs)
     per = 2**14 // (3**L - 1)
-    assert [len(args[0]) for args in builds] == \
+    assert [len(points) for points in gathers(builds)] == \
         [min(per, len(xs) - k) for k in range(0, len(xs), per)]
     assert gathered(builds) == list(xs)
     dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
@@ -281,7 +288,7 @@ def test_values_are_each_state_sandwich_bit_for_bit(L):
 def test_a_run_builds_each_spectral_point_once(argv, tmp_path, monkeypatch):
     # a point is gathered again only when it is a zero (at l = 4, a shift of
     # one) that paired states share, once for each such state
-    builds = counting(monkeypatch, functional_system, "transfer_entries")
+    builds = counting(monkeypatch, vertex_core, "_gather")
     runner = cli._Runner(cli.build_config(
         argv + ["--seed", "1", "--out", str(tmp_path / "r.txt")]))
     runner.run()
@@ -308,7 +315,7 @@ def test_values_do_not_depend_on_call_order(order, monkeypatch):
     xs = (0.41 - 0.12j, -0.17 + 0.52j)
     direct = {x: [complex(st.left @ transfer(x, p) @ st.right / st.norm)
                   for st in states] for x in xs}
-    builds = counting(monkeypatch, functional_system, "transfer_entries")
+    builds = counting(monkeypatch, vertex_core, "_gather")
     a, b, c = (states[k] for k in order)
     got = [a.lam(xs[0]), a.lam(xs[1]), b.lam(xs[0]), c.lam(xs[1]),
            c.lam(xs[0])]
@@ -329,14 +336,12 @@ def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
     rng = np.random.default_rng(176)
     for n in range(0, L + 2):
         v = generic_points(n + 1, rng, avoid=p.mu)
-        builds = counting(monkeypatch, vertex_core, "b_entries")
+        builds = counting(monkeypatch, vertex_core, "_gather")
         dense = counting(monkeypatch, vertex_core, "b_operator")
-        transfers = counting(monkeypatch, functional_system,
-                             "transfer_entries")
         check_fl(n, states, v, p)
         monkeypatch.undo()
-        assert gathered(builds) == list(v) and not dense
-        assert gathered(transfers) == [v[0]]
+        assert gathered(builds, (1, 2)) == list(v) and not dense
+        assert gathered(builds) == [v[0]]
 
 
 def test_odd_lz01_reads_each_state_once(tmp_path, monkeypatch):
@@ -347,18 +352,18 @@ def test_odd_lz01_reads_each_state_once(tmp_path, monkeypatch):
 
     def check_lz01(sets, draws):
         with monkeypatch.context() as m:
-            gathers = counting(m, functional_system, "transfer_entries")
+            calls = counting(m, vertex_core, "_gather")
             builds = counting(m, functional_system, "transfer")
             out = real(sets, draws)
-        seen.append((len(sets), draws, gathers, builds))
+        seen.append((len(sets), draws, gathers(calls), builds))
         return out
 
     monkeypatch.setattr(cli, "check_lz01", check_lz01)
     cli.run(cli.build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
                               "--out", str(tmp_path / "r.txt")]))
-    [(n, draws, gathers, builds)] = seen
+    [(n, draws, points, builds)] = seen
     assert n > 0 and len(draws) == n and not builds
-    assert [[complex(x) for x in args[0]] for args in gathers] == \
+    assert [[complex(x) for x in row] for row in points] == \
         [list(row) for row in draws]
 
 

@@ -28,7 +28,6 @@ from sixvertex.vertex_core import (
     sample_mu,
     special_value_residuals,
     transfer,
-    transfer_entries,
     twist_matrix,
     twist_symmetry_residual,
     unitarity_residual,
@@ -187,16 +186,31 @@ def test_gathered_operators_have_one_entry_per_ice_rule_path(L):
 
 
 @pytest.mark.parametrize("L", range(1, 9))
-def test_gathered_entries_at_an_array_of_points_are_the_scalar_builds(L):
+def test_gathered_entries_at_an_array_of_points_are_the_scalar_builds(
+        L, monkeypatch):
+    # at L = 8 one gather call takes 4 B's or 2 T's, so 9 B's and 5 T's
+    # are gathered in 3 chunks each, the last one short; every read of a
+    # chunk is the one-point build bit for bit
     p = params_for(L, seed=60 + L)
     rng = np.random.default_rng(70 + L)
     # at mu_1 and mu_1 - gamma a weight of site 1 is exactly zero
-    pts = np.array(generic_points(3, rng) + (p.mu[0], p.mu[0] - GAMMA))
-    rows, cols, vals = transfer_entries(pts, p)
-    brows, bcols, bvals = vertex_core._gather(pts, p, 1, 2)
-    for x, t, b in zip(pts, vals, bvals):
-        assert t.tobytes() == transfer(x, p)[rows, cols].tobytes()
-        assert b.tobytes() == b_operator(x, p)[brows, bcols].tobytes()
+    pts = (p.mu[0], p.mu[0] - GAMMA) + generic_points(7, rng)
+    gather, cap = vertex_core._gather, vertex_core._GATHER_ENTRIES
+    for first, stop, build, n in ((1, 2, b_operator, 9), (1, 3, transfer, 5)):
+        sizes = []
+
+        def counted(*args):
+            vals = gather(*args)
+            sizes.append(vals.size)
+            return vals
+
+        with monkeypatch.context() as m:
+            m.setattr(vertex_core, "_gather", counted)
+            ops = vertex_core.BlockOperators(pts[:n], p, first, stop)
+        per = cap // len(vertex_core._blocks(L, first, stop)[0])
+        assert len(sizes) == -(-n // per) and max(sizes) <= cap
+        for j, x in enumerate(pts[:n]):
+            assert ops[j].tobytes() == build(x, p).tobytes()
 
 
 def test_a_gather_above_256_kib_is_the_scalar_builds():
@@ -208,10 +222,11 @@ def test_a_gather_above_256_kib_is_the_scalar_builds():
     rng = np.random.default_rng(67)
     pts = rng.uniform(-1, 1, 48) + 1j * rng.uniform(-1, 1, 48)
     for first, stop, build in ((1, 3, transfer), (1, 2, b_operator)):
-        rows, cols, vals = vertex_core._gather(pts, p, first, stop)
+        vals = vertex_core._gather(pts, p, first, stop)
+        at = vertex_core._blocks(6, first, stop)[0]
         assert vals.nbytes > 256 * 1024
         assert vals.tobytes() == np.array(
-            [build(x, p)[rows, cols] for x in pts]).tobytes()
+            [build(x, p).ravel()[at] for x in pts]).tobytes()
 
 
 def _loop_gather(lam, params, first, stop):
@@ -224,13 +239,13 @@ def _loop_gather(lam, params, first, stop):
         r_matrix(lam[..., None] - np.array(params.mu), params)
         .reshape(lam.shape + (L, 2, 2, 2, 2)), -3, -2)
     w = sites.reshape(lam.shape + (L, 16))
-    rows, cols, idx, bounds = vertex_core._paths(L)
+    _, _, idx, bounds = vertex_core._paths(L)
     sl = slice(bounds[first], bounds[stop])
     vals = w[..., 0, :].take(idx[0, sl], axis=-1)
     for k in range(1, L):
         f = w[..., k, :].take(idx[k, sl], axis=-1)
         vals = vals * f
-    return rows[sl], cols[sl], vals
+    return vals
 
 
 BLOCK_RANGES = [(0, 4), (1, 2), (1, 3)]
@@ -244,11 +259,10 @@ def test_prefix_tree_gather_is_the_per_site_loop_bit_for_bit(L):
     pts = np.array(generic_points(3, rng) + (p.mu[0], p.mu[-1]))
     for first, stop in BLOCK_RANGES:
         ref = _loop_gather(pts, p, first, stop)
-        got = vertex_core._gather(pts, p, first, stop)
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
-        for x, row in zip(pts, ref[2]):
-            assert vertex_core._gather(x, p, first, stop)[2].tobytes() == \
+        assert vertex_core._gather(pts, p, first, stop).tobytes() == \
+            ref.tobytes()
+        for x, row in zip(pts, ref):
+            assert vertex_core._gather(x, p, first, stop).tobytes() == \
                 row.tobytes()
 
 
@@ -261,8 +275,8 @@ def test_a_prefix_tree_gather_above_256_kib_is_the_per_site_loop():
         rng = np.random.default_rng(180 + L)
         pts = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         for first, stop in BLOCK_RANGES:
-            _, _, vals = vertex_core._gather(pts, p, first, stop)
-            ref = _loop_gather(pts, p, first, stop)[2]
+            vals = vertex_core._gather(pts, p, first, stop)
+            ref = _loop_gather(pts, p, first, stop)
             if (first, stop) == (0, 4):
                 assert vals.nbytes > 256 * 1024
             assert vals.tobytes() == ref.tobytes()

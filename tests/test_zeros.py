@@ -367,18 +367,19 @@ def test_top_v_table_raises_where_v_coeff_does(L):
 def test_kicked_refit_reuses_the_zero_set_b_string(L, monkeypatch):
     p, st, ws, _ = drawn_zero_set(L, seed=100 + L)
     gathers, reads = [], []
-    b_entries = vertex_core.b_entries
+    gather = vertex_core._gather
     read = vertex_core.BOperators.__getitem__
 
-    def gather(lams, params):
-        gathers.extend(complex(x) for x in lams)
-        return b_entries(lams, params)
+    def counted_gather(lams, params, first, stop):
+        if (first, stop) == (1, 2):
+            gathers.extend(complex(x) for x in lams)
+        return gather(lams, params, first, stop)
 
     def counted(ops, j):
         reads.append(complex(ops.lams[j]))
         return read(ops, j)
 
-    monkeypatch.setattr(vertex_core, "b_entries", gather)
+    monkeypatch.setattr(vertex_core, "_gather", counted_gather)
     monkeypatch.setattr(vertex_core.BOperators, "__getitem__", counted)
     sets = ZeroSets([st], [1.0], [ws])
     # holding the sets builds no string; on first use one gather reads the

@@ -25,7 +25,7 @@ from .functional_system import (
     transfer_eigenstates,
     values,
 )
-from .numkit import cabs
+from .numkit import cabs, worst
 from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
     RootOfUnitySpec,
@@ -199,6 +199,8 @@ class RunConfig:
             raise ConfigError(f"inhomogeneities must be finite, got {self.mu}")
         if not at_root and not cmath.isfinite(self.gamma):
             raise ConfigError(f"anisotropy must be finite, got {self.gamma}")
+        if not self.suites:
+            raise ConfigError("no suite to run")
         bad = [s for s in self.suites if s not in SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
@@ -211,6 +213,10 @@ class RunConfig:
         unknown = [key for key in self.tol_overrides if not _names_records(key)]
         if unknown:
             raise ConfigError(f"tolerance overrides match no check: {unknown}")
+        # a NaN or non-positive tolerance fails every record it covers
+        hopeless = {k: v for k, v in self.tol_overrides.items() if not v > 0}
+        if hopeless:
+            raise ConfigError(f"tolerances must be positive: {hopeless}")
 
     def resolved_gamma(self) -> complex:
         if isinstance(self.gamma, RootOfUnitySpec):
@@ -230,18 +236,10 @@ class RunConfig:
             self.tol_overrides, self.draws)
 
 
-def _worst(residuals) -> float:
-    """The largest of the residuals, at least 0.0; a NaN among them is
-    passed over, as in a running max from 0.0."""
-    return max([0.0, *residuals])
-
-
 def _per_set(residuals, failed=False) -> np.ndarray:
-    """Per zero set, the largest modulus in its row of `residuals`, as
-    ``max((abs(x) for x in row), default=0.0)``; inf where `failed` flags
-    the set."""
-    worst = [max(row, default=0.0) for row in cabs(residuals).tolist()]
-    return np.where(failed, np.inf, worst)
+    """Per zero set, the `worst` modulus in its row of `residuals`; inf
+    where `failed` flags the set."""
+    return np.where(failed, np.inf, worst(cabs(residuals), axis=-1))
 
 
 def sample_params(config: RunConfig) -> ModelParams:
@@ -326,15 +324,15 @@ class _Runner:
         for name, val in special_value_residuals(p).items():
             self.add(f"structural.{name}", val)
 
-        worst_ybe = worst_tw = worst_uni = 0.0
+        ybe, tw, uni = [], [], []
         for _ in range(self.config.draws):
             lam, mu_ = generic_points(2, rng)
-            worst_ybe = max(worst_ybe, ybe_residual(lam, mu_, p))
-            worst_tw = max(worst_tw, twist_symmetry_residual(lam, p))
-            worst_uni = max(worst_uni, unitarity_residual(lam, p))
-        self.add("structural.ybe", worst_ybe)
-        self.add("structural.twist_symmetry", worst_tw)
-        self.add("structural.unitarity", worst_uni)
+            ybe.append(ybe_residual(lam, mu_, p))
+            tw.append(twist_symmetry_residual(lam, p))
+            uni.append(unitarity_residual(lam, p))
+        self.add("structural.ybe", worst(ybe))
+        self.add("structural.twist_symmetry", worst(tw))
+        self.add("structural.unitarity", worst(uni))
 
         lam = generic_points(1, rng, avoid=p.mu)[0]
         full = full_product_residuals(lam, p)
@@ -344,13 +342,13 @@ class _Runner:
         self.add("structural.action", full["action"])
         self.add("structural.trace_form", full["trace_form"])
 
-        worst_comm = worst_b = 0.0
+        comm, bc = [], []
         for _ in range(self.config.draws):
             x, y = generic_points(2, rng, avoid=p.mu)
-            worst_comm = max(worst_comm, commuting_residual(x, y, p))
-            worst_b = max(worst_b, b_commute_residual(x, y, p))
-        self.add("structural.commuting_family", worst_comm)
-        self.add("structural.b_commute", worst_b)
+            comm.append(commuting_residual(x, y, p))
+            bc.append(b_commute_residual(x, y, p))
+        self.add("structural.commuting_family", worst(comm))
+        self.add("structural.b_commute", worst(bc))
 
         if p.L >= 2 and all(m == 0 for m in p.mu):
             for name, val in hamiltonian_residuals(lam, p).items():
@@ -359,7 +357,7 @@ class _Runner:
     def run_dwbc(self):
         p = self.params
         rng = self.rng
-        worst = {}
+        seen = {}
         for _ in range(self.config.draws):
             lams = generic_points(p.L, rng, avoid=p.mu)
             perm = list(lams)
@@ -367,9 +365,9 @@ class _Runner:
             s = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
             over = generic_points(p.L + 1, rng, avoid=p.mu)
             for key, val in draw_residuals(lams, perm, s, over, p).items():
-                worst[key] = max(worst.get(key, 0.0), val)
-        for key, val in worst.items():
-            self.add(f"dwbc.{key}", val)
+                seen.setdefault(key, []).append(val)
+        for key, vals in seen.items():
+            self.add(f"dwbc.{key}", worst(vals))
         under = generic_points(p.L - 1, rng, avoid=p.mu)
         self.add("dwbc.underflow_string", underflow_residual(under, p))
 
@@ -399,7 +397,7 @@ class _Runner:
     def _oracle_gates(self):
         p = self.params
         rng = self.rng
-        worst = {"gamma": 0.0, "omega": 0.0, "m": 0.0, "n": 0.0, "v": 0.0}
+        seen = {key: [] for key in ("gamma", "omega", "m", "n", "v")}
         for _ in range(self.config.draws):
             n = int(rng.integers(1, 5))
             v = generic_points(n + 1, rng)
@@ -416,9 +414,9 @@ class _Runner:
             res = oracle_residuals(p, v, i=i, pair=pair, i2=i2, j2=j2,
                                    vv=vv, mm=mm, idx=idx)
             for key, val in res.items():
-                worst[key] = max(worst[key], val)
-        for key, val in worst.items():
-            self.add(f"functional.oracle.{key}", val)
+                seen[key].append(val)
+        for key, vals in seen.items():
+            self.add(f"functional.oracle.{key}", worst(vals))
 
     def run_theorem(self):
         p = self.params
@@ -435,7 +433,7 @@ class _Runner:
             vars_, values(defined[:1], vars_)[0], p))
         if p.L == 2:
             self.add("theorem.k0_closed_form",
-                     _worst(k0_closed_form_residual(defined, p)))
+                     worst(k0_closed_form_residual(defined, p)))
         if p.L in (3, 4):
             vars_ = generic_points(p.L, rng, avoid=p.mu)
             for name, val in sorted(check_appendix(p.L, vars_, p).items()):
@@ -457,15 +455,15 @@ class _Runner:
                                            avoid=list(zeros) + list(p.mu)))
         reconstruction = reconstruction_residual(
             sets, np.array(probes)[:, None])[:, 0]
+        at_zero = at_zero_residual(sets, scale_points)
         lz = check_lz01(sets, lz_draws)
         coincidence = check_zero_coincidence(sets)["max_distance"]
         wronskian = wronskian_residual(sets)
         sharpness = wronskian_sharpness(sets)
-        for k, (st, zeros) in enumerate(sets):
+        for k, st in enumerate(sets.states):
             i = st.index
             self.add(f"zeros.reconstruction.state{i}", reconstruction[k])
-            self.add(f"zeros.at_zero.state{i}",
-                     at_zero_residual(st, zeros, scale_points[k]))
+            self.add(f"zeros.at_zero.state{i}", at_zero[k])
             # a failed ratio draw records inf and drops the state's later
             # records
             self.add(f"zeros.lz01_constancy.state{i}", lz["spread"][k])
@@ -483,23 +481,22 @@ class _Runner:
         rng = self.rng
         spec = self.config.gamma
         self.add("rou.unit_circle", spec.unit_residual)
-        worst = 0.0
-        for _ in range(self.config.draws):
-            lam = generic_points(1, rng, avoid=p.mu)[0]
-            worst = max(worst, check_truncation(spec, lam, p))
-        self.add("rou.truncation", worst)
+        truncation = [check_truncation(
+            spec, generic_points(1, rng, avoid=p.mu)[0], p)
+            for _ in range(self.config.draws)]
+        self.add("rou.truncation", worst(truncation))
         lam = generic_points(1, rng, avoid=p.mu)[0]
-        self.add("rou.truncated_expansion", _worst(
+        self.add("rou.truncated_expansion", worst(
             truncated_expansion_residual(self.states, spec, p, lam)))
 
         draws = generic_points(10, rng, avoid=p.mu)
         if spec.l == 2:
             self.add("rou.inversion",
-                     max(check_inversion_l2(self.states, p, draws)))
+                     worst(check_inversion_l2(self.states, p, draws)))
         if spec.l == 3:
             res = check_l3_relation(self.states, p, draws)
-            self.add("rou.l3_relation", _worst(res["explicit_residual"]))
-            self.add("rou.l3_form_agreement", _worst(res["form_agreement"]))
+            self.add("rou.l3_relation", worst(res["explicit_residual"]))
+            self.add("rou.l3_form_agreement", worst(res["form_agreement"]))
         if spec.l == 4:
             l4 = check_l4_relation(self.states, p, draws[:6])
         sets = self.zero_sets()
@@ -512,7 +509,7 @@ class _Runner:
         if spec.l == 2:
             bethe_l2 = _per_set(*bethe_residual_l2(sets.zeros, p))
         if spec.l == 4:
-            shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+            shifted = l4_shifted_values(sets, p)
             ratios, ratio_failed = l4_ratio_residuals(lhs, shifted)
             ratio = _per_set(ratios)
             at_zeros = _per_set(

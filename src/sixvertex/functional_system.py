@@ -183,7 +183,9 @@ class EigenState:
 
 def values(states, points) -> np.ndarray:
     """The eigenvalue of each of `states` (eigenstates of one
-    diagonalization) at each of `points`, as a (states x points) array.
+    diagonalization) at each of `points`, as a (states x points) array:
+    points shared by every state, shape (P,), or one row of points per
+    state, shape (states, P), read one state at a time.
 
     The transfer matrices of all points are gathered into one
     `BlockOperators` of the blocks (0, 1) + (1, 0); each point is scattered
@@ -195,6 +197,10 @@ def values(states, points) -> np.ndarray:
     bits.)  No states need no gather.
     """
     points = np.array(list(points), dtype=complex)
+    if points.ndim == 2:
+        return np.array([values([st], row)[0] for st, row
+                         in zip(states, points)],
+                        dtype=complex).reshape(points.shape)
     out = np.empty((len(states), len(points)), dtype=complex)
     if not states or not len(points):
         return out

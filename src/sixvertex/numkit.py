@@ -54,12 +54,6 @@ def cprod(factors, start=1.0 + 0j) -> np.ndarray:
     for bit ``out = start; for f in row: out *= f`` over Python complex
     numbers."""
     factors = np.asarray(factors)
-    if factors.ndim == 1 and np.ndim(start) == 0:
-        # one product: Python's own loop, without an array call per factor
-        out = complex(start)
-        for f in factors.tolist():
-            out *= f
-        return np.asarray(out)
     shape = np.broadcast_shapes(np.shape(start), factors.shape[:-1])
     re = np.broadcast_to(np.real(start), shape)
     im = np.broadcast_to(np.imag(start), shape)
@@ -75,6 +69,13 @@ def cabs(z) -> np.ndarray:
     """|z| elementwise as `np.hypot`: Python's `abs` of a complex number."""
     z = np.asarray(z)
     return np.hypot(z.real, z.imag)
+
+
+def worst(residuals, axis=None):
+    """The largest of `residuals` (along `axis`), 0.0 where there are
+    none, and NaN where one is NaN: the worst of a record's residuals,
+    so that a NaN fails its record."""
+    return np.max(np.asarray(residuals, dtype=float), axis=axis, initial=0.0)
 
 
 def eig_general(m: np.ndarray) -> list[EigenTriple]:

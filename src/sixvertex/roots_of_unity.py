@@ -16,7 +16,7 @@ from .functional_system import (
     theorem_terms,
     values,
 )
-from .numkit import cabs, cmul, cprod
+from .numkit import cabs, cmul, cprod, worst
 from .vertex_core import EPS_GENERIC, BOperators, ModelParams
 from .zeros import lam_from_zeros
 
@@ -57,10 +57,9 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
     return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
 
 
-def _mu_product(lam, shifts, params: ModelParams):
-    """prod_k prod_s sinh(lam - mu_k + shift_s) at the point `lam`, or the
-    array of them at each point of an array `lam`, from one `np.sinh`
-    call.
+def _mu_product(lam, shifts, params: ModelParams) -> np.ndarray:
+    """prod_k prod_s sinh(lam - mu_k + shift_s) at each point of an array
+    `lam`, from one `np.sinh` call.
 
     The array arguments and their sinh equal the scalar ones bit for bit,
     and `cprod` multiplies each point's factors in (site, shift) order
@@ -68,32 +67,37 @@ def _mu_product(lam, shifts, params: ModelParams):
     lam = np.asarray(lam)
     args = (lam[..., None] - np.array(params.mu))[..., None] + np.array(shifts)
     factors = np.sinh(args).reshape(*lam.shape, len(params.mu) * len(shifts))
-    out = cprod(factors)
-    return out if lam.ndim else complex(out)
+    return cprod(factors)
 
 
-def _shifted_values(states, lam_draws, shifts, g) -> list:
+# The per-draw relations take every state and every draw at once, with
+# the arithmetic of their scalar forms: products by `cmul` in the scalar
+# left-to-right order, moduli by `cabs`, and the worst over draws by
+# `worst`.
+
+
+def _shifted_values(states, lam_draws, shifts, g) -> np.ndarray:
     """Per state of `states`, per draw lam, its eigenvalues at lam - j g
-    for j < `shifts`, as nested lists of complex numbers."""
+    for j < `shifts`, as a (states x draws x shifts) array."""
     points = [lam - j * g for lam in lam_draws for j in range(shifts)]
-    return values(states, points).reshape(len(states), -1, shifts).tolist()
+    return values(states, points).reshape(len(states), len(lam_draws), shifts)
 
 
-def check_inversion_l2(states, params: ModelParams, lam_draws) -> list:
+def _relative(lhs, rhs) -> np.ndarray:
+    """|lhs - rhs| relative to the larger of |lhs| and |rhs|."""
+    return cabs(lhs - rhs) / np.maximum(np.maximum(cabs(lhs), cabs(rhs)),
+                                        1e-300)
+
+
+def check_inversion_l2(states, params: ModelParams, lam_draws) -> np.ndarray:
     """Residual of the two-fold inversion relation at l = 2, one per state
     of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    rhs = [_mu_product(lam, (0, 0), params) - _mu_product(lam, (g, -g), params)
-           for lam in lam_draws]
-    out = []
-    for lams_at in _shifted_values(states, lam_draws, 2, g):
-        worst = 0.0
-        for (lam0, lam1), r in zip(lams_at, rhs):
-            lhs = lam0 * lam1
-            scale = max(abs(lhs), abs(r), 1e-300)
-            worst = max(worst, abs(lhs - r) / scale)
-        out.append(worst)
-    return out
+    draws = np.asarray(lam_draws, dtype=complex)
+    rhs = _mu_product(draws, (0, 0), params) - _mu_product(draws, (g, -g),
+                                                           params)
+    lam0, lam1 = np.moveaxis(_shifted_values(states, draws, 2, g), -1, 0)
+    return worst(_relative(cmul(lam0, lam1), rhs), axis=1)
 
 
 # The zero equations take an array `zeros` of zero sets along its last
@@ -159,9 +163,9 @@ def bethe_residual_l2(zeros, params: ModelParams) -> tuple[np.ndarray,
     return prod - 1.0, pole.any(axis=(-2, -1))
 
 
-def q_function(lam, params: ModelParams):
+def q_function(lam, params: ModelParams) -> np.ndarray:
     """Inhomogeneous driving term of the four-fold relation at l = 4, at
-    the point `lam` or, as an array, at each point of an array `lam`.
+    each point of an array `lam`.
 
     At gamma = i pi k / 4 (k odd), cosh 2g = 0 removes the third term and
     sinh 3g / sinh g = 1, leaving
@@ -172,10 +176,9 @@ def q_function(lam, params: ModelParams):
     """
     g = params.gamma
     c1, c3 = np.sinh(3 * g) / np.sinh(g), 2 * np.cosh(2 * g)
-    out = (cmul(c1, _mu_product(lam, (0, 0, -2 * g, -2 * g), params))
-           - _mu_product(lam, (g, -3 * g, -g, -g), params)
-           - cmul(c3, _mu_product(lam, (0, -2 * g, -g, -g), params)))
-    return out if np.ndim(lam) else complex(out)
+    return (cmul(c1, _mu_product(lam, (0, 0, -2 * g, -2 * g), params))
+            - _mu_product(lam, (g, -3 * g, -g, -g), params)
+            - cmul(c3, _mu_product(lam, (0, -2 * g, -g, -g), params)))
 
 
 def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
@@ -188,48 +191,36 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
     every L, Q(lam + g) = (-1)^(L+1) Q(lam) (see ``q_function``).
     """
     g = params.gamma
-    shift_sign = (-1.0) ** (params.L + 1)
-    worst_q = 0.0
-    worst_shift = 0.0
-    # the site products and Q at each draw, shared by every state
-    drives = []
-    for lam in lam_draws:
-        q0, q1 = q_function(lam, params), q_function(lam + g, params)
-        worst_q = max(worst_q, abs(q1 - q0) / max(abs(q0), 1e-300))
-        worst_shift = max(worst_shift,
-                          abs(q1 - shift_sign * q0) / max(abs(q0), 1e-300))
-        drives.append((_mu_product(lam, (0, -2 * g), params),
-                       _mu_product(lam, (g, -g), params),
-                       _mu_product(lam, (-g, -3 * g), params), q0))
-    relation = []
-    for lams_at in _shifted_values(states, lam_draws, 4, g):
-        worst = 0.0
-        for (p_0_m2g, p_g_mg, p_mg_m3g, q), lams in zip(drives, lams_at):
-            lhs = lams[0] * lams[1] * lams[2] * lams[3]
-            rhs = (
-                lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * p_0_m2g
-                - lams[2] * lams[3] * p_g_mg
-                - lams[0] * lams[1] * p_mg_m3g
-                - lams[0] * lams[3] * p_0_m2g
-                + q
-            )
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            worst = max(worst, abs(lhs - rhs) / scale)
-        relation.append(worst)
+    draws = np.asarray(lam_draws, dtype=complex)
+    q0, q1 = q_function(draws, params), q_function(draws + g, params)
+    q_scale = np.maximum(cabs(q0), 1e-300)
+    p_0_m2g = _mu_product(draws, (0, -2 * g), params)
+    lams = np.moveaxis(_shifted_values(states, draws, 4, g), -1, 0)
+    lhs = cmul(cmul(cmul(lams[0], lams[1]), lams[2]), lams[3])
+    rhs = (cmul(cmul(cmul(lams[1], lams[2]), np.sinh(3 * g) / np.sinh(g)),
+                p_0_m2g)
+           - cmul(cmul(lams[2], lams[3]), _mu_product(draws, (g, -g), params))
+           - cmul(cmul(lams[0], lams[1]),
+                  _mu_product(draws, (-g, -3 * g), params))
+           - cmul(cmul(lams[0], lams[3]), p_0_m2g)
+           + q0)
     return {
-        "relation_residual": relation,
-        "q_periodicity": worst_q,
-        "q_shift_law": worst_shift,
+        "relation_residual": worst(_relative(lhs, rhs), axis=1),
+        "q_periodicity": worst(cabs(q1 - q0) / q_scale),
+        "q_shift_law": worst(
+            cabs(q1 - (-1.0) ** (params.L + 1) * q0) / q_scale),
     }
 
 
-def l4_shifted_values(state, zeros, params: ModelParams) -> list:
-    """Per zero w of `state`'s zero set `zeros`, its eigenvalues at
-    w - 2g, w - g and w + g, from one `values` call: what
-    `l4_ratio_residuals` and `l4_specialized_residuals` read."""
+def l4_shifted_values(sets, params: ModelParams) -> np.ndarray:
+    """Per zero w of each zero set of `sets` (a `ZeroSets`), its state's
+    eigenvalues at w - 2g, w - g and w + g, of shape sets.zeros.shape +
+    (3,), from one `values` call: what `l4_ratio_residuals` and
+    `l4_specialized_residuals` read."""
     g = params.gamma
-    points = [x for w in zeros for x in (w - 2 * g, w - g, w + g)]
-    return values([state], points).reshape(-1, 3).tolist()
+    w = sets.zeros
+    points = np.stack((w - 2 * g, w - g, w + g), axis=-1)
+    return values(sets.states, points.reshape(len(w), -1)).reshape(points.shape)
 
 
 def l4_ratio_residuals(lhs, shifted) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +234,7 @@ def l4_ratio_residuals(lhs, shifted) -> tuple[np.ndarray, np.ndarray]:
     The quotient is Python's complex division, which rounds differently
     from numpy's."""
     sites, failed = lhs
-    lams = np.asarray(shifted, dtype=complex).reshape(sites.shape + (3,))
+    lams = np.asarray(shifted, dtype=complex)
     vanish = cabs(lams[..., 2]) < 1e-300
     quot = [minus / plus if plus else 0j
             for _, minus, plus in lams.reshape(-1, 3).tolist()]
@@ -283,12 +274,11 @@ def l4_specialized_residuals(zeros, shifted,
     zeros.shape + (3,)."""
     g = params.gamma
     zeros = np.asarray(zeros)
-    lams = np.asarray(shifted, dtype=complex).reshape(zeros.shape + (3,))
+    lams = np.asarray(shifted, dtype=complex)
     lhs = cmul(lams[..., 0],
                cmul(_mu_product(zeros, (2 * g, 0), params), lams[..., 1])
                + cmul(_mu_product(zeros, (g, -g), params), lams[..., 2]))
-    q = q_function(zeros + g, params)
-    return cabs(lhs - q) / np.maximum(np.maximum(cabs(q), cabs(lhs)), 1e-300)
+    return _relative(lhs, q_function(zeros + g, params))
 
 
 def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:
@@ -296,36 +286,24 @@ def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:
     form and its hierarchy-coefficient form: per form, one residual per
     state of `states` (eigenstates of one diagonalization)."""
     g = params.gamma
-    # the site products and hierarchy coefficients at each draw, shared by
-    # every state
-    drives = []
+    draws = np.asarray(lam_draws, dtype=complex)
+    # the hierarchy coefficients at each draw, shared by every state
+    coeffs = []
     for lam in lam_draws:
         v3 = (lam, lam - g, lam - 2 * g)
-        drives.append((_mu_product(lam, (0, -2 * g), params),
-                       _mu_product(lam, (0, -g), params),
-                       _mu_product(lam, (g, -g), params),
-                       m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params),
+        coeffs.append((m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params),
                        m_coeff(2, v3, params), m_coeff(1, v3, params)))
-    explicit, agreement = [], []
-    for lams_at in _shifted_values(states, lam_draws, 3, g):
-        worst_explicit = 0.0
-        worst_agree = 0.0
-        for (p_0_m2g, p_0_mg, p_g_mg, c0, c1, c2), lams in zip(drives, lams_at):
-            lhs = lams[0] * lams[1] * lams[2]
-            rhs = (
-                -lams[0] * p_0_m2g
-                + lams[1] * 2 * np.cosh(g) * p_0_mg
-                - lams[2] * p_g_mg
-            )
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            worst_explicit = max(worst_explicit, abs(lhs - rhs) / scale)
-            rhs_coeff = lams[0] * c0 + lams[1] * c1 + lams[2] * c2
-            worst_agree = max(
-                worst_agree, abs(rhs - rhs_coeff) / max(abs(rhs), 1e-300)
-            )
-        explicit.append(worst_explicit)
-        agreement.append(worst_agree)
-    return {"explicit_residual": explicit, "form_agreement": agreement}
+    c0, c1, c2 = np.array(coeffs, dtype=complex).reshape(-1, 3).T
+    lams = np.moveaxis(_shifted_values(states, draws, 3, g), -1, 0)
+    lhs = cmul(cmul(lams[0], lams[1]), lams[2])
+    rhs = (cmul(-lams[0], _mu_product(draws, (0, -2 * g), params))
+           + cmul(cmul(cmul(lams[1], 2), np.cosh(g)),
+                  _mu_product(draws, (0, -g), params))
+           - cmul(lams[2], _mu_product(draws, (g, -g), params)))
+    rhs_coeff = cmul(lams[0], c0) + cmul(lams[1], c1) + cmul(lams[2], c2)
+    return {"explicit_residual": worst(_relative(lhs, rhs), axis=1),
+            "form_agreement": worst(cabs(rhs - rhs_coeff)
+                                    / np.maximum(cabs(rhs), 1e-300), axis=1)}
 
 
 def truncated_expansion_residual(states, spec: RootOfUnitySpec,

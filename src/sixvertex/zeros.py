@@ -14,8 +14,8 @@ import itertools
 
 import numpy as np
 
-from .functional_system import EigenState, TopCoefficient, even_floor, values
-from .numkit import cabs, cprod, fit_poly, poly_roots_rows
+from .functional_system import TopCoefficient, even_floor, values
+from .numkit import cabs, cprod, fit_poly, poly_roots_rows, worst
 from .vertex_core import _GATHER_ENTRIES, EPS_GENERIC, BOperators, ModelParams
 
 # shift of one zero that the Wronskian conditions must detect
@@ -231,14 +231,16 @@ def reconstruction_residual(sets: ZeroSets, probes) -> np.ndarray:
     return cabs(ref - rebuilt) / np.maximum(cabs(ref), 1e-300)
 
 
-def at_zero_residual(state: EigenState, zeros, scale_points) -> float:
-    """Largest |eigenvalue| of `state` at its zeros, relative to its
-    largest modulus at `scale_points`; both read from one `values` call."""
-    n = len(scale_points)
-    lams = values([state], [*scale_points, *zeros])[0].tolist()
-    scale = max(abs(v) for v in lams[:n])
-    return (max((abs(v) for v in lams[n:]), default=0.0)
-            / max(scale, 1e-300))
+def at_zero_residual(sets: ZeroSets, scale_points) -> np.ndarray:
+    """Per state of `sets`, its largest |eigenvalue| at its zeros relative
+    to its largest modulus at its row of `scale_points`; both read from
+    one `values` call."""
+    scale_points = np.asarray(scale_points, dtype=complex)
+    mods = cabs(values(sets.states, np.concatenate((scale_points, sets.zeros),
+                                                   axis=1)))
+    n = scale_points.shape[1]
+    return (worst(mods[:, n:], axis=1)
+            / np.maximum(worst(mods[:, :n], axis=1), 1e-300))
 
 
 def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
@@ -269,8 +271,7 @@ def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
     k0 = np.array([st.k0 for st in sets.states])
     ratios = sets.z(draws, rows) * k0[:, None] / np.where(vanish, 1.0, denom)
     if sets.params.L % 2 == 1:
-        ratios = ratios / np.array([values([st], row)[0] for st, row
-                                    in zip(sets.states, lambda0_draws)])
+        ratios = ratios / values(sets.states, draws)
     mean = np.mean(ratios, axis=1)
     spread = (np.max(np.abs(ratios - mean[:, None]), axis=1)
               / np.maximum(np.abs(mean), 1e-300))

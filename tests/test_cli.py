@@ -204,16 +204,49 @@ def test_negative_seed_rejected():
 @pytest.mark.parametrize("argv", [
     ["--gamma", "nan,0", "--suite", "structural"],
     ["--gamma", "inf,0", "--suite", "structural"],
-    ["--mu", "0.1,nan", "--suite", "structural,dwbc"]])
+    ["--mu", "0.1,nan", "--suite", "structural,dwbc"],
+    ["--suite", ","],
+    ["--suite", "structural", "--tol", "structural=nan"],
+    ["--suite", "structural", "--tol", "structural=-1"],
+    ["--suite", "structural", "--tol", "structural.ybe=0"]])
 def test_non_finite_parameters_rejected(argv, tmp_path, capsys):
     # a NaN anisotropy read as passing records, a NaN inhomogeneity
-    # stopped the run in an SVD
+    # stopped the run in an SVD; an empty suite list wrote a report of its
+    # header alone and passed, and a NaN or non-positive tolerance failed
+    # every record it covered
     out = tmp_path / "r.txt"
     with pytest.raises(ConfigError):
         build_config(["--size", "2", *argv])
     assert main(["--size", "2", *argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,patched,record", [
+    (["--suite", "structural"], "ybe_residual", "structural.ybe"),
+    (["--root-of-unity", "1/2", "--suite", "rou"], "check_truncation",
+     "rou.truncation")])
+def test_a_nan_residual_fails_its_record(argv, patched, record, tmp_path,
+                                         monkeypatch):
+    # a NaN at the second draw of a worst-over-draws record fails it,
+    # where a running max from 0.0 passed over it
+    from sixvertex import cli
+
+    argv = ["--size", "2", "--seed", "1", *argv, "--out",
+            str(tmp_path / "r.txt")]
+    assert main(argv) == 0
+    real = getattr(cli, patched)
+    calls = []
+
+    def nan_at_second_draw(*args):
+        calls.append(args)
+        return float("nan") if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(cli, patched, nan_at_second_draw)
+    assert main(argv) == 1
+    lines = (tmp_path / "r.txt").read_text().splitlines()
+    line, = [x for x in lines if x.startswith(f"check={record} ")]
+    assert " residual=nan " in line and " verdict=fail " in line
 
 
 def test_conjecture_records_do_not_fail(tmp_path):

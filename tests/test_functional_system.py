@@ -280,6 +280,12 @@ def test_values_are_each_state_sandwich_bit_for_bit(L):
         ref = [st.left @ t @ st.right / st.norm for st in states]
         assert got[:, j].tobytes() == np.array(ref).tobytes()
         assert values(states[-1:], [x]).tobytes() == got[-1:, j:j + 1].tobytes()
+    # one row of points per state: state k reads the points rotated by k
+    rows = [np.roll(xs, k) for k in range(len(states))]
+    own = values(states, rows)
+    assert own.shape == got.shape
+    for k in range(len(states)):
+        assert own[k].tobytes() == np.roll(got[k], k).tobytes()
 
 
 @pytest.mark.parametrize("argv", [["--size", "4"],

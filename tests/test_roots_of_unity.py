@@ -6,7 +6,12 @@ import pytest
 
 from sixvertex import cli, roots_of_unity
 from sixvertex.errors import PoleEncountered
-from sixvertex.functional_system import transfer_eigenstates
+from sixvertex.functional_system import (
+    m_coeff,
+    n_coeff,
+    transfer_eigenstates,
+    values,
+)
 from sixvertex.roots_of_unity import (
     RootOfUnitySpec,
     bethe_lhs,
@@ -143,7 +148,7 @@ def test_bethe_equation_fails_at_order_four_beyond_two_sites():
     states = transfer_eigenstates(p, rng)
     sets = zeros_of(states, p)
     worst_ba = np.max(np.abs(bethe_of(sets.zeros, p)))
-    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    shifted = l4_shifted_values(sets, p)
     worst_direct = np.max(l4_specialized_residuals(sets.zeros, shifted, p))
     assert worst_direct < 1e-8
     assert worst_ba > 1e-2
@@ -212,7 +217,7 @@ def test_four_fold_relation_and_q_sign(L):
 def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
     # one call serves every state, and Q is evaluated at each draw and its
     # shift, not once per state
-    seen = {"check": 0, "q_in_check": 0}
+    seen = {"check": 0, "q_points_in_check": 0}
     inside = []
     real_check = roots_of_unity.check_l4_relation
 
@@ -224,9 +229,10 @@ def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
         finally:
             inside.pop()
 
-    def q_function(*args):
-        seen["q_in_check"] += bool(inside)
-        return real_q(*args)
+    def q_function(lam, params):
+        if inside:
+            seen["q_points_in_check"] += np.size(lam)
+        return real_q(lam, params)
 
     real_q = roots_of_unity.q_function
     monkeypatch.setattr(cli, "check_l4_relation", check_l4_relation)
@@ -235,7 +241,7 @@ def test_a_run_computes_the_l4_driving_terms_once(tmp_path, monkeypatch):
                               "--suite", "rou", "--out",
                               str(tmp_path / "r.txt")]))
     assert seen["check"] == 1
-    assert seen["q_in_check"] == 2 * 6
+    assert seen["q_points_in_check"] == 2 * 6
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -256,7 +262,7 @@ def test_four_fold_ratio_equation_matches_general_form():
     spec, p, rng = setup_case(4, 4, seed=238)
     states = transfer_eigenstates(p, rng)
     sets = zeros_of(states[:4], p)
-    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    shifted = l4_shifted_values(sets, p)
     ratio, failed = l4_ratio_residuals(bethe_lhs(sets.zeros, p), shifted)
     assert not failed.any()
     general = bethe_of(sets.zeros, p)
@@ -396,7 +402,7 @@ def test_zero_equations_are_their_scalar_forms_bit_for_bit(seed,
     p, g = runner.params, runner.params.gamma
     sets = runner.zero_sets()
     assert len(sets) == 64
-    shifted = [l4_shifted_values(st, zeros, p) for st, zeros in sets]
+    shifted = l4_shifted_values(sets, p)
     lhs = bethe_lhs(sets.zeros, p)
     bethe, bethe_failed = bethe_residual(sets.zeros, lhs, p)
     ratio, ratio_failed = l4_ratio_residuals(lhs, shifted)
@@ -407,7 +413,7 @@ def test_zero_equations_are_their_scalar_forms_bit_for_bit(seed,
         dense = [[complex(st.left @ transfer(x, p) @ st.right / st.norm)
                   for x in (w - 2 * g, w - g, w + g)] for w in zeros]
         assert same_bits(shifted[k], dense)
-        oracle = scalar_zero_equations(zeros, shifted[k], p)
+        oracle = scalar_zero_equations(zeros, shifted[k].tolist(), p)
         for a, b in zip((bethe[k], ratio[k], specialized[k]), oracle):
             assert same_bits(a, b)
         i = st.index
@@ -489,3 +495,108 @@ def test_a_set_meeting_a_pole_is_flagged_and_the_others_are_untouched():
     vanishing[1, 1, 2] = 0.0
     assert flags_of_second_set(clean, vanishing) == \
         {"lhs": False, "bethe": False, "l2": False, "ratio": True}
+
+
+def scalar_shifted_values(states, lam_draws, shifts, g):
+    """Per state, per draw lam, its eigenvalues at lam - j g for j <
+    `shifts`, as nested lists of Python complex numbers."""
+    points = [lam - j * g for lam in lam_draws for j in range(shifts)]
+    return values(states, points).reshape(len(states), -1, shifts).tolist()
+
+
+def scalar_inversion_l2(states, params, lam_draws):
+    """`check_inversion_l2` as a loop over states and draws in Python
+    complex arithmetic: its oracle."""
+    g = params.gamma
+    rhs = [scalar_mu_product(lam, (0, 0), params)
+           - scalar_mu_product(lam, (g, -g), params) for lam in lam_draws]
+    out = []
+    for lams_at in scalar_shifted_values(states, lam_draws, 2, g):
+        worst = 0.0
+        for (lam0, lam1), r in zip(lams_at, rhs):
+            lhs = lam0 * lam1
+            scale = max(abs(lhs), abs(r), 1e-300)
+            worst = max(worst, abs(lhs - r) / scale)
+        out.append(worst)
+    return out
+
+
+def scalar_l3_relation(states, params, lam_draws):
+    """`check_l3_relation` as a loop over states and draws: its oracle."""
+    g = params.gamma
+    drives = []
+    for lam in lam_draws:
+        v3 = (lam, lam - g, lam - 2 * g)
+        drives.append((scalar_mu_product(lam, (0, -2 * g), params),
+                       scalar_mu_product(lam, (0, -g), params),
+                       scalar_mu_product(lam, (g, -g), params),
+                       m_coeff(1, v3[1:], params) + n_coeff(2, 1, v3, params),
+                       m_coeff(2, v3, params), m_coeff(1, v3, params)))
+    explicit, agreement = [], []
+    for lams_at in scalar_shifted_values(states, lam_draws, 3, g):
+        worst_explicit = worst_agree = 0.0
+        for (p_0_m2g, p_0_mg, p_g_mg, c0, c1, c2), lams in zip(drives,
+                                                               lams_at):
+            lhs = lams[0] * lams[1] * lams[2]
+            rhs = (-lams[0] * p_0_m2g
+                   + lams[1] * 2 * np.cosh(g) * p_0_mg
+                   - lams[2] * p_g_mg)
+            scale = max(abs(lhs), abs(rhs), 1e-300)
+            worst_explicit = max(worst_explicit, abs(lhs - rhs) / scale)
+            rhs_coeff = lams[0] * c0 + lams[1] * c1 + lams[2] * c2
+            worst_agree = max(worst_agree,
+                              abs(rhs - rhs_coeff) / max(abs(rhs), 1e-300))
+        explicit.append(worst_explicit)
+        agreement.append(worst_agree)
+    return {"explicit_residual": explicit, "form_agreement": agreement}
+
+
+def scalar_l4_relation(states, params, lam_draws):
+    """`check_l4_relation` as a loop over states and draws: its oracle."""
+    g = params.gamma
+    shift_sign = (-1.0) ** (params.L + 1)
+    worst_q = worst_shift = 0.0
+    drives = []
+    for lam in lam_draws:
+        q0 = scalar_q_function(lam, params)
+        q1 = scalar_q_function(lam + g, params)
+        worst_q = max(worst_q, abs(q1 - q0) / max(abs(q0), 1e-300))
+        worst_shift = max(worst_shift,
+                          abs(q1 - shift_sign * q0) / max(abs(q0), 1e-300))
+        drives.append((scalar_mu_product(lam, (0, -2 * g), params),
+                       scalar_mu_product(lam, (g, -g), params),
+                       scalar_mu_product(lam, (-g, -3 * g), params), q0))
+    relation = []
+    for lams_at in scalar_shifted_values(states, lam_draws, 4, g):
+        worst = 0.0
+        for (p_0_m2g, p_g_mg, p_mg_m3g, q), lams in zip(drives, lams_at):
+            lhs = lams[0] * lams[1] * lams[2] * lams[3]
+            rhs = (lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * p_0_m2g
+                   - lams[2] * lams[3] * p_g_mg
+                   - lams[0] * lams[1] * p_mg_m3g
+                   - lams[0] * lams[3] * p_0_m2g
+                   + q)
+            scale = max(abs(lhs), abs(rhs), 1e-300)
+            worst = max(worst, abs(lhs - rhs) / scale)
+        relation.append(worst)
+    return {"relation_residual": relation, "q_periodicity": worst_q,
+            "q_shift_law": worst_shift}
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("L", range(1, 7))
+def test_relation_checks_are_their_scalar_loops_bit_for_bit(l, L):
+    # every state and every draw at once, with the residuals of the loops
+    # over states and draws in Python complex arithmetic
+    spec, p, rng = setup_case(l, L, seed=310 + 10 * l + L)
+    states = transfer_eigenstates(p, rng)
+    draws = generic_points(10 if l < 4 else 6, rng, avoid=p.mu)
+    check, oracle = {2: (check_inversion_l2, scalar_inversion_l2),
+                     3: (check_l3_relation, scalar_l3_relation),
+                     4: (check_l4_relation, scalar_l4_relation)}[l]
+    got, want = check(states, p, draws), oracle(states, p, draws)
+    if l == 2:
+        got, want = {"inversion": got}, {"inversion": want}
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.asarray(got[key]).tolist() == want[key], key

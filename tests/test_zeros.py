@@ -271,7 +271,7 @@ def _scaled_eigenvalue(monkeypatch, sets, p):
 
 def _moved_zero(monkeypatch, sets, p):
     points = generic_points(5, np.random.default_rng(1), avoid=p.mu)
-    return at_zero_residual(sets.states[0], kicked(sets, 0).zeros[0], points)
+    return at_zero_residual(kicked(sets, 0), [points] * len(sets))[0]
 
 
 def _unkicked_probe(monkeypatch, sets, p):

@@ -10,6 +10,7 @@ from .vertex_core import (
     EPS_GENERIC,
     BOperators,
     ModelParams,
+    _bnorm2,
     is_generic,
     reference_states,
 )
@@ -83,7 +84,8 @@ def draw_residuals(lams, perm, shift: complex, over,
       relative to its norm;
     * ``overflow_string``: ||B(over)|up>|| / prod_x ||B(x)||_2, as L + 1
       creation operators annihilate |up>; for a nonzero string the B(x)
-      of the scale are scattered again from the string's gather.
+      of the scale are read again from the string's gather, as weight-sector
+      blocks (`_bnorm2`).
     """
     L = params.L
     if len(lams) != L:
@@ -109,7 +111,7 @@ def draw_residuals(lams, perm, shift: complex, over,
     ops = BOperators(over, params)
     over_norm = np.linalg.norm(ops.strings([range(len(ops))])[0])
     if over_norm != 0.0:
-        scale = np.prod([np.linalg.norm(ops[j], 2) for j in range(len(ops))])
+        scale = np.prod([_bnorm2(ops.blocks(j)) for j in range(len(ops))])
         over_norm = over_norm / max(scale, 1e-300)
     out["overflow_string"] = over_norm
     return out

@@ -17,7 +17,13 @@ from .functional_system import (
     values,
 )
 from .numkit import cabs, cmul, cprod, worst
-from .vertex_core import EPS_GENERIC, BOperators, ModelParams
+from .vertex_core import (
+    EPS_GENERIC,
+    BOperators,
+    ModelParams,
+    _bmatmul,
+    _bnorm2,
+)
 from .zeros import lam_from_zeros
 
 
@@ -45,16 +51,19 @@ class RootOfUnitySpec:
 
 def check_truncation(spec: RootOfUnitySpec, lam: complex,
                      params: ModelParams) -> float:
-    """Relative operator norm of the l-fold string of shifted B operators."""
+    """Relative operator norm of the l-fold string of shifted B operators,
+    multiplied and normed on their weight-sector blocks.  Each B raises
+    the weight by one, so at L < l the string has no block and reads
+    exactly 0."""
     g = spec.gamma
     ops = BOperators([lam - k * g for k in range(spec.l)], params)
-    prod = np.eye(params.dim, dtype=complex)
-    scale = 1.0
-    for k in range(spec.l):
-        bmat = ops[k]
-        prod = prod @ bmat
-        scale *= np.linalg.norm(bmat, 2)
-    return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
+    prod = ops.blocks(0)
+    scale = _bnorm2(prod)
+    for k in range(1, spec.l):
+        bk = ops.blocks(k)
+        prod = _bmatmul(prod, bk)
+        scale *= _bnorm2(bk)
+    return float(_bnorm2(prod) / max(scale, 1e-300))
 
 
 def _mu_product(lam, shifts, params: ModelParams) -> np.ndarray:

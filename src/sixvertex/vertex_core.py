@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenericityExhausted
-from .numkit import cabs, kron_chain
+from .numkit import cabs, kron_chain, worst
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -77,12 +77,18 @@ def is_generic(params: ModelParams) -> bool:
     return True
 
 
+def _uniform_points(n: int, rng) -> list:
+    """n points uniform on [-1,1] + i[-1,1], from one call for their 2n
+    uniforms: real and imaginary part of each point in turn, the stream of
+    2n scalar calls."""
+    draws = rng.uniform(-1, 1, size=(n, 2)).tolist()
+    return [complex(re, im) for re, im in draws]
+
+
 def sample_mu(L: int, gamma: complex, rng) -> tuple:
     """Draw generic inhomogeneities uniformly from [-1,1] + i[-1,1]."""
     for _ in range(_MAX_DRAWS):
-        mu = tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(L)
-        )
+        mu = tuple(_uniform_points(L, rng))
         if is_generic(ModelParams(L, gamma, mu)):
             return mu
     raise GenericityExhausted("no generic inhomogeneity draw found")
@@ -98,7 +104,7 @@ def generic_points(n: int, rng, avoid=()) -> tuple:
     bits of the scalar calls."""
     avoid = list(avoid)
     for _ in range(_MAX_DRAWS):
-        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        pts = _uniform_points(n, rng)
         diff = [p - q for i, p in enumerate(pts) for q in pts[:i] + avoid]
         if not np.any(cabs(np.sinh(np.array(diff, dtype=complex))) <= 0.02):
             return tuple(pts)
@@ -287,11 +293,13 @@ class BlockOperators:
     one `_gather` call per chunk of up to `_GATHER_ENTRIES` entries, and
     each call's values are kept as they come; ``ops[j]`` scatters the
     operator at lams[j] into one dense buffer that every read reuses, so a
-    read holds until the next."""
+    read holds until the next, and ``ops.blocks(j)`` scatters it into its
+    weight-sector blocks, new arrays at each read."""
 
     def __init__(self, lams, params: ModelParams, first: int, stop: int):
         self.lams = np.array(list(lams), dtype=complex)
         self.params = params
+        self._range = first, stop
         self._at = _blocks(params.L, first, stop)[0]
         self._per = max(1, _GATHER_ENTRIES // len(self._at))
         self._chunks = [_gather(self.lams[start:start + self._per], params,
@@ -307,6 +315,19 @@ class BlockOperators:
         chunk, row = divmod(j, self._per)
         self._flat[self._at] = self._chunks[chunk][row]
         return self._buf
+
+    def blocks(self, j: int) -> dict:
+        """The operator at lams[j] as the ``{(row weight, column weight):
+        block}`` dict of `_split`, keys in its row-major order, filled
+        from the gathered entries without a dense 2^L x 2^L array.  Every
+        block that the ice-rule paths reach is present, so a block whose
+        entries all happen to vanish is an exact zero block; the others
+        equal those of ``_split(ops[j])`` bit for bit."""
+        spans, dest, size = _sector_index(self.params.L, *self._range)
+        chunk, row = divmod(j, self._per)
+        buf = np.zeros(size, dtype=complex)
+        buf[dest] = self._chunks[chunk][row]
+        return {key: buf[sl].reshape(shape) for key, sl, shape in spans}
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:
@@ -424,6 +445,39 @@ def _sectors(dim: int):
     return flat, bounds[:-1], spans
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_index(L: int, first: int, stop: int):
+    """Where the entries gathered for the auxiliary blocks k in
+    ``range(first, stop)`` go in their weight-sector blocks, built on
+    first use.
+
+    The blocks that hold an entry are laid out one after another in one
+    flat buffer, in row-major key order, each in row-major order with its
+    rows and columns in sector order.  Returns ``(spans, dest, size)``:
+    per block its (row weight, column weight) key, its slice of the
+    buffer and its shape; per entry, in the order of the gather, its flat
+    position in the buffer (intp); and the buffer's length."""
+    rows, cols, _, bounds = _paths(L)
+    sl = slice(bounds[first], bounds[stop])
+    rows, cols = rows[sl], cols[sl]
+    _, starts, runs = _sectors(2**L)
+    weight = np.array([bin(i).count("1") for i in range(2**L)])
+    # each basis index's position within its weight's run
+    pos = np.empty(2**L, dtype=np.intp)
+    pos[np.argsort(weight, kind="stable")] = np.arange(2**L)
+    pos -= starts[weight]
+    rw, cw = weight[rows], weight[cols]
+    spans, dest, size = [], np.empty(len(rows), dtype=np.intp), 0
+    for r, c in sorted(set(zip(rw.tolist(), cw.tolist()))):
+        shape = runs[r].stop - runs[r].start, runs[c].stop - runs[c].start
+        sel = (rw == r) & (cw == c)
+        dest[sel] = size + pos[rows[sel]] * shape[1] + pos[cols[sel]]
+        spans.append(((r, c), slice(size, size + shape[0] * shape[1]), shape))
+        size += shape[0] * shape[1]
+    dest.flags.writeable = False  # shared by every caller
+    return tuple(spans), dest, size
+
+
 def _split(m: np.ndarray) -> dict:
     """The nonzero (row weight, column weight) blocks of `m`, each a copy
     of its block of `m` permuted into sector order, so the permuted whole
@@ -477,12 +531,50 @@ def _bnorm(blocks) -> float:
     return math.sqrt(sum(np.vdot(blk, blk).real for blk in blocks))
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm of [a, b] relative to ||a|| ||b||; the product is taken on the
-    weight-sector blocks."""
-    x, y = _split(a), _split(b)
+def _bnorm2(blocks: dict) -> float:
+    """2-norm (largest singular value) of the matrix made of `blocks`.
+
+    Blocks that share a row weight or a column weight are joined into one
+    connected component of the block graph.  Two components share no row
+    and no column, so up to a permutation the matrix is block diagonal
+    over them and its 2-norm is the largest of theirs: each block of B is
+    a component of its own, T has two, one per parity of the column
+    weight.  A one-block component is normed as it is; a larger one is
+    assembled first.  The norm of a component is its largest singular
+    value, or its Frobenius norm where that is the same number: for one
+    row or one column, and for a component with a NaN or infinite entry,
+    where it reads NaN or inf and an SVD would not converge.  An empty
+    dict reads 0.0."""
+    comps = []  # (row weights, column weights, keys) of each component
+    for r, c in blocks:
+        rows, cols, keys = {r}, {c}, [(r, c)]
+        for comp in [o for o in comps if r in o[0] or c in o[1]]:
+            comps.remove(comp)
+            rows |= comp[0]
+            cols |= comp[1]
+            keys += comp[2]
+        comps.append((rows, cols, keys))
+    norms = []
+    for rows, cols, keys in comps:
+        if len(keys) == 1:
+            m = blocks[keys[0]]
+        else:
+            height = {r: blocks[r, c].shape[0] for r, c in keys}
+            width = {c: blocks[r, c].shape[1] for r, c in keys}
+            m = np.block([[blocks.get((r, c), np.zeros((height[r], width[c])))
+                           for c in sorted(cols)] for r in sorted(rows)])
+        if min(m.shape) == 1 or not np.isfinite(m).all():
+            norms.append(math.sqrt(np.vdot(m, m).real))
+        else:
+            norms.append(np.linalg.svd(m, compute_uv=False)[0])
+    return float(worst(norms))
+
+
+def _commutator(x: dict, y: dict) -> float:
+    """Norm of [a, b] relative to ||a|| ||b|| (Frobenius), for a and b
+    given as weight-sector block dicts `x` and `y`."""
     return float(_bnorm(_bsub(_bmatmul(x, y), _bmatmul(y, x)).values())
-                 / max(np.linalg.norm(a) * np.linalg.norm(b), 1e-300))
+                 / max(_bnorm(x.values()) * _bnorm(y.values()), 1e-300))
 
 
 def special_value_residuals(params: ModelParams) -> dict:
@@ -520,12 +612,14 @@ def unitarity_residual(lam: complex, params: ModelParams) -> float:
 
 def commuting_residual(x: complex, y: complex, params: ModelParams) -> float:
     """Commutator of the transfer matrices at x and y."""
-    return _commutator(transfer(x, params), transfer(y, params))
+    ops = BlockOperators([x, y], params, 1, 3)
+    return _commutator(ops.blocks(0), ops.blocks(1))
 
 
 def b_commute_residual(x: complex, y: complex, params: ModelParams) -> float:
     """Commutator of the creation operators B(x) and B(y)."""
-    return _commutator(b_operator(x, params), b_operator(y, params))
+    ops = BOperators([x, y], params)
+    return _commutator(ops.blocks(0), ops.blocks(1))
 
 
 def ybe_residual(lam: complex, mu: complex, params: ModelParams) -> float:
@@ -629,6 +723,7 @@ def hamiltonian_residuals(lam: complex, params: ModelParams) -> dict:
     coefs, *_ = np.linalg.lstsq(basis, dlog.ravel(), rcond=None)
     fit = (basis @ coefs).reshape(params.dim, params.dim)
     return {
-        "hamiltonian_commutes": _commutator(ham, transfer(lam, params)),
+        "hamiltonian_commutes": _commutator(
+            _split(ham), BlockOperators([lam], params, 1, 3).blocks(0)),
         "log_derivative_fit": _rel(dlog - fit, dlog),
     }

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixvertex import cli, roots_of_unity
+from sixvertex import cli, roots_of_unity, vertex_core
 from sixvertex.errors import PoleEncountered
 from sixvertex.functional_system import (
     m_coeff,
@@ -30,7 +30,10 @@ from sixvertex.roots_of_unity import (
 )
 from sixvertex.vertex_core import (
     EPS_GENERIC,
+    BOperators,
     ModelParams,
+    _bmatmul,
+    _bnorm2,
     b_operator,
     generic_points,
     sample_mu,
@@ -91,12 +94,59 @@ def dense_truncation(spec, lam, params):
     return float(np.linalg.norm(prod, 2) / max(scale, 1e-300))
 
 
+def _dense_of(blocks, dim):
+    """The dim x dim matrix made of weight-sector `blocks`."""
+    flat, _, spans = vertex_core._sectors(dim)
+    permuted = np.zeros((dim, dim), dtype=complex)
+    for (r, c), blk in blocks.items():
+        permuted[spans[r], spans[c]] = blk
+    m = np.zeros(dim * dim, dtype=complex)
+    m[flat] = permuted
+    return m.reshape(dim, dim)
+
+
 @pytest.mark.parametrize("l", [2, 4, 5])
 @pytest.mark.parametrize("L", [1, 3, 6])
 def test_gathered_truncation_is_the_dense_string_bit_for_bit(l, L):
+    # the gathered factors are the dense B's bit for bit; their norms and
+    # product, taken on blocks, sum in another order than the dense ones
     spec, p, rng = setup_case(l, L, seed=l * 20 + L)
     for lam in generic_points(2, rng, avoid=p.mu):
-        assert check_truncation(spec, lam, p) == dense_truncation(spec, lam, p)
+        pts = [lam - k * spec.gamma for k in range(l)]
+        ops = BOperators(pts, p)
+        prod, dense, scale = None, np.eye(p.dim, dtype=complex), 1.0
+        for k, x in enumerate(pts):
+            bmat = b_operator(x, p)
+            blocks = ops.blocks(k)
+            for key, blk in vertex_core._split(bmat).items():
+                assert blocks[key].tobytes() == blk.tobytes()
+            norm = np.linalg.norm(bmat, 2)
+            assert abs(_bnorm2(blocks) - norm) <= 1e-14 * norm
+            prod = blocks if prod is None else _bmatmul(prod, blocks)
+            dense = dense @ bmat
+            scale *= norm
+        assert np.abs(_dense_of(prod, p.dim) - dense).max() <= 1e-14 * scale
+        assert abs(check_truncation(spec, lam, p)
+                   - dense_truncation(spec, lam, p)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6])
+def test_truncation_reads_large_off_the_root_of_unity(L):
+    # the weights at gamma 1e-3 off i pi / 4, the shifts by i pi / 4: the
+    # string no longer vanishes, except at L < 4, where four B's raise
+    # the weight past L and no block of the string is left
+    spec = RootOfUnitySpec(4)
+    rng = np.random.default_rng(310 + L)
+    gamma = spec.gamma + 1e-3
+    p = ModelParams(L, gamma, sample_mu(L, gamma, rng))
+    lams = [generic_points(1, rng, avoid=p.mu)[0] for _ in range(5)]
+    got = max(check_truncation(spec, lam, p) for lam in lams)
+    if L < spec.l:
+        assert got == 0.0
+    else:
+        assert got > 1e-6
+    on_root = ModelParams(L, spec.gamma, p.mu)
+    assert max(check_truncation(spec, lam, on_root) for lam in lams) < 1e-9
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

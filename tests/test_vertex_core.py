@@ -393,7 +393,8 @@ def test_sector_commutator_is_the_dense_commutator(L):
                       transfer(x, ModelParams(L, GAMMA, (0,) * L))))
     for a, b in pairs:
         # both are relative to ||a|| ||b||
-        got = vertex_core._commutator(a, b)
+        got = vertex_core._commutator(vertex_core._split(a),
+                                      vertex_core._split(b))
         assert abs(got - _dense_commutator(a, b)) <= 1e-14
 
 
@@ -403,12 +404,82 @@ def test_commutator_with_nan_in_a_zero_block_is_not_finite():
     # T changes the weight by one, so its (0, L) block is zero
     a[0, p.dim - 1] = np.nan
     assert not np.isfinite(_dense_commutator(a, b))
-    assert not np.isfinite(vertex_core._commutator(a, b))
     # the split keeps the block, so its products carry the NaN
     blocks = vertex_core._split(a)
+    assert not np.isfinite(vertex_core._commutator(blocks,
+                                                   vertex_core._split(b)))
     assert not np.isfinite(vertex_core._bnorm(blocks.values()))
     assert not np.isfinite(vertex_core._bnorm(
         vertex_core._bmatmul(blocks, vertex_core._split(b)).values()))
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_blocks_are_the_split_dense_operator_bit_for_bit(L):
+    # at L = 8, 9 B's and 5 T's are gathered in 3 chunks each
+    p = params_for(L, seed=130 + L)
+    rng = np.random.default_rng(140 + L)
+    # at mu_1 and mu_1 - gamma a weight of site 1 is exactly zero
+    pts = (p.mu[0], p.mu[0] - GAMMA) + generic_points(7, rng)
+    for first, stop, n in ((1, 2, 9), (1, 3, 5)):
+        ops = vertex_core.BlockOperators(pts[:n], p, first, stop)
+        if L == 8:
+            assert len(ops._chunks) == 3
+        for j in range(n):
+            got = ops.blocks(j)
+            want = vertex_core._split(ops[j])
+            # every key of the split, in its order, and only zero blocks
+            # besides
+            assert [key for key in got if key in want] == list(want)
+            for key, blk in got.items():
+                if key in want:
+                    assert blk.tobytes() == want[key].tobytes()
+                else:
+                    assert not blk.any()
+            # B raises the weight by one, T = B + C moves it by one
+            assert {c - r for r, c in got} <= {-1, 1}
+            assert len(got) == (L if stop == 2 else 2 * L)
+
+
+def _four_b_product(p, pts):
+    ops = vertex_core.BOperators(pts, p)
+    prod = ops.blocks(0)
+    for j in range(1, len(pts)):
+        prod = vertex_core._bmatmul(prod, ops.blocks(j))
+    dense = reduce(np.matmul, (b_operator(x, p) for x in pts))
+    return prod, dense
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_block_two_norm_is_the_dense_two_norm(L):
+    p = params_for(L, seed=150 + L)
+    rng = np.random.default_rng(160 + L)
+    x, *four = generic_points(5, rng, avoid=p.mu)
+    cases = [(vertex_core.BlockOperators([x], p, 1, 3).blocks(0),
+              transfer(x, p)),
+             (vertex_core.BOperators([x], p).blocks(0), b_operator(x, p)),
+             _four_b_product(p, four)]
+    noise = rng.standard_normal((p.dim, 2 * p.dim)).view(complex)
+    cases.append((vertex_core._split(noise), noise))
+    if L >= 2:
+        ham = hamiltonian(ModelParams(L, GAMMA, (0,) * L))
+        cases.append((vertex_core._split(ham), ham))
+    for blocks, dense in cases:
+        want = np.linalg.norm(dense, 2)
+        assert abs(vertex_core._bnorm2(blocks) - want) <= 1e-14 * want
+    # a string longer than L has no block at all
+    assert (vertex_core._bnorm2(cases[2][0]) == 0.0) == (L < 4)
+
+
+def test_block_two_norm_of_nothing_and_of_nan():
+    assert vertex_core._bnorm2({}) == 0.0
+    p = params_for(3)
+    for build in (transfer, b_operator):
+        m = build(LAM, p)
+        m[0, p.dim - 1] = np.nan
+        assert np.isnan(vertex_core._bnorm2(vertex_core._split(m)))
+    m = transfer(LAM, p)
+    m[1, 2] = np.nan  # inside a nonzero block
+    assert np.isnan(vertex_core._bnorm2(vertex_core._split(m)))
 
 
 def test_rll_exchange_relation():
@@ -613,6 +684,43 @@ def scalar_generic_points(n, rng, avoid=()):
     raise GenericityExhausted("no generic spectral-point draw found")
 
 
+def scalar_sample_mu(L, gamma, rng):
+    """`sample_mu` with two scalar uniform calls per point: its oracle."""
+    for _ in range(vertex_core._MAX_DRAWS):
+        mu = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(L))
+        if vertex_core.is_generic(ModelParams(L, gamma, mu)):
+            return mu
+    raise GenericityExhausted("no generic inhomogeneity draw found")
+
+
+def _rejecting_first(n):
+    """`is_generic` that turns down its first n calls."""
+    calls = []
+    real = vertex_core.is_generic
+
+    def is_generic(params):
+        calls.append(params)
+        return len(calls) > n and real(params)
+
+    return is_generic
+
+
+@pytest.mark.parametrize("L", range(1, 10))
+def test_sample_mu_is_the_scalar_stream(L, monkeypatch):
+    # twin generators, one drawn through each form, hold the same state
+    # after the call, also when draws are thrown away
+    for seed in range(4):
+        fast, slow = (np.random.default_rng(seed) for _ in range(2))
+        for redraws in (0, 3):
+            with monkeypatch.context() as m:
+                m.setattr(vertex_core, "is_generic", _rejecting_first(redraws))
+                want = scalar_sample_mu(L, GAMMA, slow)
+                m.setattr(vertex_core, "is_generic", _rejecting_first(redraws))
+                assert sample_mu(L, GAMMA, fast) == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def test_generic_points_are_the_scalar_pair_loop():
     # the same tuples and the same generator state after the call, for
     # several sizes and `avoid` lists, some of which force a redraw
@@ -622,7 +730,7 @@ def test_generic_points_are_the_scalar_pair_loop():
     for seed in range(12):
         first = np.random.default_rng(seed)
         near = complex(first.uniform(-1, 1), first.uniform(-1, 1)) + 0.01j
-        for n in (0, 1, 2, 5, 40):
+        for n in (0, *range(1, 10), 40):
             for avoid in ((), p.mu, zeros + list(p.mu), [near], (near, 0j)):
                 fast, slow = (np.random.default_rng(seed) for _ in range(2))
                 want, draws = scalar_generic_points(n, slow, avoid)

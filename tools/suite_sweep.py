@@ -13,9 +13,12 @@ first suite that needs them (``functional`` and ``zeros``), so their time
 counts there.  One untimed default run at ``--size 2`` comes first, as in
 ``svbench/run.py``: scipy.linalg is imported at the first diagonalization,
 and without the warm-up that import (~0.3 s) would be charged to the L = 2
-functional suite.  ``OUT.json`` holds the seconds per suite and in total, the
-record and failure counts of each run, and the run metadata: commit,
-processor count, Python, numpy and scipy versions.
+functional suite.  The root-of-unity run ``--root-of-unity 1/4 --suite rou
+--size L --seed 1`` is timed the same way at each size, after the default
+runs.  ``OUT.json`` holds the seconds per suite and in total, the record and
+failure counts of each run (``sizes`` for the default run, ``rou_l4`` for the
+root-of-unity run), and the run metadata: commit, processor count, Python,
+numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SIZES = range(2, 9)
 SEED = 1
+ROU_ARGV = ("--root-of-unity", "1/4", "--suite", "rou")
 
 
 def commit() -> str:
@@ -45,13 +49,12 @@ def commit() -> str:
     return out.stdout.strip()
 
 
-def sweep(cli) -> dict:
-    """Seconds per suite of the default run at each size, after an untimed
-    warm-up run at size 2."""
-    cli._Runner(cli.build_config(["--size", "2", "--seed", str(SEED)])).run()
+def sweep(cli, argv=()) -> dict:
+    """Seconds per suite of the run with the options `argv` at each size."""
     sizes = {}
     for L in SIZES:
-        config = cli.build_config(["--size", str(L), "--seed", str(SEED)])
+        config = cli.build_config([*argv, "--size", str(L),
+                                   "--seed", str(SEED)])
         start = time.perf_counter()
         runner = cli._Runner(config)
         suites = {}
@@ -63,7 +66,7 @@ def sweep(cli) -> dict:
         failed = sum(r.verdict == cli.FAIL for r in runner.reports)
         sizes[str(L)] = {"total_s": total, "suites_s": suites,
                          "records": len(runner.reports), "failed": failed}
-        print(f"L={L} total {total:.2f} s", suites, flush=True)
+        print(f"L={L}", *argv, f"total {total:.2f} s", suites, flush=True)
     return sizes
 
 
@@ -92,8 +95,12 @@ def main(argv=None) -> int:
         "scipy": scipy.__version__,
         "seed": SEED,
         "argv": "--size L --seed 1",
+        "rou_argv": " ".join(ROU_ARGV) + " --size L --seed 1",
     }
-    result = {"meta": meta, "sizes": sweep(cli)}
+    # untimed warm-up run at size 2
+    cli._Runner(cli.build_config(["--size", "2", "--seed", str(SEED)])).run()
+    result = {"meta": meta, "sizes": sweep(cli),
+              "rou_l4": sweep(cli, ROU_ARGV)}
     Path(args[0]).write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
 

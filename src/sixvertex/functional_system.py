@@ -26,8 +26,11 @@ from .vertex_core import (
     BlockOperators,
     BOperators,
     ModelParams,
+    _bcombine,
+    _bmatmul,
+    _bnorm2,
+    _bsub,
     generic_points,
-    monodromy,
     reference_states,
     transfer,
 )
@@ -269,43 +272,42 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
 
 
 def check_tphi(n: int, vars_, params: ModelParams) -> float:
-    """Operator-identity residual of the order-(n+1) exchange relation.
-
-    `vars_` must hold n+1 spectral parameters (v_0, ..., v_n).
-    """
+    """Operator-identity residual of the order-(n+1) exchange relation, in
+    the 2-norm relative to its left side, formed on the weight-sector blocks
+    (`BlockOperators.blocks`) of B at every point, C at v_0 and, for n >= 1,
+    A and D at every point.  `vars_` holds v_0, ..., v_n."""
     v = tuple(vars_)
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
-    mono = [monodromy(x, params) for x in v]
-    a, b, d = [[m[r, c] for m in mono] for r, c in ((0, 0), (0, 1), (1, 1))]
-    c0 = mono[0][1, 0]
 
-    def b_string(slots):
-        # the ordered product of the B(v_t) over the slots
-        return functools.reduce(np.matmul, (b[t] for t in slots),
-                                np.eye(params.dim, dtype=complex))
+    def read(k, points):
+        # the auxiliary block k = 2a + c of the monodromy at each point
+        ops = BlockOperators(points, params, k, k + 1)
+        return [ops.blocks(j) for j in range(len(points))]
 
+    def product(factors):
+        return functools.reduce(_bmatmul, factors)
+
+    b, c0 = read(1, v), read(2, v[:1])[0]
+    a, d = (read(0, v), read(3, v)) if n else ((), ())
     tab = _PairTable(v, params)
-    tail = b_string(range(1, n + 1))
-    lhs = (b[0] + c0) @ tail
+    # the slot pairs (i, j) of the A D terms, with the coefficients of
+    # A(v_i) D(v_j) and A(v_j) D(v_i)
+    pairs = [(0, i, _gamma(tab, i, 0, i), _gamma(tab, i, i, 0))
+             for i in range(1, n + 1)]
+    pairs += [(i, j, _omega(tab, i, j), _omega(tab, j, i))
+              for i, j in itertools.combinations(range(1, n + 1), 2)]
+    # B and C change the weight in opposite directions: disjoint blocks
+    lhs = product([b[0] | c0] + b[1:])
     # the pass-through annihilator term [X^{1,n}] C(v_0) is required for the
     # identity to close on the full space; it dies on |up> in the scalar
-    # realization
-    rhs = b_string(range(n + 1)) + tail @ c0
-    for i in range(1, n + 1):
-        rest = [t for t in range(1, n + 1) if t != i]
-        rhs = rhs + b_string(rest) @ (
-            _gamma(tab, i, 0, i) * a[0] @ d[i]
-            + _gamma(tab, i, i, 0) * a[i] @ d[0]
-        )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = [t for t in range(0, n + 1) if t not in (i, j)]
-            rhs = rhs + b_string(rest) @ (
-                _omega(tab, i, j) * a[i] @ d[j]
-                + _omega(tab, j, i) * a[j] @ d[i]
-            )
-    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
+    # realization.  Each A D term follows the B's of the other slots.
+    rhs = [product(b), product(b[1:] + [c0])]
+    rhs += [product([b[t] for t in range(n + 1) if t not in (i, j)]
+                    + [_bcombine([(c_ij, _bmatmul(a[i], d[j])),
+                                  (c_ji, _bmatmul(a[j], d[i]))])])
+            for i, j, c_ij, c_ji in pairs]
+    return _bnorm2(_bsub(lhs, _bcombine((1, x) for x in rhs))) / _bnorm2(lhs)
 
 
 def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:

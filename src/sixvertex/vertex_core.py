@@ -237,22 +237,6 @@ def _gather(lam, params: ModelParams, first: int, stop: int):
     return vals
 
 
-def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
-    """Ordered product over sites of the R-matrices, as an operator-valued
-    2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
-    operator in auxiliary row a and column b, so
-    ``(A, B), (C, D) = monodromy(lam, params)``."""
-    d = params.dim
-    vals = _gather(lam, params, 0, 4)
-    at = _blocks(params.L, 0, 4)[0]
-    bounds = _paths(params.L)[3]
-    m = np.zeros((4, d * d), dtype=complex)
-    for k in range(4):
-        sl = slice(bounds[k], bounds[k + 1])
-        m[k, at[sl]] = vals[sl]
-    return m.reshape(2, 2, d, d)
-
-
 def monodromy_full(lam: complex, params: ModelParams) -> list:
     """Same product built directly on the auxiliary x quantum space, from
     a transcription of the weights (`_local_blocks`) independent of
@@ -328,6 +312,19 @@ class BlockOperators:
         buf = np.zeros(size, dtype=complex)
         buf[dest] = self._chunks[chunk][row]
         return {key: buf[sl].reshape(shape) for key, sl, shape in spans}
+
+
+def monodromy(lam: complex, params: ModelParams) -> np.ndarray:
+    """Ordered product over sites of the R-matrices, as an operator-valued
+    2x2 matrix of shape (2, 2, 2^L, 2^L): ``m[a, b]`` is the quantum-space
+    operator in auxiliary row a and column b, so
+    ``(A, B), (C, D) = monodromy(lam, params)``.  Each block is read from
+    a one-block `BlockOperators` of its own, one at a time."""
+    d = params.dim
+    m = np.empty((4, d, d), dtype=complex)
+    for k in range(4):
+        m[k] = BlockOperators([lam], params, k, k + 1)[0]
+    return m.reshape(2, 2, d, d)
 
 
 def b_operator(lam: complex, params: ModelParams) -> np.ndarray:

@@ -176,12 +176,68 @@ def test_string_realization_symmetric():
 
 
 @pytest.mark.parametrize("L,n", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1),
-                                 (3, 2), (3, 3)])
+                                 (3, 2), (3, 3), (6, 3), (8, 3)])
 def test_operator_exchange_identity(L, n):
     p = params_for(L, seed=30 + L)
     rng = np.random.default_rng(50 + n)
     v = generic_points(n + 1, rng, avoid=p.mu)
     assert check_tphi(n, v, p) < 1e-9
+
+
+def _dense_tphi(n, v, params):
+    """The order-(n+1) exchange relation on dense 2^L x 2^L operators, from
+    `monodromy`, with the coefficients of `functional_system` looked up at
+    call time, so that a patched coefficient reaches both residuals."""
+    fs = functional_system
+    mono = [vertex_core.monodromy(x, params) for x in v]
+    a, b, d = [[m[r, c] for m in mono] for r, c in ((0, 0), (0, 1), (1, 1))]
+    c0 = mono[0][1, 0]
+
+    def b_string(slots):
+        out = np.eye(params.dim, dtype=complex)
+        for t in slots:
+            out = out @ b[t]
+        return out
+
+    tab = fs._PairTable(v, params)
+    tail = b_string(range(1, n + 1))
+    lhs = (b[0] + c0) @ tail
+    rhs = b_string(range(n + 1)) + tail @ c0
+    for i in range(1, n + 1):
+        rest = [t for t in range(1, n + 1) if t != i]
+        rhs = rhs + b_string(rest) @ (fs._gamma(tab, i, 0, i) * a[0] @ d[i]
+                                      + fs._gamma(tab, i, i, 0) * a[i] @ d[0])
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rest = [t for t in range(n + 1) if t not in (i, j)]
+            rhs = rhs + b_string(rest) @ (fs._omega(tab, i, j) * a[i] @ d[j]
+                                          + fs._omega(tab, j, i) * a[j] @ d[i])
+    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
+
+
+def _scaled(f, by):
+    return lambda *args: f(*args) * by
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_block_exchange_relation_is_the_dense_one_and_sees_broken_coefficients(
+        L, monkeypatch):
+    # the A D coefficients scaled by 1 + 1e-3 break the relation at every
+    # order n >= 1; the block residual then reads what the dense one reads
+    p = params_for(L, seed=210 + L)
+    rng = np.random.default_rng(220 + L)
+    draws = [(n, generic_points(n + 1, rng, avoid=p.mu))
+             for n in range(1, min(L, 3) + 1)]
+    for n, v in draws:
+        assert check_tphi(n, v, p) < 1e-12
+        assert _dense_tphi(n, v, p) < 1e-12
+    for name in ("_gamma", "_omega"):
+        monkeypatch.setattr(functional_system, name,
+                            _scaled(getattr(functional_system, name), 1 + 1e-3))
+    for n, v in draws:
+        got, ref = check_tphi(n, v, p), _dense_tphi(n, v, p)
+        assert got > 1e-4
+        assert abs(got - ref) <= 1e-10 * ref
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

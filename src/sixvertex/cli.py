@@ -199,6 +199,9 @@ class RunConfig:
             raise ConfigError(f"inhomogeneities must be finite, got {self.mu}")
         if not at_root and not cmath.isfinite(self.gamma):
             raise ConfigError(f"anisotropy must be finite, got {self.gamma}")
+        # at sinh(gamma) = 0 the weight c vanishes, and B and C with it
+        if cmath.sinh(self.resolved_gamma()) == 0:
+            raise ConfigError(f"sinh(gamma) must be nonzero, got {self.gamma}")
         if not self.suites:
             raise ConfigError("no suite to run")
         bad = [s for s in self.suites if s not in SUITES]

@@ -225,15 +225,19 @@ def _gather(lam, params: ModelParams, first: int, stop: int):
     # Paths that share a prefix share its product: level k multiplies each
     # prefix through site k - 1 by its site-k weight, so every path's value
     # is the same left-to-right sequence of products as a loop over its
-    # sites.  Both factors are bound to names before the product: above
-    # 256 KiB numpy would otherwise reuse an unnamed temporary as
-    # `f *= prefix`, and the swapped operands give other bits.
+    # sites.  The product is taken with `out=` into the prefix, so the
+    # operand order is fixed as prefix * f: numpy cannot turn it into
+    # `f *= prefix`, whose swapped operands give other bits.  The take
+    # rebinds `vals`, so the finished level is freed before `f` is made: a
+    # level array above glibc's 128 KiB mmap threshold that outlives its
+    # use can leave the allocator mapping, faulting in and unmapping fresh
+    # pages at every call.
     vals = w[..., 0, :].take(tree[0][1], axis=-1)
     for k in range(1, L):
         parent, site = tree[k]
-        prefix = vals.take(parent, axis=-1)
+        vals = vals.take(parent, axis=-1)
         f = w[..., k, :].take(site, axis=-1)
-        vals = prefix * f
+        np.multiply(vals, f, out=vals)
     return vals
 
 
@@ -278,7 +282,9 @@ class BlockOperators:
     each call's values are kept as they come; ``ops[j]`` scatters the
     operator at lams[j] into one dense buffer that every read reuses, so a
     read holds until the next, and ``ops.blocks(j)`` scatters it into its
-    weight-sector blocks, new arrays at each read."""
+    weight-sector blocks, new arrays at each read.  The dense buffer is
+    made at the first ``ops[j]``, so a holder read only by `blocks` has
+    none."""
 
     def __init__(self, lams, params: ModelParams, first: int, stop: int):
         self.lams = np.array(list(lams), dtype=complex)
@@ -289,15 +295,17 @@ class BlockOperators:
         self._chunks = [_gather(self.lams[start:start + self._per], params,
                                 first, stop)
                         for start in range(0, len(self.lams), self._per)]
-        self._buf = np.zeros((params.dim, params.dim), dtype=complex)
-        self._flat = self._buf.reshape(-1)
+        self._buf = None
 
     def __len__(self) -> int:
         return len(self.lams)
 
     def __getitem__(self, j: int) -> np.ndarray:
+        if self._buf is None:
+            d = self.params.dim
+            self._buf = np.zeros((d, d), dtype=complex)
         chunk, row = divmod(j, self._per)
-        self._flat[self._at] = self._chunks[chunk][row]
+        self._buf.reshape(-1)[self._at] = self._chunks[chunk][row]
         return self._buf
 
     def blocks(self, j: int) -> dict:

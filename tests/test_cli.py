@@ -1,3 +1,4 @@
+import cmath
 import os
 import re
 import subprocess
@@ -220,6 +221,20 @@ def test_non_finite_parameters_rejected(argv, tmp_path, capsys):
     assert main(["--size", "2", *argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_a_vanishing_sinh_gamma_is_rejected(tmp_path, capsys):
+    # at gamma = 0 the weight c = sinh(gamma) vanishes, so do B and C, and
+    # check_tphi divided by the zero norm of its left side: the run died
+    # with a ZeroDivisionError, exit 1 and no report
+    out = tmp_path / "r.txt"
+    with pytest.raises(ConfigError):
+        RunConfig(L=3, gamma=0j)
+    assert main(["--size", "3", "--gamma", "0,0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+    # at gamma = i pi, sinh(gamma) reads 1.2e-16, not 0: it is accepted
+    assert RunConfig(L=3, gamma=1j * cmath.pi).gamma == 1j * cmath.pi
 
 
 @pytest.mark.parametrize("argv,patched,record", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -282,6 +283,25 @@ def test_a_prefix_tree_gather_above_256_kib_is_the_per_site_loop():
             assert vals.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("L,n", [(6, 15), (8, 2)])
+def test_a_gather_holds_at_most_three_levels_at_once(L, n):
+    # each level frees the finished one before its site factor is made and
+    # multiplies in place: the peak of one call stays near three result
+    # sizes, where a loop that kept the finished level beside a new
+    # prefix, factor and product read 3.94 (L = 6) and 3.71 (L = 8)
+    p = params_for(L, seed=220 + L)
+    rng = np.random.default_rng(230 + L)
+    pts = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    vertex_core._gather(pts, p, 1, 3)  # the cached prefix tree, untraced
+    tracemalloc.start()
+    try:
+        vals = vertex_core._gather(pts, p, 1, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * vals.nbytes
+
+
 def _dense_string(lams, params):
     """B(lams[0]) ... B(lams[-1]) |up>, one dense `b_operator` at a time."""
     v = vertex_core.reference_states(params.L)[0]
@@ -438,6 +458,35 @@ def test_blocks_are_the_split_dense_operator_bit_for_bit(L):
             # B raises the weight by one, T = B + C moves it by one
             assert {c - r for r, c in got} <= {-1, 1}
             assert len(got) == (L if stop == 2 else 2 * L)
+
+
+def test_a_holder_read_by_blocks_alone_has_no_dense_buffer(monkeypatch):
+    # the 2^L x 2^L buffer (1 MiB at L = 8) is made at the first ops[j]
+    p = params_for(8, seed=210)
+    x, y = generic_points(2, np.random.default_rng(211), avoid=p.mu)
+    made = []
+    init = vertex_core.BlockOperators.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(vertex_core.BlockOperators, "__init__", recorded)
+        commuting_residual(x, y, p)
+        b_commute_residual(x, y, p)
+    assert len(made) == 2 and all(ops._buf is None for ops in made)
+    for ops, build in zip(made, (transfer, b_operator)):
+        before = [ops.blocks(j) for j in range(2)]
+        assert ops._buf is None
+        for j, lam in enumerate((x, y)):
+            assert ops[j].tobytes() == build(lam, p).tobytes()
+            after = ops.blocks(j)
+            assert list(after) == list(before[j])
+            assert all(after[key].tobytes() == blk.tobytes()
+                       for key, blk in before[j].items())
+        # every dense read reuses the one buffer
+        assert ops[0] is ops[1]
 
 
 def _four_b_product(p, pts):

@@ -15,9 +15,11 @@ counts there.  One untimed default run at ``--size 2`` comes first, as in
 and without the warm-up that import (~0.3 s) would be charged to the L = 2
 functional suite.  The root-of-unity run ``--root-of-unity 1/4 --suite rou
 --size L --seed 1`` is timed the same way at each size, after the default
-runs.  ``OUT.json`` holds the seconds per suite and in total, the record and
-failure counts of each run (``sizes`` for the default run, ``rou_l4`` for the
-root-of-unity run), and the run metadata: commit, processor count, Python,
+runs.  ``OUT.json`` holds, for each run (``sizes`` for the default run,
+``rou_l4`` for the root-of-unity run), the seconds per suite and in total,
+the minor page faults of this process over the whole run (``minor_faults``,
+the ``ru_minflt`` delta, next to ``total_s``) and the record and failure
+counts; and the run metadata: commit, processor count, Python,
 numpy and scipy versions.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -49,12 +52,18 @@ def commit() -> str:
     return out.stdout.strip()
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def sweep(cli, argv=()) -> dict:
     """Seconds per suite of the run with the options `argv` at each size."""
     sizes = {}
     for L in SIZES:
         config = cli.build_config([*argv, "--size", str(L),
                                    "--seed", str(SEED)])
+        faults = minor_faults()
         start = time.perf_counter()
         runner = cli._Runner(config)
         suites = {}
@@ -63,10 +72,13 @@ def sweep(cli, argv=()) -> dict:
             getattr(runner, f"run_{suite}")()
             suites[suite] = round(time.perf_counter() - t0, 4)
         total = round(time.perf_counter() - start, 4)
+        faults = minor_faults() - faults
         failed = sum(r.verdict == cli.FAIL for r in runner.reports)
-        sizes[str(L)] = {"total_s": total, "suites_s": suites,
+        sizes[str(L)] = {"total_s": total, "minor_faults": faults,
+                         "suites_s": suites,
                          "records": len(runner.reports), "failed": failed}
-        print(f"L={L}", *argv, f"total {total:.2f} s", suites, flush=True)
+        print(f"L={L}", *argv, f"total {total:.2f} s", f"{faults} faults",
+              suites, flush=True)
     return sizes
 
 

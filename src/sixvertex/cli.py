@@ -59,7 +59,6 @@ from .zeros import (
     ZeroSets,
     at_zero_residual,
     check_lz01,
-    check_zero_coincidence,
     extract_zeros,
     reconstruction_residual,
     wronskian_residual,
@@ -450,32 +449,27 @@ class _Runner:
             return
         # every draw comes first, state by state, in the order the records
         # are written; then each check evaluates every state at once
-        probes, scale_points, lz_draws = [], [], []
-        for _, zeros in sets:
+        probes, scale_points = [], []
+        for _ in sets.states:
             probes.append(generic_points(1, rng, avoid=p.mu)[0])
             scale_points.append(generic_points(5, rng, avoid=p.mu))
-            lz_draws.append(generic_points(max(5, self.config.draws), rng,
-                                           avoid=list(zeros) + list(p.mu)))
         reconstruction = reconstruction_residual(
             sets, np.array(probes)[:, None])[:, 0]
         at_zero = at_zero_residual(sets, scale_points)
-        lz = check_lz01(sets, lz_draws)
-        coincidence = check_zero_coincidence(sets)["max_distance"]
+        lz = check_lz01(sets)
         wronskian = wronskian_residual(sets)
         sharpness = wronskian_sharpness(sets)
         for k, st in enumerate(sets.states):
             i = st.index
             self.add(f"zeros.reconstruction.state{i}", reconstruction[k])
             self.add(f"zeros.at_zero.state{i}", at_zero[k])
-            # a failed ratio draw records inf and drops the state's later
-            # records
             self.add(f"zeros.lz01_constancy.state{i}", lz["spread"][k])
-            if lz["failed"][k]:
-                continue
             if p.L % 2 == 0:
                 self.add(f"zeros.lz01_even_constant.state{i}",
                          lz["constant_residual"][k])
-            self.add(f"zeros.coincidence.state{i}", coincidence[k])
+            # two polynomials of one degree share their zeros iff they are
+            # proportional
+            self.add(f"zeros.coincidence.state{i}", lz["spread"][k])
             self.add(f"zeros.wronskian.state{i}", wronskian[k])
             self.add(f"zeros.wronskian_sharpness.state{i}", sharpness[k])
 

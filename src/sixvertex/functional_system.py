@@ -491,18 +491,17 @@ class TopCoefficient:
             terms *= flat[:, free[:, k]]
         self._sums = np.add.reduceat(terms, starts, axis=1)
 
-    def at(self, x, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficient of the sets `rows` at x, as a (sets x points)
-        array: x holds points shared by every set, shape (P,), or one row
-        of points per set, shape (sets, P).  Also returns per set whether
-        it met a pole; its values are then meaningless."""
-        rest, sums = self._rest[rows], self._sums[rows]
-        x = np.broadcast_to(x, (len(rest), np.shape(x)[-1]))
+    def at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient of every set at the points x, shape (P,), as a
+        (sets x points) array.  Also returns per set whether it met a
+        pole; its values are then meaningless."""
+        rest, sums = self._rest, self._sums
+        x = np.broadcast_to(x, (len(rest), len(x)))
         # x - v_t, then v_t - x, over the slots t of rest; shifted by 0, g, 2g
         d = x[:, :, None] - rest[:, None, :]
         s = np.sinh(np.concatenate((d, -d), axis=2)[:, :, None, :] + self._shifts)
         near = np.abs(s[:, :, 0]) < EPS_GENERIC
-        pole = self._pole[rows] | near.any(axis=(1, 2))
+        pole = self._pole | near.any(axis=(1, 2))
         b = np.where(near, 1.0, s[:, :, 0])
         site = np.prod(np.sinh(x[:, :, None, None] - self._mu + self._site_shifts),
                        axis=3)

@@ -1,6 +1,7 @@
 """Zeroes of the transfer-matrix eigenvalues and their relation to the
-zeroes of the domain-wall partition function: ratio constancy, zero
-coincidence, and the Wronskian conditions.
+zeroes of the domain-wall partition function: the identity Z k0 = F
+(ratio constancy and zero coincidence in one), and the Wronskian
+conditions.
 
 `extract_zeros` finds the zeros of every eigenvalue of a draw with one
 polynomial fit and one batched root solve, and returns them as one
@@ -10,13 +11,12 @@ whole or row by row."""
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from .functional_system import TopCoefficient, even_floor, values
 from .numkit import cabs, cprod, fit_poly, poly_roots_rows, worst
-from .vertex_core import _GATHER_ENTRIES, EPS_GENERIC, BOperators, ModelParams
+from .vertex_core import _GATHER_ENTRIES, BOperators, ModelParams
 
 # shift of one zero that the Wronskian conditions must detect
 ZERO_KICK = 1e-2
@@ -104,16 +104,15 @@ class ZeroSets:
     def top(self) -> TopCoefficient:
         return TopCoefficient(self.with_kicked, self.params)
 
-    def z(self, lams, rows=slice(None)) -> np.ndarray:
-        """Z(lam0, w) = <down| B(lam0) phi of the sets `rows`, from the L
-        nonzero entries of <down| B(lam0): a (sets x points) array, for
-        points shared by every set, shape (P,), or one row of points per
-        set, shape (sets, P)."""
-        return (down_b_row(lams, self.params) @ self._phi_up[rows, :, None])[..., 0]
+    def z(self, lams) -> np.ndarray:
+        """Z(lam0, w) = <down| B(lam0) phi of every set at the points
+        `lams`, shape (P,), from the L nonzero entries of <down| B(lam0):
+        a (sets x points) array."""
+        return (down_b_row(lams, self.params) @ self._phi_up[:, :, None])[..., 0]
 
     def f(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """The polynomial-part companion of Z for every set, at points as
-        in `z`: the maximal expansion coefficient for even L, its
+        """The polynomial-part companion of Z for every set, at the points
+        of `z`: the maximal expansion coefficient for even L, its
         pole-stripped variant (times prod_j sinh(lam0 - w_j)) for odd L;
         and per set whether the coefficient met a pole
         (`TopCoefficient.at`)."""
@@ -243,86 +242,39 @@ def at_zero_residual(sets: ZeroSets, scale_points) -> np.ndarray:
             / np.maximum(worst(mods[:, :n], axis=1), 1e-300))
 
 
-def check_lz01(sets: ZeroSets, lambda0_draws) -> dict:
-    """Ratio of Z * k0 to the maximal expansion coefficient at the zeroes,
-    for each state of `sets` at its own row of `lambda0_draws`.
+def check_lz01(sets: ZeroSets) -> dict:
+    """Z * k0 against the maximal expansion coefficient F at the zeroes,
+    for each state of `sets`, read from the fitted coefficients alone.
 
-    Even L: the ratio must be a lam0-independent constant, and that
-    constant is +1.  The expansion theorem gives
+    Even L: Z * k0 = F.  The expansion theorem gives
     Z * k0 = sum_idx V_m(idx) prod_{t not in idx} Lambda(v_t); at
     v = (lam0, w_1, ..., w_{L-1}) every term that keeps a zero slot carries
     a factor Lambda(w_j) = 0, and for even L the only even-sized removed
     set containing all L-1 zero slots is the full set, so Z * k0 is its
     coefficient, `ZeroSets.top`.
-    Odd L: the ratio divided by the eigenvalue must be constant.  Returns
-    per state the measured values, their spread across draws, and (even
-    L) the deviation from +1.  A state whose draw collides with one of
-    its zeros, meets a pole or a vanishing coefficient is marked in
-    "failed", and its spread and deviation read inf.
+    Odd L: Z * k0 is the coefficient times the eigenvalue, which is a
+    constant times prod_j sinh(lam0 - w_j); so Z is proportional to the
+    pole-stripped F.  Either way Z and F are proportional polynomials in
+    x of one degree, which also says that their zeros coincide.
+
+    Returns per state the "spread", the sine of the angle between the
+    coefficient vectors of Z and F, and (even L) the "constant_residual",
+    max |Z k0 - F| / max |F| over the coefficients.  A state whose fit
+    failed reads inf in both.
     """
     n = len(sets)
-    draws = np.asarray(lambda0_draws, dtype=complex)
-    rows = slice(0, n)
-    collide = np.abs(np.sinh(draws[:, :, None] - sets.zeros[:, None, :]))
-    denom, pole = sets.top.at(draws, rows)
-    vanish = np.abs(denom) < 1e-300
-    failed = ((collide < EPS_GENERIC).any(axis=(1, 2)) | pole
-              | vanish.any(axis=1))
-    k0 = np.array([st.k0 for st in sets.states])
-    ratios = sets.z(draws, rows) * k0[:, None] / np.where(vanish, 1.0, denom)
-    if sets.params.L % 2 == 1:
-        ratios = ratios / values(sets.states, draws)
-    mean = np.mean(ratios, axis=1)
-    spread = (np.max(np.abs(ratios - mean[:, None]), axis=1)
-              / np.maximum(np.abs(mean), 1e-300))
-    out = {"values": ratios, "mean": mean, "failed": failed,
-           "spread": np.where(failed, np.inf, spread)}
+    zc, fc, ok = (a[:n] for a in sets.fit)
+    # Z less its least-squares multiple c F, relative to Z
+    c = (np.sum(fc.conj() * zc, axis=1)
+         / np.maximum(np.sum(np.abs(fc) ** 2, axis=1), 1e-300))
+    spread = (np.linalg.norm(zc - c[:, None] * fc, axis=1)
+              / np.maximum(np.linalg.norm(zc, axis=1), 1e-300))
+    out = {"spread": np.where(ok, spread, np.inf)}
     if sets.params.L % 2 == 0:
-        expected = 1.0
-        out["expected"] = expected
-        out["constant_residual"] = np.where(
-            failed, np.inf, np.max(np.abs(ratios - expected), axis=1))
-    return out
-
-
-@functools.cache
-def _bijections(n: int) -> np.ndarray:
-    """Every bijection of range(n), one per row of an (n!, n) array."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-
-
-def _min_cost_bijection(cost: np.ndarray) -> np.ndarray:
-    """The column matched to each row under the bijection of least total
-    cost, found by trying all n!: at most 7! for L <= 8."""
-    perms = _bijections(len(cost))
-    return perms[np.argmin(cost[np.arange(len(cost)), perms].sum(axis=1))]
-
-
-def check_zero_coincidence(sets: ZeroSets) -> dict:
-    """Match the zero multisets of Z(., w) and F(., w) in the x plane, for
-    each state of `sets`.
-
-    Returns per state the roots of both (those of F in matched order), the
-    matched distances (measured as |log (x_Z / x_F)|) under a
-    minimal-cost bijection, and their maximum.  A state whose fit failed,
-    whose fitted polynomial is constant or whose two zero counts differ
-    has no roots and reads inf.
-    """
-    n = len(sets)
-    zpol, fpol, ok = sets.fit
-    fitted = np.flatnonzero(ok[:n])
-    roots = poly_roots_rows(np.concatenate((zpol[fitted], fpol[fitted])))
-    out = {"z_roots": [None] * n, "f_roots": [None] * n,
-           "distances": [None] * n, "max_distance": np.full(n, np.inf)}
-    for k, zroots, froots in zip(fitted, roots, roots[len(fitted):]):
-        if zroots is None or froots is None or len(zroots) != len(froots):
-            continue
-        cost = np.abs(np.log(zroots[:, None] / froots[None, :]))
-        cols = _min_cost_bijection(cost)
-        dists = cost[np.arange(len(cols)), cols]
-        out["z_roots"][k], out["f_roots"][k] = zroots, froots[cols]
-        out["distances"][k] = dists
-        out["max_distance"][k] = float(np.max(dists)) if len(dists) else 0.0
+        k0 = np.array([st.k0 for st in sets.states])
+        dev = (np.abs(zc * k0[:, None] - fc).max(axis=1)
+               / np.maximum(np.abs(fc).max(axis=1), 1e-300))
+        out["constant_residual"] = np.where(ok, dev, np.inf)
     return out
 
 

@@ -51,13 +51,17 @@ from sixvertex.vertex_core import (
     ybe_residual,
 )
 from sixvertex.zeros import (
-    check_lz01,
-    check_zero_coincidence,
     extract_zeros,
     reconstruction_residual,
     wronskian_residual,
 )
-from test_zeros import kicked, lz01_draws
+from test_zeros import (
+    kicked,
+    matched_root_distances,
+    pointwise_ratios,
+    ratio_spread,
+    shared_draws,
+)
 
 GAMMA = complex(0.6, 0.25)
 DRAWS = 20
@@ -261,8 +265,8 @@ def test_criterion7_ratio_constancy(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8200 + L)
-    worst = float(np.max(
-        check_lz01(specs, lz01_draws(specs, p, rng))["spread"]))
+    worst = float(np.max(ratio_spread(
+        pointwise_ratios(specs, shared_draws(specs, p, rng)))))
     assert report(f"7.ratio_constancy[L={L}]", worst < 1e-6,
                   f"worst spread={worst:.2e}")
 
@@ -276,13 +280,12 @@ def test_criterion7_even_ratio_constant(L):
     specs = spectral_for(p, 8000 + L)
     rng = np.random.default_rng(8300 + L)
     expected = 1.0
-    out = check_lz01(specs, lz01_draws(specs, p, rng))
-    assert out["expected"] == expected
-    worst = float(np.max(out["constant_residual"]))
+    ratios = pointwise_ratios(specs, shared_draws(specs, p, rng))
+    worst = float(np.max(np.abs(ratios - expected)))
     ok = worst < 1e-6
     assert report(
         f"7.even_ratio_constant[L={L}]", ok,
-        f"asserted {expected:+.0f}, measured {np.mean(out['mean']):+.6f}, "
+        f"asserted {expected:+.0f}, measured {np.mean(ratios):+.6f}, "
         f"worst deviation {worst:.2e}",
     )
 
@@ -291,7 +294,7 @@ def test_criterion7_even_ratio_constant(L):
 def test_criterion7_zero_coincidence(L):
     p = params_for(L)
     specs = spectral_for(p, 8000 + L)
-    worst = float(np.max(check_zero_coincidence(specs)["max_distance"]))
+    worst = float(np.max(matched_root_distances(specs)))
     assert report(f"7.zero_coincidence[L={L}]", worst < 1e-6,
                   f"worst={worst:.2e}")
 

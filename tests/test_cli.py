@@ -373,12 +373,11 @@ def test_homogeneous_structural_run_builds_the_hamiltonian_once(tmp_path,
 def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
                                                               monkeypatch):
     """The failed row of a state in a check that takes every state at
-    once, or its flag in one that flags failed sets, records that check
-    as `inf` and `fail` with the anchor and tolerance of its family, and
-    drops the records of the same state that read its result; other
-    states are untouched."""
+    once, or its flag in one that flags failed sets, records the checks
+    that read it as `inf` and `fail` with the anchor and tolerance of
+    their families, and drops the records of the same state that the
+    check guards; other states are untouched."""
     from sixvertex import cli, zeros
-    from sixvertex.zeros import ZeroSets
 
     argv = ["--size", "2", "--root-of-unity", "1/4", "--suite", "zeros,rou",
             "--seed", "1", "--out", str(tmp_path / "r.txt")]
@@ -387,26 +386,16 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
     # the row of state 1 in the zero sets of the run
     k1 = [st.index for st in runner.zero_sets().states].index(1)
 
-    def failed_row(out, sets):
-        # the row of state 1 as the check writes a failed state
-        k = [st.index for st in sets.states].index(1)
-        for key in ("spread", "max_distance"):
-            if key in out:
-                out[key][k] = float("inf")
-        if "failed" in out:
-            out["failed"][k] = True
-        return out
+    def lz01_fails_state1(m):
+        # the row of state 1 as check_lz01 writes a state whose fit failed
+        real = cli.check_lz01
 
-    def breaking(callee):
-        def brk(m):
-            real = getattr(cli, callee)
-
-            def broken(arg, *args):
-                if isinstance(arg, ZeroSets):
-                    return failed_row(real(arg, *args), arg)
-                return real(arg, *args)
-            m.setattr(cli, callee, broken)
-        return brk
+        def broken(sets):
+            out = real(sets)
+            for key in ("spread", "constant_residual"):
+                out[key][k1] = float("inf")
+            return out
+        m.setattr(cli, "check_lz01", broken)
 
     def ratio_flags_state1(m):
         # the ratio equation of state 1 meets a pole, as a vanishing
@@ -433,36 +422,49 @@ def test_a_failed_check_records_inf_and_drops_its_dependents(tmp_path,
             return out
         m.setattr(zeros, "values", values)
 
-    # (break, failed record, anchor, tol, dropped records)
+    # (break, {failed record: (anchor, tol)}, dropped records)
     cases = [
-        (nonpolynomial_state1, "zeros.reconstruction", "wj", 1e-7,
+        (nonpolynomial_state1, {"zeros.reconstruction": ("wj", 1e-7)},
          ("zeros.at_zero", "zeros.lz01_constancy", "zeros.coincidence",
           "rou.bethe", "rou.l4_relation", "rou.l4_at_zeros")),
-        (breaking("check_lz01"), "zeros.lz01_constancy", "LZ01", 1e-6,
-         ("zeros.lz01_even_constant", "zeros.coincidence", "zeros.wronskian",
-          "zeros.wronskian_sharpness")),
-        (ratio_flags_state1, "rou.l4_relation", "l4ex", 1e-8,
+        # lz01 and coincidence read one angle, and nothing depends on it
+        (lz01_fails_state1,
+         {"zeros.lz01_constancy": ("LZ01", 1e-6),
+          "zeros.lz01_even_constant": ("LZ01", 1e-6),
+          "zeros.coincidence": ("BAeven", 1e-6)}, ()),
+        (ratio_flags_state1, {"rou.l4_relation": ("l4ex", 1e-8)},
          ("rou.q_periodicity", "rou.l4_ratio", "rou.l4_at_zeros")),
-        (breaking("check_zero_coincidence"), "zeros.coincidence", "BAeven",
-         1e-6, ()),
     ]
-    for brk, failed, anchor, tol, dropped in cases:
+    for brk, failed, dropped in cases:
         with monkeypatch.context() as m:
             brk(m)
             code, reports = run(build_config(argv))
         assert code == 1
         by_name = {r.name: r for r in reports}
-        rec = by_name[f"{failed}.state1"]
-        assert (rec.anchor, rec.residual, rec.tolerance, rec.verdict) == \
-            (anchor, float("inf"), tol, "fail"), failed
-        assert sum(r.name == rec.name for r in reports) == 1
+        for fam, (anchor, tol) in failed.items():
+            rec = by_name[f"{fam}.state1"]
+            assert (rec.anchor, rec.residual, rec.tolerance, rec.verdict) == \
+                (anchor, float("inf"), tol, "fail"), fam
+            assert sum(r.name == rec.name for r in reports) == 1
         for fam in dropped:
             assert f"{fam}.state1" in names
-            assert f"{fam}.state1" not in by_name, (failed, fam)
+            assert f"{fam}.state1" not in by_name, fam
         kept = {n for n in names if not n.endswith(".state1")}
-        assert kept <= set(by_name), (failed, kept - set(by_name))
-        if not dropped:  # a guarded check drops nothing
+        assert kept <= set(by_name), kept - set(by_name)
+        if not dropped:
             assert {n for n in names if n.endswith(".state1")} <= set(by_name)
+
+
+def test_zeros_records_do_not_depend_on_draws(tmp_path):
+    # the zeros suite draws a fixed number of points per state; --draws
+    # moves only the config digest of its lines
+    def lines(draws):
+        argv = ["--size", "4", "--suite", "zeros", "--seed", "1", "--draws",
+                str(draws), "--out", str(tmp_path / "r.txt")]
+        return [r.line().rsplit(" params_digest=", 1)[0]
+                for r in run(build_config(argv))[1]]
+
+    assert lines(1) == lines(9)
 
 
 def test_a_zero_on_an_inhomogeneity_shift_fails_only_its_state(tmp_path,

@@ -406,29 +406,6 @@ def test_hierarchy_builds_each_creation_operator_once(L, monkeypatch):
         assert gathered(builds) == [v[0]]
 
 
-def test_odd_lz01_reads_each_state_once(tmp_path, monkeypatch):
-    # at odd L the lz01 ratios are divided by each state's eigenvalue at
-    # its own draws: one gather of those draws per state, no dense build
-    real = cli.check_lz01
-    seen = []
-
-    def check_lz01(sets, draws):
-        with monkeypatch.context() as m:
-            calls = counting(m, vertex_core, "_gather")
-            builds = counting(m, functional_system, "transfer")
-            out = real(sets, draws)
-        seen.append((len(sets), draws, gathers(calls), builds))
-        return out
-
-    monkeypatch.setattr(cli, "check_lz01", check_lz01)
-    cli.run(cli.build_config(["--size", "5", "--suite", "zeros", "--seed", "1",
-                              "--out", str(tmp_path / "r.txt")]))
-    [(n, draws, points, builds)] = seen
-    assert n > 0 and len(draws) == n and not builds
-    assert [[complex(x) for x in row] for row in points] == \
-        [list(row) for row in draws]
-
-
 def test_size_two_system_as_printed():
     """The four hierarchy equations at L = 2, written out line by line."""
     p = params_for(2, seed=90)

@@ -25,7 +25,6 @@ from sixvertex.zeros import (
     ZeroSets,
     at_zero_residual,
     check_lz01,
-    check_zero_coincidence,
     down_b_row,
     extract_zeros,
     lam_from_zeros,
@@ -125,22 +124,57 @@ def test_eigenvalue_vanishes_at_extracted_zeros(L):
             assert abs(st.lam(w)) < 1e-7 * scale
 
 
-def lz01_draws(specs, p, rng):
-    """Five lam0 draws per state, away from its zeros, state by state."""
-    return [generic_points(5, rng, avoid=list(zeros_) + list(p.mu))
-            for zeros_ in specs.zeros]
+def shared_draws(sets, p, rng, n=5):
+    """n lam0 drawn away from every zero of `sets`, kicked or not, and from
+    the inhomogeneities: points shared by every state."""
+    return generic_points(n, rng, avoid=list(sets.with_kicked.ravel()) + list(p.mu))
+
+
+def pointwise_ratios(sets, draws):
+    """Z k0 / F of every state of `sets` at the shared points `draws`, read
+    through `ZeroSets.z` and `ZeroSets.f`: the pointwise oracle of
+    `check_lz01`, a (states x draws) array."""
+    n = len(sets)
+    f, pole = sets.f(draws)
+    assert not pole[:n].any()
+    k0 = np.array([st.k0 for st in sets.states])
+    return sets.z(draws)[:n] * k0[:, None] / f[:n]
+
+
+def ratio_spread(ratios):
+    """Per row, the largest deviation from its mean relative to the mean."""
+    mean = np.mean(ratios, axis=1, keepdims=True)
+    return np.max(np.abs(ratios - mean), axis=1) / np.abs(mean[:, 0])
+
+
+def matched_root_distances(sets):
+    """Per state, the largest |log(x_Z / x_F)| between the roots of its
+    fitted Z and F, matched by the Hungarian solver: the root-distance
+    oracle of `check_lz01`."""
+    n = len(sets)
+    zpol, fpol, ok = sets.fit
+    assert ok[:n].all()
+    out = []
+    for zc, fc in zip(zpol[:n], fpol[:n]):
+        zr, fr = polyroots(zc), polyroots(fc)
+        assert len(zr) == len(fr) == sets.params.L - 1
+        cost = np.abs(np.log(zr[:, None] / fr[None, :]))
+        rows, cols = linear_sum_assignment(cost)
+        out.append(float(np.max(cost[rows, cols], initial=0.0)))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_ratio_constancy_across_draws_and_states(L):
     p, specs = spectral_for(L, seed=20 + L)
     rng = np.random.default_rng(60 + L)
-    out = check_lz01(specs, lz01_draws(specs, p, rng))
-    assert not out["failed"].any()
-    assert np.all(out["spread"] < 1e-6)
-    # the constant is shared by every eigenstate of the same transfer matrix
-    means = out["mean"]
-    assert np.max(np.abs(means - means[0])) < 1e-6
+    assert np.all(check_lz01(specs)["spread"] < 1e-6)
+    ratios = pointwise_ratios(specs, shared_draws(specs, p, rng))
+    assert np.all(ratio_spread(ratios) < 1e-6)
+    if L % 2 == 0:
+        # the constant is shared by every eigenstate of the same transfer
+        # matrix
+        assert np.max(np.abs(ratios - ratios[0, 0])) < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 4])
@@ -149,16 +183,25 @@ def test_measured_even_ratio_constant_is_unity(L):
     # the source's (-1)^(L/2) agrees only when 4 divides L
     p, specs = spectral_for(L, seed=30 + L)
     rng = np.random.default_rng(70 + L)
-    out = check_lz01(first(specs, 4), lz01_draws(first(specs, 4), p, rng))
-    assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
+    sets = first(specs, 4)
+    assert np.all(check_lz01(sets)["constant_residual"] < 1e-6)
+    ratios = pointwise_ratios(sets, shared_draws(sets, p, rng))
+    assert np.all(np.abs(ratios - 1.0) < 1e-6)
 
 
 def test_odd_ratio_equals_eigenvalue_exactly():
+    # at odd L, Z k0 is the raw top coefficient times the eigenvalue
     p, specs = spectral_for(3, seed=33)
     rng = np.random.default_rng(73)
-    out = check_lz01(first(specs, 4), lz01_draws(first(specs, 4), p, rng))
-    # odd branch reports ratio / eigenvalue; its constant is 1
-    assert np.all(np.abs(out["mean"] - 1.0) < 1e-6)
+    sets = first(specs, 4)
+    assert np.all(check_lz01(sets)["spread"] < 1e-6)
+    draws = shared_draws(sets, p, rng)
+    top, pole = sets.top.at(draws)
+    assert not pole.any()
+    k0 = np.array([st.k0 for st in sets.states])
+    ratios = (sets.z(draws)[:4] * k0[:, None]
+              / (top[:4] * functional_system.values(sets.states, draws)))
+    assert np.all(np.abs(ratios - 1.0) < 1e-6)
 
 
 def test_ratio_fails_only_the_set_with_colliding_zeros():
@@ -166,10 +209,8 @@ def test_ratio_fails_only_the_set_with_colliding_zeros():
     st, zeros_ = next(iter(specs))
     w = zeros_[1]
     pair = ZeroSets([st, st], specs.lam0[:1] * 2, [zeros_, (w + 1e-5 * 0.6, w)])
-    rng = np.random.default_rng(76)
-    out = check_lz01(pair, lz01_draws(pair, p, rng))
-    assert out["failed"].tolist() == [False, True]
-    assert out["spread"][0] < 1e-6 and out["spread"][1] == np.inf
+    spread = check_lz01(pair)["spread"]
+    assert spread[0] < 1e-6 and spread[1] == np.inf
 
 
 def test_zero_shift_by_half_period_is_immaterial():
@@ -180,31 +221,27 @@ def test_zero_shift_by_half_period_is_immaterial():
     ref = lam_from_zeros(specs.lam0[0], specs.zeros[0], [probe])[0]
     assert abs(lam_from_zeros(specs.lam0[0], shifted.zeros[0], [probe])[0]
                - ref) < 1e-10 * abs(ref)
-    out = check_zero_coincidence(shifted)
-    assert out["max_distance"][0] < 1e-6
+    assert check_lz01(shifted)["spread"][0] < 1e-6
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_zero_multisets_coincide(L):
     p, specs = spectral_for(L, seed=40 + L)
-    out = check_zero_coincidence(specs)
-    assert [len(roots) for roots in out["z_roots"]] == [L - 1] * len(specs)
-    assert np.all(out["max_distance"] < 1e-6)
+    assert np.all(matched_root_distances(specs) < 1e-6)
+    assert np.all(check_lz01(specs)["spread"] < 1e-6)
 
 
-def test_min_cost_bijection_hand_built():
-    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    # 1 + 2 + 2 = 5; every other bijection costs 6 or more
-    assert list(zeros._min_cost_bijection(cost)) == [1, 0, 2]
-
-
-def test_min_cost_bijection_matches_hungarian_solver():
-    rng = np.random.default_rng(9)
-    for n in range(1, 8):
-        for _ in range(150):
-            cost = rng.uniform(0.0, 1.0, size=(n, n))
-            _, cols = linear_sum_assignment(cost)
-            assert np.array_equal(zeros._min_cost_bijection(cost), cols)
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_kicked_rows_break_the_identity(L):
+    # the negative control of lz01 and coincidence: the kicked rows of
+    # `with_kicked` are no zero sets, so their Z and F are not proportional
+    # and Z k0 misses F; the true rows pass
+    p, specs = spectral_for(L, seed=140 + L)
+    true, moved = check_lz01(specs), check_lz01(kicked(specs, 0))
+    assert np.all(true["spread"] < 1e-6) and np.all(moved["spread"] > 1e-4)
+    if L % 2 == 0:
+        assert np.all(true["constant_residual"] < 1e-6)
+        assert np.all(moved["constant_residual"] > 1e-4)
 
 
 def test_build_F_reduces_to_pair_coefficient_at_size_two():
@@ -256,11 +293,31 @@ def test_coincidence_and_wronskian_share_one_fit(monkeypatch):
 
     monkeypatch.setattr(zeros, "fit_poly", counted)
     sets = ZeroSets(specs.states, specs.lam0, specs.zeros)
-    check_zero_coincidence(sets)
+    check_lz01(sets)
     wronskian_residual(sets)
     wronskian_sharpness(sets)
     # one fit of Z(., w) and F(., w) for every set and every kicked set
     assert len(fits) == 1
+
+
+@pytest.mark.parametrize("L", [4, 5])
+def test_lz01_makes_no_gather_once_the_fit_is_cached(L, monkeypatch):
+    # the identity is read from the fitted coefficients alone: no point of
+    # any operator is gathered once the fit is held, at odd L too, where
+    # Z k0 carries the eigenvalue
+    p, specs = spectral_for(L, seed=150 + L)
+    specs.fit
+    gathers = []
+    gather = vertex_core._gather
+
+    def counted(*args):
+        gathers.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(vertex_core, "_gather", counted)
+    out = check_lz01(specs)
+    assert gathers == []
+    assert np.all(out["spread"] < 1e-6)
 
 
 def _scaled_eigenvalue(monkeypatch, sets, p):
@@ -339,8 +396,6 @@ def test_top_v_table_matches_v_coeff(L):
         ref = v_coeff(len(idx) // 2, idx, (lam0,) + ws, p)
         scale = top_term_scale(lam0, ws, p)
         assert abs(val - ref) < 1e-13 * scale
-    # points given per set read the same values as shared points
-    assert np.array_equal(top.at([lam0s])[0], got)
 
 
 @pytest.mark.parametrize("L", [3, 4])
@@ -358,8 +413,7 @@ def test_top_v_table_raises_where_v_coeff_does(L):
         v_coeff(len(idx) // 2, idx, (lam0,) + collided, p)
     clear = generic_points(1, rng, avoid=list(ws) + list(p.mu))[0]
     top = TopCoefficient([ws, collided], p)
-    assert top.at([[near], [lam0]])[1].tolist() == [True, True]
-    assert top.at([[clear], [lam0]])[1].tolist() == [False, True]
+    assert top.at([near])[1].tolist() == [True, True]
     assert top.at([clear])[1].tolist() == [False, True]
 
 
@@ -426,9 +480,9 @@ def test_zeros_suite_reads_one_top_table_and_one_fit_per_draw(monkeypatch,
     assert len(sharpness) > 1
     # one extraction serves every state of the draw with one fit and one
     # root solve; every zero set and its kicked set share one table and one
-    # fit of Z and F, whose roots come from one more solve
+    # fit of Z and F, whose roots are never taken
     assert calls == {"v_coeff": 0, "_v": 0, "tables": 1, "fits": 2,
-                     "extractions": 1, "root_solves": 2}
+                     "extractions": 1, "root_solves": 1}
 
 
 @pytest.mark.parametrize("L", [2, 3, 5, 6])
@@ -436,26 +490,22 @@ def test_zero_sets_match_per_state_references(L):
     p, sets = spectral_for(L, seed=110 + L)
     rng = np.random.default_rng(120 + L)
     assert len(sets.with_kicked) == 2 * len(sets)
-    shared = generic_points(3, rng,
-                            avoid=list(sets.with_kicked.ravel()) + list(p.mu))
-    own = [generic_points(2, rng, avoid=list(row) + list(p.mu))
-           for row in sets.with_kicked]
+    points = shared_draws(sets, p, rng, 3)
     down = reference_states(L)[1]
     idx = functional_system._top_indices(L)
-    for points, rows in ((shared, [shared] * len(own)), (own, own)):
-        z = sets.z(points)
-        f, pole = sets.f(points)
-        assert not pole.any()
-        for k, (row, zeros_) in enumerate(zip(rows, sets.with_kicked)):
-            phi = b_product_state(tuple(zeros_), p)
-            for j, lam0 in enumerate(row):
-                left = down @ b_operator(lam0, p)
-                ref = left @ phi
-                assert abs(z[k, j] - ref) <= 1e-12 * (np.abs(left) @ np.abs(phi))
-                factor = np.prod(np.sinh(lam0 - zeros_)) if L % 2 else 1.0
-                ref = v_coeff(len(idx) // 2, idx, (lam0,) + tuple(zeros_), p)
-                scale = top_term_scale(lam0, zeros_, p) * abs(factor)
-                assert abs(f[k, j] - ref * factor) <= 1e-13 * scale
+    z = sets.z(points)
+    f, pole = sets.f(points)
+    assert not pole.any()
+    for k, zeros_ in enumerate(sets.with_kicked):
+        phi = b_product_state(tuple(zeros_), p)
+        for j, lam0 in enumerate(points):
+            left = down @ b_operator(lam0, p)
+            ref = left @ phi
+            assert abs(z[k, j] - ref) <= 1e-12 * (np.abs(left) @ np.abs(phi))
+            factor = np.prod(np.sinh(lam0 - zeros_)) if L % 2 else 1.0
+            ref = v_coeff(len(idx) // 2, idx, (lam0,) + tuple(zeros_), p)
+            scale = top_term_scale(lam0, zeros_, p) * abs(factor)
+            assert abs(f[k, j] - ref * factor) <= 1e-13 * scale
     zpol, fpol, ok = sets.fit
     assert ok.all()
     coeffs = np.concatenate((zpol, fpol))
@@ -466,49 +516,37 @@ def test_zero_sets_match_per_state_references(L):
 
 
 def test_one_state_failure_leaves_every_other_record(monkeypatch, tmp_path):
-    """A pole in one state's ratio draw and a failed fit of another state
-    make inf exactly the records they reach; every other record of the
-    run is written byte for byte as without them."""
-    from sixvertex import cli
-
+    """A failed fit of one state's kicked set and of another state's own
+    set make inf exactly the records that read them, and drop none; every
+    other record of the run is written byte for byte as without them."""
     argv = ["--size", "4", "--suite", "zeros", "--seed", "1",
             "--out", str(tmp_path / "r.txt")]
     plain = [r.line() for r in run(build_config(argv))[1]]
     order = [line.split()[0].rsplit(".state", 1)[1] for line in plain
              if line.startswith("check=zeros.lz01_constancy.")]
-    pole_state, refit_state = order[1], order[2]
-    real_draws, real_f = cli.generic_points, ZeroSets.f
-    lz01_draws = []
-
-    def draws(n, rng, avoid=()):
-        pts = real_draws(n, rng, avoid=avoid)
-        if len(avoid) > 4:  # a ratio draw, which avoids the state's zeros
-            lz01_draws.append(pts)
-            if len(lz01_draws) == 2:
-                return (avoid[0],) + pts[1:]  # the first draw on a zero
-        return pts
+    kick_state, refit_state = order[1], order[2]
+    real_f = ZeroSets.f
 
     def f(self, lams):
         val, pole = real_f(self, lams)
         if np.ndim(lams) == 1:  # the shared points of the fit
             val = val.copy()
-            val[2] *= 1 + 1e-3 * np.abs(lams)  # no polynomial in x
+            # no polynomial in x: the kicked set of state 1, the set of
+            # state 2
+            for row in (len(self) + 1, 2):
+                val[row] *= 1 + 1e-3 * np.abs(lams)
         return val, pole
 
-    monkeypatch.setattr(cli, "generic_points", draws)
     monkeypatch.setattr(ZeroSets, "f", f)
     broken = [r.line() for r in run(build_config(argv))[1]]
-    assert len(lz01_draws) == len(order)
 
     def name(line):
         return line.split()[0][len("check="):]
 
     failed = {name(line) for line in broken if "residual=inf" in line}
-    assert failed == {f"zeros.lz01_constancy.state{pole_state}",
-                      f"zeros.coincidence.state{refit_state}",
-                      f"zeros.wronskian.state{refit_state}"}
-    dropped = {f"zeros.{fam}.state{pole_state}" for fam in
-               ("lz01_even_constant", "coincidence", "wronskian",
-                "wronskian_sharpness")}
-    assert [line for line in plain if name(line) not in failed | dropped] == \
+    assert failed == {f"zeros.wronskian_sharpness.state{kick_state}"} | {
+        f"zeros.{fam}.state{refit_state}" for fam in
+        ("lz01_constancy", "lz01_even_constant", "coincidence", "wronskian")}
+    assert [name(line) for line in plain] == [name(line) for line in broken]
+    assert [line for line in plain if name(line) not in failed] == \
         [line for line in broken if name(line) not in failed]

@@ -25,7 +25,7 @@ from .functional_system import (
     transfer_eigenstates,
     values,
 )
-from .numkit import cabs, worst
+from .numkit import worst
 from .report import FAIL, CheckReport, digest_of, make_report
 from .roots_of_unity import (
     RootOfUnitySpec,
@@ -241,7 +241,7 @@ class RunConfig:
 def _per_set(residuals, failed=False) -> np.ndarray:
     """Per zero set, the `worst` modulus in its row of `residuals`; inf
     where `failed` flags the set."""
-    return np.where(failed, np.inf, worst(cabs(residuals), axis=-1))
+    return np.where(failed, np.inf, worst(np.abs(residuals), axis=-1))
 
 
 def sample_params(config: RunConfig) -> ModelParams:

@@ -4,11 +4,6 @@ polynomial interpolation and root extraction.
 Matrices are plain ``numpy.ndarray`` of complex128 in row-major order.
 Polynomials are plain complex ``numpy.ndarray`` coefficient arrays,
 lowest order first.
-
-`cmul`, `cprod` and `cabs` are the complex product and modulus over
-arrays with the rounding of Python's scalar ones: numpy's complex array
-`*` may fuse a product and a sum into one FMA, and its `np.abs` takes a
-SIMD path; either moves the last bits.
 """
 
 from __future__ import annotations
@@ -35,40 +30,6 @@ def kron_chain(*ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
-
-
-def cmul(a, b) -> np.ndarray:
-    """a * b elementwise as (ar br - ai bi) + i (ar bi + ai br), each real
-    product and sum rounded on its own: Python's complex product, and
-    numpy's scalar one."""
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def cprod(factors, start=1.0 + 0j) -> np.ndarray:
-    """The product along the last axis of `factors`, taken from `start`
-    (broadcast against the other axes) left to right as `cmul` does: bit
-    for bit ``out = start; for f in row: out *= f`` over Python complex
-    numbers."""
-    factors = np.asarray(factors)
-    shape = np.broadcast_shapes(np.shape(start), factors.shape[:-1])
-    re = np.broadcast_to(np.real(start), shape)
-    im = np.broadcast_to(np.imag(start), shape)
-    for k in range(factors.shape[-1]):
-        fr, fi = factors[..., k].real, factors[..., k].imag
-        re, im = re * fr - im * fi, re * fi + im * fr
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def cabs(z) -> np.ndarray:
-    """|z| elementwise as `np.hypot`: Python's `abs` of a complex number."""
-    z = np.asarray(z)
-    return np.hypot(z.real, z.imag)
 
 
 def worst(residuals, axis=None):

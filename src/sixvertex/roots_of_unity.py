@@ -16,7 +16,7 @@ from .functional_system import (
     theorem_terms,
     values,
 )
-from .numkit import cabs, cmul, cprod, worst
+from .numkit import worst
 from .vertex_core import (
     EPS_GENERIC,
     BOperators,
@@ -68,21 +68,14 @@ def check_truncation(spec: RootOfUnitySpec, lam: complex,
 
 def _mu_product(lam, shifts, params: ModelParams) -> np.ndarray:
     """prod_k prod_s sinh(lam - mu_k + shift_s) at each point of an array
-    `lam`, from one `np.sinh` call.
-
-    The array arguments and their sinh equal the scalar ones bit for bit,
-    and `cprod` multiplies each point's factors in (site, shift) order
-    as Python complex numbers do."""
+    `lam`, from one `np.sinh` call."""
     lam = np.asarray(lam)
     args = (lam[..., None] - np.array(params.mu))[..., None] + np.array(shifts)
-    factors = np.sinh(args).reshape(*lam.shape, len(params.mu) * len(shifts))
-    return cprod(factors)
+    return np.prod(np.sinh(args), axis=(-2, -1))
 
 
-# The per-draw relations take every state and every draw at once, with
-# the arithmetic of their scalar forms: products by `cmul` in the scalar
-# left-to-right order, moduli by `cabs`, and the worst over draws by
-# `worst`.
+# The per-draw relations take every state and every draw at once, and
+# take the worst over draws by `worst`.
 
 
 def _shifted_values(states, lam_draws, shifts, g) -> np.ndarray:
@@ -94,8 +87,8 @@ def _shifted_values(states, lam_draws, shifts, g) -> np.ndarray:
 
 def _relative(lhs, rhs) -> np.ndarray:
     """|lhs - rhs| relative to the larger of |lhs| and |rhs|."""
-    return cabs(lhs - rhs) / np.maximum(np.maximum(cabs(lhs), cabs(rhs)),
-                                        1e-300)
+    return np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
 
 
 def check_inversion_l2(states, params: ModelParams, lam_draws) -> np.ndarray:
@@ -106,17 +99,14 @@ def check_inversion_l2(states, params: ModelParams, lam_draws) -> np.ndarray:
     rhs = _mu_product(draws, (0, 0), params) - _mu_product(draws, (g, -g),
                                                            params)
     lam0, lam1 = np.moveaxis(_shifted_values(states, draws, 2, g), -1, 0)
-    return worst(_relative(cmul(lam0, lam1), rhs), axis=1)
+    return worst(_relative(lam0 * lam1, rhs), axis=1)
 
 
 # The zero equations take an array `zeros` of zero sets along its last
 # axis, such as the (sets x L-1) array of `ZeroSets`, and return their
 # per-zero residuals in that shape.  A set whose equation meets a pole is
 # flagged in a boolean array of the leading shape; its residuals are
-# not to be read.  The arithmetic is that of the scalar equations, bit
-# for bit: products by `cmul` and `cprod`, moduli by `cabs`, and each
-# quotient of two complex numbers by numpy's division, as between numpy
-# scalars, unless said otherwise.
+# not to be read.
 
 
 def bethe_lhs(zeros, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -126,9 +116,9 @@ def bethe_lhs(zeros, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     g = params.gamma
     d = np.asarray(zeros)[..., None] - np.array(params.mu)
     den1, den2, num1, num2 = np.sinh(np.stack((d + 2 * g, d, d + g, d - g)))
-    pole = (cabs(den1) < EPS_GENERIC) | (cabs(den2) < EPS_GENERIC)
-    den = np.where(pole, 1.0, cmul(den1, den2))
-    return cprod(cmul(num1, num2) / den), pole.any(axis=(-2, -1))
+    pole = (np.abs(den1) < EPS_GENERIC) | (np.abs(den2) < EPS_GENERIC)
+    den = np.where(pole, 1.0, den1 * den2)
+    return np.prod(num1 * num2 / den, axis=-1), pole.any(axis=(-2, -1))
 
 
 def bethe_residual(zeros, lhs, params: ModelParams) -> tuple[np.ndarray,
@@ -152,8 +142,8 @@ def bethe_residual(zeros, lhs, params: ModelParams) -> tuple[np.ndarray,
     zeros = np.asarray(zeros)
     diff = zeros[..., None, :] - zeros[..., :, None]  # [..., i, j] = w_j - w_i
     num, den = np.sinh(np.stack((diff + g, diff - g)))
-    pole = cabs(den) < EPS_GENERIC
-    prod = cprod(num / np.where(pole, 1.0, den))
+    pole = np.abs(den) < EPS_GENERIC
+    prod = np.prod(num / np.where(pole, 1.0, den), axis=-1)
     return sites + prod, failed | pole.any(axis=(-2, -1))
 
 
@@ -166,9 +156,9 @@ def bethe_residual_l2(zeros, params: ModelParams) -> tuple[np.ndarray,
     g = params.gamma
     d = np.asarray(zeros)[..., None] - np.array(params.mu)
     s, plus, minus = np.sinh(np.stack((d, d + g, d - g)))
-    den = cmul(s, s)
-    pole = cabs(den) < EPS_GENERIC**2
-    prod = cprod(cmul(plus, minus) / np.where(pole, 1.0, den))
+    den = s * s
+    pole = np.abs(den) < EPS_GENERIC**2
+    prod = np.prod(plus * minus / np.where(pole, 1.0, den), axis=-1)
     return prod - 1.0, pole.any(axis=(-2, -1))
 
 
@@ -185,9 +175,9 @@ def q_function(lam, params: ModelParams) -> np.ndarray:
     """
     g = params.gamma
     c1, c3 = np.sinh(3 * g) / np.sinh(g), 2 * np.cosh(2 * g)
-    return (cmul(c1, _mu_product(lam, (0, 0, -2 * g, -2 * g), params))
+    return (c1 * _mu_product(lam, (0, 0, -2 * g, -2 * g), params)
             - _mu_product(lam, (g, -3 * g, -g, -g), params)
-            - cmul(c3, _mu_product(lam, (0, -2 * g, -g, -g), params)))
+            - c3 * _mu_product(lam, (0, -2 * g, -g, -g), params))
 
 
 def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
@@ -202,22 +192,20 @@ def check_l4_relation(states, params: ModelParams, lam_draws) -> dict:
     g = params.gamma
     draws = np.asarray(lam_draws, dtype=complex)
     q0, q1 = q_function(draws, params), q_function(draws + g, params)
-    q_scale = np.maximum(cabs(q0), 1e-300)
+    q_scale = np.maximum(np.abs(q0), 1e-300)
     p_0_m2g = _mu_product(draws, (0, -2 * g), params)
     lams = np.moveaxis(_shifted_values(states, draws, 4, g), -1, 0)
-    lhs = cmul(cmul(cmul(lams[0], lams[1]), lams[2]), lams[3])
-    rhs = (cmul(cmul(cmul(lams[1], lams[2]), np.sinh(3 * g) / np.sinh(g)),
-                p_0_m2g)
-           - cmul(cmul(lams[2], lams[3]), _mu_product(draws, (g, -g), params))
-           - cmul(cmul(lams[0], lams[1]),
-                  _mu_product(draws, (-g, -3 * g), params))
-           - cmul(cmul(lams[0], lams[3]), p_0_m2g)
+    rhs = (lams[1] * lams[2] * (np.sinh(3 * g) / np.sinh(g)) * p_0_m2g
+           - lams[2] * lams[3] * _mu_product(draws, (g, -g), params)
+           - lams[0] * lams[1] * _mu_product(draws, (-g, -3 * g), params)
+           - lams[0] * lams[3] * p_0_m2g
            + q0)
     return {
-        "relation_residual": worst(_relative(lhs, rhs), axis=1),
-        "q_periodicity": worst(cabs(q1 - q0) / q_scale),
+        "relation_residual": worst(_relative(np.prod(lams, axis=0), rhs),
+                                   axis=1),
+        "q_periodicity": worst(np.abs(q1 - q0) / q_scale),
         "q_shift_law": worst(
-            cabs(q1 - (-1.0) ** (params.L + 1) * q0) / q_scale),
+            np.abs(q1 - (-1.0) ** (params.L + 1) * q0) / q_scale),
     }
 
 
@@ -238,17 +226,12 @@ def l4_ratio_residuals(lhs, shifted) -> tuple[np.ndarray, np.ndarray]:
     -Lambda(w - g) / Lambda(w + g), with `lhs` = ``bethe_lhs(zeros,
     params)`` and `shifted` the sets' ``l4_shifted_values``, of shape
     zeros.shape + (3,); and per set whether it failed: a zero collides
-    with an inhomogeneity shift, or the eigenvalue vanishes at w + g.
-
-    The quotient is Python's complex division, which rounds differently
-    from numpy's."""
+    with an inhomogeneity shift, or the eigenvalue vanishes at w + g."""
     sites, failed = lhs
     lams = np.asarray(shifted, dtype=complex)
-    vanish = cabs(lams[..., 2]) < 1e-300
-    quot = [minus / plus if plus else 0j
-            for _, minus, plus in lams.reshape(-1, 3).tolist()]
-    return (sites + np.array(quot, dtype=complex).reshape(sites.shape),
-            failed | vanish.any(axis=-1))
+    minus, plus = lams[..., 1], lams[..., 2]
+    quot = np.divide(minus, plus, out=np.zeros_like(minus), where=plus != 0)
+    return sites + quot, failed | (np.abs(plus) < 1e-300).any(axis=-1)
 
 
 def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
@@ -266,12 +249,11 @@ def bethe_residual_l4(lam0, zeros, params: ModelParams) -> list:
     zeros = np.asarray(zeros)
     outer, minus, plus = lam_from_zeros(lam0, zeros, np.concatenate(
         (zeros - 2 * g, zeros - g, zeros + g))).reshape(3, -1)
-    t1 = cmul(cmul(outer, _mu_product(zeros, (2 * g, 0), params)), minus)
-    t2 = cmul(cmul(outer, _mu_product(zeros, (g, -g), params)), plus)
+    t1 = outer * _mu_product(zeros, (2 * g, 0), params) * minus
+    t2 = outer * _mu_product(zeros, (g, -g), params) * plus
     q = q_function(zeros + g, params)
-    scale = np.maximum(np.maximum(np.maximum(cabs(t1), cabs(t2)), cabs(q)),
-                       1e-300)
-    return (cabs(t1 + t2 - q) / scale).tolist()
+    scale = np.maximum(np.abs([t1, t2, q]).max(axis=0), 1e-300)
+    return (np.abs(t1 + t2 - q) / scale).tolist()
 
 
 def l4_specialized_residuals(zeros, shifted,
@@ -284,9 +266,8 @@ def l4_specialized_residuals(zeros, shifted,
     g = params.gamma
     zeros = np.asarray(zeros)
     lams = np.asarray(shifted, dtype=complex)
-    lhs = cmul(lams[..., 0],
-               cmul(_mu_product(zeros, (2 * g, 0), params), lams[..., 1])
-               + cmul(_mu_product(zeros, (g, -g), params), lams[..., 2]))
+    lhs = lams[..., 0] * (_mu_product(zeros, (2 * g, 0), params) * lams[..., 1]
+                          + _mu_product(zeros, (g, -g), params) * lams[..., 2])
     return _relative(lhs, q_function(zeros + g, params))
 
 
@@ -304,15 +285,14 @@ def check_l3_relation(states, params: ModelParams, lam_draws) -> dict:
                        m_coeff(2, v3, params), m_coeff(1, v3, params)))
     c0, c1, c2 = np.array(coeffs, dtype=complex).reshape(-1, 3).T
     lams = np.moveaxis(_shifted_values(states, draws, 3, g), -1, 0)
-    lhs = cmul(cmul(lams[0], lams[1]), lams[2])
-    rhs = (cmul(-lams[0], _mu_product(draws, (0, -2 * g), params))
-           + cmul(cmul(cmul(lams[1], 2), np.cosh(g)),
-                  _mu_product(draws, (0, -g), params))
-           - cmul(lams[2], _mu_product(draws, (g, -g), params)))
-    rhs_coeff = cmul(lams[0], c0) + cmul(lams[1], c1) + cmul(lams[2], c2)
-    return {"explicit_residual": worst(_relative(lhs, rhs), axis=1),
-            "form_agreement": worst(cabs(rhs - rhs_coeff)
-                                    / np.maximum(cabs(rhs), 1e-300), axis=1)}
+    rhs = (-lams[0] * _mu_product(draws, (0, -2 * g), params)
+           + lams[1] * 2 * np.cosh(g) * _mu_product(draws, (0, -g), params)
+           - lams[2] * _mu_product(draws, (g, -g), params))
+    rhs_coeff = lams[0] * c0 + lams[1] * c1 + lams[2] * c2
+    return {"explicit_residual": worst(_relative(np.prod(lams, axis=0), rhs),
+                                       axis=1),
+            "form_agreement": worst(np.abs(rhs - rhs_coeff)
+                                    / np.maximum(np.abs(rhs), 1e-300), axis=1)}
 
 
 def truncated_expansion_residual(states, spec: RootOfUnitySpec,

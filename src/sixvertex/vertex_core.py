@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenericityExhausted
-from .numkit import cabs, kron_chain, worst
+from .numkit import kron_chain, worst
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -100,13 +100,12 @@ def generic_points(n: int, rng, avoid=()) -> tuple:
 
     A draw is tested at once: the differences p - q of each new point p
     and each earlier new point or point of `avoid` q are taken as scalars,
-    and their sinh and its modulus (`cabs`) as one array each, with the
-    bits of the scalar calls."""
+    and their sinh and its modulus as one array each."""
     avoid = list(avoid)
     for _ in range(_MAX_DRAWS):
         pts = _uniform_points(n, rng)
         diff = [p - q for i, p in enumerate(pts) for q in pts[:i] + avoid]
-        if not np.any(cabs(np.sinh(np.array(diff, dtype=complex))) <= 0.02):
+        if not np.any(np.abs(np.sinh(np.array(diff, dtype=complex))) <= 0.02):
             return tuple(pts)
     raise GenericityExhausted("no generic spectral-point draw found")
 

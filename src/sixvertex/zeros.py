@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .functional_system import TopCoefficient, even_floor, values
-from .numkit import cabs, cprod, fit_poly, poly_roots_rows, worst
+from .numkit import fit_poly, poly_roots_rows, worst
 from .vertex_core import _GATHER_ENTRIES, BOperators, ModelParams
 
 # shift of one zero that the Wronskian conditions must detect
@@ -26,14 +26,11 @@ def lam_from_zeros(lam0, zeros, x) -> np.ndarray:
     """The eigenvalue at each point of `x` reconstructed from its value
     `lam0` at the origin and its zero set: for lam0 of shape S, zero sets
     `zeros` of shape S + (n,) and points `x` of shape S + (P,) (or
-    broadcast against it), an array of shape S + (P,).
-
-    Bit for bit the scalar product ``out = lam0; for w in zeros:
-    out *= np.sinh(w - x) / np.sinh(w)``: the quotients are numpy's, and
-    `cprod` multiplies as Python does."""
+    broadcast against it), an array of shape S + (P,): lam0 times the
+    product over the zeros w of sinh(w - x) / sinh(w)."""
     zeros = np.asarray(zeros)[..., None, :]
     factors = np.sinh(zeros - np.asarray(x)[..., None]) / np.sinh(zeros)
-    return cprod(factors, np.asarray(lam0)[..., None])
+    return np.asarray(lam0)[..., None] * np.prod(factors, axis=-1)
 
 
 class ZeroSets:
@@ -212,8 +209,8 @@ def extract_zeros(states, params: ModelParams) -> tuple[ZeroSets, list]:
     kept = np.array(found, dtype=bool)
     ref = vals[kept, L + 1:]
     rebuilt = lam_from_zeros(np.array(lam0)[kept], zeros[kept], points[L + 1:])
-    kept[kept] = ~np.any(cabs(ref - rebuilt)
-                         > 1e-7 * np.maximum(cabs(ref), 1e-300), axis=1)
+    kept[kept] = ~np.any(np.abs(ref - rebuilt)
+                         > 1e-7 * np.maximum(np.abs(ref), 1e-300), axis=1)
     sets = ZeroSets([st for st, ok in zip(states, kept) if ok],
                     [v for v, ok in zip(lam0, kept) if ok], zeros[kept])
     return sets, [st for st, ok in zip(states, kept) if not ok]
@@ -227,7 +224,7 @@ def reconstruction_residual(sets: ZeroSets, probes) -> np.ndarray:
     ref = np.array([[st.lam(x) for x in row] for st, row
                     in zip(sets.states, probes)]).reshape(probes.shape)
     rebuilt = lam_from_zeros(np.array(sets.lam0), sets.zeros, probes)
-    return cabs(ref - rebuilt) / np.maximum(cabs(ref), 1e-300)
+    return np.abs(ref - rebuilt) / np.maximum(np.abs(ref), 1e-300)
 
 
 def at_zero_residual(sets: ZeroSets, scale_points) -> np.ndarray:
@@ -235,8 +232,8 @@ def at_zero_residual(sets: ZeroSets, scale_points) -> np.ndarray:
     to its largest modulus at its row of `scale_points`; both read from
     one `values` call."""
     scale_points = np.asarray(scale_points, dtype=complex)
-    mods = cabs(values(sets.states, np.concatenate((scale_points, sets.zeros),
-                                                   axis=1)))
+    mods = np.abs(values(
+        sets.states, np.concatenate((scale_points, sets.zeros), axis=1)))
     n = scale_points.shape[1]
     return (worst(mods[:, n:], axis=1)
             / np.maximum(worst(mods[:, :n], axis=1), 1e-300))

@@ -5,9 +5,6 @@ from numpy.polynomial.polynomial import polyfromroots, polyroots, polyval
 from sixvertex.errors import SingularSystem
 from sixvertex.numkit import (
     DIM_CAP,
-    cabs,
-    cmul,
-    cprod,
     eig_general,
     fit_poly,
     kron_chain,
@@ -181,67 +178,3 @@ def test_eig_dimension_cap_configurable():
     with pytest.raises(ValueError):
         eig_general(np.eye(DIM_CAP + 1, dtype=complex))
 
-
-def same_bits(a, b):
-    return (np.array(a, dtype=complex).tobytes()
-            == np.array(b, dtype=complex).tobytes())
-
-
-def python_chain(start, row):
-    """`cprod` of one row as Python's `*=` chain: its oracle."""
-    out = start
-    for f in row:
-        out *= f
-    return out
-
-
-def awkward_factors(rng, shape):
-    """Complex factors of random signs and magnitudes 1e-300..1e300, with
-    signed zeros, exact zeros, ones and infinities mixed in."""
-    def part():
-        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
-        pick = rng.uniform(size=shape)
-        x[pick < 0.05] = 0.0
-        x[(pick >= 0.05) & (pick < 0.1)] = -0.0
-        x[(pick >= 0.1) & (pick < 0.12)] = 1.0
-        x[(pick >= 0.12) & (pick < 0.13)] = np.inf
-        return x
-    out = part() + 0j
-    out.imag = part()
-    moderate = rng.uniform(size=shape) < 0.5
-    out[moderate] = rng.normal(size=moderate.sum()) + 1j * rng.normal(
-        size=moderate.sum())
-    out[rng.uniform(size=shape) < 0.02] = 0j  # a point on an inhomogeneity
-    return out
-
-
-def test_complex_products_are_pythons_bit_for_bit():
-    # numpy's complex array `*` and `np.prod` may fuse a product and a sum
-    # into one FMA; `cmul` and `cprod` must not, on random factors and on
-    # signed zeros, exact zeros and extreme magnitudes
-    rng = np.random.default_rng(17)
-    with np.errstate(all="ignore"):
-        a, b = awkward_factors(rng, 4000), awkward_factors(rng, 4000)
-        assert same_bits(cmul(a, b), [x * y for x, y in
-                                      zip(a.tolist(), b.tolist())])
-        assert same_bits(cmul(a[:, None], b[:3]),
-                         [[x * y for y in b[:3].tolist()] for x in a.tolist()])
-        factors = awkward_factors(rng, (3, 200, 12))
-        factors[0] = (rng.normal(size=(200, 12))
-                      + 1j * rng.normal(size=(200, 12)))
-        starts = awkward_factors(rng, (3, 200))
-        for row_starts in (1.0 + 0j, starts):
-            want = [[python_chain(s, row) for s, row in zip(srow, frow)]
-                    for srow, frow in zip(np.broadcast_to(row_starts, (3, 200))
-                                          .tolist(), factors.tolist())]
-            assert same_bits(cprod(factors, row_starts), want)
-        # one row, and a start broadcast along a new axis
-        assert same_bits(cprod(factors[0, 0]),
-                         python_chain(1.0 + 0j, factors[0, 0].tolist()))
-        head, first = factors[0, :5], starts[0, :5]
-        assert same_bits(cprod(head[:, None, :], first[:, None]),
-                         [[python_chain(s, row)] for s, row in
-                          zip(first.tolist(), head.tolist())])
-        assert cprod(np.empty((2, 0), dtype=complex)).tolist() == [1, 1]
-        moduli = cabs(a)
-    assert np.array_equal(moduli, [abs(x) for x in a.tolist()], equal_nan=True)

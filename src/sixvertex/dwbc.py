@@ -84,8 +84,9 @@ def draw_residuals(lams, perm, shift: complex, over,
       relative to its norm;
     * ``overflow_string``: ||B(over)|up>|| / prod_x ||B(x)||_2, as L + 1
       creation operators annihilate |up>; for a nonzero string the B(x)
-      of the scale are read again from the string's gather, as weight-sector
-      blocks (`_bnorm2`).
+      of the scale are read again from the string's gather, and each
+      2-norm is the largest over the weight-sector blocks of its B(x)
+      (`_bnorm2`).
     """
     L = params.L
     if len(lams) != L:
@@ -107,7 +108,7 @@ def draw_residuals(lams, perm, shift: complex, over,
     out["highest_weight"] = _off_down_ray(vec, down)
     # the string is exactly zero while the B(x) keep the magnetization
     # sectors apart, and then reads 0.0 whatever the scale: the 2-norms,
-    # an SVD each, are taken only for a nonzero string
+    # an SVD per block, are taken only for a nonzero string
     ops = BOperators(over, params)
     over_norm = np.linalg.norm(ops.strings([range(len(ops))])[0])
     if over_norm != 0.0:

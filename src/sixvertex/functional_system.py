@@ -28,7 +28,7 @@ from .vertex_core import (
     ModelParams,
     _bcombine,
     _bmatmul,
-    _bnorm2,
+    _bnorm,
     _bsub,
     generic_points,
     reference_states,
@@ -273,9 +273,10 @@ def transfer_eigenstates(params: ModelParams, rng) -> list[EigenState]:
 
 def check_tphi(n: int, vars_, params: ModelParams) -> float:
     """Operator-identity residual of the order-(n+1) exchange relation, in
-    the 2-norm relative to its left side, formed on the weight-sector blocks
-    (`BlockOperators.blocks`) of B at every point, C at v_0 and, for n >= 1,
-    A and D at every point.  `vars_` holds v_0, ..., v_n."""
+    the Frobenius norm relative to its left side, formed on the
+    weight-sector blocks (`BlockOperators.blocks`) of B at every point, C at
+    v_0 and, for n >= 1, A and D at every point.  `vars_` holds v_0, ...,
+    v_n."""
     v = tuple(vars_)
     if len(v) != n + 1:
         raise ValueError("need n+1 spectral parameters")
@@ -307,7 +308,8 @@ def check_tphi(n: int, vars_, params: ModelParams) -> float:
                     + [_bcombine([(c_ij, _bmatmul(a[i], d[j])),
                                   (c_ji, _bmatmul(a[j], d[i]))])])
             for i, j, c_ij, c_ji in pairs]
-    return _bnorm2(_bsub(lhs, _bcombine((1, x) for x in rhs))) / _bnorm2(lhs)
+    diff = _bsub(lhs, _bcombine((1, x) for x in rhs))
+    return _bnorm(diff.values()) / _bnorm(lhs.values())
 
 
 def check_fl(n: int, states, vars_, params: ModelParams) -> np.ndarray:

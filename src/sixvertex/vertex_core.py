@@ -536,37 +536,19 @@ def _bnorm(blocks) -> float:
 
 
 def _bnorm2(blocks: dict) -> float:
-    """2-norm (largest singular value) of the matrix made of `blocks`.
+    """Largest 2-norm over the blocks of `blocks`: each block's largest
+    singular value, or its Frobenius norm where that is the same number,
+    for one row or one column, or where the block holds a NaN or infinite
+    entry, so that it reads NaN or inf where an SVD would not converge.
+    An empty dict reads 0.0.
 
-    Blocks that share a row weight or a column weight are joined into one
-    connected component of the block graph.  Two components share no row
-    and no column, so up to a permutation the matrix is block diagonal
-    over them and its 2-norm is the largest of theirs: each block of B is
-    a component of its own, T has two, one per parity of the column
-    weight.  A one-block component is normed as it is; a larger one is
-    assembled first.  The norm of a component is its largest singular
-    value, or its Frobenius norm where that is the same number: for one
-    row or one column, and for a component with a NaN or infinite entry,
-    where it reads NaN or inf and an SVD would not converge.  An empty
-    dict reads 0.0."""
-    comps = []  # (row weights, column weights, keys) of each component
-    for r, c in blocks:
-        rows, cols, keys = {r}, {c}, [(r, c)]
-        for comp in [o for o in comps if r in o[0] or c in o[1]]:
-            comps.remove(comp)
-            rows |= comp[0]
-            cols |= comp[1]
-            keys += comp[2]
-        comps.append((rows, cols, keys))
+    For an operator that moves the weight by one fixed amount, B, C and
+    strings of them, no two blocks share a row or a column weight, so
+    this is its 2-norm.  For any other operator it is a lower bound, which
+    as the scale of a product bound only makes a broken string read
+    larger."""
     norms = []
-    for rows, cols, keys in comps:
-        if len(keys) == 1:
-            m = blocks[keys[0]]
-        else:
-            height = {r: blocks[r, c].shape[0] for r, c in keys}
-            width = {c: blocks[r, c].shape[1] for r, c in keys}
-            m = np.block([[blocks.get((r, c), np.zeros((height[r], width[c])))
-                           for c in sorted(cols)] for r in sorted(rows)])
+    for m in blocks.values():
         if min(m.shape) == 1 or not np.isfinite(m).all():
             norms.append(math.sqrt(np.vdot(m, m).real))
         else:

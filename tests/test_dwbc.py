@@ -180,7 +180,7 @@ def test_residual_reads_large_on_broken_identity(check, monkeypatch):
 
 
 def _count_two_norms(monkeypatch):
-    # a 2-norm is the largest singular value: one SVD per matrix
+    # a 2-norm is the largest singular value: one SVD per block
     calls = []
     svd = np.linalg.svd
 
@@ -201,10 +201,12 @@ def test_overflow_scale_is_taken_only_for_a_nonzero_string(monkeypatch):
     assert draw(p, lams, over=over)["overflow_string"] == 0.0
     assert calls == []
     # a B that mixes the magnetization sectors leaves a nonzero string,
-    # scaled by the 2-norm of each of its operators
+    # scaled by the largest block 2-norm of each of its operators: every
+    # such B fills all 16 blocks of the weights 0..3, and the four 3 x 3
+    # blocks of weights 1 and 2 take an SVD each
     monkeypatch.setattr(dwbc, "BOperators", _every_b(_b_plus_ones))
     assert draw(p, lams, over=over)["overflow_string"] > 1e-3
-    assert calls == [(8, 8)] * 4
+    assert calls == [(3, 3)] * 16
 
 
 def test_one_draw_builds_each_creation_operator_once(monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from sixvertex import cli, functional_system
 from sixvertex.dwbc import b_product_state, z_bproduct
-from sixvertex.errors import PoleEncountered
+from sixvertex.errors import DegenerateSpectrum, PoleEncountered
 from sixvertex.functional_system import (
     check_appendix,
     check_fl,
@@ -186,8 +186,9 @@ def test_operator_exchange_identity(L, n):
 
 def _dense_tphi(n, v, params):
     """The order-(n+1) exchange relation on dense 2^L x 2^L operators, from
-    `monodromy`, with the coefficients of `functional_system` looked up at
-    call time, so that a patched coefficient reaches both residuals."""
+    `monodromy`, in the Frobenius norm, with the coefficients of
+    `functional_system` looked up at call time, so that a patched
+    coefficient reaches both residuals."""
     fs = functional_system
     mono = [vertex_core.monodromy(x, params) for x in v]
     a, b, d = [[m[r, c] for m in mono] for r, c in ((0, 0), (0, 1), (1, 1))]
@@ -212,7 +213,7 @@ def _dense_tphi(n, v, params):
             rest = [t for t in range(n + 1) if t not in (i, j)]
             rhs = rhs + b_string(rest) @ (fs._omega(tab, i, j) * a[i] @ d[j]
                                           + fs._omega(tab, j, i) * a[j] @ d[i])
-    return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 
 def _scaled(f, by):
@@ -238,6 +239,81 @@ def test_block_exchange_relation_is_the_dense_one_and_sees_broken_coefficients(
         got, ref = check_tphi(n, v, p), _dense_tphi(n, v, p)
         assert got > 1e-4
         assert abs(got - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_a_run_fails_every_broken_exchange_relation(L, tmp_path, monkeypatch):
+    # with the A D coefficients scaled by 1 + 1e-3 every record of order
+    # n >= 1 fails; n = 0 has no A D term, reads the same gathered B + C on
+    # both sides and stays exactly 0.0
+    def records():
+        _, reports = cli.run(cli.build_config(
+            ["--size", str(L), "--suite", "functional",
+             "--out", str(tmp_path / "r.txt")]))
+        return {r.name: r for r in reports if cli._covers("functional.tphi",
+                                                          r.name)}
+
+    clean = records()
+    names = [f"functional.tphi.n{n}" for n in range(min(L, 3) + 1)]
+    assert sorted(clean) == names
+    assert all(r.verdict == "pass" for r in clean.values())
+    for name in ("_gamma", "_omega"):
+        monkeypatch.setattr(functional_system, name,
+                            _scaled(getattr(functional_system, name), 1 + 1e-3))
+    broken = records()
+    assert sorted(broken) == names
+    assert broken["functional.tphi.n0"].verdict == "pass"
+    assert broken["functional.tphi.n0"].residual == 0.0
+    assert all(broken[name].verdict == "fail" for name in names[1:])
+
+
+def _doubled_family(monkeypatch, moving):
+    """Put in place of `transfer` at L = 2 the family S(x) diag(d(x))
+    S(x)^-1, whose first eigenvalue function is doubled, so that the
+    spacing check of `transfer_eigenstates` fails at every point.  With a
+    fixed S the family commutes; with ``moving`` S leans with x, and it
+    does not.  Returns the family and the list of points it is called at."""
+    rng = np.random.default_rng(230)
+    s0, lean = rng.standard_normal((2, 4, 8)).view(complex)
+    s0 = s0 + 4 * np.eye(4)
+    calls = []
+
+    def family(x, params):
+        calls.append(x)
+        s = s0 + x * lean if moving else s0
+        d = [np.cosh(x), np.cosh(x), np.sinh(x) + 3, np.exp(x) - 3]
+        return s @ np.diag(d) @ np.linalg.inv(s)
+
+    monkeypatch.setattr(functional_system, "transfer", family)
+    return family, calls
+
+
+def test_a_doubled_eigenvalue_of_a_commuting_family_is_accepted(monkeypatch):
+    # the cluster re-pairing of `eig_general` keeps the doubled pair
+    # biorthogonal, and the probe point accepts its vectors
+    family, calls = _doubled_family(monkeypatch, moving=False)
+    p = params_for(2)
+    states = transfer_eigenstates(p, np.random.default_rng(231))
+    assert len(calls) == 2  # the sample and the probe of one draw
+    for st in states:
+        for other in states:
+            if other is not st:
+                overlap = abs(st.left @ other.right)
+                assert overlap <= 1e-12 * (np.linalg.norm(st.left)
+                                           * np.linalg.norm(other.right))
+    t = family(0.31 - 0.17j, p)
+    for st in states:
+        lam = st.left @ t @ st.right / st.norm
+        assert (np.linalg.norm(t @ st.right - lam * st.right)
+                <= 1e-10 * np.linalg.norm(t, 2) * np.linalg.norm(st.right))
+
+
+def test_a_doubled_eigenvalue_of_a_family_that_does_not_commute_is_rejected(
+        monkeypatch):
+    _, calls = _doubled_family(monkeypatch, moving=True)
+    with pytest.raises(DegenerateSpectrum):
+        transfer_eigenstates(params_for(2), np.random.default_rng(231))
+    assert len(calls) == 24  # every one of the 12 draws reaches the probe
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])

@@ -500,23 +500,29 @@ def _four_b_product(p, pts):
 
 @pytest.mark.parametrize("L", range(1, 8))
 def test_block_two_norm_is_the_dense_two_norm(L):
+    # B and a B-string move the weight by a fixed amount: no two blocks
+    # share a row or a column, and the largest block norm is the 2-norm;
+    # for operators whose blocks do share them it is a lower bound
     p = params_for(L, seed=150 + L)
     rng = np.random.default_rng(160 + L)
     x, *four = generic_points(5, rng, avoid=p.mu)
-    cases = [(vertex_core.BlockOperators([x], p, 1, 3).blocks(0),
-              transfer(x, p)),
-             (vertex_core.BOperators([x], p).blocks(0), b_operator(x, p)),
+    exact = [(vertex_core.BOperators([x], p).blocks(0), b_operator(x, p)),
              _four_b_product(p, four)]
     noise = rng.standard_normal((p.dim, 2 * p.dim)).view(complex)
-    cases.append((vertex_core._split(noise), noise))
+    bounded = [(vertex_core.BlockOperators([x], p, 1, 3).blocks(0),
+                transfer(x, p)),
+               (vertex_core._split(noise), noise)]
     if L >= 2:
         ham = hamiltonian(ModelParams(L, GAMMA, (0,) * L))
-        cases.append((vertex_core._split(ham), ham))
-    for blocks, dense in cases:
+        bounded.append((vertex_core._split(ham), ham))
+    for blocks, dense in exact:
         want = np.linalg.norm(dense, 2)
         assert abs(vertex_core._bnorm2(blocks) - want) <= 1e-14 * want
+    for blocks, dense in bounded:
+        want = np.linalg.norm(dense, 2)
+        assert vertex_core._bnorm2(blocks) <= want * (1 + 1e-14)
     # a string longer than L has no block at all
-    assert (vertex_core._bnorm2(cases[2][0]) == 0.0) == (L < 4)
+    assert (vertex_core._bnorm2(exact[1][0]) == 0.0) == (L < 4)
 
 
 def test_block_two_norm_of_nothing_and_of_nan():

@@ -248,29 +248,34 @@ def monodromy_full(lam: complex, params: ModelParams) -> list:
     auxiliary row a and column b, so ``np.block(m)`` is the 2^(L+1)-dim
     matrix.
 
-    The product is grown site by site, site 1 first, from the 2x2
-    auxiliary identity.  Viewed as a tensor ``m[a, S, b, T]`` with S and T
-    the quantum row and column of the sites so far, it takes the next
-    site as ``m[a, S, b, T] <- sum_c m[a, S, c, T] loc[c, b, s, t]``, where
-    ``loc[c, b, s, t] = blk_cb[s, t]`` acts on the auxiliary leg and the
-    new site's leg only, and ``(S, s)``, ``(T, t)`` are the new row and
-    column.  The last site is taken one block (a, b) at a time, so no
-    array of the 2^(L+1)-dim space is formed: at L = 8 one takes 4 MiB,
-    and where the allocator puts arrays that large moved the peak
-    resident size of a run by 4 MiB steps from one run to the next."""
-    locs = []
-    for mu in params.mu:
-        a_loc, b_loc, c_loc, d_loc = _local_blocks(lam - mu, params.gamma)
-        locs.append(np.array([[a_loc, b_loc], [c_loc, d_loc]]))
-    m = np.eye(2, dtype=complex).reshape(2, 1, 2, 1)
-    for loc in locs[:-1]:
-        n = 2 * m.shape[1]
-        m = (np.tensordot(m, loc, axes=([2], [0]))  # (a, S, T, b, s, t)
-             .transpose(0, 1, 4, 3, 2, 5).reshape(2, n, 2, n))
-    n = 2 * m.shape[1]
-    return [[np.tensordot(m[a], locs[-1][:, b], axes=([1], [0]))  # (S, T, s, t)
-             .transpose(0, 2, 1, 3).reshape(n, n) for b in range(2)]
-            for a in range(2)]
+    The product is grown site by site, site 1 first, from the blocks of
+    site 1.  With ``loc[c, b, s, t] = blk_cb[s, t]`` the next site's
+    blocks, the new block (a, b) starts at 0 and, viewed as
+    ``(n, 2, n, 2)`` with the new site's row s and column t after the old
+    row and column, gets the (s, t) sub-block ``sum_c m[a][c] loc[c, b,
+    s, t]`` written in place, summed over the c whose weight is nonzero.
+    No array larger than one block is formed.  The skip reads the weights,
+    not the ice rule, so a transcription that fills a slot the ice rule
+    forbids still reaches the product."""
+    locs = [np.array([[a_loc, b_loc], [c_loc, d_loc]]) for a_loc, b_loc, c_loc, d_loc
+            in (_local_blocks(lam - mu, params.gamma) for mu in params.mu)]
+    m = [[locs[0][a, c] for c in range(2)] for a in range(2)]
+    for loc in locs[1:]:
+        n = len(m[0][0])
+        terms = {}  # (b, s, t) -> the (c, weight) pairs of nonzero weight
+        for c, b, s, t in zip(*np.nonzero(loc)):
+            terms.setdefault((b, s, t), []).append((c, loc[c, b, s, t]))
+        new = [[np.zeros((2 * n, 2 * n), dtype=complex) for _ in range(2)]
+               for _ in range(2)]
+        for a in range(2):
+            views = [blk.reshape(n, 2, n, 2) for blk in new[a]]
+            for (b, s, t), ((c, w), *rest) in terms.items():
+                out = views[b][:, s, :, t]
+                np.multiply(m[a][c], w, out=out)
+                for c, w in rest:
+                    out += m[a][c] * w
+        m = new
+    return m
 
 
 class BlockOperators:
@@ -679,7 +684,7 @@ def full_product_residuals(lam: complex, params: ModelParams) -> dict:
     full = monodromy_full(lam, params)
     g = twist_matrix()
     # G x 1 acts on the auxiliary row leg alone: tr(G M) = sum G[a, b] M[b][a]
-    traced = sum(g[a, b] * full[b][a] for a in range(2) for b in range(2))
+    traced = sum(g[a, b] * full[b][a] for a, b in zip(*np.nonzero(g)))
     tmat = transfer(lam, params)
     mono = monodromy(lam, params)
     pairs = [(mono[a, b], full[a][b]) for a in range(2) for b in range(2)]

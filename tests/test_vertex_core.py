@@ -124,7 +124,9 @@ def _kron_chain_monodromy(lam, params):
     L = params.L
     factors = []
     for j in range(L):
-        blocks = _local_blocks(lam - params.mu[j], params.gamma)
+        # looked up at call time, so that a patched transcription reaches
+        # both builds
+        blocks = vertex_core._local_blocks(lam - params.mu[j], params.gamma)
         pre = np.eye(2 ** j, dtype=complex)
         post = np.eye(2 ** (L - 1 - j), dtype=complex)
         emb = np.zeros((2 ** (L + 1), 2 ** (L + 1)), dtype=complex)
@@ -144,6 +146,27 @@ def test_full_product_is_the_kron_chain_product(L):
         ref = _kron_chain_monodromy(lam, p)
         got = np.block(monodromy_full(lam, p))
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _blocks_with_forbidden_entry(lam, gamma):
+    # A gains an entry that takes an up arrow in and a down arrow out
+    a_loc, b_loc, c_loc, d_loc = _local_blocks(lam, gamma)
+    a_loc = a_loc.copy()
+    a_loc[0, 1] = 0.5
+    return a_loc, b_loc, c_loc, d_loc
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_full_product_assumes_no_ice_rule(L, monkeypatch):
+    # the growth skips a slot only where the weights are zero, so an entry
+    # the ice rule forbids still reaches the product
+    p = params_for(L, seed=50 + L)
+    lam = generic_points(1, np.random.default_rng(60 + L), avoid=p.mu)[0]
+    monkeypatch.setattr(vertex_core, "_local_blocks", _blocks_with_forbidden_entry)
+    ref = _kron_chain_monodromy(lam, p)
+    got = np.block(monodromy_full(lam, p))
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert full_product_residuals(lam, p)["block_assembly"] > 1e-3
 
 
 def _broadcast_contraction(lam, params, rows):

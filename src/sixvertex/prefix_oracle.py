@@ -1,10 +1,14 @@
-"""Independent re-evaluation of the coefficient functions from prefix-form
-formula text.
+"""Independent second transcription of the coefficient functions.
 
-The coefficient formulas are the most transcription-error-prone part of the
-toolkit, so each one is transcribed a second time into a tiny s-expression
-language and evaluated by the interpreter below.  Agreement between the two
-transcriptions is a build gate exercised by the test suite.
+Each coefficient formula is written out again here, without the pair
+tables of `functional_system` and importing nothing from the package; the
+`functional.oracle.*` gate compares the two transcriptions.  a(x) =
+sinh(x + gamma), b(x) = sinh(x), c = sinh(gamma); `v` is (v_0, ..., v_n),
+`mu` the L inhomogeneities.  Every product starts from 1 and every sum
+from 0, taken left to right as the formula is written: the bits of the
+prefix-form (s-expression) text the formulas were once evaluated from.
+The module keeps that name because the benchmark's tracer reports the
+oracle as the `prefix_oracle` layer.
 """
 
 from __future__ import annotations
@@ -14,236 +18,112 @@ import itertools
 import numpy as np
 
 
-def tokenize(src: str):
-    return src.replace("(", " ( ").replace(")", " ) ").split()
+def _ratio(x, gamma):
+    """a(x) / b(x)."""
+    return np.sinh(x + gamma) / np.sinh(x)
 
 
-def parse(tokens):
-    tok = tokens.pop(0)
-    if tok == "(":
-        out = []
-        while tokens[0] != ")":
-            out.append(parse(tokens))
-        tokens.pop(0)
-        return out
-    if tok == ")":
-        raise SyntaxError("unexpected )")
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
+def _site_prod(x, y, mu, gamma):
+    """prod_q a(x - mu_q) b(y - mu_q)."""
+    out = 1
+    for mq in mu:
+        out = out * (1 * np.sinh(x - mq + gamma) * np.sinh(y - mq))
+    return out
 
 
-def read(src: str):
-    tokens = tokenize(src)
-    tree = parse(tokens)
-    if tokens:
-        raise SyntaxError("trailing tokens in formula text")
-    return tree
+def _gamma(i, j, k, v, gamma):
+    out = 1
+    for t in range(1, len(v)):
+        if t != i:
+            out = out * (1 * _ratio(v[k] - v[t], gamma) * _ratio(v[t] - v[j], gamma))
+    return 1 * (np.sinh(gamma) / np.sinh(v[k] - v[j])) * out
 
 
-class Interp:
-    """Evaluator for the formula language.
-
-    Environment keys: 'vars' (tuple of complex), 'mu' (tuple of complex),
-    'gamma' (complex), plus any integer / list bindings the formula needs.
-    """
-
-    def __init__(self, vars_, mu, gamma, **bindings):
-        self.vars = tuple(vars_)
-        self.mu = tuple(mu)
-        self.gamma = complex(gamma)
-        base = {
-            "gamma": self.gamma,
-            "n": len(self.vars) - 1,
-            "nv": len(self.vars),
-        }
-        base.update(bindings)
-        self.env = base
-
-    def run(self, tree, extra=None):
-        env = dict(self.env)
-        if extra:
-            env.update(extra)
-        return self._eval(tree, env)
-
-    def _eval(self, node, env):
-        if isinstance(node, int):
-            return node
-        if isinstance(node, str):
-            if node in env:
-                return env[node]
-            raise NameError(f"unbound symbol {node!r}")
-        head, *args = node
-        if head == "+":
-            return sum(self._eval(a, env) for a in args)
-        if head == "*":
-            out = 1
-            for a in args:
-                out = out * self._eval(a, env)
-            return out
-        if head == "/":
-            return self._eval(args[0], env) / self._eval(args[1], env)
-        if head == "-":
-            if len(args) == 1:
-                return -self._eval(args[0], env)
-            return self._eval(args[0], env) - self._eval(args[1], env)
-        if head == "a":
-            return np.sinh(self._eval(args[0], env) + self.gamma)
-        if head == "b":
-            return np.sinh(self._eval(args[0], env))
-        if head == "c":
-            return np.sinh(self.gamma)
-        if head == "v":
-            return self.vars[self._eval(args[0], env)]
-        if head == "mu":
-            return self.mu[self._eval(args[0], env) - 1]
-        if head == "sites":
-            return list(range(1, len(self.mu) + 1))
-        if head == "range":
-            lo = self._eval(args[0], env)
-            hi = self._eval(args[1], env)
-            return list(range(lo, hi + 1))
-        if head == "omit":
-            base = self._eval(args[0], env)
-            drop = {self._eval(a, env) for a in args[1:]}
-            return [x for x in base if x not in drop]
-        if head == "diff":
-            base = self._eval(args[0], env)
-            drop = set(self._eval(args[1], env))
-            return [x for x in base if x not in drop]
-        if head == "elem":
-            seq = self._eval(args[0], env)
-            return seq[self._eval(args[1], env) - 1]
-        if head == "with":
-            binds, body = args
-            new = dict(env)
-            for sym, expr in binds:
-                new[sym] = self._eval(expr, env)
-            return self._eval(body, new)
-        if head in ("sum", "prod"):
-            sym, setexpr, body = args
-            acc = 0 if head == "sum" else 1
-            for val in self._eval(setexpr, env):
-                sub = dict(env)
-                sub[sym] = val
-                term = self._eval(body, sub)
-                acc = acc + term if head == "sum" else acc * term
-            return acc
-        if head == "prod-pairs":
-            sym_r, sym_s, setexpr, body = args
-            seq = self._eval(setexpr, env)
-            acc = 1
-            for p in range(len(seq)):
-                for q in range(p + 1, len(seq)):
-                    sub = dict(env)
-                    sub[sym_r] = seq[p]
-                    sub[sym_s] = seq[q]
-                    acc = acc * self._eval(body, sub)
-            return acc
-        if head == "sum-subsets":
-            sym, setexpr, sizeexpr, body = args
-            seq = self._eval(setexpr, env)
-            size = self._eval(sizeexpr, env)
-            acc = 0
-            for combo in itertools.combinations(seq, size):
-                sub = dict(env)
-                sub[sym] = list(combo)
-                acc = acc + self._eval(body, sub)
-            return acc
-        if head == "sum-perms":
-            sym, setexpr, body = args
-            seq = self._eval(setexpr, env)
-            acc = 0
-            for perm in itertools.permutations(seq):
-                sub = dict(env)
-                sub[sym] = list(perm)
-                acc = acc + self._eval(body, sub)
-            return acc
-        raise NameError(f"unknown form {head!r}")
-
-
-GAMMA_SRC = """
-(* (/ (c) (b (- (v k) (v j))))
-   (prod t (omit (range 1 n) i)
-     (* (/ (a (- (v k) (v t))) (b (- (v k) (v t))))
-        (/ (a (- (v t) (v j))) (b (- (v t) (v j)))))))
-""".strip()
-
-OMEGA_SRC = """
-(* (/ (c) (a (- (v j) (v 0))))
-   (/ (c) (a (- (v 0) (v i))))
-   (/ (a (- (v j) (v i))) (b (- (v j) (v i))))
-   (prod t (omit (range 0 n) i j)
-     (* (/ (a (- (v j) (v t))) (b (- (v j) (v t))))
-        (/ (a (- (v t) (v i))) (b (- (v t) (v i)))))))
-""".strip()
-
-M_SRC = f"""
-(+ (with ((j 0) (k i))
-     (* {GAMMA_SRC}
-        (prod q (sites) (* (a (- (v 0) (mu q))) (b (- (v i) (mu q)))))))
-   (with ((j i) (k 0))
-     (* {GAMMA_SRC}
-        (prod q (sites) (* (a (- (v i) (mu q))) (b (- (v 0) (mu q))))))))
-""".strip()
-
-N_SRC = f"""
-(+ (* {OMEGA_SRC}
-      (prod q (sites) (* (a (- (v i) (mu q))) (b (- (v j) (mu q))))))
-   (with ((i j) (j i))
-     (* {OMEGA_SRC}
-        (prod q (sites) (* (a (- (v i) (mu q))) (b (- (v j) (mu q))))))))
-""".strip()
-
-V_SRC = """
-(sum-subsets J I m
-  (* (prod li (range 1 m)
-       (* (prod q (sites) (a (- (v (elem J li)) (mu q))))
-          (prod t (diff (range 0 (- nv 1)) I)
-            (/ (a (- (v t) (v (elem J li)))) (b (- (v t) (v (elem J li))))))))
-     (sum-perms K (diff I J)
-       (* (prod li (range 1 m)
-            (* (prod q (sites) (b (- (v (elem K li)) (mu q))))
-               (/ (c) (b (- (v (elem J li)) (v (elem K li)))))
-               (prod t (diff (range 0 (- nv 1)) I)
-                 (/ (a (- (v (elem K li)) (v t))) (b (- (v (elem K li)) (v t)))))))
-          (prod-pairs r s (range 1 m)
-            (* (/ (a (- (v (elem K r)) (v (elem K s))))
-                  (b (- (v (elem K r)) (v (elem K s)))))
-               (/ (a (- (v (elem K r)) (v (elem J s))))
-                  (b (- (v (elem K r)) (v (elem J s)))))
-               (/ (a (+ (- (v (elem K s)) (v (elem J r))) gamma))
-                  (b (- (v (elem K s)) (v (elem J r)))))))))))
-""".strip()
-
-_TREES = {name: read(src) for name, src in
-          [("gamma", GAMMA_SRC), ("omega", OMEGA_SRC), ("m", M_SRC),
-           ("n", N_SRC), ("v", V_SRC)]}
+def _omega(i, j, v, gamma):
+    c = np.sinh(gamma)
+    out = 1
+    for t in range(len(v)):
+        if t != i and t != j:
+            out = out * (1 * _ratio(v[j] - v[t], gamma) * _ratio(v[t] - v[i], gamma))
+    return (1 * (c / np.sinh(v[j] - v[0] + gamma)) * (c / np.sinh(v[0] - v[i] + gamma))
+            * _ratio(v[j] - v[i], gamma) * out)
 
 
 def oracle_gamma(i, j, k, vars_, params):
-    it = Interp(vars_, params.mu, params.gamma, i=i, j=j, k=k)
-    return complex(it.run(_TREES["gamma"]))
+    """Gamma = c / b(v_k - v_j) prod_{t in 1..n, t != i}
+    a(v_k - v_t) / b(v_k - v_t) a(v_t - v_j) / b(v_t - v_j)."""
+    return complex(_gamma(i, j, k, tuple(vars_), complex(params.gamma)))
 
 
 def oracle_omega(i, j, vars_, params):
-    it = Interp(vars_, params.mu, params.gamma, i=i, j=j)
-    return complex(it.run(_TREES["omega"]))
+    """Omega = c / a(v_j - v_0) c / a(v_0 - v_i) a(v_j - v_i) / b(v_j - v_i)
+    prod_{t in 0..n, t != i, j}
+    a(v_j - v_t) / b(v_j - v_t) a(v_t - v_i) / b(v_t - v_i)."""
+    return complex(_omega(i, j, tuple(vars_), complex(params.gamma)))
 
 
 def oracle_m(i, vars_, params):
-    it = Interp(vars_, params.mu, params.gamma, i=i)
-    return complex(it.run(_TREES["m"]))
+    """M = Gamma(i; 0, i) prod_q a(v_0 - mu_q) b(v_i - mu_q)
+    + Gamma(i; i, 0) prod_q a(v_i - mu_q) b(v_0 - mu_q),
+    with Gamma(i; j, k) as in `oracle_gamma`."""
+    v, mu, g = tuple(vars_), tuple(params.mu), complex(params.gamma)
+    return complex(0 + 1 * _gamma(i, 0, i, v, g) * _site_prod(v[0], v[i], mu, g)
+                   + 1 * _gamma(i, i, 0, v, g) * _site_prod(v[i], v[0], mu, g))
 
 
 def oracle_n(j, i, vars_, params):
-    it = Interp(vars_, params.mu, params.gamma, i=i, j=j)
-    return complex(it.run(_TREES["n"]))
+    """N = Omega(i, j) prod_q a(v_i - mu_q) b(v_j - mu_q)
+    + Omega(j, i) prod_q a(v_j - mu_q) b(v_i - mu_q),
+    with Omega as in `oracle_omega`."""
+    v, mu, g = tuple(vars_), tuple(params.mu), complex(params.gamma)
+    return complex(0 + 1 * _omega(i, j, v, g) * _site_prod(v[i], v[j], mu, g)
+                   + 1 * _omega(j, i, v, g) * _site_prod(v[j], v[i], mu, g))
 
 
 def oracle_v(m, indices, vars_, params):
+    """V = sum over m-subsets J of I, in `combinations` order, of
+    prod_l [prod_q a(v_{J_l} - mu_q)
+            prod_{t not in I} a(v_t - v_{J_l}) / b(v_t - v_{J_l})]
+    times the sum over orderings K of I \\ J, in `permutations` order, of
+    prod_l [prod_q b(v_{K_l} - mu_q) c / b(v_{J_l} - v_{K_l})
+            prod_{t not in I} a(v_{K_l} - v_t) / b(v_{K_l} - v_t)]
+    prod_{r < s} a(v_{K_r} - v_{K_s}) / b(v_{K_r} - v_{K_s})
+    a(v_{K_r} - v_{J_s}) / b(v_{K_r} - v_{J_s})
+    a(v_{K_s} - v_{J_r} + gamma) / b(v_{K_s} - v_{J_r});
+    I = `indices`, and V = 1 at m = 0."""
     if m == 0:
         return 1.0 + 0j
-    it = Interp(vars_, params.mu, params.gamma, m=m, I=list(indices))
-    return complex(it.run(_TREES["v"]))
+    v, mu, g = tuple(vars_), tuple(params.mu), complex(params.gamma)
+    c = np.sinh(g)
+    outside = [t for t in range(len(v)) if t not in indices]
+    total = 0
+    for J in itertools.combinations(indices, m):
+        left = 1
+        for jl in J:
+            sites = 1
+            for mq in mu:
+                sites = sites * np.sinh(v[jl] - mq + g)
+            outs = 1
+            for t in outside:
+                outs = outs * _ratio(v[t] - v[jl], g)
+            left = left * (1 * sites * outs)
+        perms = 0
+        for K in itertools.permutations([s for s in indices if s not in J]):
+            right = 1
+            for jl, kl in zip(J, K):
+                sites = 1
+                for mq in mu:
+                    sites = sites * np.sinh(v[kl] - mq)
+                outs = 1
+                for t in outside:
+                    outs = outs * _ratio(v[kl] - v[t], g)
+                right = right * (1 * sites * (c / np.sinh(v[jl] - v[kl])) * outs)
+            pairs = 1
+            for r, s in itertools.combinations(range(m), 2):
+                shifted = v[K[s]] - v[J[r]]
+                pairs = pairs * (1 * _ratio(v[K[r]] - v[K[s]], g)
+                                 * _ratio(v[K[r]] - v[J[s]], g)
+                                 * (np.sinh(0 + shifted + g + g) / np.sinh(shifted)))
+            perms = perms + 1 * right * pairs
+        total = total + 1 * left * perms
+    return complex(total)

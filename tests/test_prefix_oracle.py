@@ -1,37 +1,17 @@
+import ast
+import inspect
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
+from sixvertex import cli, functional_system, prefix_oracle
 from sixvertex.functional_system import even_floor, oracle_residuals
-from sixvertex.prefix_oracle import Interp, oracle_v, read
+from sixvertex.prefix_oracle import oracle_v
 from sixvertex.vertex_core import ModelParams, generic_points, sample_mu
 
-
-def test_interpreter_arithmetic():
-    it = Interp((1 + 0j,), (0j,), 0.5)
-    assert it.run(read("(+ 1 2 3)")) == 6
-    assert it.run(read("(* 2 (- 5 1))")) == 8
-    assert it.run(read("(/ 1 4)")) == 0.25
-    assert it.run(read("(- 3)")) == -3
-
-
-def test_interpreter_weight_functions():
-    g = 0.3 + 0.1j
-    it = Interp((0.7 - 0.2j,), (0j,), g)
-    assert abs(it.run(read("(a (v 0))")) - np.sinh(0.7 - 0.2j + g)) < 1e-15
-    assert abs(it.run(read("(b (v 0))")) - np.sinh(0.7 - 0.2j)) < 1e-15
-    assert abs(it.run(read("(c)")) - np.sinh(g)) < 1e-15
-
-
-def test_interpreter_sets_and_loops():
-    it = Interp((0j,) * 4, (0j,), 0.5)
-    assert it.run(read("(prod t (range 1 4) t)")) == 24
-    assert it.run(read("(sum t (omit (range 0 3) 1) t)")) == 0 + 2 + 3
-    assert it.run(read("(sum-subsets J (range 1 3) 2 (elem J 2))")) == 2 + 3 + 3
-    assert it.run(read("(sum-perms K (range 1 3) (elem K 1))")) == 12
-    assert it.run(read("(prod-pairs r s (range 1 3) (- s r))")) == 1 * 2 * 1
-    assert it.run(read("(with ((x 2) (y 3)) (* x y))")) == 6
+KEYS = ("gamma", "omega", "m", "n", "v")
 
 
 def _random_instance(rng):
@@ -87,3 +67,54 @@ def _v_residuals(rng, p, nv, mm):
 def test_oracle_v_trivial_order():
     p = _random_instance(np.random.default_rng(0))
     assert oracle_v(0, (), (0.1, 0.2), p) == 1.0
+
+
+def foreign_imports(source: str) -> list:
+    """The imports of `source` that are relative or reach outside the
+    standard library and numpy."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names
+                    if alias.name.split(".")[0] not in allowed]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] not in allowed:
+                out.append("." * node.level + (node.module or ""))
+    return out
+
+
+def test_the_oracle_imports_only_the_standard_library_and_numpy():
+    # an independent transcription shares no code with what it checks
+    assert foreign_imports(inspect.getsource(prefix_oracle)) == []
+    source = ("import itertools\nimport numpy as np\nfrom .numkit import worst\n"
+              "from sixvertex.vertex_core import weights\nimport scipy.linalg\n")
+    assert foreign_imports(source) == [".numkit", "sixvertex.vertex_core",
+                                       "scipy.linalg"]
+
+
+def _scaled(f, by):
+    return lambda *args: f(*args) * by
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_a_run_fails_only_the_oracle_family_that_is_broken(L, tmp_path,
+                                                           monkeypatch):
+    # an oracle scaled by 1 + 1e-9 sits far above the 1e-12 tolerance of
+    # its own record and reaches none of the other four
+    def verdicts():
+        _, reports = cli.run(cli.build_config(
+            ["--size", str(L), "--suite", "functional",
+             "--out", str(tmp_path / "r.txt")]))
+        return {r.name: r.verdict for r in reports
+                if cli._covers("functional.oracle", r.name)}
+
+    names = [f"functional.oracle.{key}" for key in KEYS]
+    assert verdicts() == dict.fromkeys(names, "pass")
+    for key in KEYS:
+        with monkeypatch.context() as m:
+            name = f"oracle_{key}"
+            m.setattr(functional_system, name,
+                      _scaled(getattr(functional_system, name), 1 + 1e-9))
+            assert verdicts() == dict(dict.fromkeys(names, "pass"),
+                                      **{f"functional.oracle.{key}": "fail"})

@@ -76,3 +76,18 @@ def test_report_diff_of_a_directory_with_itself_is_clean(tmp_path):
     write(tmp_path, "one", "0", [("functional.fl.state3.n2", "1.000000000e-12")])
     assert tool.main([str(tmp_path), str(tmp_path)]) == 0
     assert tool.family("functional.fl.state3.n2") == "functional.fl"
+
+
+def test_report_diff_counts_a_nan_only_when_one_side_has_it(tmp_path):
+    # nan != nan: two NaN residuals are no change, a NaN against a number
+    # is a change of inf
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "mu", "1", [("dwbc.oracle_agreement", "nan")])
+    _, families = tool.compare(tool.read_dir(a), tool.read_dir(a))
+    assert families["dwbc.oracle_agreement"] == [1, 0, 0.0, 0.0]
+    write(b, "mu", "1", [("dwbc.oracle_agreement", "1.000000000e-03")])
+    lines, families = tool.compare(tool.read_dir(a), tool.read_dir(b))
+    assert lines == []
+    count, changed, delta, _ = families["dwbc.oracle_agreement"]
+    assert (count, changed, delta) == (1, 1, float("inf"))

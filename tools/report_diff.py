@@ -17,6 +17,7 @@ occurrence, counted from 0.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from pathlib import Path
@@ -61,8 +62,12 @@ def read_dir(root: Path) -> dict:
 
 
 def change(a: float, b: float) -> float:
-    """|a - b|, 0 when both are the same infinity."""
-    return 0.0 if a == b else abs(a - b)
+    """|a - b|: 0 when both are the same infinity or both NaN, inf when
+    only one is NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    delta = abs(a - b)
+    return math.inf if math.isnan(delta) else delta
 
 
 def compare(dir_a: dict, dir_b: dict):

@@ -18,27 +18,51 @@ The matrix:
 * ``--root-of-unity 1/l --suite rou`` for l = 2..5 at L = 2..6, seed 1;
 * ``--size 8 --suite structural,dwbc --seed 1``;
 * the workloads of ``svbench/run.py`` at seeds 0-30.
+
+Each ``svbench_<workload>_s<seed>`` config's ordered ``[check, verdict]``
+list is also compared with the committed list in
+``svbench/expected/<workload>.json``, by the rule of ``svbench/run.py``.
+The script prints each config that differs and a total, and exits 1 when
+any differs.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+SVBENCH_CONFIG = re.compile(r"svbench_(\w+)_s(\d+)")
 
 
-def workloads() -> dict:
-    """The svbench workloads, read from ``svbench/run.py``."""
+@functools.cache
+def svbench():
+    """``svbench/run.py``, loaded as a module."""
     spec = importlib.util.spec_from_file_location("svbench_run",
                                                   ROOT / "svbench" / "run.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.WORKLOADS
+    return mod
+
+
+def workloads() -> dict:
+    """The svbench workloads, read from ``svbench/run.py``."""
+    return svbench().WORKLOADS
+
+
+def svbench_mismatches(name: str, verdicts) -> int:
+    """How far the ``[check, verdict]`` list of the svbench config `name`
+    is from its committed list, counted as ``svbench/run.py`` counts."""
+    workload, seed = SVBENCH_CONFIG.fullmatch(name).groups()
+    bench = svbench()
+    return bench.count_mismatches(verdicts, bench.expected_verdicts(
+        bench.load_expected(workload), int(seed)))
 
 
 def matrix():
@@ -74,16 +98,27 @@ def main(argv=None) -> int:
     from sixvertex import cli
     if Path(cli.__file__).resolve().parent != SRC / "sixvertex":
         raise SystemExit(f"imported {cli.__file__}, not {SRC}")
+    checked = differ = 0
     for name, config_argv in matrix():
         config = cli.build_config(config_argv + ["--out", str(out / f"{name}.txt")])
+        reports = []
         try:
-            code = str(cli.run(config)[0])
+            code, reports = cli.run(config)
+            code = str(code)
         except Exception as exc:  # the exception is the config's outcome
             traceback.print_exc()
             code = type(exc).__name__
         (out / f"{name}.exit").write_text(code + "\n", encoding="utf-8")
         print(name, code, flush=True)
-    return 0
+        if SVBENCH_CONFIG.fullmatch(name):
+            checked += 1
+            mismatches = svbench_mismatches(name, svbench().verdict_list(reports))
+            if mismatches:
+                differ += 1
+                print(f"{name}: {mismatches} mismatches against svbench/expected/",
+                      flush=True)
+    print(f"svbench configs: {checked - differ} of {checked} match svbench/expected/")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
